@@ -20,6 +20,13 @@ evaluation stays accurate even when inducing points nearly coincide.  The
 backward pass chains analytic derivatives through the psi/phi statistics,
 the factorizations, and the log-determinants; no finite differences are
 used anywhere in training.
+
+Each user's forward pass (psi and phi statistics, the whitened system and
+its solves) is :func:`_user_forward`; the bound (:func:`_user_terms`) and
+the cached predictive factors (:func:`user_posterior`) both build on it.
+:func:`_scatter_user` is the one map from a user's row gradients onto the
+shared entity tables, used by the full batch (:func:`total_bound`) and by
+SGD alike.
 """
 
 from __future__ import annotations
@@ -90,22 +97,91 @@ def shared_factors(state: VariationalState, jitter: float = DEFAULT_JITTER) -> S
 
 
 @dataclass
-class UserTerms:
-    """Value and row-level gradients of one user's bound term.
+class _UserForward:
+    """The per-user forward pass: psi and phi statistics and the whitened
+    system.  Transient; :class:`UserPosterior` keeps only its solve factors."""
 
-    Row-level kernel gradients (``gmu_rows``/``gvar_rows``) are with respect
-    to the per-row latent means and raw variances; the caller scatters them
-    into the shared entity tables.  ``dphi1``/``dphi0`` feed the bias-latent
-    backward pass.
+    sigma2: float
+    beta: float
+    cache: _PsiCache         # keeps alpha and the row variances assemble_rows gave
+    psi2: np.ndarray
+    phi1: np.ndarray
+    phi0: float
+    l_k: np.ndarray          # lower factor of K = sigma2 * C
+    t_mat: np.ndarray        # L^-1 Psi2 L^-T
+    chol_b: np.ndarray       # lower factor of B = I + beta * t_mat (+ escalation)
+    extra: float             # jitter the escalation added to B
+    resid: np.ndarray        # y - phi1
+    c_vec: np.ndarray        # Psi1^T (y - phi1)
+    c_hat: np.ndarray        # L^-1 c_vec
+    b_inv_c_hat: np.ndarray
+
+
+def _user_forward(block: UserBlock, state: VariationalState, shared: SharedFactors) -> _UserForward:
+    """Psi cache, phi statistics, whitened B with jitter escalation, and the
+    ``Psi1^T (y - phi1)`` solves of one user; shared by the bound and q(u)."""
+    sigma2 = float(np.exp(state.log_sigma2[block.user]))
+    beta = float(np.exp(state.log_beta[block.user]))
+
+    mu_rows, var_rows = state.assemble_rows(block)
+    kern = ArdKernel(sigma2, np.exp(state.log_alpha))
+    cache = _PsiCache(kern, LatentPoints(mu_rows, var_rows, state.layout.fixed_mask), state.z)
+    psi2 = cache.psi2_rows.sum(axis=0)
+
+    if state.bias is not None:
+        phi = phi_statistics(state.bias, block)
+        phi1, phi0 = phi.phi1, phi.phi0
+    else:
+        phi1, phi0 = np.zeros(block.count), 0.0
+
+    # whitened system: K = L L^T, B = I + beta * L^-1 Psi2 L^-T
+    l_k = np.sqrt(sigma2) * shared.chol_c
+    half = solve_triangular(l_k, psi2, lower=True)
+    t_mat = solve_triangular(l_k, half.T, lower=True)
+    t_mat = 0.5 * (t_mat + t_mat.T)
+    b = np.eye(state.inducing_count) + beta * t_mat
+    # escalation adds extra*I to B, i.e. extra*K to A; gradient stays exact
+    chol_b, extra = _chol_with_escalation(b, 1.0, shared.jitter, f"user {block.user} system", base=False)
+
+    resid = block.ratings - phi1
+    c_vec = cache.psi1.T @ resid
+    c_hat = solve_triangular(l_k, c_vec, lower=True)
+    b_inv_c_hat = cho_solve((chol_b, True), c_hat)
+    return _UserForward(
+        sigma2=sigma2,
+        beta=beta,
+        cache=cache,
+        psi2=psi2,
+        phi1=phi1,
+        phi0=phi0,
+        l_k=l_k,
+        t_mat=t_mat,
+        chol_b=chol_b,
+        extra=extra,
+        resid=resid,
+        c_vec=c_vec,
+        c_hat=c_hat,
+        b_inv_c_hat=b_inv_c_hat,
+    )
+
+
+@dataclass
+class UserTerms:
+    """Value and gradients of one user's bound term, from :func:`_user_terms`.
+
+    Gradients are with respect to the unconstrained (log) parameters.  The
+    row-level kernel gradients (``gmu_rows``/``glog_var_rows``) are per
+    rating row; :func:`_scatter_user` adds them into the shared entity
+    tables.  ``dphi1``/``dphi0`` feed the bias-latent backward pass.
     """
 
     value: float
     gmu_rows: np.ndarray | None = None
-    gvar_rows: np.ndarray | None = None
+    glog_var_rows: np.ndarray | None = None
     gz: np.ndarray | None = None
-    galpha: np.ndarray | None = None
-    gsigma2: float = 0.0
-    gbeta: float = 0.0
+    glog_alpha: np.ndarray | None = None
+    glog_sigma2: float = 0.0
+    glog_beta: float = 0.0
     dphi1: np.ndarray | None = None
     dphi0: float = 0.0
     phi1: np.ndarray | None = None
@@ -119,43 +195,17 @@ def _user_terms(
 ) -> UserTerms:
     n = block.count
     m = state.inducing_count
-    alpha = np.exp(state.log_alpha)
-    sigma2 = float(np.exp(state.log_sigma2[block.user]))
-    beta = float(np.exp(state.log_beta[block.user]))
     y = block.ratings
-
-    mu_rows, var_rows = state.assemble_rows(block)
-    kern = ArdKernel(sigma2, alpha)
-    cache = _PsiCache(kern, LatentPoints(mu_rows, var_rows, state.layout.fixed_mask), state.z)
-    psi1 = cache.psi1
-    psi2 = cache.psi2_rows.sum(axis=0)
+    fw = _user_forward(block, state, shared)
+    sigma2, beta, alpha = fw.sigma2, fw.beta, fw.cache.alpha
+    psi2, l_k, chol_b = fw.psi2, fw.l_k, fw.chol_b
     psi0 = n * sigma2
 
-    if state.bias is not None:
-        phi = phi_statistics(state.bias, block)
-        phi1, phi0 = phi.phi1, phi.phi0
-    else:
-        phi1, phi0 = np.zeros(n), 0.0
-
-    # whitened system: K = L L^T, B = I + beta * L^-1 Psi2 L^-T
-    l_k = np.sqrt(sigma2) * shared.chol_c
-    half = solve_triangular(l_k, psi2, lower=True)
-    t_mat = solve_triangular(l_k, half.T, lower=True)
-    t_mat = 0.5 * (t_mat + t_mat.T)
-    b = np.eye(m) + beta * t_mat
-    # escalation adds extra*I to B, i.e. extra*K to A; gradient stays exact
-    chol_b, extra = _chol_with_escalation(b, 1.0, shared.jitter, f"user {block.user} system", base=False)
-
-    resid = y - phi1
-    c_vec = psi1.T @ resid
-    c_hat = solve_triangular(l_k, c_vec, lower=True)
-    b_inv_c_hat = cho_solve((chol_b, True), c_hat)
-
     logdet_b = 2.0 * np.sum(np.log(np.diag(chol_b)))
-    tr_kinv_psi2 = float(np.trace(t_mat))
-    quad = float(y @ y - 2.0 * (y @ phi1) + phi0)
+    tr_kinv_psi2 = float(np.trace(fw.t_mat))
+    quad = float(y @ y - 2.0 * (y @ fw.phi1) + fw.phi0)
     w1 = beta * quad
-    w2 = beta**2 * float(c_hat @ b_inv_c_hat)
+    w2 = beta**2 * float(fw.c_hat @ fw.b_inv_c_hat)
 
     value = (
         0.5 * n * np.log(beta)
@@ -170,7 +220,7 @@ def _user_terms(
         return UserTerms(value=float(value))
 
     eye = np.eye(m)
-    w = solve_triangular(l_k.T, b_inv_c_hat, lower=False)       # A^-1 c
+    w = solve_triangular(l_k.T, fw.b_inv_c_hat, lower=False)    # A^-1 c
     l_inv = solve_triangular(l_k, eye, lower=True)
     b_inv = cho_solve((chol_b, True), eye)
     a_inv = l_inv.T @ b_inv @ l_inv
@@ -181,12 +231,12 @@ def _user_terms(
 
     # cotangent of A = (1 + extra) * K + beta * Psi2
     d_a = -0.5 * a_inv - 0.5 * beta**2 * ww
-    d_k = 0.5 * k_inv + (1.0 + extra) * d_a - 0.5 * beta * kinv_psi2_kinv
+    d_k = 0.5 * k_inv + (1.0 + fw.extra) * d_a - 0.5 * beta * kinv_psi2_kinv
     d_psi2 = beta * d_a + 0.5 * beta * k_inv
-    d_psi1 = beta**2 * np.outer(resid, w)
+    d_psi1 = beta**2 * np.outer(fw.resid, w)
     d_psi0 = -0.5 * beta
 
-    psi_grads = psi_backward(cache, d_psi0, d_psi1, d_psi2)
+    psi_grads = psi_backward(fw.cache, d_psi0, d_psi1, d_psi2)
 
     # K_MM = sigma2 * (gram0 + jitter*I): route the gram channel into Z/alpha
     # and fold the whole sigma2 dependence into one scaling identity.
@@ -198,26 +248,27 @@ def _user_terms(
         0.5 * n / beta
         - 0.5 * float(np.sum(a_inv * psi2))
         - 0.5 * quad
-        + beta * float(c_vec @ w)
+        + beta * float(fw.c_vec @ w)
         - 0.5 * beta**2 * float(w @ psi2 @ w)
         - 0.5 * psi0
         + 0.5 * tr_kinv_psi2
     )
 
-    d_phi1 = beta * y - beta**2 * (psi1 @ w)
+    d_phi1 = beta * y - beta**2 * (fw.cache.psi1 @ w)
     d_phi0 = -0.5 * beta
 
+    # chain rule into the log parameterization: d/dlog(x) = x * d/dx
     return UserTerms(
         value=float(value),
         gmu_rows=psi_grads.dmu,
-        gvar_rows=psi_grads.dvar,
+        glog_var_rows=psi_grads.dvar * fw.cache.s,
         gz=psi_grads.dz + gz_k,
-        galpha=psi_grads.dalpha + galpha_k,
-        gsigma2=gsigma2,
-        gbeta=gbeta,
+        glog_alpha=(psi_grads.dalpha + galpha_k) * alpha,
+        glog_sigma2=gsigma2 * sigma2,
+        glog_beta=gbeta * beta,
         dphi1=d_phi1,
         dphi0=d_phi0,
-        phi1=phi1,
+        phi1=fw.phi1,
     )
 
 
@@ -242,21 +293,20 @@ def kl_to_prior(state: VariationalState) -> float:
     return total
 
 
+def kl_gradient(key: str, values: np.ndarray) -> np.ndarray | None:
+    """Gradient of :func:`kl_to_prior` at ``values``, entries of the state
+    table named ``key``; None for tables the KL does not involve."""
+    if "log_var" in key:
+        return 0.5 * (np.exp(values) - 1.0)
+    if "mean" in key:
+        return np.array(values)
+    return None
+
+
 def kl_gradients(state: VariationalState) -> dict:
     """Named gradients of :func:`kl_to_prior` (log-variance parameterization)."""
-    grads = {}
-    grads["item_mean"] = state.item_mean.copy()
-    grads["item_log_var"] = 0.5 * (np.exp(state.item_log_var) - 1.0)
-    for j in range(len(state.ctx_mean)):
-        grads[f"ctx_mean_{j}"] = state.ctx_mean[j].copy()
-        grads[f"ctx_log_var_{j}"] = 0.5 * (np.exp(state.ctx_log_var[j]) - 1.0)
-    if state.bias is not None:
-        grads["bias_item_mean"] = state.bias.item_mean.copy()
-        grads["bias_item_log_var"] = 0.5 * (np.exp(state.bias.item_log_var) - 1.0)
-        for j in range(len(state.bias.context_mean)):
-            grads[f"bias_ctx_mean_{j}"] = state.bias.context_mean[j].copy()
-            grads[f"bias_ctx_log_var_{j}"] = 0.5 * (np.exp(state.bias.context_log_var[j]) - 1.0)
-    return grads
+    grads = {key: kl_gradient(key, arr) for key, arr in state.param_entries()}
+    return {key: g for key, g in grads.items() if g is not None}
 
 
 @dataclass
@@ -271,21 +321,22 @@ class BoundReport:
 
 
 def _scatter_user(state: VariationalState, block: UserBlock, terms: UserTerms, grads: dict) -> None:
-    layout = state.layout
-    gmu, gvar = terms.gmu_rows, terms.gvar_rows
-    for b in layout.blocks:
+    """Add one user's gradients into ``grads`` (keyed like ``state.zero_grads()``,
+    log parameterization), mapping row gradients onto the entity tables."""
+    gmu, glog_var = terms.gmu_rows, terms.glog_var_rows
+    for b in state.layout.blocks:
         if b.kind == "item":
             np.add.at(grads["item_mean"], block.items, gmu[:, b.sl])
-            np.add.at(grads["item_log_var"], block.items, gvar[:, b.sl])
+            np.add.at(grads["item_log_var"], block.items, glog_var[:, b.sl])
         elif b.kind == "categorical":
             codes = block.cat_values[:, b.table]
             np.add.at(grads[f"ctx_mean_{b.table}"], codes, gmu[:, b.sl])
-            np.add.at(grads[f"ctx_log_var_{b.table}"], codes, gvar[:, b.sl])
+            np.add.at(grads[f"ctx_log_var_{b.table}"], codes, glog_var[:, b.sl])
         # real columns are data, not parameters: gradient intentionally dropped
     grads["z"] += terms.gz
-    grads["log_alpha"] += terms.galpha
-    grads["log_sigma2"][block.user] += terms.gsigma2 * np.exp(state.log_sigma2[block.user])
-    grads["log_beta"][block.user] += terms.gbeta * np.exp(state.log_beta[block.user])
+    grads["log_alpha"] += terms.glog_alpha
+    grads["log_sigma2"][block.user] += terms.glog_sigma2
+    grads["log_beta"][block.user] += terms.glog_beta
     if state.bias is not None:
         pg = phi_backward(state.bias, block, terms.dphi1, terms.dphi0, terms.phi1)
         grads["bias_item_mean"] += pg.item_mean
@@ -307,8 +358,8 @@ def total_bound(
     """Sum of user terms minus the KL to the prior, with the full gradient.
 
     User terms are independent given a read-only state snapshot (map-reduce
-    contract); variance gradients are accumulated against the raw variances
-    per user and converted to the log parameterization once at the end.
+    contract); each user's gradients are scattered straight into the
+    full-size gradient tables by :func:`_scatter_user`.
     """
     shared = shared_factors(state, jitter)
     per_user = np.empty(len(blocks))
@@ -325,12 +376,6 @@ def total_bound(
 
     if not want_gradients:
         return BoundReport(total=total, per_user=per_user, kl=kl, gradients=None)
-
-    # variance and alpha grads were accumulated raw; convert to log-space
-    grads["item_log_var"] *= np.exp(state.item_log_var)
-    for j in range(len(state.ctx_mean)):
-        grads[f"ctx_log_var_{j}"] *= np.exp(state.ctx_log_var[j])
-    grads["log_alpha"] *= np.exp(state.log_alpha)
 
     for key, g in kl_gradients(state).items():
         grads[key] -= g
@@ -352,12 +397,6 @@ class UserPosterior:
     k_mm: np.ndarray
     shared: SharedFactors
 
-    def solve_a(self, x: np.ndarray) -> np.ndarray:
-        """(K + beta * Psi2)^-1 x through the whitened factors."""
-        t = solve_triangular(self.chol_k, x, lower=True)
-        t = cho_solve((self.chol_b, True), t)
-        return solve_triangular(self.chol_k.T, t, lower=False)
-
 
 def user_posterior(
     block: UserBlock,
@@ -367,33 +406,17 @@ def user_posterior(
 ) -> UserPosterior:
     if shared is None:
         shared = shared_factors(state, jitter)
-    sigma2 = float(np.exp(state.log_sigma2[block.user]))
-    beta = float(np.exp(state.log_beta[block.user]))
-    alpha = np.exp(state.log_alpha)
-    mu_rows, var_rows = state.assemble_rows(block)
-    cache = _PsiCache(ArdKernel(sigma2, alpha), LatentPoints(mu_rows, var_rows), state.z)
-    psi2 = cache.psi2_rows.sum(axis=0)
-    if state.bias is not None:
-        phi1 = phi_statistics(state.bias, block).phi1
-    else:
-        phi1 = np.zeros(block.count)
-    l_k = np.sqrt(sigma2) * shared.chol_c
-    half = solve_triangular(l_k, psi2, lower=True)
-    t_mat = solve_triangular(l_k, half.T, lower=True)
-    b = np.eye(state.inducing_count) + beta * 0.5 * (t_mat + t_mat.T)
-    chol_b, _ = _chol_with_escalation(b, 1.0, shared.jitter, f"user {block.user} system", base=False)
-    post = UserPosterior(
+    fw = _user_forward(block, state, shared)
+    return UserPosterior(
         user=block.user,
-        sigma2=sigma2,
-        beta=beta,
-        chol_k=l_k,
-        chol_b=chol_b,
-        v=np.zeros(state.inducing_count),
-        k_mm=sigma2 * shared.c,
+        sigma2=fw.sigma2,
+        beta=fw.beta,
+        chol_k=fw.l_k,
+        chol_b=fw.chol_b,
+        v=solve_triangular(fw.l_k.T, fw.b_inv_c_hat, lower=False),
+        k_mm=fw.sigma2 * shared.c,
         shared=shared,
     )
-    post.v = post.solve_a(cache.psi1.T @ (block.ratings - phi1))
-    return post
 
 
 def optimal_qu(block: UserBlock, state: VariationalState, jitter: float = DEFAULT_JITTER):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .data import DataError, load_table, save_table
+from .data import DataError, load_table, parse_finite, save_table
 from .harness import const_baseline_cv, evaluate_cv, synthesize, train_model
 from .model import load_model, save_model
 from .predict import context_relevance
@@ -80,7 +80,10 @@ def _read_queries(path, schema, delimiter):
         user, item = int(parts[0]), int(parts[1])
         ctx = []
         for d, c in enumerate(schema.contexts):
-            ctx.append(int(parts[2 + d]) if c.is_categorical else float(parts[2 + d]))
+            if c.is_categorical:
+                ctx.append(int(parts[2 + d]))
+            else:
+                ctx.append(parse_finite(parts[2 + d], path, lineno, f"context {c.name!r} value"))
         rows.append((user, item, tuple(ctx)))
     return rows
 

@@ -27,32 +27,16 @@ Only ``schema`` is mandatory for training; every other key has defaults.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
-from .data import ContextSchema, ContextVariable
+from .data import ContextSchema, schema_from_dict
 from .harness import SyntheticSpec
 from .optim import TrainConfig
+from .state import ModelDims
 
-_MODEL_KEYS = (
-    "inducing_count",
-    "item_dim",
-    "context_dim",
-    "item_bias_dim",
-    "context_bias_dim",
-    "use_mean",
-)
-_TRAIN_KEYS = (
-    "method",
-    "epochs",
-    "learning_rate",
-    "lr_decay",
-    "clip_norm",
-    "tolerance",
-    "patience",
-    "init_mean_scale",
-    "init_variance",
-    "jitter",
-)
+_MODEL_KEYS = tuple(f.name for f in fields(ModelDims))
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name not in _MODEL_KEYS and f.name != "seed")
 
 
 def load_config(path) -> dict:
@@ -65,23 +49,17 @@ def schema_from_config(cfg: dict) -> ContextSchema:
         sd = cfg["schema"]
     except KeyError as exc:
         raise KeyError("config is missing the 'schema' section") from exc
-    contexts = tuple(
-        ContextVariable(name=c["name"], kind=c["kind"], cardinality=c.get("cardinality"))
-        for c in sd.get("contexts", [])
-    )
-    return ContextSchema(
-        user_count=sd["user_count"], item_count=sd["item_count"], contexts=contexts
-    )
+    return schema_from_dict(sd)
 
 
 def train_config_from_config(cfg: dict) -> TrainConfig:
     kwargs = {"seed": cfg.get("seed", 0)}
-    for key in _MODEL_KEYS:
-        if key in cfg.get("model", {}):
-            kwargs[key] = cfg["model"][key]
-    for key in _TRAIN_KEYS:
-        if key in cfg.get("train", {}):
-            kwargs[key] = cfg["train"][key]
+    for section, keys in (("model", _MODEL_KEYS), ("train", _TRAIN_KEYS)):
+        given = cfg.get(section, {})
+        for key in given:
+            if key not in keys:
+                raise ValueError(f"unknown key {key!r} in config section {section!r}; known keys: {', '.join(keys)}")
+        kwargs.update(given)
     return TrainConfig(**kwargs)
 
 

@@ -9,6 +9,7 @@ into one block per user.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,6 +72,27 @@ class ContextSchema:
     @property
     def real_indices(self) -> list[int]:
         return [d for d, c in enumerate(self.contexts) if not c.is_categorical]
+
+
+def schema_to_dict(schema: ContextSchema) -> dict:
+    """The JSON form of a schema, as config files and model files store it."""
+    return {
+        "user_count": schema.user_count,
+        "item_count": schema.item_count,
+        "contexts": [
+            {"name": c.name, "kind": c.kind, **({"cardinality": c.cardinality} if c.is_categorical else {})}
+            for c in schema.contexts
+        ],
+    }
+
+
+def schema_from_dict(d: dict) -> ContextSchema:
+    """Inverse of :func:`schema_to_dict`."""
+    contexts = tuple(
+        ContextVariable(name=c["name"], kind=c["kind"], cardinality=c.get("cardinality"))
+        for c in d.get("contexts", [])
+    )
+    return ContextSchema(user_count=d["user_count"], item_count=d["item_count"], contexts=contexts)
 
 
 @dataclass(frozen=True)
@@ -179,6 +201,18 @@ class RatingTable:
         )
 
 
+def parse_finite(text: str, path, lineno: int, what: str) -> float:
+    """``float(text)``; a :class:`DataError` naming the file, line and ``what``
+    unless it is a finite number (nan or inf would poison training)."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise DataError(f"{path}, line {lineno}: non-numeric {what} {text!r}") from exc
+    if not math.isfinite(value):
+        raise DataError(f"{path}, line {lineno}: non-finite {what} {text!r}")
+    return value
+
+
 def _header_names(schema: ContextSchema) -> list[str]:
     return ["user", "item"] + [c.name for c in schema.contexts] + ["rating"]
 
@@ -195,6 +229,7 @@ def load_table(path, schema: ContextSchema, delimiter: str = ",") -> RatingTable
     nfields = 3 + schema.context_count
     cat_idx = schema.categorical_indices
     real_idx = schema.real_indices
+    real_what = {d: f"context {schema.contexts[d].name!r} value" for d in real_idx}
 
     users, items, ratings = [], [], []
     cats, reals = [], []
@@ -240,14 +275,8 @@ def load_table(path, schema: ContextSchema, delimiter: str = ",") -> RatingTable
                     )
                 row_cat.append(code)
             else:
-                try:
-                    row_real.append(float(ctx_fields[d]))
-                except ValueError as exc:
-                    raise DataError(f"{path}, line {lineno}: context {ctx.name!r} expects a number") from exc
-        try:
-            rating = float(parts[-1])
-        except ValueError as exc:
-            raise DataError(f"{path}, line {lineno}: non-numeric rating {parts[-1]!r}") from exc
+                row_real.append(parse_finite(ctx_fields[d], path, lineno, real_what[d]))
+        rating = parse_finite(parts[-1], path, lineno, "rating")
         users.append(user)
         items.append(item)
         cats.append(row_cat)

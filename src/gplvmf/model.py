@@ -17,10 +17,11 @@ import numpy as np
 
 from .data import (
     ContextSchema,
-    ContextVariable,
     RatingTable,
     RealStandardization,
     group_by_user,
+    schema_from_dict,
+    schema_to_dict,
 )
 from .meanfn import BiasLatents
 from .optim import TrainConfig, TrainTrace
@@ -55,30 +56,11 @@ class TrainedModel:
         )
 
 
-def _schema_to_dict(schema: ContextSchema) -> dict:
-    return {
-        "user_count": schema.user_count,
-        "item_count": schema.item_count,
-        "contexts": [
-            {"name": c.name, "kind": c.kind, **({"cardinality": c.cardinality} if c.is_categorical else {})}
-            for c in schema.contexts
-        ],
-    }
-
-
-def schema_from_dict(d: dict) -> ContextSchema:
-    contexts = tuple(
-        ContextVariable(name=c["name"], kind=c["kind"], cardinality=c.get("cardinality"))
-        for c in d.get("contexts", [])
-    )
-    return ContextSchema(user_count=d["user_count"], item_count=d["item_count"], contexts=contexts)
-
-
 def save_model(model: TrainedModel, path) -> None:
     state = model.state
     meta = {
         "format": FORMAT_VERSION,
-        "schema": _schema_to_dict(model.schema),
+        "schema": schema_to_dict(model.schema),
         "config": model.config.to_dict(),
         "rating_scale": list(model.rating_scale),
         "n_categorical": len(state.ctx_mean),

@@ -4,9 +4,11 @@ Both optimizers work on the unconstrained parameterization (positive
 quantities as logs).  SGD visits users in a seeded shuffled order and each
 step ascends the gradient of ``F_n - KL/N`` over the parameters touched by
 that user plus the shared slice (inducing inputs and inverse length-scales);
-the KL gradient is shared out at weight 1/N per step.  SCG is full-batch on
-the negated total bound, following Moller's algorithm with the scalar
-lambda regulator.
+the KL gradient is shared out at weight 1/N per step.  Its per-user gradient
+comes from the same forward pass and scatter as the full batch
+(:func:`gplvmf.bound._user_terms` and :func:`gplvmf.bound._scatter_user`).
+SCG is full-batch on the negated total bound, following Moller's algorithm
+with the scalar lambda regulator.
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .bound import DEFAULT_JITTER, kl_to_prior, shared_factors, total_bound, _user_terms
-from .data import ContextSchema
-from .meanfn import BiasLatents, phi_backward
+from .bound import (
+    DEFAULT_JITTER, kl_gradient, kl_to_prior, shared_factors, total_bound, _scatter_user, _user_terms,
+)
+from .data import ContextSchema, UserBlock
+from .meanfn import BiasLatents
+from .meanfn import phi_backward  # noqa: F401  looked up here by perfbench's traced run
 from .state import ModelDims, VariationalState
 
 
@@ -189,14 +194,6 @@ def init_state(
     return state
 
 
-def _check_finite(pieces: dict, user: int) -> None:
-    for key, val in pieces.items():
-        if not np.all(np.isfinite(val)):
-            raise OptimizationError(
-                f"non-finite gradient in parameter block {key!r} while processing user {user}"
-            )
-
-
 def _check_params_finite(state: VariationalState, user: int) -> None:
     with np.errstate(over="ignore"):
         checks = {
@@ -212,6 +209,20 @@ def _check_params_finite(state: VariationalState, user: int) -> None:
             )
 
 
+def _user_entries(state: VariationalState, block: UserBlock) -> list:
+    """(key, parameter table, rows) for every entry one user's gradient reaches.
+
+    ``rows`` repeats an entity once per rating of it; fancy-index reads and
+    in-place updates through it still act on each entry once.
+    """
+    rows = {"log_sigma2": block.user, "log_beta": block.user, "user_bias": block.user}
+    for prefix in ("", "bias_"):
+        rows[f"{prefix}item_mean"] = rows[f"{prefix}item_log_var"] = block.items
+        for j in range(block.cat_values.shape[1]):
+            rows[f"{prefix}ctx_mean_{j}"] = rows[f"{prefix}ctx_log_var_{j}"] = block.cat_values[:, j]
+    return [(key, arr, rows.get(key, slice(None))) for key, arr in state.param_entries()]
+
+
 def sgd_epoch(
     blocks: list,
     state: VariationalState,
@@ -220,15 +231,18 @@ def sgd_epoch(
 ) -> tuple[VariationalState, float]:
     """One seeded shuffled pass over all users; mutates and returns ``state``.
 
-    Returns the running bound estimate: the per-user terms as they were
-    computed during the pass, minus the KL at the end of the epoch.
+    Each step scatters the user's gradient into a scratch copy of the
+    gradient tables with :func:`_scatter_user`, subtracts the 1/N share of
+    the KL gradient on the entries the user touched, clips, steps those
+    entries and zeroes them again.  Returns the running bound estimate: the
+    per-user terms as they were computed during the pass, minus the KL at
+    the end of the epoch.
     """
     n_users = len(blocks)
     rng = np.random.default_rng([config.seed, 7919, epoch_index])
     order = rng.permutation(n_users)
     lr = config.learning_rate * config.lr_decay**epoch_index
-    bias = state.bias
-    layout = state.layout
+    grads = state.zero_grads()
     value_sum = 0.0
 
     for bi in order:
@@ -237,98 +251,29 @@ def sgd_epoch(
         shared = shared_factors(state, config.jitter)
         terms = _user_terms(block, state, shared, want_gradients=True)
         value_sum += terms.value
+        _scatter_user(state, block, terms, grads)
 
-        # compact per-entity accumulation for the touched coordinates,
-        # including the 1/N share of the KL gradient
-        item_idx, item_inv = np.unique(block.items, return_inverse=True)
-        g_item_mean = np.zeros((item_idx.size, state.dims.item_dim))
-        g_item_logv = np.zeros_like(g_item_mean)
-        np.add.at(g_item_mean, item_inv, terms.gmu_rows[:, layout.item_slice])
-        np.add.at(g_item_logv, item_inv, terms.gvar_rows[:, layout.item_slice])
-        g_item_logv *= np.exp(state.item_log_var[item_idx])
-        g_item_mean -= state.item_mean[item_idx] / n_users
-        g_item_logv -= 0.5 * (np.exp(state.item_log_var[item_idx]) - 1.0) / n_users
-
-        ctx_updates = []
-        for b in layout.blocks:
-            if b.kind != "categorical":
-                continue
-            codes = block.cat_values[:, b.table]
-            cat_idx, cat_inv = np.unique(codes, return_inverse=True)
-            gm = np.zeros((cat_idx.size, state.dims.context_dim))
-            gv = np.zeros_like(gm)
-            np.add.at(gm, cat_inv, terms.gmu_rows[:, b.sl])
-            np.add.at(gv, cat_inv, terms.gvar_rows[:, b.sl])
-            gv *= np.exp(state.ctx_log_var[b.table][cat_idx])
-            gm -= state.ctx_mean[b.table][cat_idx] / n_users
-            gv -= 0.5 * (np.exp(state.ctx_log_var[b.table][cat_idx]) - 1.0) / n_users
-            ctx_updates.append((b.table, cat_idx, gm, gv))
-
-        g_sigma = terms.gsigma2 * np.exp(state.log_sigma2[block.user])
-        g_beta = terms.gbeta * np.exp(state.log_beta[block.user])
-        g_alpha = terms.galpha * np.exp(state.log_alpha)
-
-        pieces = {
-            "item_mean": g_item_mean,
-            "item_log_var": g_item_logv,
-            "z": terms.gz,
-            "log_alpha": g_alpha,
-            "log_sigma2": g_sigma,
-            "log_beta": g_beta,
-        }
-        for tbl, _, gm, gv in ctx_updates:
-            pieces[f"ctx_mean_{tbl}"] = gm
-            pieces[f"ctx_log_var_{tbl}"] = gv
-
-        pg = None
-        if bias is not None:
-            pg = phi_backward(bias, block, terms.dphi1, terms.dphi0, terms.phi1)
-            item_bias_idx = item_idx
-            gbm = pg.item_mean[item_bias_idx] - bias.item_mean[item_bias_idx] / n_users
-            gbv = pg.item_log_var[item_bias_idx] - 0.5 * (
-                np.exp(bias.item_log_var[item_bias_idx]) - 1.0
-            ) / n_users
-            pieces["bias_item_mean"] = gbm
-            pieces["bias_item_log_var"] = gbv
-            bias_ctx_updates = []
-            for tbl, cat_idx, _, _ in ctx_updates:
-                bm = pg.context_mean[tbl][cat_idx] - bias.context_mean[tbl][cat_idx] / n_users
-                bv = pg.context_log_var[tbl][cat_idx] - 0.5 * (
-                    np.exp(bias.context_log_var[tbl][cat_idx]) - 1.0
-                ) / n_users
-                bias_ctx_updates.append((tbl, cat_idx, bm, bv))
-                pieces[f"bias_ctx_mean_{tbl}"] = bm
-                pieces[f"bias_ctx_log_var_{tbl}"] = bv
-            pieces["user_bias"] = pg.user_bias
-            if bias.real_weights.size:
-                pieces["real_weights"] = pg.real_weights
-
-        _check_finite(pieces, block.user)
-
-        sq = sum(float(np.sum(np.asarray(v) ** 2)) for v in pieces.values())
+        entries = _user_entries(state, block)
+        for key, arr, rows in entries:
+            kl = kl_gradient(key, arr[rows])
+            if kl is not None:
+                grads[key][rows] -= kl / n_users
+        # the scratch is zero off the touched entries, so whole-table sums suffice
+        sq = 0.0
+        for key, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise OptimizationError(
+                    f"non-finite gradient in parameter block {key!r} while processing user {block.user}"
+                )
+            sq += float(np.sum(g**2))
         scale = lr
         norm = np.sqrt(sq)
         if config.clip_norm and norm > config.clip_norm:
             scale = lr * config.clip_norm / norm
 
-        state.item_mean[item_idx] += scale * g_item_mean
-        state.item_log_var[item_idx] += scale * g_item_logv
-        for tbl, cat_idx, gm, gv in ctx_updates:
-            state.ctx_mean[tbl][cat_idx] += scale * gm
-            state.ctx_log_var[tbl][cat_idx] += scale * gv
-        state.z += scale * terms.gz
-        state.log_alpha += scale * g_alpha
-        state.log_sigma2[block.user] += scale * g_sigma
-        state.log_beta[block.user] += scale * g_beta
-        if bias is not None:
-            bias.item_mean[item_idx] += scale * pieces["bias_item_mean"]
-            bias.item_log_var[item_idx] += scale * pieces["bias_item_log_var"]
-            for tbl, cat_idx, bm, bv in bias_ctx_updates:
-                bias.context_mean[tbl][cat_idx] += scale * bm
-                bias.context_log_var[tbl][cat_idx] += scale * bv
-            bias.user_bias[block.user] += scale * pieces["user_bias"]
-            if bias.real_weights.size:
-                bias.real_weights += scale * pieces["real_weights"]
+        for key, arr, rows in entries:
+            arr[rows] += scale * grads[key][rows]
+            grads[key][rows] = 0.0
 
     return state, value_sum - kl_to_prior(state)
 

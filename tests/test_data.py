@@ -86,10 +86,21 @@ class TestLoadTable:
         with pytest.raises(DataError, match="mood"):
             load_table(path, two_context_schema())
 
-    def test_non_numeric_rating(self, tmp_path):
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,3,1,0.5,high", "non-numeric rating"),
+            ("0,3,1,0.5,nan", "line 2: non-finite rating 'nan'"),
+            ("0,3,1,0.5,inf", "line 2: non-finite rating 'inf'"),
+            ("0,3,1,-inf,4.0", "line 2: non-finite context 'price' value '-inf'"),
+            ("0,3,1,NaN,4.0", "line 2: non-finite context 'price' value 'NaN'"),
+        ],
+        ids=["text_rating", "nan_rating", "inf_rating", "inf_real", "nan_real"],
+    )
+    def test_non_numeric_rating(self, tmp_path, row, message):
         path = tmp_path / "bad.csv"
-        write_rows(path, ["0,3,1,0.5,high"])
-        with pytest.raises(DataError, match="non-numeric rating"):
+        write_rows(path, [row])
+        with pytest.raises(DataError, match=message):
             load_table(path, two_context_schema())
 
     def test_comoda_shaped_load(self, tmp_path):

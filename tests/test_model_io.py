@@ -130,6 +130,37 @@ class TestCli:
         assert code == 2
         assert "mood" in capsys.readouterr().err
 
+    def test_config_typo_is_rejected(self, tmp_path, capsys):
+        from gplvmf.config import train_config_from_config
+
+        with pytest.raises(ValueError, match="'learning_rat' in config section 'train'"):
+            train_config_from_config({"train": {"epochs": 3, "learning_rat": 0.5}})
+        with pytest.raises(ValueError, match="'inducing' in config section 'model'"):
+            train_config_from_config({"model": {"inducing": 4}})
+        cfg = train_config_from_config({"seed": 5, "model": {"use_mean": False}, "train": {"epochs": 3}})
+        assert (cfg.seed, cfg.use_mean, cfg.epochs) == (5, False, 3)
+
+        path = write_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["train"] = {"epoch": 3, "learning_rat": 0.5}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        data = tmp_path / "data.csv"
+        assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 0
+        code = cli_main(["train", "--config", str(path), "--data", str(data), "--out", str(tmp_path / "m.npz")])
+        assert code == 2
+        assert "'epoch'" in capsys.readouterr().err
+
+    def test_non_finite_query_context_is_rejected(self, tmp_path):
+        from gplvmf.cli import _read_queries
+        from gplvmf.config import load_config, schema_from_config
+        from gplvmf.data import DataError
+
+        schema = schema_from_config(load_config(write_config(tmp_path)))
+        queries = tmp_path / "q.csv"
+        queries.write_text("user,item,mood,price\n0,1,2,0.4\n3,5,0,inf\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 3: non-finite context 'price' value 'inf'"):
+            _read_queries(queries, schema, ",")
+
     def test_unknown_user_prediction_fails_without_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         data = tmp_path / "data.csv"

@@ -175,6 +175,48 @@ class TestSgd:
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
+    def test_step_is_the_full_batch_gradient_on_touched_entries(self):
+        # One user, one epoch: SGD takes a single step lr * grad at the start
+        # state, and on the entries the user touches that gradient (including
+        # the KL share, 1/N with N = 1) is the full-batch one.
+        import dataclasses
+
+        for use_mean in (True, False):
+            _, blocks, state, cfg = random_instance(
+                11, n_users=1, n_items=5, cat_card=4, ratings_per_user=4, use_mean=use_mean,
+            )
+            cfg = dataclasses.replace(cfg, learning_rate=1e-4, lr_decay=1.0, clip_norm=0.0)
+            (block,) = blocks
+            before = state.to_vector()
+            grad = total_bound(blocks, state).gradients
+
+            mask = state.from_vector(np.zeros(before.size))
+            item_tables = [mask.item_mean, mask.item_log_var]
+            ctx_tables = [mask.ctx_mean[0], mask.ctx_log_var[0]]
+            whole = [mask.z, mask.log_alpha, mask.log_sigma2, mask.log_beta]
+            if use_mean:
+                item_tables += [mask.bias.item_mean, mask.bias.item_log_var]
+                ctx_tables += [mask.bias.context_mean[0], mask.bias.context_log_var[0]]
+                whole += [mask.bias.user_bias, mask.bias.real_weights]
+            for arr in item_tables:
+                arr[block.items] = 1.0
+            for arr in ctx_tables:
+                arr[block.cat_values[:, 0]] = 1.0
+            for arr in whole:
+                arr[...] = 1.0
+            touched = mask.to_vector() == 1.0
+            # the trailing unknown rows are never touched
+            assert not mask.item_mean[-1].any() and not mask.ctx_mean[0][-1].any()
+
+            state, _ = sgd_epoch(blocks, state, cfg, 0)
+            after = state.to_vector()
+            # rounding of before + step is about eps * |before|
+            atol = 4 * np.finfo(float).eps * np.max(np.abs(before))
+            np.testing.assert_allclose(
+                after[touched] - before[touched], cfg.learning_rate * grad[touched], rtol=1e-8, atol=atol
+            )
+            assert np.array_equal(after[~touched], before[~touched])
+
     def test_non_finite_gradient_aborts_with_block_name(self):
         table, blocks, cfg = toy_problem()
         state = init_state(table.schema, blocks, cfg)
@@ -230,31 +272,3 @@ class TestScg:
         assert not res.converged
         assert res.reason == "line-scale collapse"
 
-
-class TestComplexity:
-    def test_epoch_time_scales_linearly_in_ratings(self):
-        import time
-
-        ctxs = (ContextVariable("c", "categorical", 5),)
-
-        def epoch_time(n_users):
-            spec = SyntheticSpec(
-                user_count=n_users, item_count=25, contexts=ctxs, ratings_per_user=20,
-                item_dim=2, context_dim=2, context_alphas=(1.0,), seed=4,
-            )
-            table, _ = synthesize(spec)
-            blocks = group_by_user(table)
-            cfg = TrainConfig(inducing_count=8, item_dim=2, context_dim=2, seed=0, epochs=1)
-            state = init_state(table.schema, blocks, cfg)
-            sgd_epoch(blocks, state.copy(), cfg, 0)  # warmup, untimed
-            times = []
-            for _ in range(3):
-                st = state.copy()
-                t0 = time.perf_counter()
-                sgd_epoch(blocks, st, cfg, 0)
-                times.append(time.perf_counter() - t0)
-            return min(times)
-
-        t1 = epoch_time(300)
-        t2 = epoch_time(600)
-        assert t2 / t1 <= 2.3
