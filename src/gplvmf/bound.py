@@ -25,8 +25,13 @@ Each user's forward pass (psi and phi statistics, the whitened system and
 its solves) is :func:`_user_forward`; the bound (:func:`_user_terms`) and
 the cached predictive factors (:func:`user_posterior`) both build on it.
 :func:`_scatter_user` is the one map from a user's row gradients onto the
-shared entity tables, used by the full batch (:func:`total_bound`) and by
-SGD alike.
+shared latent tables, used by the full batch (:func:`total_bound`) and by
+SGD alike.  It walks the state's table description
+(:attr:`gplvmf.state.KernelLayout.tables`): a kernel table takes its slice of
+the kernel row gradients, a bias table the per-row gradients of
+:func:`phi_backward`, and both are added at the entries the rows read.  The
+KL (:func:`kl_to_prior`, :func:`kl_gradient`) walks the same description,
+since kernel and bias latents share the standard-normal prior.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from .data import UserBlock
 from .kernels import ArdKernel, LatentPoints, _PsiCache, gram_backward, psi_backward
 from .meanfn import phi_backward, phi_statistics
-from .state import VariationalState
+from .state import LatentTable, VariationalState
 
 DEFAULT_JITTER = 1e-6
 _ESCALATION = (1.0, 10.0, 100.0)
@@ -128,7 +133,7 @@ def _user_forward(block: UserBlock, state: VariationalState, shared: SharedFacto
     cache = _PsiCache(kern, LatentPoints(mu_rows, var_rows, state.layout.fixed_mask), state.z)
     psi2 = cache.psi2_rows.sum(axis=0)
 
-    if state.bias is not None:
+    if state.dims.use_mean:
         phi = phi_statistics(state.bias, block)
         phi1, phi0 = phi.phi1, phi.phi0
     else:
@@ -281,11 +286,8 @@ def user_bound(block: UserBlock, state: VariationalState, jitter: float = DEFAUL
 def kl_to_prior(state: VariationalState) -> float:
     """KL(q || standard normal) summed over all free latent coordinates."""
     total = 0.0
-    pairs = [(state.item_mean, state.item_log_var)] + list(zip(state.ctx_mean, state.ctx_log_var))
-    if state.bias is not None:
-        pairs.append((state.bias.item_mean, state.bias.item_log_var))
-        pairs += list(zip(state.bias.context_mean, state.bias.context_log_var))
-    for mean, log_var in pairs:
+    for t in state.layout.tables:
+        mean, log_var = state.params[t.mean], state.params[t.log_var]
         var = np.exp(log_var)
         if np.any(var <= 0.0) or not np.all(np.isfinite(var)):
             raise ValueError("free coordinates need positive finite variance")
@@ -293,20 +295,19 @@ def kl_to_prior(state: VariationalState) -> float:
     return total
 
 
-def kl_gradient(key: str, values: np.ndarray) -> np.ndarray | None:
-    """Gradient of :func:`kl_to_prior` at ``values``, entries of the state
-    table named ``key``; None for tables the KL does not involve."""
-    if "log_var" in key:
-        return 0.5 * (np.exp(values) - 1.0)
-    if "mean" in key:
-        return np.array(values)
-    return None
+def kl_gradient(state: VariationalState, table: LatentTable, rows=slice(None)):
+    """Gradient of :func:`kl_to_prior` on entries ``rows`` of one latent
+    table: the (mean, log-variance) pair."""
+    mean, log_var = state.params[table.mean][rows], state.params[table.log_var][rows]
+    return np.array(mean), 0.5 * (np.exp(log_var) - 1.0)
 
 
 def kl_gradients(state: VariationalState) -> dict:
     """Named gradients of :func:`kl_to_prior` (log-variance parameterization)."""
-    grads = {key: kl_gradient(key, arr) for key, arr in state.param_entries()}
-    return {key: g for key, g in grads.items() if g is not None}
+    grads = {}
+    for t in state.layout.tables:
+        grads[t.mean], grads[t.log_var] = kl_gradient(state, t)
+    return grads
 
 
 @dataclass
@@ -322,31 +323,28 @@ class BoundReport:
 
 def _scatter_user(state: VariationalState, block: UserBlock, terms: UserTerms, grads: dict) -> None:
     """Add one user's gradients into ``grads`` (keyed like ``state.zero_grads()``,
-    log parameterization), mapping row gradients onto the entity tables."""
-    gmu, glog_var = terms.gmu_rows, terms.glog_var_rows
-    for b in state.layout.blocks:
-        if b.kind == "item":
-            np.add.at(grads["item_mean"], block.items, gmu[:, b.sl])
-            np.add.at(grads["item_log_var"], block.items, glog_var[:, b.sl])
-        elif b.kind == "categorical":
-            codes = block.cat_values[:, b.table]
-            np.add.at(grads[f"ctx_mean_{b.table}"], codes, gmu[:, b.sl])
-            np.add.at(grads[f"ctx_log_var_{b.table}"], codes, glog_var[:, b.sl])
-        # real columns are data, not parameters: gradient intentionally dropped
+    log parameterization), mapping row gradients onto the latent tables.
+
+    Kernel tables take their slice of the kernel row gradients; bias tables
+    take the per-row gradients of :func:`phi_backward`.  Real columns are
+    data, not parameters, so their kernel gradient is dropped.
+    """
+    if state.dims.use_mean:
+        pg = phi_backward(state.bias, block, terms.dphi1, terms.dphi0, terms.phi1)
+        grads["real_weights"] += pg.real_weights
+        grads["user_bias"][block.user] += pg.user_bias
+    for t in state.layout.tables:
+        codes = t.codes(block)
+        if t.in_kernel:
+            gmean, glog_var = terms.gmu_rows[:, t.sl], terms.glog_var_rows[:, t.sl]
+        else:
+            gmean, glog_var = pg.mean_rows[:, None], pg.var * np.exp(state.params[t.log_var][codes])
+        np.add.at(grads[t.mean], codes, gmean)
+        np.add.at(grads[t.log_var], codes, glog_var)
     grads["z"] += terms.gz
     grads["log_alpha"] += terms.glog_alpha
     grads["log_sigma2"][block.user] += terms.glog_sigma2
     grads["log_beta"][block.user] += terms.glog_beta
-    if state.bias is not None:
-        pg = phi_backward(state.bias, block, terms.dphi1, terms.dphi0, terms.phi1)
-        grads["bias_item_mean"] += pg.item_mean
-        grads["bias_item_log_var"] += pg.item_log_var
-        for j in range(len(state.bias.context_mean)):
-            grads[f"bias_ctx_mean_{j}"] += pg.context_mean[j]
-            grads[f"bias_ctx_log_var_{j}"] += pg.context_log_var[j]
-        if state.bias.real_weights.size:
-            grads["real_weights"] += pg.real_weights
-        grads["user_bias"][block.user] += pg.user_bias
 
 
 def total_bound(

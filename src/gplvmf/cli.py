@@ -91,17 +91,17 @@ def _read_queries(path, schema, delimiter):
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     queries = _read_queries(args.queries, model.schema, args.delimiter)
-    predictor = model.predictor()
+    users, items, contexts = zip(*queries) if queries else ((), (), ())
+    means, variances, clamped = model.predictor().predict_rows(
+        users,
+        items,
+        contexts,
+        include_noise=args.include_noise,
+        unknown_user="global_mean" if args.allow_unknown_users else "error",
+    )
     lines = ["user,item,mean,variance,clamped_mean"]
-    for user, item, ctx in queries:
-        p = predictor.predict(
-            user,
-            item,
-            ctx,
-            include_noise=args.include_noise,
-            unknown_user="global_mean" if args.allow_unknown_users else "error",
-        )
-        lines.append(f"{user},{item},{p.mean!r},{p.variance!r},{p.clamped_mean!r}")
+    for user, item, mean, variance, clamp in zip(users, items, means, variances, clamped):
+        lines.append(f"{user},{item},{float(mean)!r},{float(variance)!r},{float(clamp)!r}")
     out = "\n".join(lines)
     if args.out:
         Path(args.out).write_text(out + "\n", encoding="utf-8")

@@ -178,9 +178,6 @@ class RatingTable:
                 ri += 1
         return RatingRecord(int(self.users[i]), int(self.items[i]), tuple(values), float(self.ratings[i]))
 
-    def records(self):
-        return [self.record(i) for i in range(len(self))]
-
     def subset(self, indices, standardization: RealStandardization | str = "refit") -> "RatingTable":
         """Select rows; ``standardization`` is ``"refit"`` (fit on the subset,
         the training-side behaviour) or an existing statistics object to reuse

@@ -86,7 +86,6 @@ class SyntheticTruth:
 
     spec: SyntheticSpec
     alphas: np.ndarray
-    block_slices: dict
     item_latents: np.ndarray
     ctx_latents: list
     user_bias: np.ndarray
@@ -158,7 +157,6 @@ def synthesize(spec: SyntheticSpec) -> tuple[RatingTable, SyntheticTruth]:
     truth = SyntheticTruth(
         spec=spec,
         alphas=alphas,
-        block_slices=slices,
         item_latents=item_latents,
         ctx_latents=ctx_latents,
         user_bias=user_bias,

@@ -71,8 +71,7 @@ def mean_vector(bias: BiasLatents, block: UserBlock) -> np.ndarray:
     out += bias.item_mean[block.items].sum(axis=1)
     for j in range(block.cat_values.shape[1]):
         out += bias.context_mean[j][block.cat_values[:, j]].sum(axis=1)
-    if block.real_values.shape[1]:
-        out += block.real_values @ bias.real_weights
+    out += block.real_values @ bias.real_weights
     return out
 
 
@@ -92,20 +91,21 @@ def phi_statistics(bias: BiasLatents, block: UserBlock) -> PhiStats:
 
 @dataclass(frozen=True)
 class PhiGradients:
-    """Gradients of a scalar objective through phi1/phi0.
+    """Gradients of a scalar objective through phi1/phi0, per rating row.
 
-    Every mean coordinate of an entity touched by row t receives g_t; every
-    bias variance receives dphi0 once per touching row.  Entity gradients
-    are returned dense, matching the BiasLatents table shapes (log-variance
-    parameterization for the variances).
+    Row t reads one entry of every bias table (the bias tables of
+    :attr:`gplvmf.state.KernelLayout.tables`).  Each mean coordinate of such
+    an entry receives ``mean_rows[t]``, and each variance receives ``var``
+    once per reading row, i.e. its log-variance receives ``var * variance``;
+    :func:`gplvmf.bound._scatter_user` adds these into the tables as it does
+    the kernel row gradients.  ``user_bias`` and ``real_weights`` are the
+    point parameters' gradients.
     """
 
     user_bias: float
-    item_mean: np.ndarray
-    item_log_var: np.ndarray
-    context_mean: list
-    context_log_var: list
     real_weights: np.ndarray
+    mean_rows: np.ndarray
+    var: float
 
 
 def phi_backward(
@@ -118,31 +118,8 @@ def phi_backward(
     if phi1 is None:
         phi1 = mean_vector(bias, block)
     g = dphi1 + 2.0 * dphi0 * phi1                                    # (N,)
-
-    item_mean_g = np.zeros_like(bias.item_mean)
-    np.add.at(item_mean_g, block.items, g[:, None])
-    item_counts = np.zeros(bias.item_mean.shape[0])
-    np.add.at(item_counts, block.items, 1.0)
-    item_log_var_g = dphi0 * item_counts[:, None] * bias.item_var()
-
-    ctx_mean_g, ctx_log_var_g = [], []
-    for j in range(block.cat_values.shape[1]):
-        mg = np.zeros_like(bias.context_mean[j])
-        np.add.at(mg, block.cat_values[:, j], g[:, None])
-        counts = np.zeros(bias.context_mean[j].shape[0])
-        np.add.at(counts, block.cat_values[:, j], 1.0)
-        ctx_mean_g.append(mg)
-        ctx_log_var_g.append(dphi0 * counts[:, None] * bias.context_var(j))
-
-    real_g = block.real_values.T @ g if block.real_values.shape[1] else np.zeros(0)
-
     return PhiGradients(
-        user_bias=float(g.sum()),
-        item_mean=item_mean_g,
-        item_log_var=item_log_var_g,
-        context_mean=ctx_mean_g,
-        context_log_var=ctx_log_var_g,
-        real_weights=real_g,
+        user_bias=float(g.sum()), real_weights=block.real_values.T @ g, mean_rows=g, var=dphi0
     )
 
 

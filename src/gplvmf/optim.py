@@ -22,9 +22,8 @@ from .bound import (
     DEFAULT_JITTER, kl_gradient, kl_to_prior, shared_factors, total_bound, _scatter_user, _user_terms,
 )
 from .data import ContextSchema, UserBlock
-from .meanfn import BiasLatents
 from .meanfn import phi_backward  # noqa: F401  looked up here by perfbench's traced run
-from .state import ModelDims, VariationalState
+from .state import KernelLayout, ModelDims, VariationalState
 
 
 class OptimizationError(RuntimeError):
@@ -122,67 +121,34 @@ def init_state(
     """
     rng = np.random.default_rng(config.seed if seed is None else seed)
     dims = config.dims()
-    n_users = schema.user_count
+    layout = KernelLayout(schema, dims)
     log_v0 = np.log(config.init_variance)
 
-    def latent_table(entities: int, dim: int):
-        mean = np.zeros((entities + 1, dim))
-        mean[:entities] = rng.normal(0.0, config.init_mean_scale, size=(entities, dim))
-        log_var = np.full((entities + 1, dim), log_v0)
+    tables = {}
+    for t in layout.tables:
+        entities = t.shape[0] - 1
+        mean = np.zeros(t.shape)
+        mean[:entities] = rng.normal(0.0, config.init_mean_scale, size=(entities, t.shape[1]))
+        log_var = np.full(t.shape, log_v0)
         log_var[entities] = 0.0  # unknown row: exact prior
-        return mean, log_var
-
-    item_mean, item_log_var = latent_table(schema.item_count, dims.item_dim)
-    ctx_mean, ctx_log_var = [], []
-    for ctx in schema.contexts:
-        if ctx.is_categorical:
-            mean, log_var = latent_table(ctx.cardinality, dims.context_dim)
-            ctx_mean.append(mean)
-            ctx_log_var.append(log_var)
-
-    bias = None
+        tables[t.mean], tables[t.log_var] = mean, log_var
     if dims.use_mean:
-        b_item_mean, b_item_log_var = latent_table(schema.item_count, dims.item_bias_dim)
-        b_ctx_mean, b_ctx_log_var = [], []
-        for ctx in schema.contexts:
-            if ctx.is_categorical:
-                mean, log_var = latent_table(ctx.cardinality, dims.context_bias_dim)
-                b_ctx_mean.append(mean)
-                b_ctx_log_var.append(log_var)
-        user_bias = np.zeros(n_users)
         all_mean = np.mean(np.concatenate([b.ratings for b in blocks])) if blocks else 0.0
-        user_bias[:] = all_mean
+        user_bias = np.full(schema.user_count, all_mean)
         for b in blocks:
             user_bias[b.user] = float(b.ratings.mean())
-        n_real = len(schema.real_indices)
-        bias = BiasLatents(
-            user_bias=user_bias,
-            item_mean=b_item_mean,
-            item_log_var=b_item_log_var,
-            context_mean=b_ctx_mean,
-            context_log_var=b_ctx_log_var,
-            real_weights=np.zeros(n_real),
-        )
-
-    state = VariationalState(
-        schema=schema,
-        dims=dims,
-        item_mean=item_mean,
-        item_log_var=item_log_var,
-        ctx_mean=ctx_mean,
-        ctx_log_var=ctx_log_var,
-        bias=bias,
-        z=np.zeros((dims.inducing_count, 0)),  # placeholder, replaced below
-        log_alpha=np.zeros(0),
-        log_sigma2=np.zeros(n_users),
-        log_beta=np.zeros(n_users),
-    )
-    q = state.layout.dim
-    state.log_alpha = np.full(q, -np.log(q))
+        tables["real_weights"] = np.zeros(len(schema.real_indices))
+        tables["user_bias"] = user_bias
+    q = layout.dim
+    tables["z"] = np.empty((dims.inducing_count, q))
+    tables["log_alpha"] = np.full(q, -np.log(q))
+    tables["log_sigma2"] = np.zeros(schema.user_count)
+    tables["log_beta"] = np.zeros(schema.user_count)
+    state = VariationalState.from_tables(schema, dims, tables)
 
     # inducing inputs: mean rows of randomly chosen rating rows, plus jitter
     row_index = [(bi, t) for bi, blk in enumerate(blocks) for t in range(blk.count)]
-    z = np.empty((dims.inducing_count, q))
+    z = state.z
     if row_index:
         picks = rng.choice(len(row_index), size=dims.inducing_count, replace=len(row_index) < dims.inducing_count)
         for i, pick in enumerate(picks):
@@ -190,7 +156,6 @@ def init_state(
             mu_rows, _ = state.assemble_rows(blocks[bi])
             z[i] = mu_rows[t]
     z += rng.normal(0.0, 0.05, size=z.shape)
-    state.z = z
     return state
 
 
@@ -216,10 +181,8 @@ def _user_entries(state: VariationalState, block: UserBlock) -> list:
     in-place updates through it still act on each entry once.
     """
     rows = {"log_sigma2": block.user, "log_beta": block.user, "user_bias": block.user}
-    for prefix in ("", "bias_"):
-        rows[f"{prefix}item_mean"] = rows[f"{prefix}item_log_var"] = block.items
-        for j in range(block.cat_values.shape[1]):
-            rows[f"{prefix}ctx_mean_{j}"] = rows[f"{prefix}ctx_log_var_{j}"] = block.cat_values[:, j]
+    for t in state.layout.tables:
+        rows[t.mean] = rows[t.log_var] = t.codes(block)
     return [(key, arr, rows.get(key, slice(None))) for key, arr in state.param_entries()]
 
 
@@ -253,10 +216,9 @@ def sgd_epoch(
         value_sum += terms.value
         _scatter_user(state, block, terms, grads)
 
-        entries = _user_entries(state, block)
-        for key, arr, rows in entries:
-            kl = kl_gradient(key, arr[rows])
-            if kl is not None:
+        for t in state.layout.tables:
+            rows = t.codes(block)
+            for key, kl in zip((t.mean, t.log_var), kl_gradient(state, t, rows)):
                 grads[key][rows] -= kl / n_users
         # the scratch is zero off the touched entries, so whole-table sums suffice
         sq = 0.0
@@ -271,7 +233,7 @@ def sgd_epoch(
         if config.clip_norm and norm > config.clip_norm:
             scale = lr * config.clip_norm / norm
 
-        for key, arr, rows in entries:
+        for key, arr, rows in _user_entries(state, block):
             arr[rows] += scale * grads[key][rows]
             grads[key][rows] = 0.0
 

@@ -116,43 +116,25 @@ class Predictor:
             reals = self.standardization.apply(reals)
         return np.asarray(cats, dtype=np.int64), reals
 
-    def _query_latent(self, item: int, cats: np.ndarray, reals: np.ndarray):
-        """Latent mean/variance row for one query; unseen codes hit the
-        trailing prior row of the relevant entity table."""
-        state = self.state
-        q = state.kernel_dim
-        mu = np.zeros((1, q))
-        var = np.zeros((1, q))
-        for b in state.layout.blocks:
-            if b.kind == "item":
-                idx = item if 0 <= item < state.schema.item_count else state.schema.item_count
-                mu[0, b.sl] = state.item_mean[idx]
-                var[0, b.sl] = np.exp(state.item_log_var[idx])
-            elif b.kind == "categorical":
-                card = state.ctx_mean[b.table].shape[0] - 1
-                code = int(cats[b.table])
-                idx = code if 0 <= code < card else card
-                mu[0, b.sl] = state.ctx_mean[b.table][idx]
-                var[0, b.sl] = np.exp(state.ctx_log_var[b.table][idx])
+    def _query_row(self, user: int, item: int, cats: np.ndarray, reals: np.ndarray):
+        """Kernel latent mean/variance row and bias mean phi1* of one query;
+        an unseen code reads the trailing prior row of every table it indexes."""
+        state, p = self.state, self.state.params
+        mu = np.zeros((1, state.kernel_dim))
+        var = np.zeros((1, state.kernel_dim))
+        phi1 = float(p["user_bias"][user]) if state.dims.use_mean else 0.0
+        for t in state.layout.tables:
+            code = item if t.column is None else int(cats[t.column])
+            idx = code if 0 <= code < t.shape[0] - 1 else t.shape[0] - 1
+            if t.in_kernel:
+                mu[0, t.sl] = p[t.mean][idx]
+                var[0, t.sl] = np.exp(p[t.log_var][idx])
             else:
-                mu[0, b.sl] = reals[b.table]
-        return mu, var
-
-    def _query_bias(self, user: int, item: int, cats: np.ndarray, reals: np.ndarray) -> float:
-        bias = self.state.bias
-        if bias is None:
-            return 0.0
-        schema = self.state.schema
-        out = float(bias.user_bias[user])
-        idx = item if 0 <= item < schema.item_count else schema.item_count
-        out += float(bias.item_mean[idx].sum())
-        for j, arr in enumerate(bias.context_mean):
-            card = arr.shape[0] - 1
-            code = int(cats[j])
-            out += float(arr[code if 0 <= code < card else card].sum())
-        if reals.size:
-            out += float(reals @ bias.real_weights)
-        return out
+                phi1 += float(p[t.mean][idx].sum())
+        mu[0, state.layout.fixed_mask] = reals
+        if state.dims.use_mean:
+            phi1 += float(reals @ p["real_weights"])
+        return mu, var, phi1
 
     def predict(
         self,
@@ -172,11 +154,10 @@ class Predictor:
             )
         post = self._posterior(user)
         cats, reals = self._split_context(context_values)
-        mu, var = self._query_latent(item, cats, reals)
+        mu, var, phi1_star = self._query_row(user, item, cats, reals)
 
         kern = ArdKernel(post.sigma2, np.exp(state.log_alpha))
         psi1_star = psi_statistics(kern, LatentPoints(mu, var), state.z).psi1  # (1, M)
-        phi1_star = self._query_bias(user, item, cats, reals)
 
         mean = post.beta * float(psi1_star[0] @ post.v) + phi1_star
 

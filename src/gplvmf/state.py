@@ -7,11 +7,22 @@ Layout of the kernel-space latent vector for one rating row (dimension Q):
 Categorical contexts contribute ``context_dim`` free coordinates per
 category; real-valued contexts contribute one coordinate pinned to the
 standardized observed value (zero variance, excluded from optimization).
-Entity tables carry one extra trailing "unknown" row held at the prior so
-unseen codes can be queried after training.
 
-All positive parameters (variances, inverse length-scales, signal variance,
-noise precision) are stored as logs, making the flat optimization vector
+Every free latent coordinate lives in a *latent table*: a diagonal-Gaussian
+table under the standard-normal prior, with one row per item (or per
+category of one categorical context) and one extra trailing "unknown" row
+held at the prior so unseen codes can be queried after training.  The
+kernel latents and the bias latents of the mean function are tables of the
+same kind; :attr:`KernelLayout.tables` describes them all once (keys, the
+block column that indexes each, and the kernel slice, empty for a bias
+table), and the bound's gradient scatter, the KL, SGD's step, the query
+lookup, initialization and the model file all walk that description.
+
+The state keeps every array in one dict, ``params``, keyed by the names
+:meth:`VariationalState.param_entries` yields; the familiar attributes
+(``item_mean``, ``bias``, ``z``, ...) read it.  All positive
+parameters (variances, inverse length-scales, signal variance, noise
+precision) are stored as logs, making the flat optimization vector
 unconstrained.
 """
 
@@ -53,20 +64,49 @@ class KernelBlock:
     table: int | None    # index into ctx tables for categorical, real column for real
 
 
+@dataclass(frozen=True)
+class LatentTable:
+    """One diagonal-Gaussian table of latents, shape ``(entities + 1, width)``.
+
+    ``mean``/``log_var`` are its two ``param_entries`` keys.  Row t of a user
+    block reads entry ``block.items[t]`` (``column`` None) or
+    ``block.cat_values[t, column]``; a query with an unseen code reads the
+    trailing prior row.  ``sl`` is the table's kernel slice, empty for a
+    bias table.
+    """
+
+    mean: str
+    log_var: str
+    column: int | None
+    sl: slice
+    shape: tuple
+
+    @property
+    def in_kernel(self) -> bool:
+        return self.sl.stop > self.sl.start
+
+    def codes(self, block: UserBlock) -> np.ndarray:
+        return block.items if self.column is None else block.cat_values[:, self.column]
+
+
 class KernelLayout:
-    """Mapping between schema entities and kernel latent coordinates."""
+    """Mapping between schema entities, kernel latent coordinates and the
+    latent tables; ``keys`` is the canonical flat-vector order."""
 
     def __init__(self, schema: ContextSchema, dims: ModelDims):
-        self.blocks: list[KernelBlock] = []
-        off = 0
-        self.blocks.append(KernelBlock("item", slice(0, dims.item_dim), "item", None))
+        self.blocks: list[KernelBlock] = [KernelBlock("item", slice(0, dims.item_dim), "item", None)]
+        self.tables: list[LatentTable] = [
+            LatentTable("item_mean", "item_log_var", None, slice(0, dims.item_dim),
+                        (schema.item_count + 1, dims.item_dim))
+        ]
         off = dims.item_dim
         cat_j = real_j = 0
         for ctx in schema.contexts:
             if ctx.is_categorical:
-                self.blocks.append(
-                    KernelBlock(ctx.name, slice(off, off + dims.context_dim), "categorical", cat_j)
-                )
+                sl = slice(off, off + dims.context_dim)
+                self.blocks.append(KernelBlock(ctx.name, sl, "categorical", cat_j))
+                self.tables.append(LatentTable(f"ctx_mean_{cat_j}", f"ctx_log_var_{cat_j}", cat_j, sl,
+                                               (ctx.cardinality + 1, dims.context_dim)))
                 off += dims.context_dim
                 cat_j += 1
             else:
@@ -80,40 +120,51 @@ class KernelLayout:
                 mask[b.sl] = True
         self.fixed_mask = mask
 
-    @property
-    def item_slice(self) -> slice:
-        return self.blocks[0].sl
+        point = ["z", "log_alpha", "log_sigma2", "log_beta"]
+        if dims.use_mean:
+            self.tables += [
+                LatentTable(f"bias_{t.mean}", f"bias_{t.log_var}", t.column, slice(0, 0),
+                            (t.shape[0], dims.item_bias_dim if t.column is None else dims.context_bias_dim))
+                for t in self.tables
+            ]
+            point = ["real_weights", "user_bias"] + point
+        self.keys = [key for t in self.tables for key in (t.mean, t.log_var)] + point
+
+
+class _Param:
+    """Attribute access to one entry of ``VariationalState.params``."""
+
+    def __set_name__(self, owner, name):
+        self.key = name
+
+    def __get__(self, state, owner=None):
+        return self if state is None else state.params[self.key]
+
+    def __set__(self, state, value):
+        state.params[self.key] = value
 
 
 class VariationalState:
     """All free parameters of the model; arrays are mutated in place by training."""
 
-    def __init__(
-        self,
-        schema: ContextSchema,
-        dims: ModelDims,
-        item_mean: np.ndarray,
-        item_log_var: np.ndarray,
-        ctx_mean: list,
-        ctx_log_var: list,
-        bias: BiasLatents | None,
-        z: np.ndarray,
-        log_alpha: np.ndarray,
-        log_sigma2: np.ndarray,
-        log_beta: np.ndarray,
-    ):
+    item_mean = _Param()
+    item_log_var = _Param()
+    z = _Param()
+    log_alpha = _Param()
+    log_sigma2 = _Param()
+    log_beta = _Param()
+
+    def __init__(self, schema: ContextSchema, dims: ModelDims, layout: KernelLayout, params: dict):
         self.schema = schema
         self.dims = dims
-        self.layout = KernelLayout(schema, dims)
-        self.item_mean = item_mean
-        self.item_log_var = item_log_var
-        self.ctx_mean = ctx_mean
-        self.ctx_log_var = ctx_log_var
-        self.bias = bias
-        self.z = z
-        self.log_alpha = log_alpha
-        self.log_sigma2 = log_sigma2
-        self.log_beta = log_beta
+        self.layout = layout
+        self.params = params
+
+    @classmethod
+    def from_tables(cls, schema: ContextSchema, dims: ModelDims, tables) -> "VariationalState":
+        """A state over the arrays ``tables[key]`` for every ``param_entries`` key."""
+        layout = KernelLayout(schema, dims)
+        return cls(schema, dims, layout, {key: tables[key] for key in layout.keys})
 
     # -- structure ---------------------------------------------------------
 
@@ -126,22 +177,24 @@ class VariationalState:
         return self.z.shape[0]
 
     @property
-    def use_mean(self) -> bool:
-        return self.bias is not None
+    def bias(self) -> BiasLatents | None:
+        """The bias latents and point parameters (the state's own arrays), or None."""
+        if not self.dims.use_mean:
+            return None
+        p = self.params
+        ctx = [t for t in self.layout.tables if not t.in_kernel and t.column is not None]
+        return BiasLatents(
+            user_bias=p["user_bias"],
+            item_mean=p["bias_item_mean"],
+            item_log_var=p["bias_item_log_var"],
+            context_mean=[p[t.mean] for t in ctx],
+            context_log_var=[p[t.log_var] for t in ctx],
+            real_weights=p["real_weights"],
+        )
 
     def copy(self) -> "VariationalState":
         return VariationalState(
-            schema=self.schema,
-            dims=self.dims,
-            item_mean=self.item_mean.copy(),
-            item_log_var=self.item_log_var.copy(),
-            ctx_mean=[a.copy() for a in self.ctx_mean],
-            ctx_log_var=[a.copy() for a in self.ctx_log_var],
-            bias=self.bias.copy() if self.bias is not None else None,
-            z=self.z.copy(),
-            log_alpha=self.log_alpha.copy(),
-            log_sigma2=self.log_sigma2.copy(),
-            log_beta=self.log_beta.copy(),
+            self.schema, self.dims, self.layout, {key: arr.copy() for key, arr in self.params.items()}
         )
 
     def assemble_rows(self, block: UserBlock):
@@ -153,14 +206,15 @@ class VariationalState:
         n = block.count
         mu = np.empty((n, self.kernel_dim))
         var = np.zeros((n, self.kernel_dim))
+        p = self.params
         for b in self.layout.blocks:
             if b.kind == "item":
-                mu[:, b.sl] = self.item_mean[block.items]
-                var[:, b.sl] = np.exp(self.item_log_var[block.items])
+                mu[:, b.sl] = p["item_mean"][block.items]
+                var[:, b.sl] = np.exp(p["item_log_var"][block.items])
             elif b.kind == "categorical":
                 codes = block.cat_values[:, b.table]
-                mu[:, b.sl] = self.ctx_mean[b.table][codes]
-                var[:, b.sl] = np.exp(self.ctx_log_var[b.table][codes])
+                mu[:, b.sl] = p[f"ctx_mean_{b.table}"][codes]
+                var[:, b.sl] = np.exp(p[f"ctx_log_var_{b.table}"][codes])
             else:
                 mu[:, b.sl] = block.real_values[:, b.table : b.table + 1]
         return mu, var
@@ -169,49 +223,29 @@ class VariationalState:
 
     def param_entries(self):
         """(key, array) pairs in the canonical flat-vector order."""
-        yield "item_mean", self.item_mean
-        yield "item_log_var", self.item_log_var
-        for j in range(len(self.ctx_mean)):
-            yield f"ctx_mean_{j}", self.ctx_mean[j]
-            yield f"ctx_log_var_{j}", self.ctx_log_var[j]
-        if self.bias is not None:
-            yield "bias_item_mean", self.bias.item_mean
-            yield "bias_item_log_var", self.bias.item_log_var
-            for j in range(len(self.bias.context_mean)):
-                yield f"bias_ctx_mean_{j}", self.bias.context_mean[j]
-                yield f"bias_ctx_log_var_{j}", self.bias.context_log_var[j]
-            if self.bias.real_weights.size:
-                yield "real_weights", self.bias.real_weights
-            yield "user_bias", self.bias.user_bias
-        yield "z", self.z
-        yield "log_alpha", self.log_alpha
-        yield "log_sigma2", self.log_sigma2
-        yield "log_beta", self.log_beta
+        return self.params.items()
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for _, a in self.param_entries()])
+        return np.concatenate([a.ravel() for a in self.params.values()])
 
     def from_vector(self, vec: np.ndarray) -> "VariationalState":
         """A fresh state with parameters taken from ``vec`` (self unchanged)."""
         out = self.copy()
         off = 0
-        for _, arr in out.param_entries():
+        for arr in out.params.values():
             arr[...] = vec[off : off + arr.size].reshape(arr.shape)
             off += arr.size
         if off != vec.size:
             raise ValueError(f"vector length {vec.size} does not match state size {off}")
         return out
 
-    def vector_size(self) -> int:
-        return sum(a.size for _, a in self.param_entries())
-
     def pack_like(self, grads: dict) -> np.ndarray:
         """Flatten a dict of named gradient arrays into vector order."""
         parts = []
-        for key, arr in self.param_entries():
+        for key, arr in self.params.items():
             g = grads.get(key)
             parts.append(np.zeros(arr.size) if g is None else np.asarray(g).ravel())
         return np.concatenate(parts)
 
     def zero_grads(self) -> dict:
-        return {key: np.zeros_like(arr) for key, arr in self.param_entries()}
+        return {key: np.zeros_like(arr) for key, arr in self.params.items()}

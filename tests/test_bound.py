@@ -60,32 +60,24 @@ def collapsed_state(seed, n_items):
     return blocks[0], state
 
 
+def prior_latents(state):
+    """Set every latent table, kernel and bias alike, to the prior; the
+    tables are named here by hand, independently of the state's description."""
+    ncat = len(state.schema.categorical_indices)
+    names = ["item_mean", "item_log_var"] + [f"ctx_{v}_{j}" for j in range(ncat) for v in ("mean", "log_var")]
+    for key in names + [f"bias_{name}" for name in names]:
+        state.params[key][:] = 0.0
+
+
 class TestKlToPrior:
     def test_prior_state_gives_zero(self):
         _, _, state, _ = random_instance(0, state_noise=0.0)
-        state.item_mean[:] = 0.0
-        state.item_log_var[:] = 0.0
-        for j in range(len(state.ctx_mean)):
-            state.ctx_mean[j][:] = 0.0
-            state.ctx_log_var[j][:] = 0.0
-        state.bias.item_mean[:] = 0.0
-        state.bias.item_log_var[:] = 0.0
-        for j in range(len(state.bias.context_mean)):
-            state.bias.context_mean[j][:] = 0.0
-            state.bias.context_log_var[j][:] = 0.0
+        prior_latents(state)
         assert kl_to_prior(state) == pytest.approx(0.0, abs=1e-14)
 
     def test_single_coordinate_half_mu_squared(self):
         _, _, state, _ = random_instance(1, state_noise=0.0)
-        for arr in (state.item_mean, state.bias.item_mean):
-            arr[:] = 0.0
-        for arr in (state.item_log_var, state.bias.item_log_var):
-            arr[:] = 0.0
-        for j in range(len(state.ctx_mean)):
-            state.ctx_mean[j][:] = 0.0
-            state.ctx_log_var[j][:] = 0.0
-            state.bias.context_mean[j][:] = 0.0
-            state.bias.context_log_var[j][:] = 0.0
+        prior_latents(state)
         state.item_mean[0, 0] = 1.0
         assert kl_to_prior(state) == pytest.approx(0.5)
 

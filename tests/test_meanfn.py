@@ -164,14 +164,23 @@ class TestPhiGradients:
             mutate(bm, -eps)
             return (probe(bp) - probe(bm)) / (2 * eps)
 
-        for i in range(bias.item_mean.shape[0]):
-            got = fd_entry(lambda b, e, i=i: b.item_mean.__setitem__((i, 0), b.item_mean[i, 0] + e))
-            assert max_rel_error(grads.item_mean[i, 0], got) < 1e-4
-            got = fd_entry(lambda b, e, i=i: b.item_log_var.__setitem__((i, 0), b.item_log_var[i, 0] + e))
-            assert max_rel_error(grads.item_log_var[i, 0], got) < 1e-4
-        for c in range(bias.context_mean[0].shape[0]):
-            got = fd_entry(lambda b, e, c=c: b.context_mean[0].__setitem__((c, 0), b.context_mean[0][c, 0] + e))
-            assert max_rel_error(grads.context_mean[0][c, 0], got) < 1e-4
+        # each bias table: its (mean, log_var) arrays and the codes the rows read
+        tables = [(lambda b: (b.item_mean, b.item_log_var), block.items)]
+        tables += [(lambda b, j=j: (b.context_mean[j], b.context_log_var[j]), block.cat_values[:, j])
+                   for j in range(block.cat_values.shape[1])]
+        for arrays, codes in tables:
+            mean, log_var = arrays(bias)
+            # the oracle aggregates the row gradients onto the entries the rows read
+            want_mean = np.zeros_like(mean)
+            np.add.at(want_mean, codes, grads.mean_rows[:, None])
+            want_log_var = grads.var * np.bincount(codes, minlength=mean.shape[0])[:, None] * np.exp(log_var)
+            for k, want in ((0, want_mean), (1, want_log_var)):
+                for idx in np.ndindex(mean.shape):
+                    def mutate(b, e, k=k, idx=idx):
+                        arrays(b)[k][idx] += e
+
+                    got = fd_entry(mutate)
+                    assert max_rel_error(want[idx], got) < 1e-4
         got = fd_entry(lambda b, e: b.user_bias.__setitem__(0, b.user_bias[0] + e))
         assert max_rel_error(grads.user_bias, got) < 1e-4
         got = fd_entry(lambda b, e: b.real_weights.__setitem__(0, b.real_weights[0] + e))

@@ -40,21 +40,29 @@ class TestSerialization:
         assert again.rating_scale == (1.0, 5.0)
         assert again.config.inducing_count == 4
 
-    def test_format_versioned(self, tmp_path):
+    def test_format_versioned(self, tmp_path, capsys):
         model = small_model(tmp_path)
         path = tmp_path / "model.npz"
         save_model(model, path)
         with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
+            arrays = dict(data.items())
+        meta = json.loads(str(arrays["meta"]))
         assert meta["format"] == "gplvmf.model/1"
-        # tampering with the version must be rejected
-        arrays = dict(np.load(path, allow_pickle=False).items())
-        meta["format"] = "gplvmf.model/999"
-        arrays["meta"] = json.dumps(meta)
-        bad = tmp_path / "bad.npz"
-        np.savez(bad, **arrays)
-        with pytest.raises(ValueError, match="unsupported model format"):
-            load_model(bad)
+        # tampering with the version or with the stored config must be rejected
+        queries = tmp_path / "q.csv"
+        queries.write_text("user,item,mood,price\n0,1,2,0.4\n", encoding="utf-8")
+        tampered = [
+            ({"format": "gplvmf.model/999"}, "unsupported model format"),
+            ({"config": {**meta["config"], "epoch": 3}}, "unknown key 'epoch'"),
+        ]
+        for change, message in tampered:
+            arrays["meta"] = json.dumps({**meta, **change})
+            bad = tmp_path / "bad.npz"
+            np.savez(bad, **arrays)
+            with pytest.raises(ValueError, match=message):
+                load_model(bad)
+            assert cli_main(["predict", "--model", str(bad), "--queries", str(queries)]) == 2
+            assert message in capsys.readouterr().err
 
 
 def write_config(tmp_path):

@@ -192,7 +192,7 @@ class TestSgd:
 
             mask = state.from_vector(np.zeros(before.size))
             item_tables = [mask.item_mean, mask.item_log_var]
-            ctx_tables = [mask.ctx_mean[0], mask.ctx_log_var[0]]
+            ctx_tables = [mask.params["ctx_mean_0"], mask.params["ctx_log_var_0"]]
             whole = [mask.z, mask.log_alpha, mask.log_sigma2, mask.log_beta]
             if use_mean:
                 item_tables += [mask.bias.item_mean, mask.bias.item_log_var]
@@ -206,7 +206,7 @@ class TestSgd:
                 arr[...] = 1.0
             touched = mask.to_vector() == 1.0
             # the trailing unknown rows are never touched
-            assert not mask.item_mean[-1].any() and not mask.ctx_mean[0][-1].any()
+            assert not mask.item_mean[-1].any() and not mask.params["ctx_mean_0"][-1].any()
 
             state, _ = sgd_epoch(blocks, state, cfg, 0)
             after = state.to_vector()

@@ -133,6 +133,29 @@ class TestPredict:
         p = pred.predict(0, 999, (99, 0.0))
         assert np.isfinite(p.mean) and p.variance >= 0.0
 
+        # An unseen code reads the trailing prior row of the kernel and the bias
+        # table it indexes, so it predicts exactly like a seen code whose rows
+        # hold the prior row.  The seen code is one the user's ratings never
+        # read, so overwriting its rows leaves the user's posterior unchanged.
+        table, blocks, state, _ = random_instance(6, n_users=1, n_items=8, cat_card=8)
+        (block,) = blocks
+        item = next(i for i in range(8) if i not in block.items)
+        code = next(c for c in range(8) if c not in block.cat_values[:, 0])
+        pred = Predictor(state, blocks)
+
+        def with_prior_row(keys, row):
+            copy = state.copy()
+            for key in keys:
+                copy.params[key][row] = copy.params[key][-1]
+            return Predictor(copy, blocks)
+
+        seen = with_prior_row(("item_mean", "item_log_var", "bias_item_mean", "bias_item_log_var"), item)
+        for unseen in (999, -1, 8):
+            assert pred.predict(0, unseen, (1, 0.3)) == seen.predict(0, item, (1, 0.3))
+        seen = with_prior_row(("ctx_mean_0", "ctx_log_var_0", "bias_ctx_mean_0", "bias_ctx_log_var_0"), code)
+        for unseen in (99, -1, 8):
+            assert pred.predict(0, 2, (unseen, 0.3)) == seen.predict(0, 2, (code, 0.3))
+
     def test_unknown_user_policy(self):
         table, blocks, state, _ = random_instance(7, n_users=2)
         pred = Predictor(state, [blocks[0]])
