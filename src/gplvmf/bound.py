@@ -108,8 +108,7 @@ class _UserForward:
 
     sigma2: float
     beta: float
-    cache: _PsiCache         # keeps alpha and the row variances assemble_rows gave
-    psi2: np.ndarray
+    cache: _PsiCache         # keeps alpha, the row variances assemble_rows gave, Psi1 and Psi2
     phi1: np.ndarray
     phi0: float
     l_k: np.ndarray          # lower factor of K = sigma2 * C
@@ -131,7 +130,6 @@ def _user_forward(block: UserBlock, state: VariationalState, shared: SharedFacto
     mu_rows, var_rows = state.assemble_rows(block)
     kern = ArdKernel(sigma2, np.exp(state.log_alpha))
     cache = _PsiCache(kern, LatentPoints(mu_rows, var_rows, state.layout.fixed_mask), state.z)
-    psi2 = cache.psi2_rows.sum(axis=0)
 
     if state.dims.use_mean:
         phi = phi_statistics(state.bias, block)
@@ -141,7 +139,7 @@ def _user_forward(block: UserBlock, state: VariationalState, shared: SharedFacto
 
     # whitened system: K = L L^T, B = I + beta * L^-1 Psi2 L^-T
     l_k = np.sqrt(sigma2) * shared.chol_c
-    half = solve_triangular(l_k, psi2, lower=True)
+    half = solve_triangular(l_k, cache.psi2, lower=True)
     t_mat = solve_triangular(l_k, half.T, lower=True)
     t_mat = 0.5 * (t_mat + t_mat.T)
     b = np.eye(state.inducing_count) + beta * t_mat
@@ -156,7 +154,6 @@ def _user_forward(block: UserBlock, state: VariationalState, shared: SharedFacto
         sigma2=sigma2,
         beta=beta,
         cache=cache,
-        psi2=psi2,
         phi1=phi1,
         phi0=phi0,
         l_k=l_k,
@@ -203,7 +200,7 @@ def _user_terms(
     y = block.ratings
     fw = _user_forward(block, state, shared)
     sigma2, beta, alpha = fw.sigma2, fw.beta, fw.cache.alpha
-    psi2, l_k, chol_b = fw.psi2, fw.l_k, fw.chol_b
+    psi2, l_k, chol_b = fw.cache.psi2, fw.l_k, fw.chol_b
     psi0 = n * sigma2
 
     logdet_b = 2.0 * np.sum(np.log(np.diag(chol_b)))

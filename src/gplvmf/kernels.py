@@ -13,6 +13,23 @@ posterior over the inputs (rows are independent, coordinates independent):
 For this kernel family all three are closed-form products of 1-D Gaussian
 integrals; the Monte-Carlo estimator in :func:`mc_psi_oracle` exists purely
 to validate the closed forms and is never used in training.
+
+Row n of Psi2 (one rating's term of the sum) has, per coordinate q, the
+exponent ``-alpha/4 (z_a - z_b)^2 - w (mu - (z_a + z_b)/2)^2 - log(d2)/2``
+with ``d2 = 1 + 2 alpha s`` and ``w = alpha / d2``.  The middle term is
+expanded as
+
+    w mu^2 - w mu z_a - w mu z_b + w (z_a^2 + z_b^2 + 2 z_a z_b) / 4
+
+so that the pair term is one (N, Q) @ (Q, M^2) product of ``w`` with the
+products ``z_a z_b``, the rest are (N, M) row terms broadcast over a and b,
+and the row-independent ``(z_a - z_b)^2`` term stays in difference form.
+The backward pass reduces ``dPsi2 * Psi2_rows`` to (N, M) and (M, M)
+marginals and finishes every sum with rank-Q products.  No (N, M, M, Q)
+array is built: memory is O(N M^2) for the rows of Psi2.  The expansion
+cancels terms of size ``w mu^2``, so means and inducing inputs are first
+centred on the inducing inputs' column mean; Psi1, Psi2 and their gradients
+are invariant to that common shift.
 """
 
 from __future__ import annotations
@@ -102,39 +119,61 @@ def kernel_matrix(kernel: ArdKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return kernel.signal_variance * np.exp(expo)
 
 
-class _PsiCache:
-    """Forward intermediates reused by the backward pass."""
+def psi1_matrix(kernel: ArdKernel, mu: np.ndarray, var: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Psi1 = <K_NM> (N x M) for rows of means ``mu`` and variances ``var``.
 
-    __slots__ = ("mu", "s", "z", "alpha", "sigma2", "d1", "diff1", "psi1", "d2", "dz", "dmu", "psi2_rows")
+    The one Psi1 forward pass: :class:`_PsiCache` and warm predictions both
+    call it.  Inputs are taken as given (no validation or centring); the
+    difference form is exact at any offset.
+    """
+    alpha = kernel.inv_length_scales
+    d1 = 1.0 + alpha * var                                          # (N, Q)
+    diff = mu[:, None, :] - z[None, :, :]                           # (N, M, Q)
+    expo = -0.5 * np.einsum("q,nmq->nm", alpha, diff**2 / d1[:, None, :])
+    expo -= 0.5 * np.sum(np.log(d1), axis=1)[:, None]
+    return kernel.signal_variance * np.exp(expo)
+
+
+class _PsiCache:
+    """Forward intermediates reused by the backward pass.
+
+    ``mu`` and ``z`` are kept centred on the column mean of the inducing
+    inputs; Psi1, Psi2 and every gradient are invariant to that shift.
+    """
+
+    __slots__ = ("mu", "s", "z", "alpha", "sigma2", "psi1", "w", "dz", "zz", "psi2_rows", "psi2")
 
     def __init__(self, kernel: ArdKernel, points: LatentPoints, z: np.ndarray):
-        mu, s = points.mean, points.var
         alpha = kernel.inv_length_scales
         sigma2 = kernel.signal_variance
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        if z.shape[1] != kernel.dim or mu.shape[1] != kernel.dim:
+        if z.shape[1] != kernel.dim or points.dim != kernel.dim:
             raise ValueError("latent points, inducing inputs and kernel must share dimension Q")
+        centre = z.mean(axis=0)
+        mu, s, z = points.mean - centre, points.var, z - centre
+        n, m = mu.shape[0], z.shape[0]
 
         self.mu, self.s, self.z, self.alpha, self.sigma2 = mu, s, z, alpha, sigma2
+        self.psi1 = psi1_matrix(kernel, mu, s, z)                   # (N, M)
 
-        self.d1 = 1.0 + alpha * s                                   # (N, Q)
-        self.diff1 = mu[:, None, :] - z[None, :, :]                 # (N, M, Q)
-        expo1 = -0.5 * np.einsum("q,nmq->nm", alpha, self.diff1**2 / self.d1[:, None, :])
-        expo1 -= 0.5 * np.sum(np.log(self.d1), axis=1)[:, None]
-        self.psi1 = sigma2 * np.exp(expo1)                          # (N, M)
-
-        self.d2 = 1.0 + 2.0 * alpha * s                             # (N, Q)
+        d2 = 1.0 + 2.0 * alpha * s                                  # (N, Q)
+        self.w = alpha / d2
         self.dz = z[:, None, :] - z[None, :, :]                     # (M, M, Q)
-        zbar = 0.5 * (z[:, None, :] + z[None, :, :])
-        self.dmu = mu[:, None, None, :] - zbar[None, :, :, :]       # (N, M, M, Q)
-        expo2 = -0.25 * np.einsum("q,abq->ab", alpha, self.dz**2)[None, :, :]
-        expo2 = expo2 - np.einsum("q,nabq->nab", alpha, self.dmu**2 / self.d2[:, None, None, :])
-        expo2 = expo2 - 0.5 * np.sum(np.log(self.d2), axis=1)[:, None, None]
-        self.psi2_rows = sigma2**2 * np.exp(expo2)                  # (N, M, M)
+        self.zz = (z[:, None, :] * z[None, :, :]).reshape(m * m, -1)  # (M^2, Q): z_a z_b
+        # row[n, a] takes w mu z_a - w z_a^2 / 4 and half of w mu^2 + log(d2) / 2
+        row = (self.w * mu) @ z.T - 0.25 * (self.w @ (z**2).T)
+        row -= 0.5 * np.sum(self.w * mu**2 + 0.5 * np.log(d2), axis=1)[:, None]
+        expo = ((-0.5 * self.w) @ self.zz.T).reshape(n, m, m)
+        expo += row[:, :, None]
+        expo += row[:, None, :]
+        expo -= 0.25 * np.einsum("q,abq->ab", alpha, self.dz**2)
+        self.psi2_rows = np.exp(expo, out=expo)
+        self.psi2_rows *= sigma2**2                                 # (N, M, M)
+        self.psi2 = self.psi2_rows.sum(axis=0)                      # (M, M)
 
     def stats(self) -> PsiStats:
         n = self.mu.shape[0]
-        return PsiStats(psi0=n * self.sigma2, psi1=self.psi1, psi2=self.psi2_rows.sum(axis=0))
+        return PsiStats(psi0=n * self.sigma2, psi1=self.psi1, psi2=self.psi2)
 
 
 def psi_statistics(kernel: ArdKernel, points: LatentPoints, z: np.ndarray) -> PsiStats:
@@ -174,56 +213,51 @@ def psi_backward(
 
     ``dpsi2`` must be the gradient with respect to the summed (M x M) Psi2;
     it is symmetrized here so callers may pass either triangle convention.
+    Every sum over inducing pairs is taken on (N, M) or (M, M) marginals of
+    ``dpsi2 * Psi2_rows`` and finished with rank-Q products.
     """
-    alpha, s = cache.alpha, cache.s
-    n = cache.mu.shape[0]
+    alpha, s, mu, z, w = cache.alpha, cache.s, cache.mu, cache.z, cache.w
+    n, m = cache.psi1.shape
     dpsi2 = 0.5 * (dpsi2 + dpsi2.T)
 
-    # Psi1 channel
+    # Psi1 channel, per coordinate: exponent -v (mu - z_m)^2 / 2, v = alpha / d1
+    d1 = 1.0 + alpha * s
+    v = alpha / d1
     t1 = dpsi1 * cache.psi1                                         # (N, M)
-    r1 = alpha[None, None, :] * cache.diff1 / cache.d1[:, None, :]  # (N, M, Q)
-    gmu = -np.einsum("nm,nmq->nq", t1, r1)
-    gs = np.einsum(
-        "nm,nmq->nq",
-        t1,
-        0.5 * alpha[None, None, :] ** 2 * cache.diff1**2 / cache.d1[:, None, :] ** 2
-        - 0.5 * (alpha / cache.d1)[:, None, :],
-    )
-    gz = np.einsum("nm,nmq->mq", t1, r1)
-    galpha = -0.5 * np.einsum(
-        "nm,nmq->q",
-        t1,
-        cache.diff1**2 / cache.d1[:, None, :] ** 2 + (s / cache.d1)[:, None, :],
-    )
+    t1_sum = t1.sum(axis=1)[:, None]
+    t1_z = t1 @ z
+    sq1 = mu**2 * t1_sum - 2.0 * mu * t1_z + t1 @ z**2              # sum_m t1 (mu - z_m)^2
+    gmu = -v * (mu * t1_sum - t1_z)
+    gs = 0.5 * v**2 * sq1 - 0.5 * v * t1_sum
+    gz = t1.T @ (v * mu) - z * (t1.T @ v)
+    galpha = -0.5 * np.sum(sq1 / d1**2 + t1_sum * s / d1, axis=0)
 
-    # Psi2 channel
-    t2 = dpsi2[None, :, :] * cache.psi2_rows                        # (N, M, M)
-    d2e = cache.d2[:, None, None, :]
-    u2 = alpha[None, None, None, :] * cache.dmu / d2e               # (N, M, M, Q)
-    gmu -= 2.0 * np.einsum("nab,nabq->nq", t2, u2)
-    gs += np.einsum(
-        "nab,nabq->nq",
-        t2,
-        2.0 * alpha[None, None, None, :] ** 2 * cache.dmu**2 / d2e**2
-        - (alpha / cache.d2)[:, None, None, :],
+    # Psi2 channel, per coordinate: exponent -w (mu - zbar_ab)^2 with
+    # zbar_ab = (z_a + z_b) / 2; t2 is symmetric in (a, b)
+    d2 = 1.0 + 2.0 * alpha * s
+    t2 = (cache.psi2_rows * dpsi2).reshape(n, m * m)                # (N, M^2)
+    t2_a = t2.reshape(n, m, m).sum(axis=2)                          # (N, M)
+    t2_sum = t2_a.sum(axis=1)[:, None]
+    t2_z = t2_a @ z
+    sq2 = (                                                         # sum_ab t2 (mu - zbar_ab)^2
+        mu**2 * t2_sum - 2.0 * mu * t2_z + 0.5 * (t2_a @ z**2) + 0.5 * (t2 @ cache.zz)
     )
-    galpha += np.einsum(
-        "nab,nabq->q",
-        t2,
-        -0.25 * cache.dz[None, :, :, :] ** 2
-        - cache.dmu**2 / d2e**2
-        - (s / cache.d2)[:, None, None, :],
+    gmu -= 2.0 * w * (mu * t2_sum - t2_z)
+    gs += 2.0 * w**2 * sq2 - w * t2_sum
+    pair = dpsi2 * cache.psi2                                       # sum_n t2, (M, M)
+    galpha -= 0.25 * np.einsum("ab,abq->q", pair, cache.dz**2) + np.sum(
+        sq2 / d2**2 + t2_sum * s / d2, axis=0
     )
-    gz += 2.0 * (
-        -0.5 * np.einsum("nab,abq->aq", t2, alpha[None, None, :] * cache.dz)
-        + np.einsum("nab,nabq->aq", t2, u2)
+    t2_w = (t2.T @ w).reshape(m, m, -1)                             # sum_n t2 w, (M, M, Q)
+    gz += (
+        -alpha * np.einsum("ab,abq->aq", pair, cache.dz)
+        + 2.0 * (t2_a.T @ (w * mu))
+        - z * (t2_a.T @ w)
+        - np.einsum("abq,bq->aq", t2_w, z)
     )
 
     # All three statistics are monomials in sigma2 (degrees 1, 1, 2).
-    psi2 = cache.psi2_rows.sum(axis=0)
-    gsigma2 = (
-        np.sum(dpsi1 * cache.psi1) + 2.0 * np.sum(dpsi2 * psi2) + dpsi0 * n * cache.sigma2
-    ) / cache.sigma2
+    gsigma2 = (np.sum(t1) + 2.0 * np.sum(pair) + dpsi0 * n * cache.sigma2) / cache.sigma2
 
     return PsiGradients(dmu=gmu, dvar=gs, dz=gz, dalpha=galpha, dsigma2=float(gsigma2))
 

@@ -30,7 +30,7 @@ from scipy.linalg import solve_triangular
 
 from .bound import DEFAULT_JITTER, SharedFactors, UserPosterior, shared_factors, user_posterior
 from .data import ContextSchema
-from .kernels import ArdKernel, LatentPoints, psi_statistics
+from .kernels import ArdKernel, psi1_matrix
 from .state import VariationalState
 
 
@@ -157,7 +157,7 @@ class Predictor:
         mu, var, phi1_star = self._query_row(user, item, cats, reals)
 
         kern = ArdKernel(post.sigma2, np.exp(state.log_alpha))
-        psi1_star = psi_statistics(kern, LatentPoints(mu, var), state.z).psi1  # (1, M)
+        psi1_star = psi1_matrix(kern, mu, var, state.z)  # (1, M)
 
         mean = post.beta * float(psi1_star[0] @ post.v) + phi1_star
 

@@ -1,5 +1,7 @@
 """ARD kernel, closed-form psi statistics, their Monte-Carlo oracle and gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,57 +141,176 @@ class TestMcOracle:
             mc_psi_oracle(kern, pts, z, samples=0, seed=0)
 
 
+def edge_setup(case, seed):
+    """Psi inputs at the edge shapes training meets."""
+    if case == "single_row":
+        return random_setup(seed, n=1, m=3, q=2)
+    if case == "more_inducing_than_rows":
+        return random_setup(seed, n=2, m=5, q=2)
+    if case == "coinciding_inducing":
+        kern, pts, z = random_setup(seed, n=3, m=4, q=2)
+        z[3] = z[1]
+        return kern, pts, z
+    if case == "fixed_column":
+        kern, pts, z = random_setup(seed, n=3, m=4, q=6)
+        mask = np.zeros(6, dtype=bool)
+        mask[-1] = True
+        var = pts.var.copy()
+        var[:, mask] = 0.0
+        return kern, LatentPoints(pts.mean, var, fixed_mask=mask), z
+    raise ValueError(case)
+
+
+EDGE_CASES = ["single_row", "more_inducing_than_rows", "coinciding_inducing", "fixed_column"]
+
+
+def random_probe(rng, n, m):
+    """Cotangents (r0, R1, R2) of the scalar probe r0*psi0 + <R1, Psi1> + <R2, Psi2>."""
+    r0 = rng.normal()
+    r1 = rng.normal(size=(n, m))
+    r2 = rng.normal(size=(m, m))
+    return r0, r1, 0.5 * (r2 + r2.T)
+
+
+def loop_reference(kern, pts, z, r0, r1, r2):
+    """Psi1, Psi2 and the probe's gradients, one (row, a) or (row, a, b) entry
+    at a time in the difference form of the closed-form statistics."""
+    alpha, sigma2 = kern.inv_length_scales, kern.signal_variance
+    n, m = pts.count, z.shape[0]
+    psi1, psi2 = np.zeros((n, m)), np.zeros((m, m))
+    gmu, gvar = np.zeros(pts.mean.shape), np.zeros(pts.mean.shape)
+    gz, galpha, gsigma2 = np.zeros(z.shape), np.zeros(alpha.shape), r0 * n
+    for i in range(n):
+        mu, s = pts.mean[i], pts.var[i]
+        d1, d2 = 1.0 + alpha * s, 1.0 + 2.0 * alpha * s
+        for a in range(m):
+            e = mu - z[a]
+            k1 = sigma2 * np.prod(d1**-0.5 * np.exp(-0.5 * alpha * e**2 / d1))
+            psi1[i, a] = k1
+            t = r1[i, a] * k1
+            gmu[i] -= t * alpha * e / d1
+            gvar[i] += t * (0.5 * alpha**2 * e**2 / d1**2 - 0.5 * alpha / d1)
+            gz[a] += t * alpha * e / d1
+            galpha -= t * 0.5 * (e**2 / d1**2 + s / d1)
+            gsigma2 += t / sigma2
+            for b in range(m):
+                dz, e2 = z[a] - z[b], mu - 0.5 * (z[a] + z[b])
+                k2 = sigma2**2 * np.prod(d2**-0.5 * np.exp(-0.25 * alpha * dz**2 - alpha * e2**2 / d2))
+                psi2[a, b] += k2
+                t = r2[a, b] * k2
+                gmu[i] -= t * 2.0 * alpha * e2 / d2
+                gvar[i] += t * (2.0 * alpha**2 * e2**2 / d2**2 - alpha / d2)
+                gz[a] += t * (-0.5 * alpha * dz + alpha * e2 / d2)
+                gz[b] += t * (0.5 * alpha * dz + alpha * e2 / d2)
+                galpha -= t * (0.25 * dz**2 + e2**2 / d2**2 + s / d2)
+                gsigma2 += 2.0 * t / sigma2
+    return [psi1, psi2, gmu, gvar, gz, galpha, gsigma2]
+
+
+def closed_form(kern, pts, z, r0, r1, r2):
+    """The same seven outputs from the cache and psi_backward."""
+    cache = _PsiCache(kern, pts, z)
+    g = psi_backward(cache, r0, r1, r2)
+    stats = cache.stats()
+    return [stats.psi1, stats.psi2, g.dmu, g.dvar, g.dz, g.dalpha, g.dsigma2]
+
+
+def error_to_largest(value, reference):
+    value, reference = np.asarray(value), np.asarray(reference)
+    return float(np.max(np.abs(value - reference)) / np.max(np.abs(reference)))
+
+
 class TestPsiGradients:
-    def test_backward_matches_finite_differences(self):
+    @staticmethod
+    def check_finite_differences(kern, pts, z, rng):
         # scalar probe T = r0*psi0 + <R1, Psi1> + <R2, Psi2>, FD in every input
+        q = pts.dim
+        r0, r1, r2 = random_probe(rng, pts.count, z.shape[0])
+
+        def probe(mu, var, zz, log_alpha, log_sigma2):
+            kk = ArdKernel(np.exp(log_sigma2), np.exp(log_alpha))
+            st = psi_statistics(kk, LatentPoints(mu, var), zz)
+            return r0 * st.psi0 + np.sum(r1 * st.psi1) + np.sum(r2 * st.psi2)
+
+        cache = _PsiCache(kern, pts, z)
+        grads = psi_backward(cache, r0, r1, r2)
+
+        eps = 1e-6
+        la0 = np.log(kern.inv_length_scales)
+        ls0 = np.log(kern.signal_variance)
+
+        def fd(setter, one_sided=False):
+            def h(e):
+                args = setter(e)
+                return probe(*args)
+            if one_sided:
+                return (h(eps) - h(0.0)) / eps
+            return (h(eps) - h(-eps)) / (2 * eps)
+
+        for i in range(pts.count):
+            for j in range(pts.dim):
+                dmu = fd(lambda e, i=i, j=j: (
+                    pts.mean + e * np.eye(pts.count)[i][:, None] * np.eye(pts.dim)[j][None, :],
+                    pts.var, z, la0, ls0))
+                assert max_rel_error(grads.dmu[i, j], dmu) < 1e-4
+                # a zero-variance coordinate can only be perturbed upwards
+                dvar = fd(lambda e, i=i, j=j: (
+                    pts.mean,
+                    pts.var + e * np.eye(pts.count)[i][:, None] * np.eye(pts.dim)[j][None, :],
+                    z, la0, ls0), one_sided=pts.var[i, j] == 0.0)
+                assert max_rel_error(grads.dvar[i, j], dvar) < 1e-4
+        for i in range(z.shape[0]):
+            for j in range(z.shape[1]):
+                dz = fd(lambda e, i=i, j=j: (
+                    pts.mean, pts.var,
+                    z + e * np.eye(z.shape[0])[i][:, None] * np.eye(z.shape[1])[j][None, :],
+                    la0, ls0))
+                assert max_rel_error(grads.dz[i, j], dz) < 1e-4
+        for j in range(q):
+            dla = fd(lambda e, j=j: (pts.mean, pts.var, z, la0 + e * np.eye(q)[j], ls0))
+            analytic = grads.dalpha[j] * kern.inv_length_scales[j]
+            assert max_rel_error(analytic, dla) < 1e-4
+        dls = fd(lambda e: (pts.mean, pts.var, z, la0, ls0 + e))
+        assert max_rel_error(grads.dsigma2 * kern.signal_variance, dls) < 1e-4
+
+    def test_backward_matches_finite_differences(self):
         for seed in range(4):
-            rng = np.random.default_rng(seed + 20)
-            n, m, q = 3, 3, 2
-            kern, pts, z = random_setup(seed + 30, n=n, m=m, q=q)
-            r0 = rng.normal()
-            r1 = rng.normal(size=(n, m))
-            r2 = rng.normal(size=(m, m))
-            r2 = 0.5 * (r2 + r2.T)
+            kern, pts, z = random_setup(seed + 30, n=3, m=3, q=2)
+            self.check_finite_differences(kern, pts, z, np.random.default_rng(seed + 20))
 
-            def probe(mu, var, zz, log_alpha, log_sigma2):
-                kk = ArdKernel(np.exp(log_sigma2), np.exp(log_alpha))
-                st = psi_statistics(kk, LatentPoints(mu, var), zz)
-                return r0 * st.psi0 + np.sum(r1 * st.psi1) + np.sum(r2 * st.psi2)
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_backward_matches_finite_differences_at_edge_shapes(self, case):
+        for seed in range(2):
+            kern, pts, z = edge_setup(case, seed + 40)
+            self.check_finite_differences(kern, pts, z, np.random.default_rng(seed + 50))
 
-            cache = _PsiCache(kern, pts, z)
-            grads = psi_backward(cache, r0, r1, r2)
+    @pytest.mark.parametrize("case", ["random", *EDGE_CASES])
+    def test_matches_loop_reference(self, case):
+        kern, pts, z = random_setup(60, n=4, m=5, q=3) if case == "random" else edge_setup(case, 61)
+        probe = random_probe(np.random.default_rng(62), pts.count, z.shape[0])
+        expected = loop_reference(kern, pts, z, *probe)
+        for got, ref in zip(closed_form(kern, pts, z, *probe), expected):
+            assert error_to_largest(got, ref) < 1e-12
 
-            eps = 1e-6
-            la0 = np.log(kern.inv_length_scales)
-            ls0 = np.log(kern.signal_variance)
+    def test_invariant_to_translating_points_and_inducing_inputs(self):
+        # Psi1 and Psi2 depend on mu - z only; the expanded Psi2 exponent must
+        # not lose that far from the origin
+        kern, pts, z = random_setup(70, n=20, m=8, q=6)
+        probe = random_probe(np.random.default_rng(71), pts.count, z.shape[0])
+        shifted = LatentPoints(pts.mean + 100.0, pts.var)
+        for got, ref in zip(closed_form(kern, shifted, z + 100.0, *probe), closed_form(kern, pts, z, *probe)):
+            assert error_to_largest(got, ref) < 1e-12
 
-            def fd(setter):
-                def h(e):
-                    args = setter(e)
-                    return probe(*args)
-                return (h(eps) - h(-eps)) / (2 * eps)
-
-            for i in range(pts.count):
-                for j in range(pts.dim):
-                    dmu = fd(lambda e, i=i, j=j: (
-                        pts.mean + e * np.eye(pts.count)[i][:, None] * np.eye(pts.dim)[j][None, :],
-                        pts.var, z, la0, ls0))
-                    assert max_rel_error(grads.dmu[i, j], dmu) < 1e-4
-                    dvar = fd(lambda e, i=i, j=j: (
-                        pts.mean,
-                        pts.var + e * np.eye(pts.count)[i][:, None] * np.eye(pts.dim)[j][None, :],
-                        z, la0, ls0))
-                    assert max_rel_error(grads.dvar[i, j], dvar) < 1e-4
-            for i in range(z.shape[0]):
-                for j in range(z.shape[1]):
-                    dz = fd(lambda e, i=i, j=j: (
-                        pts.mean, pts.var,
-                        z + e * np.eye(z.shape[0])[i][:, None] * np.eye(z.shape[1])[j][None, :],
-                        la0, ls0))
-                    assert max_rel_error(grads.dz[i, j], dz) < 1e-4
-            for j in range(q):
-                dla = fd(lambda e, j=j: (pts.mean, pts.var, z, la0 + e * np.eye(q)[j], ls0))
-                analytic = grads.dalpha[j] * kern.inv_length_scales[j]
-                assert max_rel_error(analytic, dla) < 1e-4
-            dls = fd(lambda e: (pts.mean, pts.var, z, la0, ls0 + e))
-            assert max_rel_error(grads.dsigma2 * kern.signal_variance, dls) < 1e-4
+    def test_peak_memory_below_one_four_dimensional_tensor(self):
+        # forward and backward at the heavy-user shape must not build an
+        # (N, M, M, Q) float64 array (21.6 MB here)
+        n, m, q = 500, 30, 6
+        kern, pts, z = random_setup(80, n=n, m=m, q=q)
+        r0, r1, r2 = random_probe(np.random.default_rng(81), n, m)
+        tracemalloc.start()
+        try:
+            psi_backward(_PsiCache(kern, pts, z), r0, r1, r2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * m * q * 8
