@@ -13,22 +13,44 @@ The total objective adds the per-user terms and subtracts one KL divergence
 from the variational posterior to the standard-normal prior over every free
 latent coordinate.
 
-Everything is evaluated in whitened form: with K = L L^T and
-B = I + beta * L^-1 Psi2 L^-T, the determinant terms collapse to
--(1/2) log|B| and every quadratic goes through triangular solves, so the
-evaluation stays accurate even when inducing points nearly coincide.  The
-backward pass chains analytic derivatives through the psi/phi statistics,
-the factorizations, and the log-determinants; no finite differences are
-used anywhere in training.
+Everything is evaluated in whitened form.  K = sigma2 * C, where the
+unit-signal inducing gram C = L_C L_C^T is common to all users, so
+L = sqrt(sigma2) L_C and one triangular inverse L_C^-1 whitens every user.
+With
 
-Each user's forward pass (psi and phi statistics, the whitened system and
-its solves) is :func:`_user_forward`; the bound (:func:`_user_terms`) and
-the cached predictive factors (:func:`user_posterior`) both build on it.
-:func:`_scatter_user` is the one map from a user's row gradients onto the
-shared latent tables, used by the full batch (:func:`total_bound`) and by
-SGD alike.  It walks the state's table description
-(:attr:`gplvmf.state.KernelLayout.tables`): a kernel table takes its slice of
-the kernel row gradients, a bias table the per-row gradients of
+    T = L^-1 Psi2 L^-T,   B = I + beta * T,   c = Psi1^T r,   b = B^-1 L^-1 c,
+
+the determinant terms collapse to -(1/2) log|B|, and Tr(K^-1 Psi2) = Tr(T),
+W2 = beta^2 (L^-1 c)^T b, Tr(A^-1 Psi2) = Tr(B^-1 T) and, for
+w = A^-1 c = L^-T b, w^T Psi2 w = b^T T b.  Every cotangent is L^-T X L^-1
+with X in whitened space; since I - B^-1 = beta * B^-1 T,
+
+    dF/dK    = -(beta^2/2) L^-T (B^-1 T^2 + b b^T) L^-1
+    dF/dPsi2 =  (beta^2/2) L^-T (B^-1 T - beta * b b^T) L^-1
+
+(B^-1 and T commute).  No inverse of K or A is formed, so large entries do
+not cancel when inducing points nearly coincide.  When the Cholesky of B
+needs jitter, B = (1 + e) I + beta * T (A gains e * K) and
+I - B^-1 = beta * B^-1 T + e * B^-1 keeps both cotangents exact.  The
+backward pass chains analytic derivatives through the psi/phi statistics,
+the factorizations and the log-determinants; no finite differences are used
+anywhere in training.
+
+User terms are independent given the state (rows and users sum
+independently, the map-reduce form of Gal, van der Wilk & Rasmussen 2014),
+so :func:`total_bound` takes users in chunks.  Users with the same number of
+ratings share a chunk of at most ``_ROW_BUDGET`` rows * M^2 (the size of the
+chunk's Psi2 rows).  A chunk makes one unit-signal psi pass over its rows
+(Psi1 scales by sigma2 and Psi2 by sigma2^2 per user), takes every per-user
+sum as a reshape over (U, n, ...), solves one stacked (U, M, M) whitened
+system, makes one :func:`psi_backward` call and one ``np.add.at`` per latent
+table (:func:`_scatter`).  The inducing-gram gradient is linear in dF/dK, so
+the chunks' sigma2-weighted cotangents are summed and go through one
+:func:`gram_backward` per call.  One user is the U = 1 chunk: SGD's
+:func:`_user_terms` and prediction's :func:`user_posterior` use the same
+:func:`_forward`.  The scatter walks the state's table description
+(:attr:`gplvmf.state.KernelLayout.tables`): a kernel table takes its slice
+of the kernel row gradients, a bias table the per-row gradients of
 :func:`phi_backward`, and both are added at the entries the rows read.  The
 KL (:func:`kl_to_prior`, :func:`kl_gradient`) walks the same description,
 since kernel and bias latents share the standard-normal prior.
@@ -39,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from .data import UserBlock
 from .kernels import ArdKernel, LatentPoints, _PsiCache, gram_backward, psi_backward
@@ -48,6 +70,9 @@ from .state import LatentTable, VariationalState
 
 DEFAULT_JITTER = 1e-6
 _ESCALATION = (1.0, 10.0, 100.0)
+# Rows * M^2 of one chunk of users.  It caps the chunk's (N, M, M) Psi2 rows
+# and keeps its matrix products small enough for one BLAS thread.
+_ROW_BUDGET = 2**15
 
 
 class FactorizationError(ArithmeticError):
@@ -77,13 +102,12 @@ def _chol_with_escalation(mat: np.ndarray, scale: float, jitter: float, what: st
 @dataclass
 class SharedFactors:
     """Quantities common to every user at a fixed (Z, alpha): the unit-signal
-    inducing gram C = exp-part + jitter*I and its factorization."""
+    inducing gram C = exp-part + jitter*I, its factor and that factor's inverse."""
 
     gram0: np.ndarray        # exp part only, unit diagonal
     c: np.ndarray            # gram0 + jitter*I
-    chol_c: np.ndarray       # lower triangular
-    cinv: np.ndarray
-    logdet: float
+    chol_c: np.ndarray       # lower triangular L_C
+    linv: np.ndarray         # L_C^-1, lower triangular
     jitter: float
 
 
@@ -93,100 +117,238 @@ def shared_factors(state: VariationalState, jitter: float = DEFAULT_JITTER) -> S
         -0.5 * np.einsum("q,abq->ab", alpha, (state.z[:, None, :] - state.z[None, :, :]) ** 2)
     )
     chol_c, j = _chol_with_escalation(gram0, 1.0, jitter, "inducing gram")
-    eye = np.eye(gram0.shape[0])
-    c = gram0 + j * eye
-    cinv = cho_solve((chol_c, True), eye)
-    cinv = 0.5 * (cinv + cinv.T)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol_c)))
-    return SharedFactors(gram0=gram0, c=c, chol_c=chol_c, cinv=cinv, logdet=logdet, jitter=j)
+    linv, _ = lapack.dtrtri(chol_c, lower=1)
+    return SharedFactors(gram0=gram0, c=gram0 + j * np.eye(gram0.shape[0]), chol_c=chol_c, linv=linv, jitter=j)
+
+
+def _stack(blocks: list, users: np.ndarray) -> UserBlock:
+    """The blocks' rows end to end.  ``user`` holds every row's user, which is
+    all that the mean function reads of it."""
+    return UserBlock(
+        user=np.repeat(users, blocks[0].count),
+        items=np.concatenate([b.items for b in blocks]),
+        cat_values=np.concatenate([b.cat_values for b in blocks]),
+        real_values=np.concatenate([b.real_values for b in blocks]),
+        ratings=np.concatenate([b.ratings for b in blocks]),
+        record_indices=np.concatenate([b.record_indices for b in blocks]),
+    )
+
+
+def _chunks(blocks: list, m: int) -> list:
+    """Index lists of the blocks that share a chunk: equal rating counts and
+    at most ``_ROW_BUDGET`` rows * M^2 together, one block at the least."""
+    open_chunk, chunks = {}, []
+    for i, block in enumerate(blocks):
+        size = max(1, _ROW_BUDGET // (block.count * m * m))
+        chunk = open_chunk.get(block.count)
+        if chunk is None or len(chunk) == size:
+            chunk = open_chunk[block.count] = []
+            chunks.append(chunk)
+        chunk.append(i)
+    return chunks
+
+
+def _chol_users(b_mat: np.ndarray, users: np.ndarray, jitter: float):
+    """Stacked lower Cholesky of the users' B.  A stacked factorization fails
+    as a whole, so on failure each user is factored alone and only a user
+    whose B fails gets jitter escalation; that jitter is added to ``b_mat``
+    in place.  Returns the factors and the jitter added per user."""
+    extra = np.zeros(len(users))
+    try:
+        return np.linalg.cholesky(b_mat), extra
+    except np.linalg.LinAlgError:
+        pass
+    chol = np.empty_like(b_mat)
+    for i, user in enumerate(users):
+        chol[i], extra[i] = _chol_with_escalation(b_mat[i], 1.0, jitter, f"user {user} system", base=False)
+        b_mat[i] += extra[i] * np.eye(b_mat.shape[1])
+    return chol, extra
 
 
 @dataclass
-class _UserForward:
-    """The per-user forward pass: psi and phi statistics and the whitened
-    system.  Transient; :class:`UserPosterior` keeps only its solve factors."""
+class _Forward:
+    """Forward pass of a chunk of U users of n ratings each: psi and phi
+    statistics over the rows end to end and the stacked whitened systems.
+    Per-user arrays lead with U; row arrays have U * n rows."""
 
-    sigma2: float
-    beta: float
-    cache: _PsiCache         # keeps alpha, the row variances assemble_rows gave, Psi1 and Psi2
-    phi1: np.ndarray
-    phi0: float
-    l_k: np.ndarray          # lower factor of K = sigma2 * C
-    t_mat: np.ndarray        # L^-1 Psi2 L^-T
-    chol_b: np.ndarray       # lower factor of B = I + beta * t_mat (+ escalation)
-    extra: float             # jitter the escalation added to B
-    resid: np.ndarray        # y - phi1
-    c_vec: np.ndarray        # Psi1^T (y - phi1)
-    c_hat: np.ndarray        # L^-1 c_vec
-    b_inv_c_hat: np.ndarray
+    rows: UserBlock
+    users: np.ndarray        # (U,)
+    sigma2: np.ndarray       # (U,)
+    beta: np.ndarray         # (U,)
+    cache: _PsiCache         # unit signal; keeps alpha, the row variances, Psi1 and the Psi2 rows
+    phi1: np.ndarray         # (U*n,)
+    resid: np.ndarray        # (U*n,) y - phi1
+    quad: np.ndarray         # (U,) y^T y - 2 y^T phi1 + phi0
+    t_mat: np.ndarray        # (U, M, M) L^-1 Psi2 L^-T
+    chol_b: np.ndarray       # (U, M, M) lower factor of B = I + beta * T (+ escalation)
+    b_inv: np.ndarray        # (U, M, M) B^-1
+    extra: np.ndarray        # (U,) jitter the escalation added to B
+    c_hat: np.ndarray        # (U, M) L^-1 Psi1^T (y - phi1)
+    b_vec: np.ndarray        # (U, M) B^-1 c_hat
 
 
-def _user_forward(block: UserBlock, state: VariationalState, shared: SharedFactors) -> _UserForward:
-    """Psi cache, phi statistics, whitened B with jitter escalation, and the
-    ``Psi1^T (y - phi1)`` solves of one user; shared by the bound and q(u)."""
-    sigma2 = float(np.exp(state.log_sigma2[block.user]))
-    beta = float(np.exp(state.log_beta[block.user]))
+def _forward(blocks: list, state: VariationalState, shared: SharedFactors) -> _Forward:
+    """Psi cache, phi statistics and whitened B with per-user jitter escalation
+    of a chunk of users with equal rating counts; shared by the bound and q(u)."""
+    users = np.array([b.user for b in blocks])
+    rows = blocks[0] if len(blocks) == 1 else _stack(blocks, users)
+    u, n, m = len(blocks), blocks[0].count, state.inducing_count
+    sigma2 = np.exp(state.log_sigma2[users])
+    beta = np.exp(state.log_beta[users])
 
-    mu_rows, var_rows = state.assemble_rows(block)
-    kern = ArdKernel(sigma2, np.exp(state.log_alpha))
+    mu_rows, var_rows = state.assemble_rows(rows)
+    kern = ArdKernel(1.0, np.exp(state.log_alpha))
     cache = _PsiCache(kern, LatentPoints(mu_rows, var_rows, state.layout.fixed_mask), state.z)
 
     if state.dims.use_mean:
-        phi = phi_statistics(state.bias, block)
-        phi1, phi0 = phi.phi1, phi.phi0
+        phi = phi_statistics(state.bias, rows)
+        phi1, row_var = phi.phi1, phi.row_var
     else:
-        phi1, phi0 = np.zeros(block.count), 0.0
+        phi1, row_var = np.zeros(rows.count), 0.0
+    resid = rows.ratings - phi1
+    quad = (resid**2 + row_var).reshape(u, n).sum(axis=1)
 
-    # whitened system: K = L L^T, B = I + beta * L^-1 Psi2 L^-T
-    l_k = np.sqrt(sigma2) * shared.chol_c
-    half = solve_triangular(l_k, cache.psi2, lower=True)
-    t_mat = solve_triangular(l_k, half.T, lower=True)
-    t_mat = 0.5 * (t_mat + t_mat.T)
-    b = np.eye(state.inducing_count) + beta * t_mat
+    # whitened systems: L = sqrt(sigma2) L_C, so T = sigma2 L_C^-1 Psi2_unit L_C^-T
+    linv = shared.linv
+    psi2 = cache.psi2_rows.reshape(u, n, m, m).sum(axis=1)
+    t_mat = sigma2[:, None, None] * (linv @ psi2 @ linv.T)
+    t_mat = 0.5 * (t_mat + t_mat.transpose(0, 2, 1))
+    b_mat = np.eye(m) + beta[:, None, None] * t_mat
     # escalation adds extra*I to B, i.e. extra*K to A; gradient stays exact
-    chol_b, extra = _chol_with_escalation(b, 1.0, shared.jitter, f"user {block.user} system", base=False)
+    chol_b, extra = _chol_users(b_mat, users, shared.jitter)
+    b_inv = np.linalg.inv(b_mat)
 
-    resid = block.ratings - phi1
-    c_vec = cache.psi1.T @ resid
-    c_hat = solve_triangular(l_k, c_vec, lower=True)
-    b_inv_c_hat = cho_solve((chol_b, True), c_hat)
-    return _UserForward(
-        sigma2=sigma2,
-        beta=beta,
-        cache=cache,
-        phi1=phi1,
-        phi0=phi0,
-        l_k=l_k,
-        t_mat=t_mat,
-        chol_b=chol_b,
-        extra=extra,
-        resid=resid,
-        c_vec=c_vec,
-        c_hat=c_hat,
-        b_inv_c_hat=b_inv_c_hat,
+    c_unit = np.matmul(resid.reshape(u, 1, n), cache.psi1.reshape(u, n, m))[:, 0]
+    c_hat = np.sqrt(sigma2)[:, None] * (c_unit @ linv.T)
+    b_vec = np.matmul(b_inv, c_hat[:, :, None])[:, :, 0]
+    return _Forward(
+        rows=rows, users=users, sigma2=sigma2, beta=beta, cache=cache, phi1=phi1, resid=resid,
+        quad=quad, t_mat=t_mat, chol_b=chol_b, b_inv=b_inv, extra=extra, c_hat=c_hat, b_vec=b_vec,
     )
 
 
 @dataclass
 class UserTerms:
-    """Value and gradients of one user's bound term, from :func:`_user_terms`.
+    """Values and gradients of the bound terms of a chunk of users (one user
+    for an SGD step), from :func:`_terms`.
 
     Gradients are with respect to the unconstrained (log) parameters.  The
     row-level kernel gradients (``gmu_rows``/``glog_var_rows``) are per
-    rating row; :func:`_scatter_user` adds them into the shared entity
-    tables.  ``dphi1``/``dphi0`` feed the bias-latent backward pass.
+    rating row of ``rows``; :func:`_scatter` adds them into the shared
+    entity tables.  ``dphi1``/``dphi0`` feed the bias-latent backward pass.
+    ``gz``/``glog_alpha`` hold the psi part; the inducing-gram part comes
+    from ``d_gram``, the chunk's summed sigma2 * dF/dK, through
+    :func:`_gram_gradient` (:func:`_user_terms` folds it in).
     """
 
-    value: float
+    value: np.ndarray                     # (U,)
+    rows: UserBlock
+    users: np.ndarray                     # (U,)
     gmu_rows: np.ndarray | None = None
     glog_var_rows: np.ndarray | None = None
     gz: np.ndarray | None = None
     glog_alpha: np.ndarray | None = None
-    glog_sigma2: float = 0.0
-    glog_beta: float = 0.0
+    glog_sigma2: np.ndarray | None = None   # (U,)
+    glog_beta: np.ndarray | None = None     # (U,)
     dphi1: np.ndarray | None = None
-    dphi0: float = 0.0
+    dphi0: np.ndarray | None = None         # per row
     phi1: np.ndarray | None = None
+    d_gram: np.ndarray | None = None
+
+
+def _terms(
+    blocks: list,
+    state: VariationalState,
+    shared: SharedFactors,
+    want_gradients: bool,
+) -> UserTerms:
+    """Bound terms of a chunk of users with equal rating counts (module docstring)."""
+    fw = _forward(blocks, state, shared)
+    u, n, m = len(blocks), blocks[0].count, state.inducing_count
+    sigma2, beta, t_mat, b_vec = fw.sigma2, fw.beta, fw.t_mat, fw.b_vec
+    psi0 = n * sigma2
+
+    logdet_b = 2.0 * np.log(np.diagonal(fw.chol_b, axis1=1, axis2=2)).sum(axis=1)
+    tr_t = np.trace(t_mat, axis1=1, axis2=2)                            # Tr(K^-1 Psi2)
+    cb = np.einsum("ua,ua->u", fw.c_hat, b_vec)                         # W2 / beta^2
+
+    value = (
+        0.5 * n * np.log(beta)
+        - 0.5 * n * np.log(2.0 * np.pi)
+        - 0.5 * logdet_b
+        - 0.5 * beta * fw.quad
+        + 0.5 * beta**2 * cb
+        - 0.5 * beta * psi0
+        + 0.5 * beta * tr_t
+    )
+
+    if not want_gradients:
+        return UserTerms(value=value, rows=fw.rows, users=fw.users)
+
+    linv = shared.linv
+    bt = fw.b_inv @ t_mat                                               # B^-1 T
+    bb = b_vec[:, :, None] * b_vec[:, None, :]
+    be, ex = beta[:, None, None], fw.extra[:, None, None]
+    # whitened cotangents of K and Psi2: dF/dK = L^-T x_k L^-1, dF/dPsi2 = L^-T x_psi2 L^-1
+    x_k = -0.5 * be**2 * (bt @ t_mat + (1.0 + ex) * bb) - 0.5 * be * ex * bt
+    x_psi2 = 0.5 * be * (be * bt + ex * fw.b_inv - be**2 * bb)
+
+    # the unit-signal cache takes sigma2 * dF/dPsi1 and sigma2^2 * dF/dPsi2;
+    # dF/dPsi1 = beta^2 r w^T with w = A^-1 c = L_C^-T b / sqrt(sigma2)
+    root = np.sqrt(sigma2)
+    lw = b_vec @ linv                                                   # rows (L_C^-T b)^T
+    d_psi1 = ((root * beta**2)[:, None] * fw.resid.reshape(u, n))[:, :, None] * lw[:, None, :]
+    d_psi2 = sigma2[:, None, None] * (linv.T @ x_psi2 @ linv)
+    psi_grads = psi_backward(fw.cache, 0.0, d_psi1.reshape(u * n, m), d_psi2)
+
+    # K = sigma2 * C and the psi statistics are monomials in sigma2: with
+    # dF/dPsi0 = -beta/2, sigma2 * dF/dsigma2 = beta^2 c^T w + 2 Tr(x_psi2 T)
+    # - (beta/2) psi0 + Tr(x_k)
+    glog_sigma2 = (
+        beta**2 * cb
+        + 2.0 * np.sum(x_psi2 * t_mat, axis=(1, 2))
+        - 0.5 * beta * psi0
+        + np.trace(x_k, axis1=1, axis2=2)
+    )
+    # d(W2/2)/dbeta = beta c^T w - (beta^2/2) w^T Psi2 w, with dA/dbeta = Psi2
+    tbt = np.einsum("ua,uab,ub->u", b_vec, t_mat, b_vec)
+    glog_beta = beta * (
+        0.5 * n / beta
+        - 0.5 * np.trace(bt, axis1=1, axis2=2)
+        - 0.5 * fw.quad
+        + beta * cb
+        - 0.5 * beta**2 * tbt
+        - 0.5 * psi0
+        + 0.5 * tr_t
+    )
+
+    psi1_w = root[:, None] * np.matmul(fw.cache.psi1.reshape(u, n, m), lw[:, :, None])[:, :, 0]
+    d_phi1 = beta[:, None] * fw.rows.ratings.reshape(u, n) - (beta**2)[:, None] * psi1_w
+
+    # chain rule into the log parameterization: d/dlog(x) = x * d/dx
+    return UserTerms(
+        value=value,
+        rows=fw.rows,
+        users=fw.users,
+        gmu_rows=psi_grads.dmu,
+        glog_var_rows=psi_grads.dvar * fw.cache.s,
+        gz=psi_grads.dz,
+        glog_alpha=psi_grads.dalpha * fw.cache.alpha,
+        glog_sigma2=glog_sigma2,
+        glog_beta=glog_beta,
+        dphi1=d_phi1.ravel(),
+        dphi0=np.repeat(-0.5 * beta, n),
+        phi1=fw.phi1,
+        d_gram=linv.T @ x_k.sum(axis=0) @ linv,
+    )
+
+
+def _gram_gradient(state: VariationalState, shared: SharedFactors, d_gram: np.ndarray):
+    """(z, log alpha) gradients through the unit-signal inducing gram, for the
+    summed ``d_gram = sum_u sigma2_u * dF/dK_u``."""
+    alpha = np.exp(state.log_alpha)
+    gz, galpha = gram_backward(ArdKernel(1.0, alpha), state.z, shared.gram0, d_gram)
+    return gz, galpha * alpha
 
 
 def _user_terms(
@@ -195,89 +357,20 @@ def _user_terms(
     shared: SharedFactors,
     want_gradients: bool,
 ) -> UserTerms:
-    n = block.count
-    m = state.inducing_count
-    y = block.ratings
-    fw = _user_forward(block, state, shared)
-    sigma2, beta, alpha = fw.sigma2, fw.beta, fw.cache.alpha
-    psi2, l_k, chol_b = fw.cache.psi2, fw.l_k, fw.chol_b
-    psi0 = n * sigma2
-
-    logdet_b = 2.0 * np.sum(np.log(np.diag(chol_b)))
-    tr_kinv_psi2 = float(np.trace(fw.t_mat))
-    quad = float(y @ y - 2.0 * (y @ fw.phi1) + fw.phi0)
-    w1 = beta * quad
-    w2 = beta**2 * float(fw.c_hat @ fw.b_inv_c_hat)
-
-    value = (
-        0.5 * n * np.log(beta)
-        - 0.5 * n * np.log(2.0 * np.pi)
-        - 0.5 * logdet_b
-        - 0.5 * (w1 - w2)
-        - 0.5 * beta * psi0
-        + 0.5 * beta * tr_kinv_psi2
-    )
-
-    if not want_gradients:
-        return UserTerms(value=float(value))
-
-    eye = np.eye(m)
-    w = solve_triangular(l_k.T, fw.b_inv_c_hat, lower=False)    # A^-1 c
-    l_inv = solve_triangular(l_k, eye, lower=True)
-    b_inv = cho_solve((chol_b, True), eye)
-    a_inv = l_inv.T @ b_inv @ l_inv
-    a_inv = 0.5 * (a_inv + a_inv.T)
-    k_inv = shared.cinv / sigma2
-    kinv_psi2_kinv = k_inv @ psi2 @ k_inv
-    ww = np.outer(w, w)
-
-    # cotangent of A = (1 + extra) * K + beta * Psi2
-    d_a = -0.5 * a_inv - 0.5 * beta**2 * ww
-    d_k = 0.5 * k_inv + (1.0 + fw.extra) * d_a - 0.5 * beta * kinv_psi2_kinv
-    d_psi2 = beta * d_a + 0.5 * beta * k_inv
-    d_psi1 = beta**2 * np.outer(fw.resid, w)
-    d_psi0 = -0.5 * beta
-
-    psi_grads = psi_backward(fw.cache, d_psi0, d_psi1, d_psi2)
-
-    # K_MM = sigma2 * (gram0 + jitter*I): route the gram channel into Z/alpha
-    # and fold the whole sigma2 dependence into one scaling identity.
-    gz_k, galpha_k = gram_backward(ArdKernel(1.0, alpha), state.z, shared.gram0, sigma2 * d_k)
-    gsigma2 = psi_grads.dsigma2 + float(np.sum(d_k * shared.c))
-
-    # d(W2/2)/dbeta = beta c^T w - (beta^2/2) w^T Psi2 w, with dA/dbeta = Psi2
-    gbeta = (
-        0.5 * n / beta
-        - 0.5 * float(np.sum(a_inv * psi2))
-        - 0.5 * quad
-        + beta * float(fw.c_vec @ w)
-        - 0.5 * beta**2 * float(w @ psi2 @ w)
-        - 0.5 * psi0
-        + 0.5 * tr_kinv_psi2
-    )
-
-    d_phi1 = beta * y - beta**2 * (fw.cache.psi1 @ w)
-    d_phi0 = -0.5 * beta
-
-    # chain rule into the log parameterization: d/dlog(x) = x * d/dx
-    return UserTerms(
-        value=float(value),
-        gmu_rows=psi_grads.dmu,
-        glog_var_rows=psi_grads.dvar * fw.cache.s,
-        gz=psi_grads.dz + gz_k,
-        glog_alpha=(psi_grads.dalpha + galpha_k) * alpha,
-        glog_sigma2=gsigma2 * sigma2,
-        glog_beta=gbeta * beta,
-        dphi1=d_phi1,
-        dphi0=d_phi0,
-        phi1=fw.phi1,
-    )
+    """One user's terms, the U = 1 chunk, with the inducing-gram gradient
+    folded into ``gz``/``glog_alpha``: what one SGD step scatters."""
+    terms = _terms([block], state, shared, want_gradients)
+    if want_gradients:
+        gz, glog_alpha = _gram_gradient(state, shared, terms.d_gram)
+        terms.gz += gz
+        terms.glog_alpha += glog_alpha
+    return terms
 
 
 def user_bound(block: UserBlock, state: VariationalState, jitter: float = DEFAULT_JITTER) -> float:
     """The collapsed bound term of a single user."""
     shared = shared_factors(state, jitter)
-    return _user_terms(block, state, shared, want_gradients=False).value
+    return float(_user_terms(block, state, shared, want_gradients=False).value[0])
 
 
 def kl_to_prior(state: VariationalState) -> float:
@@ -318,30 +411,32 @@ class BoundReport:
     grad_dict: dict | None = None
 
 
-def _scatter_user(state: VariationalState, block: UserBlock, terms: UserTerms, grads: dict) -> None:
-    """Add one user's gradients into ``grads`` (keyed like ``state.zero_grads()``,
+def _scatter(state: VariationalState, terms: UserTerms, grads: dict) -> None:
+    """Add a chunk's gradients into ``grads`` (keyed like ``state.zero_grads()``,
     log parameterization), mapping row gradients onto the latent tables.
 
     Kernel tables take their slice of the kernel row gradients; bias tables
     take the per-row gradients of :func:`phi_backward`.  Real columns are
-    data, not parameters, so their kernel gradient is dropped.
+    data, not parameters, so their kernel gradient is dropped.  Per-user
+    entries are added with ``np.add.at`` too: a chunk may hold a user twice.
     """
+    rows, users = terms.rows, terms.users
     if state.dims.use_mean:
-        pg = phi_backward(state.bias, block, terms.dphi1, terms.dphi0, terms.phi1)
+        pg = phi_backward(state.bias, rows, terms.dphi1, terms.dphi0, terms.phi1)
         grads["real_weights"] += pg.real_weights
-        grads["user_bias"][block.user] += pg.user_bias
+        np.add.at(grads["user_bias"], users, pg.mean_rows.reshape(len(users), -1).sum(axis=1))
     for t in state.layout.tables:
-        codes = t.codes(block)
+        codes = t.codes(rows)
         if t.in_kernel:
             gmean, glog_var = terms.gmu_rows[:, t.sl], terms.glog_var_rows[:, t.sl]
         else:
-            gmean, glog_var = pg.mean_rows[:, None], pg.var * np.exp(state.params[t.log_var][codes])
+            gmean, glog_var = pg.mean_rows[:, None], pg.var[:, None] * np.exp(state.params[t.log_var][codes])
         np.add.at(grads[t.mean], codes, gmean)
         np.add.at(grads[t.log_var], codes, glog_var)
     grads["z"] += terms.gz
     grads["log_alpha"] += terms.glog_alpha
-    grads["log_sigma2"][block.user] += terms.glog_sigma2
-    grads["log_beta"][block.user] += terms.glog_beta
+    np.add.at(grads["log_sigma2"], users, terms.glog_sigma2)
+    np.add.at(grads["log_beta"], users, terms.glog_beta)
 
 
 def total_bound(
@@ -353,18 +448,20 @@ def total_bound(
     """Sum of user terms minus the KL to the prior, with the full gradient.
 
     User terms are independent given a read-only state snapshot (map-reduce
-    contract); each user's gradients are scattered straight into the
-    full-size gradient tables by :func:`_scatter_user`.
+    contract); users are taken in chunks (:func:`_chunks`), and each chunk's
+    gradients are scattered straight into the full-size gradient tables by
+    :func:`_scatter`.
     """
     shared = shared_factors(state, jitter)
     per_user = np.empty(len(blocks))
-
     grads = state.zero_grads() if want_gradients else None
-    for i, block in enumerate(blocks):
-        terms = _user_terms(block, state, shared, want_gradients)
-        per_user[i] = terms.value
+    d_gram = np.zeros_like(shared.gram0)
+    for idx in _chunks(blocks, state.inducing_count):
+        terms = _terms([blocks[i] for i in idx], state, shared, want_gradients)
+        per_user[idx] = terms.value
         if want_gradients:
-            _scatter_user(state, block, terms, grads)
+            _scatter(state, terms, grads)
+            d_gram += terms.d_gram
 
     kl = kl_to_prior(state)
     total = float(per_user.sum() - kl)
@@ -372,6 +469,9 @@ def total_bound(
     if not want_gradients:
         return BoundReport(total=total, per_user=per_user, kl=kl, gradients=None)
 
+    gz, glog_alpha = _gram_gradient(state, shared, d_gram)
+    grads["z"] += gz
+    grads["log_alpha"] += glog_alpha
     for key, g in kl_gradients(state).items():
         grads[key] -= g
 
@@ -401,15 +501,17 @@ def user_posterior(
 ) -> UserPosterior:
     if shared is None:
         shared = shared_factors(state, jitter)
-    fw = _user_forward(block, state, shared)
+    fw = _forward([block], state, shared)
+    sigma2 = float(fw.sigma2[0])
+    root = np.sqrt(sigma2)
     return UserPosterior(
         user=block.user,
-        sigma2=fw.sigma2,
-        beta=fw.beta,
-        chol_k=fw.l_k,
-        chol_b=fw.chol_b,
-        v=solve_triangular(fw.l_k.T, fw.b_inv_c_hat, lower=False),
-        k_mm=fw.sigma2 * shared.c,
+        sigma2=sigma2,
+        beta=float(fw.beta[0]),
+        chol_k=root * shared.chol_c,
+        chol_b=fw.chol_b[0],
+        v=(fw.b_vec[0] @ shared.linv) / root,     # L^-T b
+        k_mm=sigma2 * shared.c,
         shared=shared,
     )
 

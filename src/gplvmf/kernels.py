@@ -141,7 +141,7 @@ class _PsiCache:
     inputs; Psi1, Psi2 and every gradient are invariant to that shift.
     """
 
-    __slots__ = ("mu", "s", "z", "alpha", "sigma2", "psi1", "w", "dz", "zz", "psi2_rows", "psi2")
+    __slots__ = ("mu", "s", "z", "alpha", "sigma2", "psi1", "w", "dz", "zz", "psi2_rows")
 
     def __init__(self, kernel: ArdKernel, points: LatentPoints, z: np.ndarray):
         alpha = kernel.inv_length_scales
@@ -169,7 +169,11 @@ class _PsiCache:
         expo -= 0.25 * np.einsum("q,abq->ab", alpha, self.dz**2)
         self.psi2_rows = np.exp(expo, out=expo)
         self.psi2_rows *= sigma2**2                                 # (N, M, M)
-        self.psi2 = self.psi2_rows.sum(axis=0)                      # (M, M)
+
+    @property
+    def psi2(self) -> np.ndarray:
+        """Psi2 summed over all rows (M, M)."""
+        return self.psi2_rows.sum(axis=0)
 
     def stats(self) -> PsiStats:
         n = self.mu.shape[0]
@@ -211,14 +215,18 @@ def psi_backward(
 ) -> PsiGradients:
     """Chain ``d objective / d (psi0, Psi1, Psi2)`` back to inputs.
 
-    ``dpsi2`` must be the gradient with respect to the summed (M x M) Psi2;
-    it is symmetrized here so callers may pass either triangle convention.
-    Every sum over inducing pairs is taken on (N, M) or (M, M) marginals of
-    ``dpsi2 * Psi2_rows`` and finished with rank-Q products.
+    ``dpsi2`` is the gradient with respect to the summed (M x M) Psi2, or a
+    (G, M, M) stack of them when the rows fall into G equal consecutive
+    groups that each sum their own Psi2 (a chunk of users).  It is
+    symmetrized here so callers may pass either triangle convention.  Every
+    sum over inducing pairs is taken on (N, M) or (M, M) marginals of
+    ``dpsi2 * Psi2_rows`` and finished with rank-Q products.  ``dsigma2``
+    is for the cache's one signal variance.
     """
     alpha, s, mu, z, w = cache.alpha, cache.s, cache.mu, cache.z, cache.w
     n, m = cache.psi1.shape
-    dpsi2 = 0.5 * (dpsi2 + dpsi2.T)
+    groups = np.reshape(dpsi2, (-1, m, m))
+    groups = 0.5 * (groups + groups.transpose(0, 2, 1))
 
     # Psi1 channel, per coordinate: exponent -v (mu - z_m)^2 / 2, v = alpha / d1
     d1 = 1.0 + alpha * s
@@ -235,7 +243,7 @@ def psi_backward(
     # Psi2 channel, per coordinate: exponent -w (mu - zbar_ab)^2 with
     # zbar_ab = (z_a + z_b) / 2; t2 is symmetric in (a, b)
     d2 = 1.0 + 2.0 * alpha * s
-    t2 = (cache.psi2_rows * dpsi2).reshape(n, m * m)                # (N, M^2)
+    t2 = (cache.psi2_rows.reshape(len(groups), -1, m, m) * groups[:, None]).reshape(n, m * m)
     t2_a = t2.reshape(n, m, m).sum(axis=2)                          # (N, M)
     t2_sum = t2_a.sum(axis=1)[:, None]
     t2_z = t2_a @ z
@@ -244,7 +252,7 @@ def psi_backward(
     )
     gmu -= 2.0 * w * (mu * t2_sum - t2_z)
     gs += 2.0 * w**2 * sq2 - w * t2_sum
-    pair = dpsi2 * cache.psi2                                       # sum_n t2, (M, M)
+    pair = t2.sum(axis=0).reshape(m, m)                             # sum_n t2, (M, M)
     galpha -= 0.25 * np.einsum("ab,abq->q", pair, cache.dz**2) + np.sum(
         sq2 / d2**2 + t2_sum * s / d2, axis=0
     )

@@ -59,10 +59,12 @@ class BiasLatents:
 
 @dataclass(frozen=True)
 class PhiStats:
-    """First and second moments of the mean vector for one user block."""
+    """First and second moments of the mean vector for one user block;
+    ``row_var`` is Var[m_t] per row, so phi0 = sum(phi1^2) + sum(row_var)."""
 
     phi1: np.ndarray
     phi0: float
+    row_var: np.ndarray | None = None
 
 
 def mean_vector(bias: BiasLatents, block: UserBlock) -> np.ndarray:
@@ -85,8 +87,8 @@ def _row_variances(bias: BiasLatents, block: UserBlock) -> np.ndarray:
 def phi_statistics(bias: BiasLatents, block: UserBlock) -> PhiStats:
     """phi1 = <m> and phi0 = <m^T m> under the variational posterior."""
     phi1 = mean_vector(bias, block)
-    phi0 = float(np.sum(phi1**2) + np.sum(_row_variances(bias, block)))
-    return PhiStats(phi1=phi1, phi0=phi0)
+    row_var = _row_variances(bias, block)
+    return PhiStats(phi1=phi1, phi0=float(np.sum(phi1**2) + np.sum(row_var)), row_var=row_var)
 
 
 @dataclass(frozen=True)
@@ -96,23 +98,24 @@ class PhiGradients:
     Row t reads one entry of every bias table (the bias tables of
     :attr:`gplvmf.state.KernelLayout.tables`).  Each mean coordinate of such
     an entry receives ``mean_rows[t]``, and each variance receives ``var``
-    once per reading row, i.e. its log-variance receives ``var * variance``;
-    :func:`gplvmf.bound._scatter_user` adds these into the tables as it does
-    the kernel row gradients.  ``user_bias`` and ``real_weights`` are the
-    point parameters' gradients.
+    (the given ``dphi0``: one value, or one per row) once per reading row,
+    i.e. its log-variance receives ``var * variance``;
+    :func:`gplvmf.bound._scatter` adds these into the tables as it does the
+    kernel row gradients.  ``user_bias`` and ``real_weights`` are the point
+    parameters' gradients.
     """
 
     user_bias: float
     real_weights: np.ndarray
     mean_rows: np.ndarray
-    var: float
+    var: float | np.ndarray
 
 
 def phi_backward(
     bias: BiasLatents,
     block: UserBlock,
     dphi1: np.ndarray,
-    dphi0: float,
+    dphi0: float | np.ndarray,
     phi1: np.ndarray | None = None,
 ) -> PhiGradients:
     if phi1 is None:

@@ -6,7 +6,8 @@ step ascends the gradient of ``F_n - KL/N`` over the parameters touched by
 that user plus the shared slice (inducing inputs and inverse length-scales);
 the KL gradient is shared out at weight 1/N per step.  Its per-user gradient
 comes from the same forward pass and scatter as the full batch
-(:func:`gplvmf.bound._user_terms` and :func:`gplvmf.bound._scatter_user`).
+(:func:`gplvmf.bound._user_terms`, the one-user chunk, and
+:func:`gplvmf.bound._scatter`).
 SCG is full-batch on the negated total bound, following Moller's algorithm
 with the scalar lambda regulator.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .bound import (
-    DEFAULT_JITTER, kl_gradient, kl_to_prior, shared_factors, total_bound, _scatter_user, _user_terms,
+    DEFAULT_JITTER, kl_gradient, kl_to_prior, shared_factors, total_bound, _scatter, _user_terms,
 )
 from .data import ContextSchema, UserBlock
 from .meanfn import phi_backward  # noqa: F401  looked up here by perfbench's traced run
@@ -175,14 +176,14 @@ def _check_params_finite(state: VariationalState, user: int) -> None:
 
 
 def _user_entries(state: VariationalState, block: UserBlock) -> list:
-    """(key, parameter table, rows) for every entry one user's gradient reaches.
-
-    ``rows`` repeats an entity once per rating of it; fancy-index reads and
-    in-place updates through it still act on each entry once.
-    """
+    """(key, parameter table, rows) for every entry one user's gradient
+    reaches; ``rows`` names each entry once."""
     rows = {"log_sigma2": block.user, "log_beta": block.user, "user_bias": block.user}
+    codes = {}
     for t in state.layout.tables:
-        rows[t.mean] = rows[t.log_var] = t.codes(block)
+        if t.column not in codes:
+            codes[t.column] = np.unique(t.codes(block))
+        rows[t.mean] = rows[t.log_var] = codes[t.column]
     return [(key, arr, rows.get(key, slice(None))) for key, arr in state.param_entries()]
 
 
@@ -195,11 +196,12 @@ def sgd_epoch(
     """One seeded shuffled pass over all users; mutates and returns ``state``.
 
     Each step scatters the user's gradient into a scratch copy of the
-    gradient tables with :func:`_scatter_user`, subtracts the 1/N share of
-    the KL gradient on the entries the user touched, clips, steps those
-    entries and zeroes them again.  Returns the running bound estimate: the
-    per-user terms as they were computed during the pass, minus the KL at
-    the end of the epoch.
+    gradient tables with :func:`_scatter`, subtracts the 1/N share of the KL
+    gradient on the entries the user touched, checks and clips the gradient
+    on those entries alone (each counted once), steps them and zeroes them
+    again, so no step reads a whole per-user or entity table.  Returns the
+    running bound estimate: the per-user terms as they were computed during
+    the pass, minus the KL at the end of the epoch.
     """
     n_users = len(blocks)
     rng = np.random.default_rng([config.seed, 7919, epoch_index])
@@ -213,28 +215,29 @@ def sgd_epoch(
         _check_params_finite(state, block.user)
         shared = shared_factors(state, config.jitter)
         terms = _user_terms(block, state, shared, want_gradients=True)
-        value_sum += terms.value
-        _scatter_user(state, block, terms, grads)
+        value_sum += terms.value[0]
+        _scatter(state, terms, grads)
 
+        entries = _user_entries(state, block)
+        touched = {key: rows for key, _, rows in entries}
         for t in state.layout.tables:
-            rows = t.codes(block)
+            rows = touched[t.mean]
             for key, kl in zip((t.mean, t.log_var), kl_gradient(state, t, rows)):
                 grads[key][rows] -= kl / n_users
-        # the scratch is zero off the touched entries, so whole-table sums suffice
-        sq = 0.0
-        for key, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise OptimizationError(
-                    f"non-finite gradient in parameter block {key!r} while processing user {block.user}"
-                )
-            sq += float(np.sum(g**2))
+        step = [grads[key][rows] for key, _, rows in entries]
+        flat = np.concatenate([np.ravel(g) for g in step])
+        if not np.all(np.isfinite(flat)):
+            key = next(key for (key, _, _), g in zip(entries, step) if not np.all(np.isfinite(g)))
+            raise OptimizationError(
+                f"non-finite gradient in parameter block {key!r} while processing user {block.user}"
+            )
         scale = lr
-        norm = np.sqrt(sq)
+        norm = np.sqrt(flat @ flat)
         if config.clip_norm and norm > config.clip_norm:
             scale = lr * config.clip_norm / norm
 
-        for key, arr, rows in _user_entries(state, block):
-            arr[rows] += scale * grads[key][rows]
+        for (key, arr, rows), g in zip(entries, step):
+            arr[rows] += scale * g
             grads[key][rows] = 0.0
 
     return state, value_sum - kl_to_prior(state)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 from .bound import DEFAULT_JITTER, SharedFactors, UserPosterior, shared_factors, user_posterior
 from .data import ContextSchema
@@ -60,6 +60,14 @@ class ContextRelevance:
 
     def share(self, name: str) -> float:
         return dict((n, sh) for n, _, sh in self.entries)[name]
+
+
+def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(chol, rhs, lower=True)`` for a
+    C-ordered Cholesky factor: the same LAPACK call with the same result,
+    without the argument checks that cost most of a warm query."""
+    x, _ = lapack.dtrtrs(chol.T, rhs, lower=0, trans=1)
+    return x
 
 
 class Predictor:
@@ -162,9 +170,9 @@ class Predictor:
         mean = post.beta * float(psi1_star[0] @ post.v) + phi1_star
 
         # var = sigma2 - psi* (K^-1 - A^-1) psi*^T, via whitened triangular solves
-        half_k = solve_triangular(post.chol_k, psi1_star.T, lower=True)
+        half_k = _solve_lower(post.chol_k, psi1_star.T)
         q1 = float(np.sum(half_k**2))
-        half_b = solve_triangular(post.chol_b, half_k, lower=True)
+        half_b = _solve_lower(post.chol_b, half_k)
         q2 = float(np.sum(half_b**2))
         variance = max(post.sigma2 - q1 + q2, 0.0)
         if include_noise:

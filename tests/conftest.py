@@ -49,9 +49,10 @@ def one_user_distinct_table(n_items, seed, rating_loc=3.0):
 def random_instance(seed, n_users=2, n_items=4, cat_card=3, with_real=True,
                     ratings_per_user=5, m=3, item_dim=2, context_dim=2,
                     use_mean=True, state_noise=0.15):
-    """A small randomized problem with a perturbed state, for gradient checks."""
+    """A small randomized problem with a perturbed state, for gradient checks;
+    ``cat_card=0`` leaves out the categorical context."""
     rng = np.random.default_rng(seed)
-    contexts = [ContextVariable("c0", "categorical", cat_card)]
+    contexts = [ContextVariable("c0", "categorical", cat_card)] if cat_card else []
     if with_real:
         contexts.append(ContextVariable("r0", "real"))
     schema = ContextSchema(user_count=n_users, item_count=n_items, contexts=tuple(contexts))
@@ -60,7 +61,7 @@ def random_instance(seed, n_users=2, n_items=4, cat_card=3, with_real=True,
         schema,
         users=np.repeat(np.arange(n_users), ratings_per_user),
         items=rng.integers(0, n_items, size=n),
-        cat=rng.integers(0, cat_card, size=(n, 1)),
+        cat=rng.integers(0, cat_card, size=(n, 1)) if cat_card else None,
         real=rng.normal(size=(n, 1)) if with_real else None,
         ratings=rng.normal(3.0, 1.0, size=n),
     )

@@ -7,6 +7,9 @@ from scipy.integrate import quad
 
 from gplvmf import (
     ArdKernel,
+    ContextSchema,
+    ContextVariable,
+    SyntheticSpec,
     TrainConfig,
     group_by_user,
     init_state,
@@ -14,6 +17,8 @@ from gplvmf import (
     kl_to_prior,
     mean_vector,
     optimal_qu,
+    sgd_epoch,
+    synthesize,
     total_bound,
     user_bound,
 )
@@ -315,3 +320,165 @@ class TestOptimalQu:
             _, sigma_u = optimal_qu(blocks[0], state)
             assert np.allclose(sigma_u, sigma_u.T)
             assert np.all(np.linalg.eigvalsh(sigma_u) > 0)
+
+
+def one_user_reference(blocks, state, jitter=1e-6):
+    """Per-user values, total and flat gradient from one-user calls alone."""
+    from gplvmf.bound import _scatter, _user_terms, shared_factors
+
+    shared = shared_factors(state, jitter)
+    grads = state.zero_grads()
+    values = []
+    for block in blocks:
+        terms = _user_terms(block, state, shared, want_gradients=True)
+        values.append(terms.value[0])
+        _scatter(state, terms, grads)
+    kl = kl_to_prior(state)
+    for key, g in kl_gradients(state).items():
+        grads[key] -= g
+    return np.array(values), sum(values) - kl, state.pack_like(grads)
+
+
+def assert_matches_reference(rep, reference):
+    values, total, grad = reference
+    np.testing.assert_allclose(rep.per_user, values, rtol=1e-12, atol=0)
+    assert rep.total == pytest.approx(total, rel=1e-12)
+    assert np.max(np.abs(rep.gradients - grad)) <= 1e-10 * np.max(np.abs(grad))
+
+
+STACKED_SHAPES = {
+    "mixed": dict(n_users=4),
+    "one_rating_users": dict(n_users=5, ratings_per_user=1),
+    "m_above_n": dict(n_users=3, ratings_per_user=2, m=5),
+    "no_contexts": dict(n_users=3, cat_card=0, with_real=False),
+    "only_real_contexts": dict(n_users=3, cat_card=0),
+    "no_mean": dict(n_users=3, use_mean=False),
+}
+
+
+class TestStackedBound:
+    @pytest.mark.parametrize("shape", sorted(STACKED_SHAPES))
+    def test_matches_one_user_calls(self, shape, monkeypatch):
+        import gplvmf.bound as bound
+
+        _, blocks, state, _ = random_instance(21, **STACKED_SHAPES[shape])
+        reference = one_user_reference(blocks, state)
+        n, m, u = blocks[0].count, state.inducing_count, len(blocks)
+        # the default budget puts every user in one chunk; then one user and
+        # two users per chunk, so that the last chunk is short
+        for budget, chunks in ((bound._ROW_BUDGET, 1), (1, u), (2 * n * m * m, (u + 1) // 2)):
+            monkeypatch.setattr(bound, "_ROW_BUDGET", budget)
+            assert len(bound._chunks(blocks, m)) == chunks
+            assert_matches_reference(total_bound(blocks, state), reference)
+
+    def test_duplicated_blocks_share_a_chunk(self):
+        _, blocks, state, _ = random_instance(22, n_users=3)
+        doubled = blocks + blocks[::-1]
+        assert_matches_reference(total_bound(doubled, state), one_user_reference(doubled, state))
+
+    def test_one_psi_pass_per_chunk(self, monkeypatch):
+        import gplvmf.bound as bound
+
+        # 300 users of 6 or 7 ratings at M = 8: users of equal counts share
+        # chunks of at most _ROW_BUDGET // (n * M^2) users
+        rng = np.random.default_rng(23)
+        counts = np.where(np.arange(300) % 2 == 0, 6, 7)
+        schema = ContextSchema(300, 10, (ContextVariable("c0", "categorical", 3),))
+        n = counts.sum()
+        table = build_table(
+            schema, users=np.repeat(np.arange(300), counts), items=rng.integers(0, 10, size=n),
+            cat=rng.integers(0, 3, size=(n, 1)), ratings=rng.normal(3.0, 1.0, size=n),
+        )
+        blocks = group_by_user(table)
+        state = init_state(schema, blocks, TrainConfig(inducing_count=8, item_dim=2, context_dim=2, seed=23))
+        expected = sum(int(np.ceil(150 / (bound._ROW_BUDGET // (c * 64)))) for c in (6, 7))
+        assert expected < 10
+
+        calls = {"psi": 0, "backward": 0}
+        real_cache, real_backward = bound._PsiCache, bound.psi_backward
+
+        def cache_spy(*args, **kwargs):
+            calls["psi"] += 1
+            return real_cache(*args, **kwargs)
+
+        def backward_spy(*args, **kwargs):
+            calls["backward"] += 1
+            return real_backward(*args, **kwargs)
+
+        monkeypatch.setattr(bound, "_PsiCache", cache_spy)
+        monkeypatch.setattr(bound, "psi_backward", backward_spy)
+        total_bound(blocks, state)
+        assert calls == {"psi": expected, "backward": expected}
+
+    def _poison(self, monkeypatch, block, state, rtol):
+        """Make np.linalg.cholesky fail, alone or inside a stack, on any
+        matrix within ``rtol`` of the user's B = I + beta * T."""
+        from gplvmf.bound import _forward, shared_factors
+
+        fw = _forward([block], state, shared_factors(state))
+        poisoned = np.eye(state.inducing_count) + fw.beta[0] * fw.t_mat[0]
+        tol = rtol * np.max(np.abs(poisoned))
+        real = np.linalg.cholesky
+
+        def picky(a):
+            a = np.asarray(a)
+            if any(np.max(np.abs(x - poisoned)) <= tol for x in a.reshape(-1, *poisoned.shape)):
+                raise np.linalg.LinAlgError("not positive definite")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", picky)
+
+    def test_failing_user_alone_is_escalated(self, monkeypatch):
+        _, blocks, state, _ = random_instance(24, n_users=4)
+        alone = [user_bound(b, state) for b in blocks]
+        # user 2's B fails as computed (to rounding) and factors once
+        # escalation adds 10x the base jitter
+        self._poison(monkeypatch, blocks[2], state, rtol=1e-12)
+        escalated = user_bound(blocks[2], state)
+        assert escalated != pytest.approx(alone[2], rel=1e-12)
+        rep = total_bound(blocks, state)
+        np.testing.assert_allclose(rep.per_user, alone[:2] + [escalated] + alone[3:], rtol=1e-12, atol=0)
+        assert_matches_reference(rep, one_user_reference(blocks, state))
+
+    def test_unfactorable_user_is_named(self, monkeypatch):
+        from gplvmf.bound import FactorizationError
+
+        _, blocks, state, _ = random_instance(25, n_users=4)
+        # every escalation of user 1's B (at most 1e-4 * I) still fails
+        self._poison(monkeypatch, blocks[1], state, rtol=1e-3)
+        with pytest.raises(FactorizationError, match=f"user {blocks[1].user} system"):
+            total_bound(blocks, state)
+
+
+class TestIllConditionedGradient:
+    def test_gradient_steady_under_a_tiny_state_change(self):
+        # A trained state whose inducing gram is as ill-conditioned as those
+        # of trained benchmark states (cond(C) about 3e7): a 1e-12 change of
+        # the state must move the z gradient by rounding only.  Explicit
+        # inverses of K and A, whose large entries cancel in dF/dK, moved it
+        # by about 4e-4 of its largest entry here.
+        from gplvmf.bound import shared_factors
+
+        ctx = (ContextVariable("mood", "categorical", 4), ContextVariable("place", "categorical", 3))
+        spec = SyntheticSpec(
+            user_count=2, item_count=30, contexts=ctx, ratings_per_user=150, context_alphas=(1.0, 0.5),
+            noise_precision=4.0, user_bias_mean=3.0, seed=202,
+        )
+        table, _ = synthesize(spec)
+        blocks = group_by_user(table)
+        cfg = TrainConfig(inducing_count=30, item_dim=2, context_dim=2, epochs=24,
+                          learning_rate=0.05, lr_decay=0.99, seed=0)
+        state = init_state(table.schema, blocks, cfg)
+        for epoch in range(cfg.epochs):
+            sgd_epoch(blocks, state, cfg, epoch)
+        assert np.linalg.cond(shared_factors(state).c) >= 1e7
+
+        rep = total_bound(blocks, state)
+        x = state.to_vector()
+        rng = np.random.default_rng(0)
+        spread = 0.0
+        for _ in range(4):
+            d = rng.standard_normal(x.size)
+            moved = total_bound(blocks, state.from_vector(x + 1e-12 * d / np.linalg.norm(d)))
+            spread = max(spread, np.max(np.abs(moved.grad_dict["z"] - rep.grad_dict["z"])))
+        assert spread <= 1e-6 * np.max(np.abs(rep.grad_dict["z"]))
