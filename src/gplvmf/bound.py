@@ -46,9 +46,10 @@ sum as a reshape over (U, n, ...), solves one stacked (U, M, M) whitened
 system, makes one :func:`psi_backward` call and one ``np.add.at`` per latent
 table (:func:`_scatter`).  The inducing-gram gradient is linear in dF/dK, so
 the chunks' sigma2-weighted cotangents are summed and go through one
-:func:`gram_backward` per call.  One user is the U = 1 chunk: SGD's
-:func:`_user_terms` and prediction's :func:`user_posterior` use the same
-:func:`_forward`.  The scatter walks the state's table description
+:func:`gram_backward` per call.  One user is the U = 1 chunk that SGD's
+:func:`_user_terms` passes to the same :func:`_forward`; prediction's
+:func:`user_posterior` takes :func:`_chunks` chunks, as the bound does.
+The scatter walks the state's table description
 (:attr:`gplvmf.state.KernelLayout.tables`): a kernel table takes its slice
 of the kernel row gradients, a bias table the per-row gradients of
 :func:`phi_backward`, and both are added at the entries the rows read.  The
@@ -481,37 +482,34 @@ def total_bound(
 
 @dataclass
 class UserPosterior:
-    """Cached per-user whitened solve factors for q(u) and prediction."""
+    """Whitened solve factors of q(u) for a chunk of users with equal rating
+    counts, stacked: per-user arrays lead with U."""
 
-    user: int
-    sigma2: float
-    beta: float
-    chol_k: np.ndarray       # lower factor of K = sigma2 * C
-    chol_b: np.ndarray       # lower factor of B = I + beta * L^-1 Psi2 L^-T
-    v: np.ndarray            # A^-1 Psi1^T (y - phi1)
-    k_mm: np.ndarray
+    users: np.ndarray        # (U,)
+    sigma2: np.ndarray       # (U,)
+    beta: np.ndarray         # (U,)
+    chol_b: np.ndarray       # (U, M, M) lower factor of B = I + beta * L^-1 Psi2 L^-T
+    v: np.ndarray            # (U, M) A^-1 Psi1^T (y - phi1) = L^-T b
     shared: SharedFactors
 
 
 def user_posterior(
-    block: UserBlock,
+    blocks: list,
     state: VariationalState,
     shared: SharedFactors | None = None,
     jitter: float = DEFAULT_JITTER,
 ) -> UserPosterior:
+    """q(u) factors of a chunk of users with equal rating counts (one
+    :func:`_chunks` entry), from one stacked :func:`_forward`."""
     if shared is None:
         shared = shared_factors(state, jitter)
-    fw = _forward([block], state, shared)
-    sigma2 = float(fw.sigma2[0])
-    root = np.sqrt(sigma2)
+    fw = _forward(blocks, state, shared)
     return UserPosterior(
-        user=block.user,
-        sigma2=sigma2,
-        beta=float(fw.beta[0]),
-        chol_k=root * shared.chol_c,
-        chol_b=fw.chol_b[0],
-        v=(fw.b_vec[0] @ shared.linv) / root,     # L^-T b
-        k_mm=sigma2 * shared.c,
+        users=fw.users,
+        sigma2=fw.sigma2,
+        beta=fw.beta,
+        chol_b=fw.chol_b,
+        v=(fw.b_vec @ shared.linv) / np.sqrt(fw.sigma2)[:, None],
         shared=shared,
     )
 
@@ -526,8 +524,9 @@ def optimal_qu(block: UserBlock, state: VariationalState, jitter: float = DEFAUL
     system up to a beta rescaling; everything here solves against
     A = K + beta * Psi2 in whitened form.
     """
-    post = user_posterior(block, state, jitter=jitter)
-    mu_u = post.beta * (post.k_mm @ post.v)
-    shalf = solve_triangular(post.chol_b, post.chol_k.T, lower=True)
+    post = user_posterior([block], state, jitter=jitter)
+    sigma2, shared = post.sigma2[0], post.shared
+    mu_u = post.beta[0] * ((sigma2 * shared.c) @ post.v[0])
+    shalf = solve_triangular(post.chol_b[0], (np.sqrt(sigma2) * shared.chol_c).T, lower=True)
     sigma_u = shalf.T @ shalf
     return mu_u, 0.5 * (sigma_u + sigma_u.T)

@@ -332,23 +332,21 @@ class UserBlock:
 
 
 def group_by_user(table: RatingTable) -> list[UserBlock]:
-    """Split the table into one immutable block per user appearing in it."""
+    """Split the table into one immutable block per user appearing in it,
+    in ascending user order; each block keeps its rows in input order.
+    One stable sort orders every column, and a block's arrays are slices of
+    the sorted columns."""
     if len(table) == 0:
         raise ValueError("cannot group an empty table")
-    blocks = []
-    for user in np.unique(table.users):
-        idx = np.flatnonzero(table.users == user)
-        blocks.append(
-            UserBlock(
-                user=int(user),
-                items=table.items[idx].copy(),
-                cat_values=table.cat_values[idx].copy(),
-                real_values=table.real_values[idx].copy(),
-                ratings=table.ratings[idx].copy(),
-                record_indices=idx,
-            )
-        )
-    return blocks
+    order = np.argsort(table.users, kind="stable")
+    users = table.users[order]
+    bounds = np.flatnonzero(np.r_[True, users[1:] != users[:-1], True]).tolist()
+    items, cats = table.items[order], table.cat_values[order]
+    reals, ratings = table.real_values[order], table.ratings[order]
+    return [
+        UserBlock(int(users[a]), items[a:b], cats[a:b], reals[a:b], ratings[a:b], order[a:b])
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 @dataclass(frozen=True)

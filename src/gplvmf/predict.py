@@ -12,9 +12,32 @@ posterior variance of the latent function value,
 
     var = sigma2 - Psi1* (K^-1 - A^-1) Psi1*^T,
 
-clipped at zero after symmetric stabilization; observation noise 1/beta can
-be added on request.  At Z = X with point-mass latents this reduces exactly
-to the full GP posterior variance, which is how the expression is validated.
+clipped at zero; observation noise 1/beta can be added on request.  At
+Z = X with point-mass latents this reduces exactly to the full GP posterior
+variance, which is how the expression is validated.
+
+Both are evaluated in the bound's whitened form (:mod:`gplvmf.bound`).  With
+K = sigma2 * L_C L_C^T, A = L B L^T and the unit-signal row psi* = Psi1* /
+sigma2,
+
+    mean = psi* . w + phi1*,                    w = beta sigma2 A^-1 c
+    var  = sigma2 (1 - |L_C^-1 psi*|^2 + |L_B^-1 L_C^-1 psi*|^2)
+
+where L_B is the Cholesky factor of B.  So each user is reduced once to a
+(2M + 1, M) projection, the rows [w; L_C^-1; L_B^-1 L_C^-1], built for a
+chunk of users at a time from one stacked posterior pass
+(:func:`gplvmf.bound.user_posterior` over :func:`gplvmf.bound._chunks`), and
+a query costs one Psi1 row and one product with its user's projection; no
+triangular solve is left per query.  :meth:`Predictor.predict_rows` makes one
+gather over the latent tables, one Psi1 pass over all rows and the products
+in row chunks of bounded size (no O(rows * M^2) temporary);
+:meth:`Predictor.predict` is the one-row case of the same arithmetic.
+
+Each query's result must not depend on the batch it arrives in: a batch
+agrees bit for bit with one-query calls on the same predictor.  Matrix
+products (``@``) do not give that, since BLAS picks its kernel and its
+summation order by the operands' shapes.  So every per-row reduction here
+is ``np.einsum`` or a row sum, and everything else is elementwise.
 
 Unknown users are a hard error by default: the model is user-centric and has
 no latent representation to fall back on.  A global-mean fallback exists for
@@ -26,9 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .bound import DEFAULT_JITTER, SharedFactors, UserPosterior, shared_factors, user_posterior
+from .bound import _ROW_BUDGET, DEFAULT_JITTER, SharedFactors, _chunks, shared_factors, user_posterior
 from .data import ContextSchema
 from .kernels import ArdKernel, psi1_matrix
 from .state import VariationalState
@@ -62,19 +84,39 @@ class ContextRelevance:
         return dict((n, sh) for n, _, sh in self.entries)[name]
 
 
-def _solve_lower(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.solve_triangular(chol, rhs, lower=True)`` for a
-    C-ordered Cholesky factor: the same LAPACK call with the same result,
-    without the argument checks that cost most of a warm query."""
-    x, _ = lapack.dtrtrs(chol.T, rhs, lower=0, trans=1)
-    return x
+def _unknown(user) -> UnknownUserError:
+    return UnknownUserError(f"user {user} has no training ratings; no cold-start model is defined")
+
+
+def _clamp_codes(codes: np.ndarray, last: int) -> np.ndarray:
+    """Codes outside [0, last) read the trailing prior row ``last``."""
+    return np.where((codes >= 0) & (codes < last), codes, last)
+
+
+def _project(proj: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Rows of the users' projections (n, 2M+1, M) times unit-signal Psi1 rows (n, M)."""
+    return np.einsum("qam,qm->qa", proj, psi)
+
+
+def _moments(out, phi1, sigma2, beta, include_noise: bool):
+    """Mean and variance per row from :func:`_project`'s output."""
+    m = (out.shape[1] - 1) // 2
+    g, h = out[:, 1 : m + 1], out[:, m + 1 :]
+    mean = out[:, 0] + phi1
+    variance = np.maximum(sigma2 * (1.0 - np.einsum("qa,qa->q", g, g) + np.einsum("qa,qa->q", h, h)), 0.0)
+    if include_noise:
+        variance = variance + 1.0 / beta
+    return mean, variance
 
 
 class Predictor:
     """Read-only prediction context over a trained state and its training blocks.
 
-    Per-user solve factors are cached on first use and shared across queries;
-    everything here is safe for concurrent readers.
+    Latent variances, bias row sums and per-user projections are derived
+    from the state once, so the state must not change while the predictor
+    is in use.  Projections are built on first use (or by :meth:`warm`), a
+    chunk of users at a time, and shared across queries; ``users_built``
+    counts the users built so far.
     """
 
     def __init__(
@@ -90,59 +132,64 @@ class Predictor:
         self.blocks_by_user = {b.user: b for b in blocks}
         self.standardization = standardization
         self.rating_scale = rating_scale
-        self.jitter = jitter
         self.shared: SharedFactors = shared_factors(state, jitter)
-        self._posteriors: dict[int, UserPosterior] = {}
         if global_mean is None and blocks:
             global_mean = float(np.mean(np.concatenate([b.ratings for b in blocks])))
         self.global_mean = global_mean
+        self.users_built = 0
 
-    def _posterior(self, user: int) -> UserPosterior:
-        post = self._posteriors.get(user)
-        if post is None:
-            post = user_posterior(
-                self.blocks_by_user[user], self.state, shared=self.shared, jitter=self.jitter
-            )
-            self._posteriors[user] = post
-        return post
+        m = state.inducing_count
+        self._slot: dict[int, int] = {}               # user -> row of the factor arrays
+        self._sigma2 = np.empty(0)
+        self._beta = np.empty(0)
+        self._proj = np.empty((0, 2 * m + 1, m))      # rows [w; L_C^-1; L_B^-1 L_C^-1]
+        self._known = np.array(sorted(self.blocks_by_user), dtype=np.int64)
 
-    def _split_context(self, context_values):
-        """Raw query context values (schema order) -> (cat codes, std reals)."""
-        schema = self.state.schema
-        if len(context_values) != schema.context_count:
-            raise ValueError(
-                f"expected {schema.context_count} context values, got {len(context_values)}"
-            )
-        cats, reals = [], []
-        for d, ctx in enumerate(schema.contexts):
-            if ctx.is_categorical:
-                cats.append(int(context_values[d]))
-            else:
-                reals.append(float(context_values[d]))
-        reals = np.asarray(reals, dtype=float)
-        if self.standardization is not None and reals.size:
-            reals = self.standardization.apply(reals)
-        return np.asarray(cats, dtype=np.int64), reals
+        schema, p = state.schema, state.params
+        self._cat_cols = schema.categorical_indices
+        self._real_cols = schema.real_indices
+        self._kernel = ArdKernel(1.0, np.exp(state.log_alpha))
+        # kernel tables: (column, kernel slice, means, variances); bias tables: (column, row sums)
+        self._kernel_tables = [
+            (t.column, t.sl, p[t.mean], np.exp(p[t.log_var])) for t in state.layout.tables if t.in_kernel
+        ]
+        self._bias_tables = [
+            (t.column, p[t.mean].sum(axis=1)) for t in state.layout.tables if not t.in_kernel
+        ]
+        use_mean = state.dims.use_mean
+        self._user_bias = p["user_bias"] if use_mean else np.zeros(state.log_sigma2.shape)
+        self._real_weights = p["real_weights"] if use_mean else np.zeros(len(self._real_cols))
 
-    def _query_row(self, user: int, item: int, cats: np.ndarray, reals: np.ndarray):
-        """Kernel latent mean/variance row and bias mean phi1* of one query;
-        an unseen code reads the trailing prior row of every table it indexes."""
-        state, p = self.state, self.state.params
-        mu = np.zeros((1, state.kernel_dim))
-        var = np.zeros((1, state.kernel_dim))
-        phi1 = float(p["user_bias"][user]) if state.dims.use_mean else 0.0
-        for t in state.layout.tables:
-            code = item if t.column is None else int(cats[t.column])
-            idx = code if 0 <= code < t.shape[0] - 1 else t.shape[0] - 1
-            if t.in_kernel:
-                mu[0, t.sl] = p[t.mean][idx]
-                var[0, t.sl] = np.exp(p[t.log_var][idx])
-            else:
-                phi1 += float(p[t.mean][idx].sum())
-        mu[0, state.layout.fixed_mask] = reals
-        if state.dims.use_mean:
-            phi1 += float(reals @ p["real_weights"])
-        return mu, var, phi1
+    def warm(self, users) -> None:
+        """Build the projections of every listed user not built yet, one
+        stacked posterior per chunk of users with equal rating counts
+        (:func:`gplvmf.bound._chunks`); an unknown user raises
+        :class:`UnknownUserError`."""
+        todo = []
+        for user in dict.fromkeys(users):
+            if user not in self._slot:
+                if user not in self.blocks_by_user:
+                    raise _unknown(user)
+                todo.append(self.blocks_by_user[user])
+        if not todo:
+            return
+        linv = self.shared.linv
+        posts = [user_posterior([todo[i] for i in idx], self.state, shared=self.shared)
+                 for idx in _chunks(todo, self.state.inducing_count)]
+        users = np.concatenate([post.users for post in posts])
+        sigma2 = np.concatenate([post.sigma2 for post in posts])
+        beta = np.concatenate([post.beta for post in posts])
+        weights = (beta * sigma2)[:, None] * np.concatenate([post.v for post in posts])
+        whiten = np.concatenate([np.linalg.solve(post.chol_b, linv) for post in posts])
+        proj = np.concatenate([weights[:, None, :], np.broadcast_to(linv, whiten.shape), whiten], axis=1)
+        self._slot.update(zip(users.tolist(), range(len(self._sigma2), len(self._sigma2) + len(users))))
+        self._sigma2 = np.concatenate([self._sigma2, sigma2])
+        self._beta = np.concatenate([self._beta, beta])
+        self._proj = np.concatenate([self._proj, proj])
+        self.users_built += len(todo)
+
+    def _standardize(self, reals: np.ndarray) -> np.ndarray:
+        return reals if self.standardization is None else self.standardization.apply(reals)
 
     def predict(
         self,
@@ -152,33 +199,42 @@ class Predictor:
         include_noise: bool = False,
         unknown_user: str = "error",
     ) -> Prediction:
-        state = self.state
-        if user not in self.blocks_by_user:
-            if unknown_user == "global_mean" and self.global_mean is not None:
-                mean = self.global_mean
-                return Prediction(mean, float("nan"), self._clamp(mean))
-            raise UnknownUserError(
-                f"user {user} has no training ratings; no cold-start model is defined"
-            )
-        post = self._posterior(user)
-        cats, reals = self._split_context(context_values)
-        mu, var, phi1_star = self._query_row(user, item, cats, reals)
+        slot = self._slot.get(user)
+        if slot is None:
+            if user not in self.blocks_by_user:
+                if unknown_user == "global_mean" and self.global_mean is not None:
+                    mean = self.global_mean
+                    return Prediction(mean, float("nan"), self._clamp(mean))
+                raise _unknown(user)
+            self.warm([user])
+            slot = self._slot[user]
+        count = self.state.schema.context_count
+        if len(context_values) != count:
+            raise ValueError(f"expected {count} context values, got {len(context_values)}")
 
-        kern = ArdKernel(post.sigma2, np.exp(state.log_alpha))
-        psi1_star = psi1_matrix(kern, mu, var, state.z)  # (1, M)
+        # The gather is scalar here: for one row, array clamps and fancy
+        # indexing would cost more than the arithmetic (see :meth:`_rows`).
+        cats = [int(context_values[d]) for d in self._cat_cols]
+        reals = self._standardize(np.array([[float(context_values[d]) for d in self._real_cols]]))
+        mu = np.empty((1, self.state.kernel_dim))
+        var = np.zeros((1, self.state.kernel_dim))
+        for column, sl, mean, variance in self._kernel_tables:
+            code, last = item if column is None else cats[column], len(mean) - 1
+            row = code if 0 <= code < last else last
+            mu[0, sl] = mean[row]
+            var[0, sl] = variance[row]
+        mu[:, self.state.layout.fixed_mask] = reals
+        phi1 = self._user_bias[user]
+        for column, sums in self._bias_tables:
+            code, last = item if column is None else cats[column], len(sums) - 1
+            phi1 = phi1 + sums[code if 0 <= code < last else last]
+        phi1 = phi1 + np.einsum("qd,d->q", reals, self._real_weights)
 
-        mean = post.beta * float(psi1_star[0] @ post.v) + phi1_star
-
-        # var = sigma2 - psi* (K^-1 - A^-1) psi*^T, via whitened triangular solves
-        half_k = _solve_lower(post.chol_k, psi1_star.T)
-        q1 = float(np.sum(half_k**2))
-        half_b = _solve_lower(post.chol_b, half_k)
-        q2 = float(np.sum(half_b**2))
-        variance = max(post.sigma2 - q1 + q2, 0.0)
-        if include_noise:
-            variance += 1.0 / post.beta
-
-        return Prediction(mean=mean, variance=variance, clamped_mean=self._clamp(mean))
+        psi = psi1_matrix(self._kernel, mu, var, self.state.z)
+        out = _project(self._proj[slot][None], psi)
+        mean, variance = _moments(out, phi1, self._sigma2[slot], self._beta[slot], include_noise)
+        mean = float(mean[0])
+        return Prediction(mean=mean, variance=float(variance[0]), clamped_mean=self._clamp(mean))
 
     def _clamp(self, mean: float) -> float:
         if self.rating_scale is None:
@@ -194,18 +250,64 @@ class Predictor:
         include_noise: bool = False,
         unknown_user: str = "error",
     ):
-        """Vectorized over query rows; ``context_rows[i]`` is raw schema order."""
-        means = np.empty(len(users))
-        variances = np.empty(len(users))
-        clamped = np.empty(len(users))
-        for i, (u, it) in enumerate(zip(users, items)):
-            p = self.predict(
-                int(u), int(it), context_rows[i], include_noise=include_noise, unknown_user=unknown_user
+        """Means, variances and clamped means of a batch of queries;
+        ``context_rows[i]`` is raw schema order.  Each row equals
+        :meth:`predict` on the same query, bit for bit."""
+        n = len(users)
+        if n == 0:
+            return np.empty(0), np.empty(0), np.empty(0)
+        count = self.state.schema.context_count
+        for row in context_rows:
+            if len(row) != count:
+                raise ValueError(f"expected {count} context values, got {len(row)}")
+        users = np.asarray(users, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        raw = np.asarray(context_rows, dtype=float).reshape(n, count)
+        cats = raw[:, self._cat_cols].astype(np.int64)
+        reals = self._standardize(raw[:, self._real_cols])
+
+        means, variances = np.empty(n), np.empty(n)
+        known = np.isin(users, self._known)
+        if not known.all():
+            if unknown_user != "global_mean" or self.global_mean is None:
+                raise _unknown(int(users[~known][0]))
+            means[~known], variances[~known] = self.global_mean, np.nan
+        rows = np.flatnonzero(known)
+        if rows.size:
+            means[rows], variances[rows] = self._rows(
+                users[rows], items[rows], cats[rows], reals[rows], include_noise
             )
-            means[i] = p.mean
-            variances[i] = p.variance
-            clamped[i] = p.clamped_mean
+        clamped = means.copy() if self.rating_scale is None else np.clip(means, *self.rating_scale)
         return means, variances, clamped
+
+    def _rows(self, users, items, cats, reals, include_noise):
+        """Mean and variance of query rows of known users."""
+        uniq, inv = np.unique(users, return_inverse=True)
+        self.warm(uniq.tolist())
+        slots = np.array([self._slot[u] for u in uniq.tolist()])[inv]
+
+        n = len(users)
+        mu = np.empty((n, self.state.kernel_dim))
+        var = np.zeros((n, self.state.kernel_dim))
+        for column, sl, mean, variance in self._kernel_tables:
+            codes, last = items if column is None else cats[:, column], len(mean) - 1
+            rows = _clamp_codes(codes, last)
+            mu[:, sl] = mean[rows]
+            var[:, sl] = variance[rows]
+        mu[:, self.state.layout.fixed_mask] = reals
+        phi1 = self._user_bias[users]
+        for column, sums in self._bias_tables:
+            codes, last = items if column is None else cats[:, column], len(sums) - 1
+            phi1 = phi1 + sums[_clamp_codes(codes, last)]
+        phi1 = phi1 + np.einsum("qd,d->q", reals, self._real_weights)
+
+        psi = psi1_matrix(self._kernel, mu, var, self.state.z)
+        out = np.empty((n, self._proj.shape[1]))
+        step = max(1, _ROW_BUDGET // self._proj[0].size)
+        for start in range(0, n, step):
+            sl = slice(start, start + step)
+            out[sl] = _project(self._proj[slots[sl]], psi[sl])
+        return _moments(out, phi1, self._sigma2[slots], self._beta[slots], include_noise)
 
 
 def context_relevance(state: VariationalState, schema: ContextSchema | None = None) -> ContextRelevance:

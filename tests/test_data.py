@@ -205,6 +205,27 @@ class TestGroupByUser:
         assert len(blocks) == 5000
         assert np.mean([b.count for b in blocks]) == pytest.approx(10.0)
 
+    def test_matches_reference_loop_on_shuffled_table(self):
+        rng = np.random.default_rng(12)
+        schema = ContextSchema(
+            40, 9, (ContextVariable("mood", "categorical", 3), ContextVariable("price", "real"))
+        )
+        n = 400
+        table = build_table(
+            schema, users=rng.integers(0, 40, size=n), items=rng.integers(0, 9, size=n),
+            cat=rng.integers(0, 3, size=n), real=rng.normal(size=n), ratings=rng.normal(size=n),
+        )
+        blocks = group_by_user(table)
+        expected = np.unique(table.users)
+        assert [b.user for b in blocks] == expected.tolist()
+        for block, user in zip(blocks, expected):
+            idx = np.flatnonzero(table.users == user)
+            assert np.array_equal(block.record_indices, idx)
+            assert np.array_equal(block.items, table.items[idx])
+            assert np.array_equal(block.cat_values, table.cat_values[idx])
+            assert np.array_equal(block.real_values, table.real_values[idx])
+            assert np.array_equal(block.ratings, table.ratings[idx])
+
     def test_empty_table_rejected(self):
         schema = ContextSchema(1, 1, ())
         table = build_table(schema, users=[], items=[], ratings=[])

@@ -32,6 +32,46 @@ def collapsed_predict_setup(seed, n_items=4, beta=2.0):
     return table, blocks, state
 
 
+def batch_instance(seed, n_items=5):
+    """Six users, three of 5 ratings and three of 8, with a categorical and
+    two real contexts and a perturbed state; returns the state, the blocks
+    and the real-context standardization."""
+    rng = np.random.default_rng(seed)
+    schema = ContextSchema(
+        6, n_items,
+        (
+            ContextVariable("c0", "categorical", 3),
+            ContextVariable("r0", "real"),
+            ContextVariable("r1", "real"),
+        ),
+    )
+    users = np.repeat(np.arange(6), [5, 5, 5, 8, 8, 8])
+    n = users.size
+    table = build_table(
+        schema, users=users, items=rng.integers(0, n_items, size=n), cat=rng.integers(0, 3, size=n),
+        real=rng.normal(size=(n, 2)), ratings=rng.normal(3.0, 1.0, size=n),
+    )
+    blocks = group_by_user(table)
+    state = init_state(schema, blocks, TrainConfig(inducing_count=3, item_dim=2, context_dim=2, seed=seed))
+    vec = state.to_vector()
+    state = state.from_vector(vec + rng.normal(0.0, 0.15, size=vec.size))
+    # real contexts weigh on the mean, so a batch-dependent rounding of their
+    # weighted sum reaches it
+    state.params["real_weights"][:] = [2.5, -1.5]
+    return state, blocks, table.standardization
+
+
+def batch_queries(seed, n, n_items=5):
+    """Raw query rows over the users of :func:`batch_instance`, with unseen
+    items and categories among them."""
+    rng = np.random.default_rng(seed)
+    users = rng.integers(0, 6, size=n).tolist()
+    items = rng.integers(-1, n_items + 2, size=n).tolist()
+    rows = [(int(c), float(a), float(b)) for c, a, b in
+            zip(rng.integers(-1, 5, size=n), rng.normal(size=n), rng.normal(size=n))]
+    return users, items, rows
+
+
 class TestPredict:
     def test_interpolation_limit(self):
         table, blocks, state = collapsed_predict_setup(0, beta=1e6)
@@ -192,16 +232,75 @@ class TestPredict:
         assert p.mean > 5.0
 
     def test_predict_rows_matches_single(self):
-        table, blocks, state, _ = random_instance(11, n_users=2, ratings_per_user=5)
-        pred = Predictor(state, blocks)
-        users = [0, 1, 0]
-        items = [1, 2, 3]
-        rows = [(0, 0.5), (1, -0.2), (2, 1.1)]
+        # Each row of a batch must equal predict() on the same query bit for
+        # bit: the rows mix real contexts, unseen codes, repeated users and
+        # two rating counts (two chunks of users).
+        state, blocks, standardization = batch_instance(11)
+        users, items, rows = batch_queries(12, n=200)
+        pred = Predictor(state, blocks, standardization=standardization, rating_scale=(1.0, 5.0))
         means, variances, clamped = pred.predict_rows(users, items, rows)
-        for i in range(3):
-            single = pred.predict(users[i], items[i], rows[i])
-            assert means[i] == pytest.approx(single.mean)
-            assert variances[i] == pytest.approx(single.variance)
+        single = [pred.predict(u, i, r) for u, i, r in zip(users, items, rows)]
+        assert np.array_equal(means, [p.mean for p in single])
+        assert np.array_equal(variances, [p.variance for p in single])
+        assert np.array_equal(clamped, [p.clamped_mean for p in single])
+
+        # A cold predictor builds the user alone, not in the batch's chunk.
+        for user in range(6):
+            i = users.index(user)
+            cold = Predictor(state, blocks, standardization=standardization)
+            cold = cold.predict(users[i], items[i], rows[i])
+            assert cold.mean == pytest.approx(means[i], rel=1e-12)
+            assert cold.variance == pytest.approx(variances[i], rel=1e-12)
+
+    def test_predict_rows_unknown_users_get_the_global_mean(self):
+        state, blocks, _ = batch_instance(13)
+        pred = Predictor(state, blocks[:4])
+        users, items, rows = [0, 5, 1, 4, 0], [1, 2, 3, 0, 9], [(0, 0.1, 0.2), (1, 0.0, 0.0), (2, -1.0, 0.3),
+                                                                  (0, 0.5, 0.5), (5, 1.0, -2.0)]
+        means, variances, clamped = pred.predict_rows(users, items, rows, unknown_user="global_mean")
+        for k, (u, i, r) in enumerate(zip(users, items, rows)):
+            if u in (4, 5):
+                assert means[k] == clamped[k] == pred.global_mean
+                assert np.isnan(variances[k])
+            else:
+                p = pred.predict(u, i, r)
+                assert (means[k], variances[k]) == (p.mean, p.variance)
+
+    def test_predict_rows_error_names_first_unknown_user(self):
+        state, blocks, _ = batch_instance(14)
+        pred = Predictor(state, blocks[:4])
+        with pytest.raises(UnknownUserError, match="user 5 "):
+            pred.predict_rows([0, 5, 4], [0, 0, 0], [(0, 0.0, 0.0)] * 3)
+
+    def test_predict_rows_wrong_context_length(self):
+        state, blocks, _ = batch_instance(15)
+        pred = Predictor(state, blocks)
+        with pytest.raises(ValueError, match="expected 3 context values, got 2"):
+            pred.predict_rows([0, 1], [0, 0], [(0, 0.0, 0.0), (1, 0.0)])
+
+    def test_predict_rows_empty_batch(self):
+        state, blocks, _ = batch_instance(16)
+        out = Predictor(state, blocks).predict_rows((), (), ())
+        assert len(out) == 3
+        assert all(isinstance(a, np.ndarray) and a.shape == (0,) for a in out)
+
+    def test_users_built_counts_each_user_once(self):
+        schema = ContextSchema(300, 5, ())
+        rng = np.random.default_rng(17)
+        table = build_table(
+            schema, users=np.repeat(np.arange(300), 2), items=rng.integers(0, 5, size=600),
+            ratings=rng.normal(3.0, 1.0, size=600),
+        )
+        blocks = group_by_user(table)
+        state = init_state(schema, blocks, TrainConfig(inducing_count=2, item_dim=1, context_dim=1, seed=17))
+        pred = Predictor(state, blocks)
+        users = rng.permutation(np.repeat(np.arange(300), 2))
+        items = rng.integers(0, 5, size=600)
+        first = pred.predict_rows(users, items, [()] * 600)
+        assert pred.users_built == 300
+        again = pred.predict_rows(users, items, [()] * 600)
+        assert pred.users_built == 300
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
 class TestContextRelevance:
