@@ -53,7 +53,7 @@ The scatter walks the state's table description
 (:attr:`gplvmf.state.KernelLayout.tables`): a kernel table takes its slice
 of the kernel row gradients, a bias table the per-row gradients of
 :func:`phi_backward`, and both are added at the entries the rows read.  The
-KL (:func:`kl_to_prior`, :func:`kl_gradient`) walks the same description,
+KL (:func:`kl_to_prior`, :func:`kl_gradients`) walks the same description,
 since kernel and bias latents share the standard-normal prior.
 """
 
@@ -67,7 +67,7 @@ from scipy.linalg import lapack, solve_triangular
 from .data import UserBlock
 from .kernels import ArdKernel, LatentPoints, _PsiCache, gram_backward, psi_backward
 from .meanfn import phi_backward, phi_statistics
-from .state import LatentTable, VariationalState
+from .state import VariationalState
 
 DEFAULT_JITTER = 1e-6
 _ESCALATION = (1.0, 10.0, 100.0)
@@ -386,24 +386,18 @@ def kl_to_prior(state: VariationalState) -> float:
     return total
 
 
-def kl_gradient(state: VariationalState, table: LatentTable, rows=slice(None)):
-    """Gradient of :func:`kl_to_prior` on entries ``rows`` of one latent
-    table: the (mean, log-variance) pair."""
-    mean, log_var = state.params[table.mean][rows], state.params[table.log_var][rows]
-    return np.array(mean), 0.5 * (np.exp(log_var) - 1.0)
-
-
 def kl_gradients(state: VariationalState) -> dict:
     """Named gradients of :func:`kl_to_prior` (log-variance parameterization)."""
     grads = {}
     for t in state.layout.tables:
-        grads[t.mean], grads[t.log_var] = kl_gradient(state, t)
+        grads[t.mean] = state.params[t.mean].copy()
+        grads[t.log_var] = 0.5 * (np.exp(state.params[t.log_var]) - 1.0)
     return grads
 
 
 @dataclass
 class BoundReport:
-    """Objective value, its decomposition, and the flat gradient."""
+    """Objective value, its decomposition, the flat gradient and its per-key views."""
 
     total: float
     per_user: np.ndarray
@@ -413,7 +407,7 @@ class BoundReport:
 
 
 def _scatter(state: VariationalState, terms: UserTerms, grads: dict) -> None:
-    """Add a chunk's gradients into ``grads`` (keyed like ``state.zero_grads()``,
+    """Add a chunk's gradients into ``grads`` (the views of ``state.zero_grads()``,
     log parameterization), mapping row gradients onto the latent tables.
 
     Kernel tables take their slice of the kernel row gradients; bias tables
@@ -455,7 +449,7 @@ def total_bound(
     """
     shared = shared_factors(state, jitter)
     per_user = np.empty(len(blocks))
-    grads = state.zero_grads() if want_gradients else None
+    vec, grads = state.zero_grads() if want_gradients else (None, None)
     d_gram = np.zeros_like(shared.gram0)
     for idx in _chunks(blocks, state.inducing_count):
         terms = _terms([blocks[i] for i in idx], state, shared, want_gradients)
@@ -475,8 +469,6 @@ def total_bound(
     grads["log_alpha"] += glog_alpha
     for key, g in kl_gradients(state).items():
         grads[key] -= g
-
-    vec = state.pack_like(grads)
     return BoundReport(total=total, per_user=per_user, kl=kl, gradients=vec, grad_dict=grads)
 
 

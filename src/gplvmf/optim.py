@@ -1,13 +1,14 @@
 """Training: state initialization, per-user SGD, and scaled conjugate gradients.
 
 Both optimizers work on the unconstrained parameterization (positive
-quantities as logs).  SGD visits users in a seeded shuffled order and each
-step ascends the gradient of ``F_n - KL/N`` over the parameters touched by
-that user plus the shared slice (inducing inputs and inverse length-scales);
-the KL gradient is shared out at weight 1/N per step.  Its per-user gradient
-comes from the same forward pass and scatter as the full batch
-(:func:`gplvmf.bound._user_terms`, the one-user chunk, and
-:func:`gplvmf.bound._scatter`).
+quantities as logs), the state's flat vector.  SGD visits users in a seeded
+shuffled order and each step ascends the gradient of ``F_n - KL/N`` over the
+entries touched by that user plus the shared slice (inducing inputs and
+inverse length-scales); the KL gradient is shared out at weight 1/N per step.
+Its per-user gradient comes from the same forward pass and scatter as the
+full batch (:func:`gplvmf.bound._user_terms`, the one-user chunk, and
+:func:`gplvmf.bound._scatter`); a step gathers and updates those entries
+through one index array.
 SCG is full-batch on the negated total bound, following Moller's algorithm
 with the scalar lambda regulator.
 """
@@ -19,10 +20,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .bound import (
-    DEFAULT_JITTER, kl_gradient, kl_to_prior, shared_factors, total_bound, _scatter, _user_terms,
-)
-from .data import ContextSchema, UserBlock
+from .bound import DEFAULT_JITTER, kl_to_prior, shared_factors, total_bound, _scatter, _user_terms
+from .data import ContextSchema
 from .meanfn import phi_backward  # noqa: F401  looked up here by perfbench's traced run
 from .state import KernelLayout, ModelDims, VariationalState
 
@@ -160,31 +159,48 @@ def init_state(
     return state
 
 
-def _check_params_finite(state: VariationalState, user: int) -> None:
-    with np.errstate(over="ignore"):
-        checks = {
-            "log_beta": np.exp(state.log_beta[user]),
-            "log_sigma2": np.exp(state.log_sigma2[user]),
-            "log_alpha": np.exp(state.log_alpha),
-            "z": state.z,
-        }
-    for key, val in checks.items():
-        if not np.all(np.isfinite(val)):
-            raise OptimizationError(
-                f"non-finite value in parameter block {key!r} while processing user {user}"
-            )
+# Point parameters a step touches at its user's entry alone, not whole.
+_PER_USER = ("user_bias", "log_sigma2", "log_beta")
 
 
-def _user_entries(state: VariationalState, block: UserBlock) -> list:
-    """(key, parameter table, rows) for every entry one user's gradient
-    reaches; ``rows`` names each entry once."""
-    rows = {"log_sigma2": block.user, "log_beta": block.user, "user_bias": block.user}
-    codes = {}
+def _step_plans(blocks: list, state: VariationalState) -> list:
+    """Per block, the sorted flat indices of the entries its SGD step touches,
+    and which of the leading latent-table entries among them are log-variances.
+
+    Entry i of block b sorts as b * state size + i.  A block column's unique
+    (block, code) pairs, expanded to every table the column indexes, and the
+    point entries are put in block and flat-index order by one sort.
+    """
+    n, size = len(blocks), state.flat.size
+    offsets = dict(zip(state.layout.keys, state.offsets))
+    base = np.arange(n) * size
+    row_base = np.repeat(base, [b.count for b in blocks])
+    pairs, parts = {}, []
     for t in state.layout.tables:
-        if t.column not in codes:
-            codes[t.column] = np.unique(t.codes(block))
-        rows[t.mean] = rows[t.log_var] = codes[t.column]
-    return [(key, arr, rows.get(key, slice(None))) for key, arr in state.param_entries()]
+        if t.column not in pairs:
+            pair = np.sort(row_base + np.concatenate([t.codes(b) for b in blocks]))
+            pairs[t.column] = pair[np.concatenate(([True], pair[1:] != pair[:-1]))]
+        width = t.shape[1]
+        first = pairs[t.column] + (width - 1) * (pairs[t.column] % size)   # b * size + width * code
+        parts += [(first[:, None] + (offsets[key] + np.arange(width))).ravel() for key in (t.mean, t.log_var)]
+    users = np.array([b.user for b in blocks])
+    points = state.layout.keys[2 * len(state.layout.tables):]
+    for key in points:
+        cols = users[:, None] if key in _PER_USER else np.arange(state.params[key].size)
+        parts.append((base[:, None] + offsets[key] + cols).ravel())
+    block_of, flat_index = np.divmod(np.sort(np.concatenate(parts)), size)
+
+    var_keys = {t.log_var for t in state.layout.tables}
+    is_var = np.concatenate([np.full(a.size, key in var_keys) for key, a in state.param_entries()])[flat_index]
+    n_point = sum(1 if key in _PER_USER else state.params[key].size for key in points)
+    ends = np.cumsum(np.bincount(block_of, minlength=n))
+    return [(flat_index[end - count : end], is_var[end - count : end - n_point])
+            for end, count in zip(ends, np.diff(ends, prepend=0))]
+
+
+def _non_finite(what: str, state: VariationalState, index: int, user: int) -> OptimizationError:
+    key = state.layout.keys[np.searchsorted(state.offsets, index, side="right") - 1]
+    return OptimizationError(f"non-finite {what} in parameter block {key!r} while processing user {user}")
 
 
 def sgd_epoch(
@@ -195,50 +211,53 @@ def sgd_epoch(
 ) -> tuple[VariationalState, float]:
     """One seeded shuffled pass over all users; mutates and returns ``state``.
 
-    Each step scatters the user's gradient into a scratch copy of the
-    gradient tables with :func:`_scatter`, subtracts the 1/N share of the KL
-    gradient on the entries the user touched, checks and clips the gradient
-    on those entries alone (each counted once), steps them and zeroes them
-    again, so no step reads a whole per-user or entity table.  Returns the
-    running bound estimate: the per-user terms as they were computed during
-    the pass, minus the KL at the end of the epoch.
+    A step gathers and checks the entries of ``state.flat`` the user touches
+    (:func:`_step_plans`), scatters the user's gradient into a zeroed flat
+    gradient with :func:`_scatter` and gathers it there, subtracts the 1/N
+    KL share on the latent-table entries, checks and clips it over those
+    entries (each counted once), steps them and zeroes them again, so no step
+    reads an entry its user does not touch.  Returns the running bound
+    estimate: the per-user terms as they were computed during the pass,
+    minus the KL at the end of the epoch.
     """
     n_users = len(blocks)
     rng = np.random.default_rng([config.seed, 7919, epoch_index])
     order = rng.permutation(n_users)
     lr = config.learning_rate * config.lr_decay**epoch_index
-    grads = state.zero_grads()
+    plans = _step_plans(blocks, state) if blocks else []
+    pflat = state.flat
+    gflat, grads = state.zero_grads()
+    # every step's entries end with z, log_alpha, log_sigma2[u] and log_beta[u],
+    # the last keys; the last three must stay finite under exp
+    n_exp = state.log_alpha.size + 2
+    n_check = state.z.size + n_exp
     value_sum = 0.0
 
     for bi in order:
         block = blocks[bi]
-        _check_params_finite(state, block.user)
+        idx, is_var = plans[bi]
+        p = pflat[idx]
+        with np.errstate(over="ignore"):
+            exp_p = np.exp(p)
+        ok = np.isfinite(np.concatenate([p[-n_check:-n_exp], exp_p[-n_exp:]]))
+        if not ok.all():
+            raise _non_finite("value", state, idx[idx.size - n_check + np.argmin(ok)], block.user)
         shared = shared_factors(state, config.jitter)
         terms = _user_terms(block, state, shared, want_gradients=True)
         value_sum += terms.value[0]
         _scatter(state, terms, grads)
 
-        entries = _user_entries(state, block)
-        touched = {key: rows for key, _, rows in entries}
-        for t in state.layout.tables:
-            rows = touched[t.mean]
-            for key, kl in zip((t.mean, t.log_var), kl_gradient(state, t, rows)):
-                grads[key][rows] -= kl / n_users
-        step = [grads[key][rows] for key, _, rows in entries]
-        flat = np.concatenate([np.ravel(g) for g in step])
-        if not np.all(np.isfinite(flat)):
-            key = next(key for (key, _, _), g in zip(entries, step) if not np.all(np.isfinite(g)))
-            raise OptimizationError(
-                f"non-finite gradient in parameter block {key!r} while processing user {block.user}"
-            )
+        g = gflat[idx]
+        n_table = is_var.size
+        g[:n_table] -= np.where(is_var, 0.5 * (exp_p[:n_table] - 1.0), p[:n_table]) / n_users
+        if not np.isfinite(g).all():
+            raise _non_finite("gradient", state, idx[np.argmin(np.isfinite(g))], block.user)
         scale = lr
-        norm = np.sqrt(flat @ flat)
+        norm = np.sqrt(g @ g)
         if config.clip_norm and norm > config.clip_norm:
             scale = lr * config.clip_norm / norm
-
-        for (key, arr, rows), g in zip(entries, step):
-            arr[rows] += scale * g
-            grads[key][rows] = 0.0
+        pflat[idx] += scale * g
+        gflat[idx] = 0.0
 
     return state, value_sum - kl_to_prior(state)
 

@@ -18,16 +18,18 @@ block column that indexes each, and the kernel slice, empty for a bias
 table), and the bound's gradient scatter, the KL, SGD's step, the query
 lookup, initialization and the model file all walk that description.
 
-The state keeps every array in one dict, ``params``, keyed by the names
-:meth:`VariationalState.param_entries` yields; the familiar attributes
-(``item_mean``, ``bias``, ``z``, ...) read it.  All positive
-parameters (variances, inverse length-scales, signal variance, noise
-precision) are stored as logs, making the flat optimization vector
-unconstrained.
+The state keeps every parameter in one float64 vector, ``flat``, in the
+order of :attr:`KernelLayout.keys`.  ``params`` maps each key to a reshaped
+view of its slice (``offsets`` holds the bounds), and the familiar attributes
+(``item_mean``, ``bias``, ``z``, ...) read it; assigning one (``state.z =
+...``, maybe with a new shape) re-packs the vector.  All positive parameters
+(variances, inverse length-scales, signal variance, noise precision) are
+stored as logs, making the flat optimization vector unconstrained.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +134,7 @@ class KernelLayout:
 
 
 class _Param:
-    """Attribute access to one entry of ``VariationalState.params``."""
+    """Attribute access to one entry of ``VariationalState.params``; assigning re-packs ``flat``."""
 
     def __set_name__(self, owner, name):
         self.key = name
@@ -141,11 +143,11 @@ class _Param:
         return self if state is None else state.params[self.key]
 
     def __set__(self, state, value):
-        state.params[self.key] = value
+        state._pack({**state.params, self.key: value})
 
 
 class VariationalState:
-    """All free parameters of the model; arrays are mutated in place by training."""
+    """All free parameters of the model; ``flat`` is mutated in place by training."""
 
     item_mean = _Param()
     item_log_var = _Param()
@@ -154,17 +156,24 @@ class VariationalState:
     log_sigma2 = _Param()
     log_beta = _Param()
 
-    def __init__(self, schema: ContextSchema, dims: ModelDims, layout: KernelLayout, params: dict):
+    def __init__(self, schema: ContextSchema, dims: ModelDims, layout: KernelLayout, params):
+        """Copies ``params[key]`` for every ``layout.keys`` key into a new flat vector."""
         self.schema = schema
         self.dims = dims
         self.layout = layout
-        self.params = params
+        self._pack(params)
+
+    def _pack(self, params) -> None:
+        arrays = [np.asarray(params[key], dtype=float) for key in self.layout.keys]
+        self.offsets = np.cumsum([0] + [a.size for a in arrays])
+        self._shapes = [a.shape for a in arrays]
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        self.params = self.views(self.flat)
 
     @classmethod
     def from_tables(cls, schema: ContextSchema, dims: ModelDims, tables) -> "VariationalState":
-        """A state over the arrays ``tables[key]`` for every ``param_entries`` key."""
-        layout = KernelLayout(schema, dims)
-        return cls(schema, dims, layout, {key: tables[key] for key in layout.keys})
+        """A state over copies of the arrays ``tables[key]`` for every ``param_entries`` key."""
+        return cls(schema, dims, KernelLayout(schema, dims), tables)
 
     # -- structure ---------------------------------------------------------
 
@@ -193,9 +202,7 @@ class VariationalState:
         )
 
     def copy(self) -> "VariationalState":
-        return VariationalState(
-            self.schema, self.dims, self.layout, {key: arr.copy() for key, arr in self.params.items()}
-        )
+        return self.from_vector(self.flat)
 
     def assemble_rows(self, block: UserBlock):
         """Per-row latent means and variances (N x Q) for one user block.
@@ -225,27 +232,28 @@ class VariationalState:
         """(key, array) pairs in the canonical flat-vector order."""
         return self.params.items()
 
+    def views(self, vec: np.ndarray) -> dict:
+        """Every key mapped to the reshaped slice of ``vec`` (a vector laid out
+        like ``flat``) that holds it; no copy."""
+        return {
+            key: vec[start:stop].reshape(shape)
+            for key, start, stop, shape in zip(self.layout.keys, self.offsets, self.offsets[1:], self._shapes)
+        }
+
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.params.values()])
+        return self.flat.copy()
 
     def from_vector(self, vec: np.ndarray) -> "VariationalState":
-        """A fresh state with parameters taken from ``vec`` (self unchanged)."""
-        out = self.copy()
-        off = 0
-        for arr in out.params.values():
-            arr[...] = vec[off : off + arr.size].reshape(arr.shape)
-            off += arr.size
-        if off != vec.size:
-            raise ValueError(f"vector length {vec.size} does not match state size {off}")
+        """A fresh state with parameters copied from ``vec`` (self unchanged)."""
+        vec = np.asarray(vec)
+        if vec.shape != self.flat.shape:
+            raise ValueError(f"vector length {vec.size} does not match state size {self.flat.size}")
+        out = copy.copy(self)
+        out.flat = np.array(vec, dtype=float)
+        out.params = out.views(out.flat)
         return out
 
-    def pack_like(self, grads: dict) -> np.ndarray:
-        """Flatten a dict of named gradient arrays into vector order."""
-        parts = []
-        for key, arr in self.params.items():
-            g = grads.get(key)
-            parts.append(np.zeros(arr.size) if g is None else np.asarray(g).ravel())
-        return np.concatenate(parts)
-
-    def zero_grads(self) -> dict:
-        return {key: np.zeros_like(arr) for key, arr in self.params.items()}
+    def zero_grads(self) -> tuple:
+        """A zero gradient vector laid out like ``flat`` and its :meth:`views`."""
+        flat = np.zeros_like(self.flat)
+        return flat, self.views(flat)

@@ -327,7 +327,7 @@ def one_user_reference(blocks, state, jitter=1e-6):
     from gplvmf.bound import _scatter, _user_terms, shared_factors
 
     shared = shared_factors(state, jitter)
-    grads = state.zero_grads()
+    grad, grads = state.zero_grads()
     values = []
     for block in blocks:
         terms = _user_terms(block, state, shared, want_gradients=True)
@@ -336,7 +336,7 @@ def one_user_reference(blocks, state, jitter=1e-6):
     kl = kl_to_prior(state)
     for key, g in kl_gradients(state).items():
         grads[key] -= g
-    return np.array(values), sum(values) - kl, state.pack_like(grads)
+    return np.array(values), sum(values) - kl, grad
 
 
 def assert_matches_reference(rep, reference):

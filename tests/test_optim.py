@@ -36,6 +36,44 @@ def toy_problem(data_seed=1, init_seed=2):
     return table, blocks, cfg
 
 
+def per_table_sgd_epoch(blocks, state, config, epoch_index):
+    """SGD's epoch as a step per parameter table: each user's entries are
+    gathered table by table (sorted unique rows), the KL share is subtracted
+    table by table, and the step is concatenated for its norm.  Returns the
+    state, the running bound estimate and the number of clipped steps."""
+    from gplvmf.bound import _scatter, _user_terms, kl_to_prior, shared_factors
+
+    n_users = len(blocks)
+    order = np.random.default_rng([config.seed, 7919, epoch_index]).permutation(n_users)
+    lr = config.learning_rate * config.lr_decay**epoch_index
+    _, grads = state.zero_grads()
+    value_sum, clipped = 0.0, 0
+    for bi in order:
+        block = blocks[bi]
+        terms = _user_terms(block, state, shared_factors(state, config.jitter), want_gradients=True)
+        value_sum += terms.value[0]
+        _scatter(state, terms, grads)
+        rows = {"log_sigma2": block.user, "log_beta": block.user, "user_bias": block.user}
+        for t in state.layout.tables:
+            rows[t.mean] = rows[t.log_var] = np.unique(t.codes(block))
+        entries = [(key, arr, rows.get(key, slice(None))) for key, arr in state.param_entries()]
+        for t in state.layout.tables:
+            r = rows[t.mean]
+            grads[t.mean][r] -= np.array(state.params[t.mean][r]) / n_users
+            grads[t.log_var][r] -= 0.5 * (np.exp(state.params[t.log_var][r]) - 1.0) / n_users
+        step = [grads[key][r] for key, _, r in entries]
+        flat = np.concatenate([np.ravel(g) for g in step])
+        scale = lr
+        norm = np.sqrt(flat @ flat)
+        if config.clip_norm and norm > config.clip_norm:
+            scale = lr * config.clip_norm / norm
+            clipped += 1
+        for (key, arr, r), g in zip(entries, step):
+            arr[r] += scale * g
+            grads[key][r] = 0.0
+    return state, value_sum - kl_to_prior(state), clipped
+
+
 class TestInitState:
     def test_deterministic(self):
         table, blocks, cfg = toy_problem()
@@ -223,6 +261,35 @@ class TestSgd:
         state.log_beta[:] = 800.0  # exp overflows to inf
         with pytest.raises(OptimizationError, match="parameter block"):
             sgd_epoch(blocks, state, cfg, 0)
+
+    @pytest.mark.parametrize("key, value", [("z", np.nan), ("log_alpha", 800.0), ("log_sigma2", 800.0)])
+    def test_non_finite_parameter_names_its_block(self, key, value):
+        table, blocks, cfg = toy_problem()
+        state = init_state(table.schema, blocks, cfg)
+        state.params[key].flat[-1] = value
+        with pytest.raises(OptimizationError, match=f"non-finite value in parameter block '{key}'"):
+            sgd_epoch(blocks, state, cfg, 0)
+
+    @pytest.mark.parametrize("use_mean", [True, False])
+    def test_flat_step_matches_per_table_reference(self, use_mean):
+        # clip_norm is small enough that clipping fires, which pins the order
+        # in which the step's norm is summed
+        import dataclasses
+
+        _, blocks, state, cfg = random_instance(
+            31, n_users=4, n_items=5, cat_card=3, ratings_per_user=6, use_mean=use_mean,
+        )
+        assert state.schema.real_indices
+        cfg = dataclasses.replace(cfg, learning_rate=0.05, clip_norm=2.0)
+        reference = state.copy()
+        clipped = 0
+        for epoch in range(3):
+            state, estimate = sgd_epoch(blocks, state, cfg, epoch)
+            reference, ref_estimate, ref_clipped = per_table_sgd_epoch(blocks, reference, cfg, epoch)
+            clipped += ref_clipped
+            assert estimate == ref_estimate
+        assert clipped > 0
+        assert np.array_equal(state.to_vector(), reference.to_vector())
 
 
 class TestScg:
