@@ -39,12 +39,12 @@ anywhere in training.
 User terms are independent given the state (rows and users sum
 independently, the map-reduce form of Gal, van der Wilk & Rasmussen 2014),
 so :func:`total_bound` takes users in chunks.  Users with the same number of
-ratings share a chunk of at most ``_ROW_BUDGET`` rows * M^2 (the size of the
-chunk's Psi2 rows).  A chunk makes one unit-signal psi pass over its rows
-(Psi1 scales by sigma2 and Psi2 by sigma2^2 per user), takes every per-user
-sum as a reshape over (U, n, ...), solves one stacked (U, M, M) whitened
-system, makes one :func:`psi_backward` call and one ``np.add.at`` per latent
-table (:func:`_scatter`).  The inducing-gram gradient is linear in dF/dK, so
+ratings share a chunk of at most ``_ROW_BUDGET`` rows * M^2 (about twice
+the size of the chunk's packed Psi2 rows).  A chunk makes one unit-signal
+psi pass over its rows (Psi1 scales by sigma2 and Psi2 by sigma2^2 per
+user), takes every per-user sum as a reshape over (U, n, ...), solves one
+stacked (U, M, M) whitened system, makes one :func:`psi_backward` call and
+one ``np.add.at`` per latent table (:func:`_scatter`).  The inducing-gram gradient is linear in dF/dK, so
 the chunks' sigma2-weighted cotangents are summed and go through one
 :func:`gram_backward` per call.  One user is the U = 1 chunk that SGD's
 :func:`_user_terms` passes to the same :func:`_forward`; prediction's
@@ -71,8 +71,9 @@ from .state import VariationalState
 
 DEFAULT_JITTER = 1e-6
 _ESCALATION = (1.0, 10.0, 100.0)
-# Rows * M^2 of one chunk of users.  It caps the chunk's (N, M, M) Psi2 rows
-# and keeps its matrix products small enough for one BLAS thread.
+# Rows * M^2 of one chunk of users.  It caps the chunk's Psi2 rows and keeps
+# its matrix products small enough for one BLAS thread.  The rows are packed
+# over the M(M+1)/2 pairs a <= b, so they fill about half of it.
 _ROW_BUDGET = 2**15
 
 
@@ -211,7 +212,7 @@ def _forward(blocks: list, state: VariationalState, shared: SharedFactors) -> _F
 
     # whitened systems: L = sqrt(sigma2) L_C, so T = sigma2 L_C^-1 Psi2_unit L_C^-T
     linv = shared.linv
-    psi2 = cache.psi2_rows.reshape(u, n, m, m).sum(axis=1)
+    psi2 = cache.psi2_sums(u)
     t_mat = sigma2[:, None, None] * (linv @ psi2 @ linv.T)
     t_mat = 0.5 * (t_mat + t_mat.transpose(0, 2, 1))
     b_mat = np.eye(m) + beta[:, None, None] * t_mat

@@ -50,9 +50,11 @@ def cmd_evaluate(args) -> int:
         seed=cfg.get("seed", 0),
         rating_scale=cfgmod.rating_scale_from_config(cfg),
     )
+    kept = [fold for fold in range(args.folds) if fold not in result.failed_folds]
     lines = ["fold,mae,rmse"]
-    for i, (mae, rmse) in enumerate(zip(result.fold_mae, result.fold_rmse)):
-        lines.append(f"{i},{float(mae)!r},{float(rmse)!r}")
+    for fold, mae, rmse in zip(kept, result.fold_mae, result.fold_rmse):
+        lines.append(f"{fold},{float(mae)!r},{float(rmse)!r}")
+    lines += [f"failed,{fold}" for fold in result.failed_folds]
     lines.append(f"mean,{result.mae!r},{result.rmse!r}")
     lines.append(f"std,{result.mae_std!r},{result.rmse_std!r}")
     if args.baseline:

@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -315,9 +316,9 @@ def save_table(table: RatingTable, path, delimiter: str = ",") -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class UserBlock:
-    """All ratings by one user, in input order."""
+class UserBlock(NamedTuple):
+    """All ratings by one user, in input order.  A named tuple: immutable,
+    and cheap to build once per user in :func:`group_by_user`."""
 
     user: int
     items: np.ndarray

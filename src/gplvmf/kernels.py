@@ -15,26 +15,41 @@ integrals; the Monte-Carlo estimator in :func:`mc_psi_oracle` exists purely
 to validate the closed forms and is never used in training.
 
 Row n of Psi2 (one rating's term of the sum) has, per coordinate q, the
-exponent ``-alpha/4 (z_a - z_b)^2 - w (mu - (z_a + z_b)/2)^2 - log(d2)/2``
-with ``d2 = 1 + 2 alpha s`` and ``w = alpha / d2``.  The middle term is
-expanded as
+exponent ``-alpha/4 (z_a - z_b)^2 - w (mu - zbar_ab)^2 - log(d2)/2`` with
+``zbar_ab = (z_a + z_b)/2``, ``d2 = 1 + 2 alpha s`` and ``w = alpha / d2``.
+Psi2 is symmetric in (a, b), so the rows are kept over the P = M(M+1)/2
+pairs a <= b only, as an (N, P) array.  The middle term is expanded as
 
-    w mu^2 - w mu z_a - w mu z_b + w (z_a^2 + z_b^2 + 2 z_a z_b) / 4
+    -w mu^2 + 2 w mu zbar_ab - w zbar_ab^2
 
-so that the pair term is one (N, Q) @ (Q, M^2) product of ``w`` with the
-products ``z_a z_b``, the rest are (N, M) row terms broadcast over a and b,
-and the row-independent ``(z_a - z_b)^2`` term stays in difference form.
-The backward pass reduces ``dPsi2 * Psi2_rows`` to (N, M) and (M, M)
-marginals and finishes every sum with rank-Q products.  No (N, M, M, Q)
-array is built: memory is O(N M^2) for the rows of Psi2.  The expansion
-cancels terms of size ``w mu^2``, so means and inducing inputs are first
-centred on the inducing inputs' column mean; Psi1, Psi2 and their gradients
-are invariant to that common shift.
+so the exponent is one (N, 2Q+2) @ (2Q+2, P) product of the left factor
+``[2 w mu | -w | 1 | 0]`` with the right factor ``[zbar | zbar^2 | c | 1]``,
+less the row term ``sum_q w mu^2 + log(d2)/2``.  The ones column carries
+the per-pair constant ``c_ab = -alpha/4 (z_a - z_b)^2 + 2 log sigma2`` (in
+difference form), so no separate pass subtracts it or scales by sigma2^2.
+Every per-pair quantity is built from ``z_a + z_b`` and
+``(z_a - z_b)^2``, which round the same for (a, b) and (b, a), and no
+per-index row terms are added per pair (their sum would round by the order
+of a and b): a duplicated inducing input gives rows and columns of Psi2
+equal bit for bit.
+
+The backward pass weighs each pair by dPsi2 (both orders off the diagonal)
+and takes the sums over pairs as one product of that weighted (N, P) array
+with the right factor (its last column, against the left factor's zeros,
+sums each row), and the sums over rows as one product of its transpose with
+the left factor.  The pair tables depend on M alone and are built once per
+M.  No (N, M, M, Q) array is built: memory is O(N P) for the rows of Psi2.
+The expansion cancels terms of size ``w mu^2``, so means and inducing inputs
+are first centred on the inducing inputs' column mean; Psi1, Psi2 and their
+gradients are invariant to that common shift.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,14 +149,44 @@ def psi1_matrix(kernel: ArdKernel, mu: np.ndarray, var: np.ndarray, z: np.ndarra
     return kernel.signal_variance * np.exp(expo)
 
 
+class _PairTables(NamedTuple):
+    """Read-only index tables of the P = M(M+1)/2 inducing pairs a <= b,
+    in ``np.triu_indices`` order; they depend on M alone."""
+
+    ab: np.ndarray           # (2, P) a and b of each pair, b >= a
+    spread: np.ndarray       # (M, 2P) [one-hot of a + of b | one-hot of b - of a] / 2, transposed
+    unpack: np.ndarray       # (M, M) the pair of each entry, for both orders
+    flat_ab: np.ndarray      # (P,) flat index of (a, b) in an (M, M) matrix
+    flat_ba: np.ndarray      # (P,) flat index of (b, a)
+    diag_half: np.ndarray    # (P,) 1/2 on the diagonal pairs, else 1
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_tables(m: int) -> _PairTables:
+    ia, ib = np.triu_indices(m)
+    p = ia.size
+    one_a, one_b = np.eye(m)[ia], np.eye(m)[ib]
+    unpack = np.empty((m, m), dtype=np.intp)
+    unpack[ia, ib] = unpack[ib, ia] = np.arange(p)
+    tables = _PairTables(
+        ab=np.stack((ia, ib)),
+        spread=np.ascontiguousarray(0.5 * np.concatenate((one_a + one_b, one_b - one_a)).T),
+        unpack=unpack, flat_ab=ia * m + ib, flat_ba=ib * m + ia, diag_half=np.where(ia == ib, 0.5, 1.0),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 class _PsiCache:
     """Forward intermediates reused by the backward pass.
 
     ``mu`` and ``z`` are kept centred on the column mean of the inducing
     inputs; Psi1, Psi2 and every gradient are invariant to that shift.
+    ``psi2_rows`` holds row n's Psi2 over the pairs a <= b, (N, P).
     """
 
-    __slots__ = ("mu", "s", "z", "alpha", "sigma2", "psi1", "w", "dz", "zz", "psi2_rows")
+    __slots__ = ("mu", "s", "z", "alpha", "sigma2", "psi1", "pairs", "d2", "w", "lhs", "rhs", "dz", "psi2_rows")
 
     def __init__(self, kernel: ArdKernel, points: LatentPoints, z: np.ndarray):
         alpha = kernel.inv_length_scales
@@ -151,29 +196,41 @@ class _PsiCache:
             raise ValueError("latent points, inducing inputs and kernel must share dimension Q")
         centre = z.mean(axis=0)
         mu, s, z = points.mean - centre, points.var, z - centre
-        n, m = mu.shape[0], z.shape[0]
+        (n, q), m = mu.shape, z.shape[0]
+        self.pairs = pairs = _pair_tables(m)
 
         self.mu, self.s, self.z, self.alpha, self.sigma2 = mu, s, z, alpha, sigma2
         self.psi1 = psi1_matrix(kernel, mu, s, z)                   # (N, M)
 
-        d2 = 1.0 + 2.0 * alpha * s                                  # (N, Q)
-        self.w = alpha / d2
-        self.dz = z[:, None, :] - z[None, :, :]                     # (M, M, Q)
-        self.zz = (z[:, None, :] * z[None, :, :]).reshape(m * m, -1)  # (M^2, Q): z_a z_b
-        # row[n, a] takes w mu z_a - w z_a^2 / 4 and half of w mu^2 + log(d2) / 2
-        row = (self.w * mu) @ z.T - 0.25 * (self.w @ (z**2).T)
-        row -= 0.5 * np.sum(self.w * mu**2 + 0.5 * np.log(d2), axis=1)[:, None]
-        expo = ((-0.5 * self.w) @ self.zz.T).reshape(n, m, m)
-        expo += row[:, :, None]
-        expo += row[:, None, :]
-        expo -= 0.25 * np.einsum("q,abq->ab", alpha, self.dz**2)
-        self.psi2_rows = np.exp(expo, out=expo)
-        self.psi2_rows *= sigma2**2                                 # (N, M, M)
+        self.d2 = d2 = 1.0 + 2.0 * alpha * s                        # (N, Q)
+        self.w = w = alpha / d2
+        wmu = w * mu
+        self.lhs = lhs = np.empty((n, 2 * q + 2))                   # [2 w mu | -w | 1 | 0]
+        np.multiply(wmu, 2.0, out=lhs[:, :q])
+        np.negative(w, out=lhs[:, q:2 * q])
+        lhs[:, 2 * q:] = (1.0, 0.0)
+        za, zb = z[pairs.ab]                                        # (P, Q) each
+        self.dz = za - zb
+        self.rhs = rhs = np.empty((pairs.ab.shape[1], 2 * q + 2))   # [zbar | zbar^2 | c | 1]
+        zbar = np.add(za, zb, out=rhs[:, :q])
+        zbar *= 0.5
+        np.square(zbar, out=rhs[:, q:2 * q])
+        log_sigma4 = 2.0 * math.log(sigma2) if sigma2 > 0.0 else -np.inf
+        rhs[:, 2 * q] = -0.25 * (self.dz**2 @ alpha) + log_sigma4
+        rhs[:, 2 * q + 1] = 1.0
+        expo = lhs @ rhs.T
+        expo -= np.sum(wmu * mu + 0.5 * np.log(d2), axis=1)[:, None]
+        self.psi2_rows = np.exp(expo, out=expo)                     # (N, P)
+
+    def psi2_sums(self, groups: int) -> np.ndarray:
+        """Psi2 summed over each of ``groups`` equal consecutive row groups, (G, M, M)."""
+        sums = self.psi2_rows.reshape(groups, -1, self.psi2_rows.shape[1]).sum(axis=1)
+        return sums[:, self.pairs.unpack]
 
     @property
     def psi2(self) -> np.ndarray:
         """Psi2 summed over all rows (M, M)."""
-        return self.psi2_rows.sum(axis=0)
+        return self.psi2_sums(1)[0]
 
     def stats(self) -> PsiStats:
         n = self.mu.shape[0]
@@ -217,16 +274,17 @@ def psi_backward(
 
     ``dpsi2`` is the gradient with respect to the summed (M x M) Psi2, or a
     (G, M, M) stack of them when the rows fall into G equal consecutive
-    groups that each sum their own Psi2 (a chunk of users).  It is
-    symmetrized here so callers may pass either triangle convention.  Every
-    sum over inducing pairs is taken on (N, M) or (M, M) marginals of
-    ``dpsi2 * Psi2_rows`` and finished with rank-Q products.  ``dsigma2``
-    is for the cache's one signal variance.
+    groups that each sum their own Psi2 (a chunk of users).  Each pair a < b
+    takes ``dpsi2[a, b] + dpsi2[b, a]``, so callers may pass either triangle
+    convention.  Every sum over pairs or rows is one product with the
+    weighted Psi2 rows (module docstring).  ``dsigma2`` is for the cache's
+    one signal variance.
     """
-    alpha, s, mu, z, w = cache.alpha, cache.s, cache.mu, cache.z, cache.w
+    alpha, s, mu, z, w, pairs = cache.alpha, cache.s, cache.mu, cache.z, cache.w, cache.pairs
     n, m = cache.psi1.shape
-    groups = np.reshape(dpsi2, (-1, m, m))
-    groups = 0.5 * (groups + groups.transpose(0, 2, 1))
+    q = z.shape[1]
+    flat = np.reshape(dpsi2, (-1, m * m))
+    dpair = (flat[:, pairs.flat_ab] + flat[:, pairs.flat_ba]) * pairs.diag_half     # (G, P)
 
     # Psi1 channel, per coordinate: exponent -v (mu - z_m)^2 / 2, v = alpha / d1
     d1 = 1.0 + alpha * s
@@ -240,29 +298,24 @@ def psi_backward(
     gz = t1.T @ (v * mu) - z * (t1.T @ v)
     galpha = -0.5 * np.sum(sq1 / d1**2 + t1_sum * s / d1, axis=0)
 
-    # Psi2 channel, per coordinate: exponent -w (mu - zbar_ab)^2 with
-    # zbar_ab = (z_a + z_b) / 2; t2 is symmetric in (a, b)
-    d2 = 1.0 + 2.0 * alpha * s
-    t2 = (cache.psi2_rows.reshape(len(groups), -1, m, m) * groups[:, None]).reshape(n, m * m)
-    t2_a = t2.reshape(n, m, m).sum(axis=2)                          # (N, M)
-    t2_sum = t2_a.sum(axis=1)[:, None]
-    t2_z = t2_a @ z
-    sq2 = (                                                         # sum_ab t2 (mu - zbar_ab)^2
-        mu**2 * t2_sum - 2.0 * mu * t2_z + 0.5 * (t2_a @ z**2) + 0.5 * (t2 @ cache.zz)
-    )
+    # Psi2 channel, per coordinate: exponent -alpha/4 dz_ab^2 - w (mu - zbar_ab)^2
+    # with zbar_ab = (z_a + z_b) / 2; t2 weighs both orders of each pair
+    d2 = cache.d2
+    t2 = cache.psi2_rows.reshape(len(dpair), -1, dpair.shape[1]) * dpair[:, None]
+    t2 = t2.reshape(n, -1)                                          # (N, P)
+    by_row = t2 @ cache.rhs                                         # (N, 2Q + 2)
+    t2_z, t2_sum = by_row[:, :q], by_row[:, 2 * q + 1:]
+    sq2 = mu**2 * t2_sum - 2.0 * mu * t2_z + by_row[:, q:2 * q]     # sum_ab t2 (mu - zbar_ab)^2
     gmu -= 2.0 * w * (mu * t2_sum - t2_z)
     gs += 2.0 * w**2 * sq2 - w * t2_sum
-    pair = t2.sum(axis=0).reshape(m, m)                             # sum_n t2, (M, M)
-    galpha -= 0.25 * np.einsum("ab,abq->q", pair, cache.dz**2) + np.sum(
-        sq2 / d2**2 + t2_sum * s / d2, axis=0
-    )
-    t2_w = (t2.T @ w).reshape(m, m, -1)                             # sum_n t2 w, (M, M, Q)
-    gz += (
-        -alpha * np.einsum("ab,abq->aq", pair, cache.dz)
-        + 2.0 * (t2_a.T @ (w * mu))
-        - z * (t2_a.T @ w)
-        - np.einsum("abq,bq->aq", t2_w, z)
-    )
+    by_pair = t2.T @ cache.lhs                                      # (P, 2Q + 2)
+    pair = by_pair[:, 2 * q]                                        # sum_n t2
+    galpha -= 0.25 * (pair @ cache.dz**2) + np.sum(sq2 / d2**2 + t2_sum * s / d2, axis=0)
+    # pair (a, b) gives a and b each half of 2 sum_n t2 w (mu - zbar_ab), and
+    # -/+ half of alpha pair (z_a - z_b)
+    toward = by_pair[:, :q] + 2.0 * by_pair[:, q:2 * q] * cache.rhs[:, :q]
+    lin = (alpha * pair[:, None]) * cache.dz
+    gz += pairs.spread @ np.concatenate((toward, lin))
 
     # All three statistics are monomials in sigma2 (degrees 1, 1, 2).
     gsigma2 = (np.sum(t1) + 2.0 * np.sum(pair) + dpsi0 * n * cache.sigma2) / cache.sigma2

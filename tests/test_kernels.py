@@ -1,6 +1,7 @@
 """ARD kernel, closed-form psi statistics, their Monte-Carlo oracle and gradients."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,13 @@ class TestPsiStatistics:
             assert dev1.max() < 4.0
             assert dev2.max() < 4.0
 
+    def test_zero_signal_variance_gives_zero_statistics_silently(self):
+        kern, pts, z = random_setup(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = psi_statistics(ArdKernel(0.0, kern.inv_length_scales), pts, z)
+        assert not np.any(stats.psi1) and not np.any(stats.psi2)
+
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             LatentPoints([[0.0]], [[-0.1]])
@@ -145,6 +153,10 @@ def edge_setup(case, seed):
     """Psi inputs at the edge shapes training meets."""
     if case == "single_row":
         return random_setup(seed, n=1, m=3, q=2)
+    if case == "one_inducing":
+        return random_setup(seed, n=3, m=1, q=2)
+    if case == "two_inducing":
+        return random_setup(seed, n=3, m=2, q=2)
     if case == "more_inducing_than_rows":
         return random_setup(seed, n=2, m=5, q=2)
     if case == "coinciding_inducing":
@@ -161,7 +173,8 @@ def edge_setup(case, seed):
     raise ValueError(case)
 
 
-EDGE_CASES = ["single_row", "more_inducing_than_rows", "coinciding_inducing", "fixed_column"]
+EDGE_CASES = ["single_row", "one_inducing", "two_inducing", "more_inducing_than_rows", "coinciding_inducing",
+              "fixed_column"]
 
 
 def random_probe(rng, n, m):
@@ -314,3 +327,26 @@ class TestPsiGradients:
         finally:
             tracemalloc.stop()
         assert peak < n * m * m * q * 8
+
+    def test_peak_memory_within_the_packed_rows(self):
+        # the packed Psi2 rows are (N, P), P = M(M+1)/2; forward and backward
+        # hold them and one weighted copy, not the parent layout's (N, M, M)
+        n, m, q = 500, 30, 6
+        kern, pts, z = random_setup(82, n=n, m=m, q=q)
+        r0, r1, r2 = random_probe(np.random.default_rng(83), n, m)
+        tracemalloc.start()
+        try:
+            psi_backward(_PsiCache(kern, pts, z), r0, r1, r2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * (m * (m + 1) // 2) * 8
+
+    @pytest.mark.parametrize("first, second", [(1, 4), (0, 5), (2, 3)])
+    def test_duplicate_inducing_input_gives_equal_rows_and_columns(self, first, second):
+        # the packed layout keeps one of (a, b) and (b, a'); both must round alike
+        kern, pts, z = random_setup(90, n=7, m=6, q=3)
+        z[second] = z[first]
+        psi2 = psi_statistics(kern, pts, z).psi2
+        assert np.array_equal(psi2[first], psi2[second])
+        assert np.array_equal(psi2[:, first], psi2[:, second])

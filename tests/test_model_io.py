@@ -130,6 +130,29 @@ class TestCli:
         assert body.startswith("fold,mae,rmse")
         assert "const_mean" in body
 
+    def test_evaluate_reports_a_dropped_fold_under_its_index(self, tmp_path, monkeypatch):
+        import gplvmf.harness as harness
+
+        cfg = write_config(tmp_path)
+        data, results = tmp_path / "data.csv", tmp_path / "results.csv"
+        assert cli_main(["synthesize", "--config", str(cfg), "--out", str(data)]) == 0
+        real_train, calls = harness.train_model, []
+
+        def fail_fold_one(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("synthetic training failure")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_model", fail_fold_one)
+        with pytest.warns(UserWarning, match="fold 1 failed"):
+            code = cli_main(["evaluate", "--config", str(cfg), "--data", str(data),
+                             "--folds", "3", "--out", str(results)])
+        assert code == 0
+        lines = results.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["fold", "0", "2", "failed", "mean", "std"]
+        assert lines[3] == "failed,1"
+
     def test_bad_data_reports_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         data = tmp_path / "broken.csv"
