@@ -81,8 +81,8 @@ class FactorizationError(ArithmeticError):
     """Cholesky failed even after jitter escalation."""
 
 
-def _chol_with_escalation(mat: np.ndarray, scale: float, jitter: float, what: str, base: bool = True):
-    """Lower-Cholesky of ``mat + j*scale*I``, escalating j twice before giving up.
+def _chol_with_escalation(mat: np.ndarray, jitter: float, what: str, base: bool = True):
+    """Lower-Cholesky of ``mat + j*I``, escalating j twice before giving up.
 
     With ``base=False`` the first attempt adds no jitter (for systems that
     already inherit it).  Returns the factor and the jitter actually added.
@@ -91,13 +91,13 @@ def _chol_with_escalation(mat: np.ndarray, scale: float, jitter: float, what: st
     for mult in mults:
         j = jitter * mult
         try:
-            return np.linalg.cholesky(mat + j * scale * np.eye(mat.shape[0])), j
+            return np.linalg.cholesky(mat + j * np.eye(mat.shape[0])), j
         except np.linalg.LinAlgError:
             continue
     eigs = np.linalg.eigvalsh(mat)
     raise FactorizationError(
-        f"{what}: Cholesky failed at jitter {jitter * _ESCALATION[-1]:.1e} * scale; "
-        f"eigenvalue range [{eigs.min():.3e}, {eigs.max():.3e}], scale {scale:.3e}"
+        f"{what}: Cholesky failed at jitter {jitter * _ESCALATION[-1]:.1e}; "
+        f"eigenvalue range [{eigs.min():.3e}, {eigs.max():.3e}]"
     )
 
 
@@ -118,7 +118,7 @@ def shared_factors(state: VariationalState, jitter: float = DEFAULT_JITTER) -> S
     gram0 = np.exp(
         -0.5 * np.einsum("q,abq->ab", alpha, (state.z[:, None, :] - state.z[None, :, :]) ** 2)
     )
-    chol_c, j = _chol_with_escalation(gram0, 1.0, jitter, "inducing gram")
+    chol_c, j = _chol_with_escalation(gram0, jitter, "inducing gram")
     linv, _ = lapack.dtrtri(chol_c, lower=1)
     return SharedFactors(gram0=gram0, c=gram0 + j * np.eye(gram0.shape[0]), chol_c=chol_c, linv=linv, jitter=j)
 
@@ -162,7 +162,7 @@ def _chol_users(b_mat: np.ndarray, users: np.ndarray, jitter: float):
         pass
     chol = np.empty_like(b_mat)
     for i, user in enumerate(users):
-        chol[i], extra[i] = _chol_with_escalation(b_mat[i], 1.0, jitter, f"user {user} system", base=False)
+        chol[i], extra[i] = _chol_with_escalation(b_mat[i], jitter, f"user {user} system", base=False)
         b_mat[i] += extra[i] * np.eye(b_mat.shape[1])
     return chol, extra
 

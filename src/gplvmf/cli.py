@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .data import DataError, load_table, parse_finite, save_table
+from .data import DataError, load_table, read_records, save_table
 from .harness import const_baseline_cv, evaluate_cv, synthesize, train_model
 from .model import load_model, save_model
 from .predict import context_relevance
@@ -68,26 +68,9 @@ def cmd_evaluate(args) -> int:
 
 
 def _read_queries(path, schema, delimiter):
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise DataError(f"{path}: no queries")
-    nfields = 2 + schema.context_count
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(delimiter)
-        if len(parts) != nfields:
-            raise DataError(f"{path}, line {lineno}: expected {nfields} fields, got {len(parts)}")
-        user, item = int(parts[0]), int(parts[1])
-        ctx = []
-        for d, c in enumerate(schema.contexts):
-            if c.is_categorical:
-                ctx.append(int(parts[2 + d]))
-            else:
-                ctx.append(parse_finite(parts[2 + d], path, lineno, f"context {c.name!r} value"))
-        rows.append((user, item, tuple(ctx)))
-    return rows
+    """(user, item, schema-order context tuple) per query line of ``path``."""
+    _, records = read_records(path, schema, delimiter, rating=False)
+    return [(user, item, tuple(ctx)) for user, item, *ctx in records]
 
 
 def cmd_predict(args) -> int:

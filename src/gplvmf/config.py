@@ -30,13 +30,17 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
-from .data import ContextSchema, schema_from_dict
+from .data import ContextSchema, check_keys, schema_from_dict
 from .harness import SyntheticSpec
 from .optim import TrainConfig
 from .state import ModelDims
 
 _MODEL_KEYS = tuple(f.name for f in fields(ModelDims))
 _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name not in _MODEL_KEYS and f.name != "seed")
+# the schema gives the synthetic table's entity counts and contexts
+_SYNTHETIC_KEYS = tuple(
+    f.name for f in fields(SyntheticSpec) if f.name not in ("user_count", "item_count", "contexts")
+)
 
 
 def load_config(path) -> dict:
@@ -56,9 +60,7 @@ def train_config_from_config(cfg: dict) -> TrainConfig:
     kwargs = {"seed": cfg.get("seed", 0)}
     for section, keys in (("model", _MODEL_KEYS), ("train", _TRAIN_KEYS)):
         given = cfg.get(section, {})
-        for key in given:
-            if key not in keys:
-                raise ValueError(f"unknown key {key!r} in config section {section!r}; known keys: {', '.join(keys)}")
+        check_keys(given, keys, f"config section {section!r}")
         kwargs.update(given)
     return TrainConfig(**kwargs)
 
@@ -69,26 +71,18 @@ def rating_scale_from_config(cfg: dict):
 
 
 def synthetic_spec_from_config(cfg: dict) -> SyntheticSpec:
+    """The ``synthetic`` section over the config's schema.  Unset fields take
+    the :class:`SyntheticSpec` defaults, except ``context_alphas`` (1.0 per
+    context) and ``seed`` (the top-level seed)."""
     try:
         sd = cfg["synthetic"]
     except KeyError as exc:
         raise KeyError("config is missing the 'synthetic' section") from exc
+    check_keys(sd, _SYNTHETIC_KEYS, "config section 'synthetic'")
+    if "ratings_per_user" not in sd:
+        raise KeyError("config section 'synthetic' is missing 'ratings_per_user'")
     schema = schema_from_config(cfg)
+    defaults = {"context_alphas": [1.0] * schema.context_count, "seed": cfg.get("seed", 0)}
     return SyntheticSpec(
-        user_count=schema.user_count,
-        item_count=schema.item_count,
-        contexts=schema.contexts,
-        ratings_per_user=sd["ratings_per_user"],
-        item_dim=sd.get("item_dim", 2),
-        context_dim=sd.get("context_dim", 2),
-        item_alpha=sd.get("item_alpha", 1.0),
-        context_alphas=tuple(sd.get("context_alphas", [1.0] * schema.context_count)),
-        signal_variance=sd.get("signal_variance", 1.0),
-        noise_precision=sd.get("noise_precision", 4.0),
-        include_bias=sd.get("include_bias", True),
-        user_bias_mean=sd.get("user_bias_mean", 0.0),
-        user_bias_std=sd.get("user_bias_std", 1.0),
-        bias_scale=sd.get("bias_scale", 1.0),
-        real_weights=tuple(sd.get("real_weights", [])),
-        seed=sd.get("seed", cfg.get("seed", 0)),
+        user_count=schema.user_count, item_count=schema.item_count, contexts=schema.contexts, **{**defaults, **sd}
     )

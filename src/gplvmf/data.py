@@ -96,6 +96,14 @@ def schema_from_dict(d: dict) -> ContextSchema:
     return ContextSchema(user_count=d["user_count"], item_count=d["item_count"], contexts=contexts)
 
 
+def check_keys(given, known, where: str) -> None:
+    """A ``ValueError`` naming the first key of ``given`` not in ``known`` and
+    ``where`` it was found; every config decoder checks its keys here."""
+    for key in given:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {where}; known keys: {', '.join(known)}")
+
+
 @dataclass(frozen=True)
 class RatingRecord:
     """A single observation; ``context_values`` follows schema order."""
@@ -168,16 +176,8 @@ class RatingTable:
         return float(self.ratings.min()), float(self.ratings.max())
 
     def record(self, i: int) -> RatingRecord:
-        values = []
-        ci = ri = 0
-        for ctx in self.schema.contexts:
-            if ctx.is_categorical:
-                values.append(int(self.cat_values[i, ci]))
-                ci += 1
-            else:
-                values.append(float(self.real_values[i, ri]))
-                ri += 1
-        return RatingRecord(int(self.users[i]), int(self.items[i]), tuple(values), float(self.ratings[i]))
+        (values,) = context_rows(self.schema, self.cat_values[i : i + 1], self.real_values[i : i + 1])
+        return RatingRecord(int(self.users[i]), int(self.items[i]), values, float(self.ratings[i]))
 
     def subset(self, indices, standardization: RealStandardization | str = "refit") -> "RatingTable":
         """Select rows; ``standardization`` is ``"refit"`` (fit on the subset,
@@ -199,20 +199,76 @@ class RatingTable:
         )
 
 
-def parse_finite(text: str, path, lineno: int, what: str) -> float:
-    """``float(text)``; a :class:`DataError` naming the file, line and ``what``
-    unless it is a finite number (nan or inf would poison training)."""
+def context_columns(schema: ContextSchema, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Context values in schema order, one sequence per row, as the table's
+    columns: int64 categorical codes ``(n, categorical count)`` and float
+    real values ``(n, real count)``, both C-ordered (a column mean sums in
+    memory order).  Inverse of :func:`context_rows`."""
+    raw = np.asarray(rows, dtype=float).reshape(len(rows), schema.context_count)
+    return raw.take(schema.categorical_indices, axis=1).astype(np.int64), raw.take(schema.real_indices, axis=1)
+
+
+def context_rows(schema: ContextSchema, codes, reals) -> list[tuple]:
+    """The categorical-code and real-value columns as one schema-order tuple
+    per row, of Python ints and floats.  Inverse of :func:`context_columns`."""
+    columns = [None] * schema.context_count
+    for d, column in zip(schema.categorical_indices, np.asarray(codes, dtype=np.int64).T.tolist()):
+        columns[d] = column
+    for d, column in zip(schema.real_indices, np.asarray(reals, dtype=float).T.tolist()):
+        columns[d] = column
+    return list(zip(*columns)) if columns else [()] * len(codes)
+
+
+def parse_field(text: str, integer: bool, path, lineno: int, what: str):
+    """``int(text)``, or ``float(text)`` if finite (nan or inf would poison
+    training); otherwise a :class:`DataError` naming the file, the line and
+    ``what`` the column holds."""
     try:
-        value = float(text)
+        value = int(text) if integer else float(text)
     except ValueError as exc:
-        raise DataError(f"{path}, line {lineno}: non-numeric {what} {text!r}") from exc
-    if not math.isfinite(value):
+        kind = "integer" if integer else "numeric"
+        raise DataError(f"{path}, line {lineno}: non-{kind} {what} {text!r}") from exc
+    if not integer and not math.isfinite(value):
         raise DataError(f"{path}, line {lineno}: non-finite {what} {text!r}")
     return value
 
 
 def _header_names(schema: ContextSchema) -> list[str]:
     return ["user", "item"] + [c.name for c in schema.contexts] + ["rating"]
+
+
+def read_records(path, schema: ContextSchema, delimiter: str, rating: bool = True) -> tuple[list, list]:
+    """Parse a delimited text file: a header line with one field per column
+    (user, item, the contexts in schema order and, with ``rating``, the
+    rating), then one record per line; blank lines are skipped.
+
+    Returns the records' line numbers and their fields, parsed by
+    :func:`parse_field`: ints for the user, the item and categorical codes,
+    finite floats for real values and the rating.  Ranges are not checked.
+    """
+    names = _header_names(schema)[: None if rating else -1]
+    columns = [(True, "user index"), (True, "item index")]
+    columns += [(c.is_categorical, f"context {c.name!r} value") for c in schema.contexts]
+    columns += [(False, "rating")]
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise DataError(f"{path}: no records")
+    header = lines[0].split(delimiter)
+    if len(header) != len(names):
+        raise DataError(
+            f"{path}, line 1: header has {len(header)} fields, expected {len(names)} ({', '.join(names)})"
+        )
+    linenos, records = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(delimiter)
+        if len(parts) != len(names):
+            raise DataError(f"{path}, line {lineno}: malformed row ({len(parts)} fields, expected {len(names)})")
+        linenos.append(lineno)
+        records.append([parse_field(text, integer, path, lineno, what)
+                        for text, (integer, what) in zip(parts, columns)])
+    return linenos, records
 
 
 def load_table(path, schema: ContextSchema, delimiter: str = ",") -> RatingTable:
@@ -223,97 +279,38 @@ def load_table(path, schema: ContextSchema, delimiter: str = ",") -> RatingTable
     columns are standardized to zero mean / unit variance over the loaded
     records; the statistics are kept on the table for prediction-time reuse.
     """
-    path = Path(path)
-    nfields = 3 + schema.context_count
-    cat_idx = schema.categorical_indices
-    real_idx = schema.real_indices
-    real_what = {d: f"context {schema.contexts[d].name!r} value" for d in real_idx}
-
-    users, items, ratings = [], [], []
-    cats, reals = [], []
-    with path.open("r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    linenos, records = read_records(path, schema, delimiter)
+    if not records:
         raise DataError(f"{path}: no records")
-    header = lines[0].split(delimiter)
-    if len(header) != nfields:
-        raise DataError(
-            f"{path}, line 1: header has {len(header)} fields, expected {nfields} "
-            f"(user, item, {schema.context_count} contexts, rating)"
-        )
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(delimiter)
-        if len(parts) != nfields:
-            raise DataError(f"{path}, line {lineno}: malformed row ({len(parts)} fields, expected {nfields})")
-        try:
-            user = int(parts[0])
-            item = int(parts[1])
-        except ValueError as exc:
-            raise DataError(f"{path}, line {lineno}: non-integer user/item index") from exc
-        if not 0 <= user < schema.user_count:
-            raise DataError(f"{path}, line {lineno}: user index {user} out of range [0, {schema.user_count})")
-        if not 0 <= item < schema.item_count:
-            raise DataError(f"{path}, line {lineno}: item index {item} out of range [0, {schema.item_count})")
-        ctx_fields = parts[2:-1]
-        row_cat, row_real = [], []
-        for d, ctx in enumerate(schema.contexts):
-            if ctx.is_categorical:
-                try:
-                    code = int(ctx_fields[d])
-                except ValueError as exc:
-                    raise DataError(
-                        f"{path}, line {lineno}: context {ctx.name!r} expects an integer code"
-                    ) from exc
-                if not 0 <= code < ctx.cardinality:
-                    raise DataError(
-                        f"{path}, line {lineno}: context {ctx.name!r} code {code} "
-                        f"out of range [0, {ctx.cardinality})"
-                    )
-                row_cat.append(code)
-            else:
-                row_real.append(parse_finite(ctx_fields[d], path, lineno, real_what[d]))
-        rating = parse_finite(parts[-1], path, lineno, "rating")
-        users.append(user)
-        items.append(item)
-        cats.append(row_cat)
-        reals.append(row_real)
-        ratings.append(rating)
-
-    if not users:
-        raise DataError(f"{path}: no records")
-
-    raw = np.asarray(reals, dtype=float).reshape(len(users), len(real_idx))
-    names = [schema.contexts[d].name for d in real_idx]
+    values = np.array(records, dtype=float)
+    ranges = [("user index", 0, schema.user_count), ("item index", 1, schema.item_count)]
+    ranges += [(f"context {c.name!r} code", 2 + d, c.cardinality)
+               for d, c in enumerate(schema.contexts) if c.is_categorical]
+    for what, col, count in ranges:
+        bad = np.flatnonzero((values[:, col] < 0) | (values[:, col] >= count))
+        if bad.size:
+            raise DataError(
+                f"{path}, line {linenos[bad[0]]}: {what} {int(values[bad[0], col])} out of range [0, {count})"
+            )
+    cats, raw = context_columns(schema, values[:, 2:-1])
     return RatingTable(
         schema=schema,
-        users=np.asarray(users, dtype=np.int64),
-        items=np.asarray(items, dtype=np.int64),
-        cat_values=np.asarray(cats, dtype=np.int64).reshape(len(users), len(cat_idx)),
+        users=values[:, 0].astype(np.int64),
+        items=values[:, 1].astype(np.int64),
+        cat_values=cats,
         real_raw=raw,
-        ratings=np.asarray(ratings, dtype=float),
-        standardization=fit_standardization(raw, names),
+        ratings=values[:, -1].copy(),
+        standardization=fit_standardization(raw, [schema.contexts[d].name for d in schema.real_indices]),
     )
 
 
 def save_table(table: RatingTable, path, delimiter: str = ",") -> None:
     """Write a table back to delimited text (raw, un-standardized real values)."""
-    path = Path(path)
-    cat_idx = table.schema.categorical_indices
+    contexts = context_rows(table.schema, table.cat_values, table.real_raw)
+    records = zip(table.users.tolist(), table.items.tolist(), contexts, table.ratings.tolist())
     lines = [delimiter.join(_header_names(table.schema))]
-    cat_pos = {d: j for j, d in enumerate(cat_idx)}
-    real_pos = {d: j for j, d in enumerate(table.schema.real_indices)}
-    for i in range(len(table)):
-        fields = [str(int(table.users[i])), str(int(table.items[i]))]
-        for d, ctx in enumerate(table.schema.contexts):
-            if ctx.is_categorical:
-                fields.append(str(int(table.cat_values[i, cat_pos[d]])))
-            else:
-                fields.append(repr(float(table.real_raw[i, real_pos[d]])))
-        fields.append(repr(float(table.ratings[i])))
-        lines.append(delimiter.join(fields))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines += [delimiter.join(map(repr, (user, item, *ctx, rating))) for user, item, ctx, rating in records]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 class UserBlock(NamedTuple):

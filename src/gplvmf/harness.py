@@ -19,6 +19,7 @@ import numpy as np
 from .data import (
     ContextSchema,
     RatingTable,
+    context_rows,
     fit_standardization,
     group_by_user,
     make_folds,
@@ -74,6 +75,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("context_alphas", "real_weights"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if min(self.user_count, self.item_count, self.ratings_per_user) < 1:
             raise ValueError("all counts must be positive")
         if self.contexts and len(self.context_alphas) != len(self.contexts):
@@ -231,18 +234,7 @@ def sample_ratings(truth: SyntheticTruth, rng) -> np.ndarray:
 def raw_context_rows(table: RatingTable) -> list:
     """Per-record context tuples with raw (un-standardized) real values,
     in schema order, as accepted by the prediction API."""
-    rows = []
-    cat_pos = {d: j for j, d in enumerate(table.schema.categorical_indices)}
-    real_pos = {d: j for j, d in enumerate(table.schema.real_indices)}
-    for i in range(len(table)):
-        row = []
-        for d, ctx in enumerate(table.schema.contexts):
-            if ctx.is_categorical:
-                row.append(int(table.cat_values[i, cat_pos[d]]))
-            else:
-                row.append(float(table.real_raw[i, real_pos[d]]))
-        rows.append(tuple(row))
-    return rows
+    return context_rows(table.schema, table.cat_values, table.real_raw)
 
 
 def train_model(

@@ -19,6 +19,7 @@ from .data import (
     ContextSchema,
     RatingTable,
     RealStandardization,
+    check_keys,
     group_by_user,
     schema_from_dict,
     schema_to_dict,
@@ -87,12 +88,7 @@ def load_model(path) -> TrainedModel:
     meta = json.loads(str(arrays.pop("meta")))
     if meta.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format {meta.get('format')!r}")
-    known = [f.name for f in fields(TrainConfig)]
-    for key in meta["config"]:
-        if key not in known:
-            raise ValueError(
-                f"{path}: unknown key {key!r} in the model's config; known keys: {', '.join(known)}"
-            )
+    check_keys(meta["config"], [f.name for f in fields(TrainConfig)], f"the config stored in {path}")
     config = TrainConfig(**meta["config"])
     schema = schema_from_dict(meta["schema"])
     table = RatingTable(

@@ -16,7 +16,7 @@ with the scalar lambda regulator.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -55,22 +55,25 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in ("sgd", "scg"):
             raise ValueError(f"unknown optimization method {self.method!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must not be negative")
-        if self.inducing_count < 1:
-            raise ValueError("need at least one inducing point")
+        # A negative clip_norm or lr_decay steps down the bound, and a
+        # non-positive variance or jitter fails only later, as a non-finite
+        # gradient or a failed factorization.
+        for name, ok, rule in (
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("learning_rate", self.learning_rate >= 0, ">= 0"),
+            ("lr_decay", self.lr_decay > 0, "> 0"),
+            ("init_mean_scale", self.init_mean_scale >= 0, ">= 0"),
+            ("init_variance", self.init_variance > 0, "> 0"),
+            ("patience", self.patience >= 1, ">= 1"),
+            ("clip_norm", self.clip_norm >= 0, ">= 0 (0 turns clipping off)"),
+            ("jitter", self.jitter > 0, "> 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        self.dims()  # checks the model dimensions
 
     def dims(self) -> ModelDims:
-        return ModelDims(
-            inducing_count=self.inducing_count,
-            item_dim=self.item_dim,
-            context_dim=self.context_dim,
-            item_bias_dim=self.item_bias_dim,
-            context_bias_dim=self.context_bias_dim,
-            use_mean=self.use_mean,
-        )
+        return ModelDims(**{f.name: getattr(self, f.name) for f in fields(ModelDims)})
 
     def to_dict(self) -> dict:
         return asdict(self)

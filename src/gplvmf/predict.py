@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bound import _ROW_BUDGET, DEFAULT_JITTER, SharedFactors, _chunks, shared_factors, user_posterior
-from .data import ContextSchema
+from .data import ContextSchema, context_columns
 from .kernels import ArdKernel, psi1_matrix
 from .state import VariationalState
 
@@ -212,8 +212,10 @@ class Predictor:
         if len(context_values) != count:
             raise ValueError(f"expected {count} context values, got {len(context_values)}")
 
-        # The gather is scalar here: for one row, array clamps and fancy
-        # indexing would cost more than the arithmetic (see :meth:`_rows`).
+        # The split and the gather are scalar here: for one row, the array
+        # split of :func:`gplvmf.data.context_columns` (several times these
+        # two comprehensions), array clamps and fancy indexing would cost
+        # more than the arithmetic (see :meth:`_rows`).  The values are the same.
         cats = [int(context_values[d]) for d in self._cat_cols]
         reals = self._standardize(np.array([[float(context_values[d]) for d in self._real_cols]]))
         mu = np.empty((1, self.state.kernel_dim))
@@ -257,14 +259,15 @@ class Predictor:
         if n == 0:
             return np.empty(0), np.empty(0), np.empty(0)
         count = self.state.schema.context_count
+        if len(context_rows) != n:
+            raise ValueError(f"{n} queries but {len(context_rows)} context rows")
         for row in context_rows:
             if len(row) != count:
                 raise ValueError(f"expected {count} context values, got {len(row)}")
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
-        raw = np.asarray(context_rows, dtype=float).reshape(n, count)
-        cats = raw[:, self._cat_cols].astype(np.int64)
-        reals = self._standardize(raw[:, self._real_cols])
+        cats, reals = context_columns(self.state.schema, context_rows)
+        reals = self._standardize(reals)
 
         means, variances = np.empty(n), np.empty(n)
         known = np.isin(users, self._known)
@@ -318,7 +321,7 @@ def context_relevance(state: VariationalState, schema: ContextSchema | None = No
     scores to sum to one.
     """
     alpha = np.exp(state.log_alpha)
-    scores = [(b.name, float(alpha[b.sl].sum())) for b in state.layout.blocks]
+    scores = [(name, float(alpha[sl].sum())) for name, sl in state.layout.slices]
     total = sum(s for _, s in scores)
     entries = tuple(
         (name, score, score / total if total > 0 else 0.0) for name, score in scores

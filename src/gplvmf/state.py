@@ -13,10 +13,14 @@ table under the standard-normal prior, with one row per item (or per
 category of one categorical context) and one extra trailing "unknown" row
 held at the prior so unseen codes can be queried after training.  The
 kernel latents and the bias latents of the mean function are tables of the
-same kind; :attr:`KernelLayout.tables` describes them all once (keys, the
-block column that indexes each, and the kernel slice, empty for a bias
-table), and the bound's gradient scatter, the KL, SGD's step, the query
-lookup, initialization and the model file all walk that description.
+same kind.  :class:`KernelLayout` is the one description of this layout:
+``tables`` lists every table once (keys, the block column that indexes
+each, and the kernel slice, empty for a bias table), ``fixed_mask`` marks
+the pinned real-context coordinates and ``slices`` names each block's
+kernel slice.  The row assembly, the bound's gradient scatter, the KL,
+SGD's step, the query lookup, initialization, the relevance report and the
+model file all walk that description; none of them re-derives it from the
+schema.
 
 The state keeps every parameter in one float64 vector, ``flat``, in the
 order of :attr:`KernelLayout.keys`.  ``params`` maps each key to a reshaped
@@ -50,20 +54,10 @@ class ModelDims:
     use_mean: bool = True
 
     def __post_init__(self):
-        if self.inducing_count < 1:
-            raise ValueError("need at least one inducing point")
-        if self.item_dim < 1 or self.context_dim < 1:
-            raise ValueError("latent dimensions must be positive")
-
-
-@dataclass(frozen=True)
-class KernelBlock:
-    """One contiguous slice of the kernel latent vector."""
-
-    name: str
-    sl: slice
-    kind: str            # "item", "categorical", or "real"
-    table: int | None    # index into ctx tables for categorical, real column for real
+        for name, least in (("inducing_count", 1), ("item_dim", 1), ("context_dim", 1),
+                            ("item_bias_dim", 0), ("context_bias_dim", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -93,34 +87,30 @@ class LatentTable:
 
 class KernelLayout:
     """Mapping between schema entities, kernel latent coordinates and the
-    latent tables; ``keys`` is the canonical flat-vector order."""
+    latent tables; ``keys`` is the canonical flat-vector order.
+
+    ``slices`` lists (name, kernel slice) for the item block and then each
+    context in schema order; it is a list because a context may be named
+    ``item``.  ``fixed_mask`` marks the pinned real-context coordinates, in
+    schema order of the real contexts.
+    """
 
     def __init__(self, schema: ContextSchema, dims: ModelDims):
-        self.blocks: list[KernelBlock] = [KernelBlock("item", slice(0, dims.item_dim), "item", None)]
-        self.tables: list[LatentTable] = [
-            LatentTable("item_mean", "item_log_var", None, slice(0, dims.item_dim),
-                        (schema.item_count + 1, dims.item_dim))
-        ]
-        off = dims.item_dim
-        cat_j = real_j = 0
+        item = slice(0, dims.item_dim)
+        self.tables = [LatentTable("item_mean", "item_log_var", None, item, (schema.item_count + 1, dims.item_dim))]
+        self.slices = [("item", item)]
+        fixed = [False] * dims.item_dim
         for ctx in schema.contexts:
+            width = dims.context_dim if ctx.is_categorical else 1
+            sl = slice(len(fixed), len(fixed) + width)
             if ctx.is_categorical:
-                sl = slice(off, off + dims.context_dim)
-                self.blocks.append(KernelBlock(ctx.name, sl, "categorical", cat_j))
-                self.tables.append(LatentTable(f"ctx_mean_{cat_j}", f"ctx_log_var_{cat_j}", cat_j, sl,
+                j = len(self.tables) - 1
+                self.tables.append(LatentTable(f"ctx_mean_{j}", f"ctx_log_var_{j}", j, sl,
                                                (ctx.cardinality + 1, dims.context_dim)))
-                off += dims.context_dim
-                cat_j += 1
-            else:
-                self.blocks.append(KernelBlock(ctx.name, slice(off, off + 1), "real", real_j))
-                off += 1
-                real_j += 1
-        self.dim = off
-        mask = np.zeros(off, dtype=bool)
-        for b in self.blocks:
-            if b.kind == "real":
-                mask[b.sl] = True
-        self.fixed_mask = mask
+            self.slices.append((ctx.name, sl))
+            fixed += [not ctx.is_categorical] * width
+        self.dim = len(fixed)
+        self.fixed_mask = np.array(fixed, dtype=bool)
 
         point = ["z", "log_alpha", "log_sigma2", "log_beta"]
         if dims.use_mean:
@@ -214,16 +204,12 @@ class VariationalState:
         mu = np.empty((n, self.kernel_dim))
         var = np.zeros((n, self.kernel_dim))
         p = self.params
-        for b in self.layout.blocks:
-            if b.kind == "item":
-                mu[:, b.sl] = p["item_mean"][block.items]
-                var[:, b.sl] = np.exp(p["item_log_var"][block.items])
-            elif b.kind == "categorical":
-                codes = block.cat_values[:, b.table]
-                mu[:, b.sl] = p[f"ctx_mean_{b.table}"][codes]
-                var[:, b.sl] = np.exp(p[f"ctx_log_var_{b.table}"][codes])
-            else:
-                mu[:, b.sl] = block.real_values[:, b.table : b.table + 1]
+        for t in self.layout.tables:
+            if t.in_kernel:
+                codes = t.codes(block)
+                mu[:, t.sl] = p[t.mean][codes]
+                var[:, t.sl] = np.exp(p[t.log_var][codes])
+        mu[:, self.layout.fixed_mask] = block.real_values
         return mu, var
 
     # -- flat packing --------------------------------------------------------

@@ -34,6 +34,36 @@ def build_table(schema, users, items, cat=None, real=None, ratings=None):
     )
 
 
+def codec_schema(kind):
+    """``"interleaved"``: contexts alternating categorical, real, categorical,
+    real; ``"no_contexts"``: none."""
+    contexts = {
+        "interleaved": (
+            ContextVariable("mood", "categorical", 3),
+            ContextVariable("price", "real"),
+            ContextVariable("place", "categorical", 4),
+            ContextVariable("temperature", "real"),
+        ),
+        "no_contexts": (),
+    }[kind]
+    return ContextSchema(user_count=4, item_count=6, contexts=contexts)
+
+
+def codec_table(schema, n=15, seed=5):
+    """A random table over ``schema`` with every user present."""
+    rng = np.random.default_rng(seed)
+    cards = [c.cardinality for c in schema.contexts if c.is_categorical]
+    n_real = schema.context_count - len(cards)
+    return build_table(
+        schema,
+        users=np.arange(n) % schema.user_count,
+        items=rng.integers(0, schema.item_count, size=n),
+        cat=np.column_stack([rng.integers(0, k, size=n) for k in cards]) if cards else None,
+        real=rng.normal(2.0, 3.0, size=(n, n_real)) if n_real else None,
+        ratings=rng.normal(3.0, 1.0, size=n),
+    )
+
+
 def one_user_distinct_table(n_items, seed, rating_loc=3.0):
     """One user rating every item exactly once (distinct latent rows)."""
     rng = np.random.default_rng(seed)

@@ -209,7 +209,7 @@ class TestJitterEscalation:
 
         # smallest eigenvalue -5e-5: base 1e-6 and 1e-5 fail, 1e-4 rescues
         mat = np.diag([1.0, 1.0, -5e-5])
-        chol, used = _chol_with_escalation(mat, 1.0, 1e-6, "test matrix")
+        chol, used = _chol_with_escalation(mat, 1e-6, "test matrix")
         assert used == pytest.approx(1e-4)
         assert np.all(np.isfinite(chol))
 
@@ -218,7 +218,7 @@ class TestJitterEscalation:
 
         mat = np.diag([1.0, -0.5])
         with pytest.raises(FactorizationError, match="eigenvalue range"):
-            _chol_with_escalation(mat, 1.0, 1e-6, "test matrix")
+            _chol_with_escalation(mat, 1e-6, "test matrix")
 
 
 class TestTotalBound:

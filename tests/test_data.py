@@ -10,9 +10,11 @@ from gplvmf import (
     group_by_user,
     load_table,
     make_folds,
+    raw_context_rows,
     save_table,
 )
-from conftest import build_table
+from gplvmf.data import context_columns
+from conftest import build_table, codec_schema, codec_table
 
 
 def two_context_schema(users=5, items=10):
@@ -173,6 +175,64 @@ class TestLoadTable:
                 ratings=rng.normal(3, 1, size=8),
             )
         assert np.allclose(table.real_values, 7.0)
+
+
+def reference_context_rows(table, reals):
+    """Schema-order context tuples, one schema walk per record: the categorical
+    codes and the matching columns of ``reals``."""
+    rows = []
+    for i in range(len(table)):
+        row, ci, ri = [], 0, 0
+        for ctx in table.schema.contexts:
+            if ctx.is_categorical:
+                row.append(int(table.cat_values[i, ci]))
+                ci += 1
+            else:
+                row.append(float(reals[i, ri]))
+                ri += 1
+        rows.append(tuple(row))
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["interleaved", "no_contexts"])
+class TestContextCodec:
+    def test_rows_and_records_match_reference_loop(self, kind):
+        schema = codec_schema(kind)
+        table = codec_table(schema)
+        rows = raw_context_rows(table)
+        assert rows == reference_context_rows(table, table.real_raw)
+        kinds = [int if c.is_categorical else float for c in schema.contexts]
+        assert all(type(row) is tuple and [type(v) for v in row] == kinds for row in rows)
+        standardized = reference_context_rows(table, table.real_values)
+        for i in range(len(table)):
+            record = table.record(i)
+            assert record.context_values == standardized[i]
+            assert type(record.context_values) is tuple
+            assert [type(v) for v in record.context_values] == kinds
+            assert (type(record.user), type(record.item), type(record.rating)) == (int, int, float)
+
+    def test_columns_invert_rows(self, kind):
+        schema = codec_schema(kind)
+        table = codec_table(schema)
+        cats, reals = context_columns(schema, raw_context_rows(table))
+        assert cats.dtype == np.int64 and np.array_equal(cats, table.cat_values)
+        assert np.array_equal(reals, table.real_raw)
+        assert cats.flags.c_contiguous and reals.flags.c_contiguous
+
+    def test_save_table_bytes_match_reference_writer(self, tmp_path, kind):
+        schema = codec_schema(kind)
+        table = codec_table(schema)
+        path = tmp_path / "t.csv"
+        save_table(table, path, delimiter=";")
+        lines = [";".join(["user", "item"] + [c.name for c in schema.contexts] + ["rating"])]
+        for i, ctx in enumerate(reference_context_rows(table, table.real_raw)):
+            fields = [str(int(table.users[i])), str(int(table.items[i]))]
+            fields += [str(v) if isinstance(v, int) else repr(v) for v in ctx]
+            lines.append(";".join(fields + [repr(float(table.ratings[i]))]))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        again = load_table(path, schema, delimiter=";")
+        for name in ("users", "items", "cat_values", "real_raw", "ratings"):
+            assert np.array_equal(getattr(again, name), getattr(table, name)), name
 
 
 class TestGroupByUser:

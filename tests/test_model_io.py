@@ -1,12 +1,14 @@
 """Model serialization format and the command-line interface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from gplvmf import (
     ContextVariable,
+    DataError,
     SyntheticSpec,
     TrainConfig,
     load_model,
@@ -180,6 +182,91 @@ class TestCli:
         code = cli_main(["train", "--config", str(path), "--data", str(data), "--out", str(tmp_path / "m.npz")])
         assert code == 2
         assert "'epoch'" in capsys.readouterr().err
+
+    def test_synthetic_section_keys_are_checked(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        raw = json.loads(path.read_text())
+        data = tmp_path / "data.csv"
+        raw["synthetic"]["noise_precison"] = 100.0
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 2
+        assert "'noise_precison' in config section 'synthetic'" in capsys.readouterr().err
+        assert not data.exists()
+        del raw["synthetic"]["noise_precison"], raw["synthetic"]["ratings_per_user"]
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 2
+        assert "ratings_per_user" in capsys.readouterr().err
+
+    def test_synthetic_defaults_come_from_the_spec(self, tmp_path):
+        from gplvmf.config import load_config, synthetic_spec_from_config
+
+        cfg = load_config(write_config(tmp_path))
+        cfg["seed"] = 11
+        cfg["synthetic"] = {"ratings_per_user": 4}
+        spec = synthetic_spec_from_config(cfg)
+        default = SyntheticSpec(user_count=8, item_count=6, contexts=spec.contexts, ratings_per_user=4,
+                                context_alphas=(1.0, 1.0), seed=11)
+        assert spec == default
+        cfg["synthetic"] = {"ratings_per_user": 4, "context_alphas": [0.5, 0.0], "real_weights": [0.3], "seed": 2}
+        spec = synthetic_spec_from_config(cfg)
+        assert (spec.context_alphas, spec.real_weights, spec.seed) == ((0.5, 0.0), (0.3,), 2)
+
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [
+            ("train", "clip_norm", -1.0),
+            ("train", "lr_decay", -0.5),
+            ("train", "lr_decay", 0.0),
+            ("train", "init_mean_scale", -0.1),
+            ("train", "init_variance", -1.0),
+            ("train", "jitter", -1e-3),
+            ("train", "jitter", 0.0),
+            ("train", "patience", 0),
+            ("model", "item_bias_dim", -1),
+            ("model", "context_bias_dim", -1),
+        ],
+    )
+    def test_training_values_that_poison_training_are_rejected(self, tmp_path, capsys, section, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            TrainConfig(**{name: value})
+        path = write_config(tmp_path)
+        data = tmp_path / "data.csv"
+        assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 0
+        raw = json.loads(path.read_text())
+        raw[section][name] = value
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        capsys.readouterr()
+        code = cli_main(["train", "--config", str(path), "--data", str(data), "--out", str(tmp_path / "m.npz")])
+        assert code == 2
+        assert f"error: {name} must be" in capsys.readouterr().err
+        assert not (tmp_path / "m.npz").exists()
+
+    def test_zero_clip_norm_and_bias_dims_stay_allowed(self):
+        cfg = TrainConfig(clip_norm=0.0, item_bias_dim=0, context_bias_dim=0)
+        assert (cfg.clip_norm, cfg.dims().item_bias_dim, cfg.dims().context_bias_dim) == (0.0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("user\n0,1,2,0.4\n", "line 1: header has 1 fields, expected 4 (user, item, mood, price)"),
+            ("user,item,mood,price\n0,1,2,0.4\nx,1,2,0.4\n", "line 3: non-integer user index 'x'"),
+            ("user,item,mood,price\n0,1.5,2,0.4\n", "line 2: non-integer item index '1.5'"),
+            ("user,item,mood,price\n0,1,two,0.4\n", "line 2: non-integer context 'mood' value 'two'"),
+            ("user,item,mood,price\n0,1,2\n", "line 2: malformed row (3 fields, expected 4)"),
+        ],
+        ids=["short_header", "text_user", "float_item", "text_code", "short_row"],
+    )
+    def test_malformed_query_file_is_rejected(self, tmp_path, capsys, body, message):
+        from gplvmf.cli import _read_queries
+
+        model = small_model(tmp_path)
+        save_model(model, tmp_path / "model.npz")
+        queries = tmp_path / "q.csv"
+        queries.write_text(body, encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{queries}, {message}")):
+            _read_queries(queries, model.schema, ",")
+        assert cli_main(["predict", "--model", str(tmp_path / "model.npz"), "--queries", str(queries)]) == 2
+        assert f"error: {queries}, {message}" in capsys.readouterr().err
 
     def test_non_finite_query_context_is_rejected(self, tmp_path):
         from gplvmf.cli import _read_queries

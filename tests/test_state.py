@@ -1,11 +1,21 @@
-"""Storage of the variational state: one flat vector and its per-key views."""
+"""Storage of the variational state: one flat vector and its per-key views,
+and the kernel layout that rows and the relevance report read."""
 
 import numpy as np
 import pytest
 
-from gplvmf import load_model, save_model
+from gplvmf import (
+    ContextSchema,
+    ContextVariable,
+    TrainConfig,
+    context_relevance,
+    group_by_user,
+    init_state,
+    load_model,
+    save_model,
+)
 from gplvmf.model import TrainedModel
-from conftest import random_instance
+from conftest import build_table, codec_schema, codec_table, random_instance
 
 
 def test_every_table_is_a_view_of_the_flat_vector():
@@ -69,3 +79,46 @@ def test_model_file_round_trip_is_identical(tmp_path):
     for key, arr in state.param_entries():
         assert np.array_equal(again.params[key], arr), key
         assert np.shares_memory(again.params[key], again.flat), key
+
+
+@pytest.mark.parametrize("kind", ["interleaved", "no_contexts"])
+def test_assemble_rows_matches_per_entity_loop(kind):
+    schema = codec_schema(kind)
+    blocks = group_by_user(codec_table(schema))
+    cfg = TrainConfig(inducing_count=3, item_dim=2, context_dim=3, seed=1)
+    state = init_state(schema, blocks, cfg)
+    vec = state.to_vector()
+    state = state.from_vector(vec + np.random.default_rng(2).normal(0.0, 0.3, size=vec.size))
+    p = state.params
+    for block in blocks:
+        mu, var = state.assemble_rows(block)
+        assert mu.shape == var.shape == (block.count, state.kernel_dim)
+        for t in range(block.count):
+            item = block.items[t]
+            row_mu, row_var = [p["item_mean"][item]], [np.exp(p["item_log_var"][item])]
+            ci = ri = 0
+            for ctx in schema.contexts:
+                if ctx.is_categorical:
+                    code = block.cat_values[t, ci]
+                    row_mu.append(p[f"ctx_mean_{ci}"][code])
+                    row_var.append(np.exp(p[f"ctx_log_var_{ci}"][code]))
+                    ci += 1
+                else:
+                    row_mu.append([block.real_values[t, ri]])
+                    row_var.append([0.0])
+                    ri += 1
+            assert np.array_equal(mu[t], np.concatenate(row_mu))
+            assert np.array_equal(var[t], np.concatenate(row_var))
+
+
+def test_context_named_item_keeps_its_own_relevance_entry():
+    schema = ContextSchema(
+        user_count=2, item_count=3,
+        contexts=(ContextVariable("item", "categorical", 2), ContextVariable("price", "real")),
+    )
+    table = build_table(schema, users=[0, 1], items=[0, 2], cat=[[0], [1]], real=[0.5, -0.5], ratings=[1.0, 2.0])
+    state = init_state(schema, group_by_user(table), TrainConfig(inducing_count=2, item_dim=2, context_dim=3))
+    state.log_alpha = np.log([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    assert [name for name, _ in state.layout.slices] == ["item", "item", "price"]
+    rel = context_relevance(state, schema)
+    assert [(name, score) for name, score, _ in rel.entries] == [("item", 3.0), ("item", 12.0), ("price", 6.0)]
