@@ -22,6 +22,8 @@ One file drives the whole pipeline::
     }
 
 Only ``schema`` is mandatory for training; every other key has defaults.
+An unknown key, at the top level or in any section or context, is a
+``ValueError`` naming it (a misspelt key must not fall back to a default).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .harness import SyntheticSpec
 from .optim import TrainConfig
 from .state import ModelDims
 
+_TOP_KEYS = ("seed", "delimiter", "rating_scale", "schema", "model", "train", "synthetic")
 _MODEL_KEYS = tuple(f.name for f in fields(ModelDims))
 _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name not in _MODEL_KEYS and f.name != "seed")
 # the schema gives the synthetic table's entity counts and contexts
@@ -49,14 +52,16 @@ def load_config(path) -> dict:
 
 
 def schema_from_config(cfg: dict) -> ContextSchema:
+    check_keys(cfg, _TOP_KEYS, "config")
     try:
         sd = cfg["schema"]
     except KeyError as exc:
         raise KeyError("config is missing the 'schema' section") from exc
-    return schema_from_dict(sd)
+    return schema_from_dict(sd, "config section 'schema'")
 
 
 def train_config_from_config(cfg: dict) -> TrainConfig:
+    check_keys(cfg, _TOP_KEYS, "config")
     kwargs = {"seed": cfg.get("seed", 0)}
     for section, keys in (("model", _MODEL_KEYS), ("train", _TRAIN_KEYS)):
         given = cfg.get(section, {})
@@ -66,6 +71,7 @@ def train_config_from_config(cfg: dict) -> TrainConfig:
 
 
 def rating_scale_from_config(cfg: dict):
+    check_keys(cfg, _TOP_KEYS, "config")
     scale = cfg.get("rating_scale")
     return tuple(float(v) for v in scale) if scale is not None else None
 
@@ -74,6 +80,7 @@ def synthetic_spec_from_config(cfg: dict) -> SyntheticSpec:
     """The ``synthetic`` section over the config's schema.  Unset fields take
     the :class:`SyntheticSpec` defaults, except ``context_alphas`` (1.0 per
     context) and ``seed`` (the top-level seed)."""
+    check_keys(cfg, _TOP_KEYS, "config")
     try:
         sd = cfg["synthetic"]
     except KeyError as exc:

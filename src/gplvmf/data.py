@@ -87,13 +87,15 @@ def schema_to_dict(schema: ContextSchema) -> dict:
     }
 
 
-def schema_from_dict(d: dict) -> ContextSchema:
-    """Inverse of :func:`schema_to_dict`."""
-    contexts = tuple(
-        ContextVariable(name=c["name"], kind=c["kind"], cardinality=c.get("cardinality"))
-        for c in d.get("contexts", [])
-    )
-    return ContextSchema(user_count=d["user_count"], item_count=d["item_count"], contexts=contexts)
+def schema_from_dict(d: dict, where: str = "the schema") -> ContextSchema:
+    """Inverse of :func:`schema_to_dict`; an unknown key of the schema or of
+    a context, found ``where``, is a ``ValueError``."""
+    check_keys(d, ("user_count", "item_count", "contexts"), where)
+    contexts = []
+    for i, c in enumerate(d.get("contexts", [])):
+        check_keys(c, ("name", "kind", "cardinality"), f"context {i} of {where}")
+        contexts.append(ContextVariable(name=c["name"], kind=c["kind"], cardinality=c.get("cardinality")))
+    return ContextSchema(user_count=d["user_count"], item_count=d["item_count"], contexts=tuple(contexts))
 
 
 def check_keys(given, known, where: str) -> None:
@@ -203,9 +205,25 @@ def context_columns(schema: ContextSchema, rows) -> tuple[np.ndarray, np.ndarray
     """Context values in schema order, one sequence per row, as the table's
     columns: int64 categorical codes ``(n, categorical count)`` and float
     real values ``(n, real count)``, both C-ordered (a column mean sums in
-    memory order).  Inverse of :func:`context_rows`."""
+    memory order).  Inverse of :func:`context_rows`.  A code that is not an
+    integer or a real value that is not finite is a ``ValueError`` naming
+    its context."""
     raw = np.asarray(rows, dtype=float).reshape(len(rows), schema.context_count)
-    return raw.take(schema.categorical_indices, axis=1).astype(np.int64), raw.take(schema.real_indices, axis=1)
+    cats, reals = raw.take(schema.categorical_indices, axis=1), raw.take(schema.real_indices, axis=1)
+    bad_codes = ~(np.isfinite(cats) & (np.floor(cats) == cats))
+    for columns, indices, bad in ((cats, schema.categorical_indices, bad_codes),
+                                  (reals, schema.real_indices, ~np.isfinite(reals))):
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise context_value_error(schema.contexts[indices[col]], float(columns[row, col]))
+    return cats.astype(np.int64), reals
+
+
+def context_value_error(context: ContextVariable, value) -> ValueError:
+    """The error for a context value that is not an integer code (categorical)
+    or not finite (real), naming the context."""
+    want = "an integer code" if context.is_categorical else "finite"
+    return ValueError(f"context {context.name!r} value {value!r} is not {want}")
 
 
 def context_rows(schema: ContextSchema, codes, reals) -> list[tuple]:

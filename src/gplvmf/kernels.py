@@ -14,6 +14,16 @@ For this kernel family all three are closed-form products of 1-D Gaussian
 integrals; the Monte-Carlo estimator in :func:`mc_psi_oracle` exists purely
 to validate the closed forms and is never used in training.
 
+Both Psi1 and Psi2 are exponentials of products of small factors.  Row n
+of Psi1 has, per coordinate q, the exponent
+``-v (mu - z_m)^2 / 2 - log(d1)/2`` with ``d1 = 1 + alpha s`` and
+``v = alpha / d1``.  Expanded, the exponent over all coordinates (plus
+``log sigma2``) is one (N, 2Q+1) @ (2Q+1, M) product of the left factor
+``[v mu | -v/2 | -r1]`` with the right factor ``[z | z^2 | 1]``, where the
+row term is ``r1 = sum_q (v mu^2 + log d1) / 2 - log sigma2``.  Query rows
+(:class:`Psi1Rows`, :func:`psi1_matrix`) use the same factors but take the
+product with ``np.einsum``, whose rows do not depend on the batch.
+
 Row n of Psi2 (one rating's term of the sum) has, per coordinate q, the
 exponent ``-alpha/4 (z_a - z_b)^2 - w (mu - zbar_ab)^2 - log(d2)/2`` with
 ``zbar_ab = (z_a + z_b)/2``, ``d2 = 1 + 2 alpha s`` and ``w = alpha / d2``.
@@ -22,26 +32,32 @@ pairs a <= b only, as an (N, P) array.  The middle term is expanded as
 
     -w mu^2 + 2 w mu zbar_ab - w zbar_ab^2
 
-so the exponent is one (N, 2Q+2) @ (2Q+2, P) product of the left factor
-``[2 w mu | -w | 1 | 0]`` with the right factor ``[zbar | zbar^2 | c | 1]``,
-less the row term ``sum_q w mu^2 + log(d2)/2``.  The ones column carries
-the per-pair constant ``c_ab = -alpha/4 (z_a - z_b)^2 + 2 log sigma2`` (in
-difference form), so no separate pass subtracts it or scales by sigma2^2.
-Every per-pair quantity is built from ``z_a + z_b`` and
-``(z_a - z_b)^2``, which round the same for (a, b) and (b, a), and no
-per-index row terms are added per pair (their sum would round by the order
-of a and b): a duplicated inducing input gives rows and columns of Psi2
-equal bit for bit.
+so the whole exponent is one (N, 2Q+2) @ (2Q+2, P) product of the left
+factor ``[2 w mu | -w | 1 | -r2]`` with the right factor
+``[zbar | zbar^2 | c | 1]``: the row term ``r2 = sum_q (w mu^2 + log(d2)/2)``
+sits opposite the ones column, and the ones column opposite the per-pair
+constant ``c_ab = -alpha/4 (z_a - z_b)^2 + 2 log sigma2`` (in difference
+form), so no pass over the (N, P) rows adds either.  Every per-pair
+quantity is built from ``z_a + z_b`` and ``(z_a - z_b)^2``, which round the
+same for (a, b) and (b, a), and no per-index terms are added per pair
+(their sum would round by the order of a and b): a duplicated inducing
+input gives rows and columns of Psi2, and columns of Psi1, equal bit for
+bit.
 
-The backward pass weighs each pair by dPsi2 (both orders off the diagonal)
-and takes the sums over pairs as one product of that weighted (N, P) array
-with the right factor (its last column, against the left factor's zeros,
-sums each row), and the sums over rows as one product of its transpose with
-the left factor.  The pair tables depend on M alone and are built once per
-M.  No (N, M, M, Q) array is built: memory is O(N P) for the rows of Psi2.
-The expansion cancels terms of size ``w mu^2``, so means and inducing inputs
-are first centred on the inducing inputs' column mean; Psi1, Psi2 and their
-gradients are invariant to that common shift.
+The backward pass folds the cotangent into the small factors instead of
+weighting the (N, P) rows.  With ``t1 = dPsi1 * Psi1``, the sums over
+inducing inputs are ``t1 @ [z | z^2 | 1]`` and those over rows
+``t1^T @ [v mu | -v/2 | -r1]``.  Psi2's cotangent weighs each pair by
+``dpair`` (dPsi2, both orders off the diagonal), one vector per group of
+rows when the rows fall into G groups that each sum their own Psi2; per
+group g the sums over pairs are ``rows_g @ (dpair_g * rhs)`` and those over
+rows ``sum_g dpair_g * (rows_g^T @ lhs_g)``, as stacked products over G.  The
+row-term columns' sums are never read.  The pair tables depend on M alone
+and are built once per M.  No (N, M, M, Q) or (N, M, Q) array is built,
+and memory is one (N, P) array for the rows of Psi2.  The expansion cancels
+terms of size ``w mu^2``, so means and inducing inputs are first centred on
+the inducing inputs' column mean; Psi1, Psi2 and their gradients are
+invariant to that common shift.
 """
 
 from __future__ import annotations
@@ -134,19 +150,49 @@ def kernel_matrix(kernel: ArdKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return kernel.signal_variance * np.exp(expo)
 
 
-def psi1_matrix(kernel: ArdKernel, mu: np.ndarray, var: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Psi1 = <K_NM> (N x M) for rows of means ``mu`` and variances ``var``.
+def _psi1_left(alpha: np.ndarray, sigma2: float, mu: np.ndarray, s: np.ndarray):
+    """``d1``, ``v`` and the left factor ``[v mu | -v/2 | -r1]`` (N, 2Q+1) of
+    the Psi1 exponent (module docstring), for centred ``mu``."""
+    d1 = 1.0 + alpha * s                                            # (N, Q)
+    v = alpha / d1
+    vmu = v * mu
+    log_sigma2 = math.log(sigma2) if sigma2 > 0.0 else -np.inf
+    row = log_sigma2 - 0.5 * np.sum(vmu * mu + np.log(d1), axis=1)
+    return d1, v, np.concatenate((vmu, -0.5 * v, row[:, None]), axis=1)
 
-    The one Psi1 forward pass: :class:`_PsiCache` and warm predictions both
-    call it.  Inputs are taken as given (no validation or centring); the
-    difference form is exact at any offset.
+
+def _psi1_right(z: np.ndarray) -> np.ndarray:
+    """The right factor ``[z | z^2 | 1]`` (M, 2Q+1) of the Psi1 exponent, for centred ``z``."""
+    return np.concatenate((z, z**2, np.ones((z.shape[0], 1))), axis=1)
+
+
+class Psi1Rows:
+    """Psi1 rows against fixed inducing inputs ``z``: the query path's Psi1
+    (:class:`gplvmf.predict.Predictor`).
+
+    The centre (the column mean of ``z``) and the right factor are built
+    once; each call builds the left factor of its rows and takes the product
+    with ``np.einsum``, not ``@``: a BLAS product's rounding depends on the
+    number of rows, and a query's Psi1 row must not depend on the batch it
+    arrives in.  Inputs are not validated.
     """
-    alpha = kernel.inv_length_scales
-    d1 = 1.0 + alpha * var                                          # (N, Q)
-    diff = mu[:, None, :] - z[None, :, :]                           # (N, M, Q)
-    expo = -0.5 * np.einsum("q,nmq->nm", alpha, diff**2 / d1[:, None, :])
-    expo -= 0.5 * np.sum(np.log(d1), axis=1)[:, None]
-    return kernel.signal_variance * np.exp(expo)
+
+    def __init__(self, kernel: ArdKernel, z: np.ndarray):
+        self.alpha, self.sigma2 = kernel.inv_length_scales, kernel.signal_variance
+        self.centre = z.mean(axis=0)
+        self.rhs = _psi1_right(z - self.centre)
+
+    def __call__(self, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
+        _, _, lhs = _psi1_left(self.alpha, self.sigma2, mu - self.centre, var)
+        expo = np.einsum("nk,mk->nm", lhs, self.rhs)
+        return np.exp(expo, out=expo)
+
+
+def psi1_matrix(kernel: ArdKernel, mu: np.ndarray, var: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Psi1 = <K_NM> (N x M) for rows of means ``mu`` and variances ``var``,
+    in the same factors as :class:`_PsiCache`, centred on the column mean of
+    ``z`` and multiplied row by row (:class:`Psi1Rows`)."""
+    return Psi1Rows(kernel, z)(mu, var)
 
 
 class _PairTables(NamedTuple):
@@ -183,10 +229,13 @@ class _PsiCache:
 
     ``mu`` and ``z`` are kept centred on the column mean of the inducing
     inputs; Psi1, Psi2 and every gradient are invariant to that shift.
-    ``psi2_rows`` holds row n's Psi2 over the pairs a <= b, (N, P).
+    ``lhs1``/``rhs1`` and ``lhs``/``rhs`` are the small factors of the Psi1
+    and Psi2 exponents; ``psi2_rows`` holds row n's Psi2 over the pairs
+    a <= b, (N, P).
     """
 
-    __slots__ = ("mu", "s", "z", "alpha", "sigma2", "psi1", "pairs", "d2", "w", "lhs", "rhs", "dz", "psi2_rows")
+    __slots__ = ("mu", "s", "z", "alpha", "sigma2", "d1", "v", "lhs1", "rhs1", "psi1", "pairs", "d2", "w",
+                 "lhs", "rhs", "dz", "psi2_rows")
 
     def __init__(self, kernel: ArdKernel, points: LatentPoints, z: np.ndarray):
         alpha = kernel.inv_length_scales
@@ -198,17 +247,21 @@ class _PsiCache:
         mu, s, z = points.mean - centre, points.var, z - centre
         (n, q), m = mu.shape, z.shape[0]
         self.pairs = pairs = _pair_tables(m)
-
         self.mu, self.s, self.z, self.alpha, self.sigma2 = mu, s, z, alpha, sigma2
-        self.psi1 = psi1_matrix(kernel, mu, s, z)                   # (N, M)
+
+        self.d1, self.v, self.lhs1 = _psi1_left(alpha, sigma2, mu, s)
+        self.rhs1 = _psi1_right(z)
+        expo = self.lhs1 @ self.rhs1.T
+        self.psi1 = np.exp(expo, out=expo)                          # (N, M)
 
         self.d2 = d2 = 1.0 + 2.0 * alpha * s                        # (N, Q)
         self.w = w = alpha / d2
-        wmu = w * mu
-        self.lhs = lhs = np.empty((n, 2 * q + 2))                   # [2 w mu | -w | 1 | 0]
-        np.multiply(wmu, 2.0, out=lhs[:, :q])
+        self.lhs = lhs = np.empty((n, 2 * q + 2))                   # [2 w mu | -w | 1 | -r2]
+        wmu = np.multiply(w, mu, out=lhs[:, :q])
+        lhs[:, 2 * q + 1] = -np.sum(wmu * mu + 0.5 * np.log(d2), axis=1)
+        wmu *= 2.0
         np.negative(w, out=lhs[:, q:2 * q])
-        lhs[:, 2 * q:] = (1.0, 0.0)
+        lhs[:, 2 * q] = 1.0
         za, zb = z[pairs.ab]                                        # (P, Q) each
         self.dz = za - zb
         self.rhs = rhs = np.empty((pairs.ab.shape[1], 2 * q + 2))   # [zbar | zbar^2 | c | 1]
@@ -219,7 +272,6 @@ class _PsiCache:
         rhs[:, 2 * q] = -0.25 * (self.dz**2 @ alpha) + log_sigma4
         rhs[:, 2 * q + 1] = 1.0
         expo = lhs @ rhs.T
-        expo -= np.sum(wmu * mu + 0.5 * np.log(d2), axis=1)[:, None]
         self.psi2_rows = np.exp(expo, out=expo)                     # (N, P)
 
     def psi2_sums(self, groups: int) -> np.ndarray:
@@ -276,39 +328,42 @@ def psi_backward(
     (G, M, M) stack of them when the rows fall into G equal consecutive
     groups that each sum their own Psi2 (a chunk of users).  Each pair a < b
     takes ``dpsi2[a, b] + dpsi2[b, a]``, so callers may pass either triangle
-    convention.  Every sum over pairs or rows is one product with the
-    weighted Psi2 rows (module docstring).  ``dsigma2`` is for the cache's
-    one signal variance.
+    convention.  Every sum over inducing inputs, pairs or rows is one
+    product with a small factor, and ``dpsi2`` is folded into the small
+    factors, so no weighted copy of the (N, P) Psi2 rows is made (module
+    docstring).  ``dsigma2`` is for the cache's one signal variance.
     """
-    alpha, s, mu, z, w, pairs = cache.alpha, cache.s, cache.mu, cache.z, cache.w, cache.pairs
+    alpha, s, mu, z, pairs = cache.alpha, cache.s, cache.mu, cache.z, cache.pairs
     n, m = cache.psi1.shape
     q = z.shape[1]
     flat = np.reshape(dpsi2, (-1, m * m))
     dpair = (flat[:, pairs.flat_ab] + flat[:, pairs.flat_ba]) * pairs.diag_half     # (G, P)
+    groups, p = dpair.shape
 
     # Psi1 channel, per coordinate: exponent -v (mu - z_m)^2 / 2, v = alpha / d1
-    d1 = 1.0 + alpha * s
-    v = alpha / d1
+    d1, v = cache.d1, cache.v
     t1 = dpsi1 * cache.psi1                                         # (N, M)
-    t1_sum = t1.sum(axis=1)[:, None]
-    t1_z = t1 @ z
-    sq1 = mu**2 * t1_sum - 2.0 * mu * t1_z + t1 @ z**2              # sum_m t1 (mu - z_m)^2
+    by_row1 = t1 @ cache.rhs1                                       # [t1 z | t1 z^2 | sum_m t1]
+    t1_z, t1_sum = by_row1[:, :q], by_row1[:, 2 * q:]
+    sq1 = mu**2 * t1_sum - 2.0 * mu * t1_z + by_row1[:, q:2 * q]    # sum_m t1 (mu - z_m)^2
     gmu = -v * (mu * t1_sum - t1_z)
     gs = 0.5 * v**2 * sq1 - 0.5 * v * t1_sum
-    gz = t1.T @ (v * mu) - z * (t1.T @ v)
+    by_col1 = t1.T @ cache.lhs1                                     # [sum_n t1 v mu | -sum_n t1 v / 2 | .]
+    gz = by_col1[:, :q] + 2.0 * z * by_col1[:, q:2 * q]
     galpha = -0.5 * np.sum(sq1 / d1**2 + t1_sum * s / d1, axis=0)
 
     # Psi2 channel, per coordinate: exponent -alpha/4 dz_ab^2 - w (mu - zbar_ab)^2
-    # with zbar_ab = (z_a + z_b) / 2; t2 weighs both orders of each pair
-    d2 = cache.d2
-    t2 = cache.psi2_rows.reshape(len(dpair), -1, dpair.shape[1]) * dpair[:, None]
-    t2 = t2.reshape(n, -1)                                          # (N, P)
-    by_row = t2 @ cache.rhs                                         # (N, 2Q + 2)
+    # with zbar_ab = (z_a + z_b) / 2; t2 = dpair Psi2 weighs both orders of
+    # each pair and is never built: dpair is folded into the small factors
+    w, d2 = cache.w, cache.d2
+    rows = cache.psi2_rows.reshape(groups, -1, p)
+    by_row = np.matmul(rows, dpair[:, :, None] * cache.rhs).reshape(n, -1)   # sum_ab t2 [zbar | zbar^2 | c | 1]
     t2_z, t2_sum = by_row[:, :q], by_row[:, 2 * q + 1:]
     sq2 = mu**2 * t2_sum - 2.0 * mu * t2_z + by_row[:, q:2 * q]     # sum_ab t2 (mu - zbar_ab)^2
     gmu -= 2.0 * w * (mu * t2_sum - t2_z)
     gs += 2.0 * w**2 * sq2 - w * t2_sum
-    by_pair = t2.T @ cache.lhs                                      # (P, 2Q + 2)
+    by_pair = np.matmul(rows.transpose(0, 2, 1), cache.lhs.reshape(groups, -1, 2 * q + 2))
+    by_pair = np.einsum("gp,gpk->pk", dpair, by_pair)               # sum_n t2 [2 w mu | -w | 1 | .]
     pair = by_pair[:, 2 * q]                                        # sum_n t2
     galpha -= 0.25 * (pair @ cache.dz**2) + np.sum(sq2 / d2**2 + t2_sum * s / d2, axis=0)
     # pair (a, b) gives a and b each half of 2 sum_n t2 w (mu - zbar_ab), and
@@ -318,7 +373,7 @@ def psi_backward(
     gz += pairs.spread @ np.concatenate((toward, lin))
 
     # All three statistics are monomials in sigma2 (degrees 1, 1, 2).
-    gsigma2 = (np.sum(t1) + 2.0 * np.sum(pair) + dpsi0 * n * cache.sigma2) / cache.sigma2
+    gsigma2 = (np.sum(t1_sum) + 2.0 * np.sum(pair) + dpsi0 * n * cache.sigma2) / cache.sigma2
 
     return PsiGradients(dmu=gmu, dvar=gs, dz=gz, dalpha=galpha, dsigma2=float(gsigma2))
 

@@ -90,7 +90,7 @@ def load_model(path) -> TrainedModel:
         raise ValueError(f"unsupported model format {meta.get('format')!r}")
     check_keys(meta["config"], [f.name for f in fields(TrainConfig)], f"the config stored in {path}")
     config = TrainConfig(**meta["config"])
-    schema = schema_from_dict(meta["schema"])
+    schema = schema_from_dict(meta["schema"], f"the schema stored in {path}")
     table = RatingTable(
         schema=schema,
         users=arrays["table_users"],

@@ -46,13 +46,14 @@ evaluation harness convenience.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bound import _ROW_BUDGET, DEFAULT_JITTER, SharedFactors, _chunks, shared_factors, user_posterior
-from .data import ContextSchema, context_columns
-from .kernels import ArdKernel, psi1_matrix
+from .data import ContextSchema, context_columns, context_value_error
+from .kernels import ArdKernel, Psi1Rows
 from .state import VariationalState
 
 
@@ -148,7 +149,7 @@ class Predictor:
         schema, p = state.schema, state.params
         self._cat_cols = schema.categorical_indices
         self._real_cols = schema.real_indices
-        self._kernel = ArdKernel(1.0, np.exp(state.log_alpha))
+        self._psi1 = Psi1Rows(ArdKernel(1.0, np.exp(state.log_alpha)), state.z)
         # kernel tables: (column, kernel slice, means, variances); bias tables: (column, row sums)
         self._kernel_tables = [
             (t.column, t.sl, p[t.mean], np.exp(p[t.log_var])) for t in state.layout.tables if t.in_kernel
@@ -212,12 +213,23 @@ class Predictor:
         if len(context_values) != count:
             raise ValueError(f"expected {count} context values, got {len(context_values)}")
 
-        # The split and the gather are scalar here: for one row, the array
-        # split of :func:`gplvmf.data.context_columns` (several times these
-        # two comprehensions), array clamps and fancy indexing would cost
-        # more than the arithmetic (see :meth:`_rows`).  The values are the same.
-        cats = [int(context_values[d]) for d in self._cat_cols]
-        reals = self._standardize(np.array([[float(context_values[d]) for d in self._real_cols]]))
+        # The split, its checks and the gather are scalar here: for one row,
+        # the array split of :func:`gplvmf.data.context_columns` (several times
+        # this loop), array clamps and fancy indexing would cost more than the
+        # arithmetic (see :meth:`_rows`).  The values and errors are the same.
+        contexts = self.state.schema.contexts
+        cats, raw = [], []
+        for d in self._cat_cols:
+            value = context_values[d]
+            if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+                raise context_value_error(contexts[d], float(value))
+            cats.append(int(value))
+        for d in self._real_cols:
+            value = float(context_values[d])
+            if not math.isfinite(value):
+                raise context_value_error(contexts[d], value)
+            raw.append(value)
+        reals = self._standardize(np.array([raw]))
         mu = np.empty((1, self.state.kernel_dim))
         var = np.zeros((1, self.state.kernel_dim))
         for column, sl, mean, variance in self._kernel_tables:
@@ -232,7 +244,7 @@ class Predictor:
             phi1 = phi1 + sums[code if 0 <= code < last else last]
         phi1 = phi1 + np.einsum("qd,d->q", reals, self._real_weights)
 
-        psi = psi1_matrix(self._kernel, mu, var, self.state.z)
+        psi = self._psi1(mu, var)
         out = _project(self._proj[slot][None], psi)
         mean, variance = _moments(out, phi1, self._sigma2[slot], self._beta[slot], include_noise)
         mean = float(mean[0])
@@ -304,7 +316,7 @@ class Predictor:
             phi1 = phi1 + sums[_clamp_codes(codes, last)]
         phi1 = phi1 + np.einsum("qd,d->q", reals, self._real_weights)
 
-        psi = psi1_matrix(self._kernel, mu, var, self.state.z)
+        psi = self._psi1(mu, var)
         out = np.empty((n, self._proj.shape[1]))
         step = max(1, _ROW_BUDGET // self._proj[0].size)
         for start in range(0, n, step):

@@ -284,7 +284,7 @@ def test_criterion_09_epoch_time_scales_linearly():
     # to it: a change in host speed lands on both halves of a pair, and the
     # median over the pairs drops a pair that one alone disturbed.
     small, large = problem(300), problem(600)
-    pairs = [(epoch_time(*small), epoch_time(*large)) for _ in range(3)]
+    pairs = [(epoch_time(*small), epoch_time(*large)) for _ in range(5)]
     ratio = float(np.median([t2 / t1 for t1, t2 in pairs]))
     report(
         9,

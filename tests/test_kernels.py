@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gplvmf import ArdKernel, LatentPoints, kernel_matrix, mc_psi_oracle, psi_statistics
-from gplvmf.kernels import _PsiCache, psi_backward
+from gplvmf.kernels import _PsiCache, psi1_matrix, psi_backward
 from conftest import max_rel_error
 
 
@@ -341,6 +341,68 @@ class TestPsiGradients:
         finally:
             tracemalloc.stop()
         assert peak < 3 * n * (m * (m + 1) // 2) * 8
+
+    def test_peak_memory_below_two_packed_row_arrays(self):
+        # the backward pass folds dPsi2 into the small factors instead of
+        # weighting a copy of the (N, P) Psi2 rows
+        n, m, q = 500, 30, 6
+        kern, pts, z = random_setup(84, n=n, m=m, q=q)
+        r0, r1, r2 = random_probe(np.random.default_rng(85), n, m)
+        tracemalloc.start()
+        try:
+            psi_backward(_PsiCache(kern, pts, z), r0, r1, r2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * (m * (m + 1) // 2) * 8
+
+    @pytest.mark.parametrize("rows_per_group", [1, 4])
+    def test_stacked_cotangents_match_one_call_per_group(self, rows_per_group):
+        # G consecutive row groups, each with its own dPsi2 against its own
+        # summed Psi2, give the G one-group calls' row gradients and the sum
+        # of their shared ones
+        groups, m, q = 5, 6, 3
+        n = groups * rows_per_group
+        kern, pts, z = random_setup(100 + rows_per_group, n=n, m=m, q=q)
+        rng = np.random.default_rng(101)
+        r0, r1, r2 = rng.normal(), rng.normal(size=(n, m)), rng.normal(size=(groups, m, m))
+        stacked = psi_backward(_PsiCache(kern, pts, z), r0, r1, r2)
+        parts = []
+        for g in range(groups):
+            sl = slice(g * rows_per_group, (g + 1) * rows_per_group)
+            cache = _PsiCache(kern, LatentPoints(pts.mean[sl], pts.var[sl]), z)
+            parts.append(psi_backward(cache, r0, r1[sl], r2[g]))
+        expected = [
+            np.concatenate([part.dmu for part in parts]),
+            np.concatenate([part.dvar for part in parts]),
+            sum(part.dz for part in parts),
+            sum(part.dalpha for part in parts),
+            sum(part.dsigma2 for part in parts),
+        ]
+        got = [stacked.dmu, stacked.dvar, stacked.dz, stacked.dalpha, stacked.dsigma2]
+        for value, reference in zip(got, expected):
+            assert error_to_largest(value, reference) < 1e-12
+
+    @pytest.mark.parametrize("shift", [0.0, 100.0])
+    def test_psi1_matrix_matches_the_cache(self, shift):
+        kern, pts, z = random_setup(92, n=20, m=8, q=6)
+        got = psi1_matrix(kern, pts.mean + shift, pts.var, z + shift)
+        assert error_to_largest(got, _PsiCache(kern, pts, z).psi1) < 1e-12
+
+    @pytest.mark.parametrize("n, m, q", [(7, 6, 3), (40, 30, 12), (3, 9, 25)])
+    def test_psi1_matrix_rows_do_not_depend_on_the_batch(self, n, m, q):
+        kern, pts, z = random_setup(93, n=n, m=m, q=q)
+        batch = psi1_matrix(kern, pts.mean, pts.var, z)
+        for i in range(n):
+            assert np.array_equal(batch[i], psi1_matrix(kern, pts.mean[i:i + 1], pts.var[i:i + 1], z)[0])
+
+    @pytest.mark.parametrize("first, second", [(1, 4), (0, 5), (2, 3)])
+    @pytest.mark.parametrize("n", [7, 500])
+    def test_duplicate_inducing_input_gives_equal_psi1_columns(self, first, second, n):
+        kern, pts, z = random_setup(94, n=n, m=6, q=3)
+        z[second] = z[first]
+        for psi1 in (psi_statistics(kern, pts, z).psi1, psi1_matrix(kern, pts.mean, pts.var, z)):
+            assert np.array_equal(psi1[:, first], psi1[:, second])
 
     @pytest.mark.parametrize("first, second", [(1, 4), (0, 5), (2, 3)])
     def test_duplicate_inducing_input_gives_equal_rows_and_columns(self, first, second):

@@ -183,6 +183,38 @@ class TestCli:
         assert code == 2
         assert "'epoch'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, where",
+        [
+            ((), "rating_scal", "config"),
+            (("schema",), "contxts", "config section 'schema'"),
+            (("schema", "contexts", 0), "cardinalty", "context 0 of config section 'schema'"),
+        ],
+        ids=["top_level", "schema", "context"],
+    )
+    def test_unknown_top_level_schema_and_context_keys_are_rejected(self, tmp_path, capsys, section, key, where):
+        from gplvmf.config import rating_scale_from_config, schema_from_config
+
+        path = write_config(tmp_path)
+        data = tmp_path / "data.csv"
+        assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 0
+        raw = json.loads(path.read_text())
+        target = raw
+        for name in section:
+            target = target[name]
+        target[key] = 3
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        message = f"unknown key {key!r} in {where}"
+        for read in (schema_from_config, rating_scale_from_config) if not section else (schema_from_config,):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                read(raw)
+        capsys.readouterr()
+        for command in (["train", "--data", str(data), "--out", str(tmp_path / "m.npz")],
+                        ["synthesize", "--out", str(tmp_path / "again.csv")]):
+            assert cli_main([command[0], "--config", str(path), *command[1:]]) == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.npz").exists()
+
     def test_synthetic_section_keys_are_checked(self, tmp_path, capsys):
         path = write_config(tmp_path)
         raw = json.loads(path.read_text())

@@ -278,6 +278,31 @@ class TestPredict:
         with pytest.raises(ValueError, match="expected 3 context values, got 2"):
             pred.predict_rows([0, 1], [0, 0], [(0, 0.0, 0.0), (1, 0.0)])
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((1.9, 0.0, 0.0), "context 'c0' value 1.9 is not an integer code"),
+            ((float("nan"), 0.0, 0.0), "context 'c0' value nan is not an integer code"),
+            ((float("inf"), 0.0, 0.0), "context 'c0' value inf is not an integer code"),
+            ((1, float("nan"), 0.0), "context 'r0' value nan is not finite"),
+            ((1, 0.0, float("inf")), "context 'r1' value inf is not finite"),
+            ((1, 0.0, -float("inf")), "context 'r1' value -inf is not finite"),
+        ],
+    )
+    def test_bad_context_values_are_rejected(self, row, message):
+        # a fractional code must not read as its integer part, and a
+        # non-finite real value must not reach the mean
+        state, blocks, standardization = batch_instance(18)
+        pred = Predictor(state, blocks, standardization=standardization)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pred.predict(0, 1, row)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pred.predict_rows([0, 1], [1, 1], [(1, 0.5, 0.5), row])
+        # integral codes in float form are codes
+        good = pred.predict(0, 1, (1.0, 0.5, 0.5))
+        assert good == pred.predict(0, 1, (1, 0.5, 0.5))
+        assert pred.predict_rows([0], [1], [(np.float64(1.0), 0.5, 0.5)])[0][0] == good.mean
+
     def test_predict_rows_empty_batch(self):
         state, blocks, _ = batch_instance(16)
         out = Predictor(state, blocks).predict_rows((), (), ())
