@@ -39,16 +39,22 @@ anywhere in training.
 User terms are independent given the state (rows and users sum
 independently, the map-reduce form of Gal, van der Wilk & Rasmussen 2014),
 so :func:`total_bound` takes users in chunks.  Users with the same number of
-ratings share a chunk of at most ``_ROW_BUDGET`` rows * M^2 (about twice
-the size of the chunk's packed Psi2 rows).  A chunk makes one unit-signal
-psi pass over its rows (Psi1 scales by sigma2 and Psi2 by sigma2^2 per
-user), takes every per-user sum as a reshape over (U, n, ...), solves one
-stacked (U, M, M) whitened system, makes one :func:`psi_backward` call and
-one ``np.add.at`` per latent table (:func:`_scatter`).  The inducing-gram gradient is linear in dF/dK, so
-the chunks' sigma2-weighted cotangents are summed and go through one
-:func:`gram_backward` per call.  One user is the U = 1 chunk that SGD's
-:func:`_user_terms` passes to the same :func:`_forward`; prediction's
-:func:`user_posterior` takes :func:`_chunks` chunks, as the bound does.
+ratings share a chunk of at most ``_ROW_BUDGET`` doubles of packed Psi2
+rows and backward-pass stacks (:func:`_chunks`).  A chunk makes one
+unit-signal psi pass over its rows (Psi1 scales by sigma2 and Psi2 by
+sigma2^2 per user), takes every per-user sum as a reshape over (U, n, ...),
+solves one stacked (U, M, M) whitened system, makes one :func:`psi_backward`
+call and one ``np.add.at`` per latent table (:func:`_scatter`).  Every
+matrix product over rows or over users is a stacked product with one user
+per slice (:func:`_per_user` and the psi cache's), so a chunk's products
+have one user's shapes: the chunk size changes neither how many BLAS
+threads a product runs on nor any bit of a user's terms or q(u), only the
+rounding of sums over users, and the budget bounds memory alone.  The
+inducing-gram gradient is linear in dF/dK, so the chunks' sigma2-weighted
+cotangents are summed and go through one :func:`gram_backward` per call.
+One user is the U = 1 chunk that SGD's :func:`_user_terms` passes to the
+same :func:`_forward`; prediction's :func:`user_posterior` takes
+:func:`_chunks` chunks, as the bound does.
 The scatter walks the state's table description
 (:attr:`gplvmf.state.KernelLayout.tables`): a kernel table takes its slice
 of the kernel row gradients, a bias table the per-row gradients of
@@ -71,10 +77,13 @@ from .state import VariationalState
 
 DEFAULT_JITTER = 1e-6
 _ESCALATION = (1.0, 10.0, 100.0)
-# Rows * M^2 of one chunk of users.  It caps the chunk's Psi2 rows and keeps
-# its matrix products small enough for one BLAS thread.  The rows are packed
-# over the M(M+1)/2 pairs a <= b, so they fill about half of it.
-_ROW_BUDGET = 2**15
+# Doubles of one chunk of users, counted as in _chunks.  It caps the memory a
+# chunk holds, not BLAS threading: every product over rows or users is taken
+# per user (_PsiCache, _per_user), so a chunk's products have one user's
+# shapes.  Swept over 2^15..2^20 on the benchmark shapes: 2^17 takes most of
+# the time saved by larger chunks while the tracemalloc peak of many small
+# users grows by about 2 MB (CHANGES.md).
+_ROW_BUDGET = 2**17
 
 
 class FactorizationError(ArithmeticError):
@@ -136,12 +145,17 @@ def _stack(blocks: list, users: np.ndarray) -> UserBlock:
     )
 
 
-def _chunks(blocks: list, m: int) -> list:
+def _chunks(blocks: list, state: VariationalState) -> list:
     """Index lists of the blocks that share a chunk: equal rating counts and
-    at most ``_ROW_BUDGET`` rows * M^2 together, one block at the least."""
+    at most ``_ROW_BUDGET`` doubles together, one block at the least.  A user
+    of n ratings counts P (n + 2 (2Q + 2)) doubles, P = M (M + 1) / 2: its
+    packed Psi2 rows and its share of :func:`psi_backward`'s two
+    (G, P, 2Q + 2) stacks."""
+    pairs = state.inducing_count * (state.inducing_count + 1) // 2
+    stacks = 2 * (2 * state.kernel_dim + 2)
     open_chunk, chunks = {}, []
     for i, block in enumerate(blocks):
-        size = max(1, _ROW_BUDGET // (block.count * m * m))
+        size = max(1, _ROW_BUDGET // (pairs * (block.count + stacks)))
         chunk = open_chunk.get(block.count)
         if chunk is None or len(chunk) == size:
             chunk = open_chunk[block.count] = []
@@ -165,6 +179,14 @@ def _chol_users(b_mat: np.ndarray, users: np.ndarray, jitter: float):
         chol[i], extra[i] = _chol_with_escalation(b_mat[i], jitter, f"user {user} system", base=False)
         b_mat[i] += extra[i] * np.eye(b_mat.shape[1])
     return chol, extra
+
+
+def _per_user(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``rows @ mat`` for (U, M) per-user rows, one product per user: a
+    product over all U rows would round each user by U."""
+    if len(rows) == 1:  # the same product; a 2-D operand skips the stacked set-up
+        return rows @ mat
+    return np.matmul(rows[:, None, :], mat)[:, 0]
 
 
 @dataclass
@@ -200,7 +222,7 @@ def _forward(blocks: list, state: VariationalState, shared: SharedFactors) -> _F
 
     mu_rows, var_rows = state.assemble_rows(rows)
     kern = ArdKernel(1.0, np.exp(state.log_alpha))
-    cache = _PsiCache(kern, LatentPoints(mu_rows, var_rows, state.layout.fixed_mask), state.z)
+    cache = _PsiCache(kern, LatentPoints(mu_rows, var_rows, state.layout.fixed_mask), state.z, groups=u)
 
     if state.dims.use_mean:
         phi = phi_statistics(state.bias, rows)
@@ -212,7 +234,7 @@ def _forward(blocks: list, state: VariationalState, shared: SharedFactors) -> _F
 
     # whitened systems: L = sqrt(sigma2) L_C, so T = sigma2 L_C^-1 Psi2_unit L_C^-T
     linv = shared.linv
-    psi2 = cache.psi2_sums(u)
+    psi2 = cache.psi2_sums()
     t_mat = sigma2[:, None, None] * (linv @ psi2 @ linv.T)
     t_mat = 0.5 * (t_mat + t_mat.transpose(0, 2, 1))
     b_mat = np.eye(m) + beta[:, None, None] * t_mat
@@ -221,7 +243,7 @@ def _forward(blocks: list, state: VariationalState, shared: SharedFactors) -> _F
     b_inv = np.linalg.inv(b_mat)
 
     c_unit = np.matmul(resid.reshape(u, 1, n), cache.psi1.reshape(u, n, m))[:, 0]
-    c_hat = np.sqrt(sigma2)[:, None] * (c_unit @ linv.T)
+    c_hat = np.sqrt(sigma2)[:, None] * _per_user(c_unit, linv.T)
     b_vec = np.matmul(b_inv, c_hat[:, :, None])[:, :, 0]
     return _Forward(
         rows=rows, users=users, sigma2=sigma2, beta=beta, cache=cache, phi1=phi1, resid=resid,
@@ -298,7 +320,7 @@ def _terms(
     # the unit-signal cache takes sigma2 * dF/dPsi1 and sigma2^2 * dF/dPsi2;
     # dF/dPsi1 = beta^2 r w^T with w = A^-1 c = L_C^-T b / sqrt(sigma2)
     root = np.sqrt(sigma2)
-    lw = b_vec @ linv                                                   # rows (L_C^-T b)^T
+    lw = _per_user(b_vec, linv)                                         # rows (L_C^-T b)^T
     d_psi1 = ((root * beta**2)[:, None] * fw.resid.reshape(u, n))[:, :, None] * lw[:, None, :]
     d_psi2 = sigma2[:, None, None] * (linv.T @ x_psi2 @ linv)
     psi_grads = psi_backward(fw.cache, 0.0, d_psi1.reshape(u * n, m), d_psi2)
@@ -452,7 +474,7 @@ def total_bound(
     per_user = np.empty(len(blocks))
     vec, grads = state.zero_grads() if want_gradients else (None, None)
     d_gram = np.zeros_like(shared.gram0)
-    for idx in _chunks(blocks, state.inducing_count):
+    for idx in _chunks(blocks, state):
         terms = _terms([blocks[i] for i in idx], state, shared, want_gradients)
         per_user[idx] = terms.value
         if want_gradients:
@@ -502,7 +524,7 @@ def user_posterior(
         sigma2=fw.sigma2,
         beta=fw.beta,
         chol_b=fw.chol_b,
-        v=(fw.b_vec @ shared.linv) / np.sqrt(fw.sigma2)[:, None],
+        v=_per_user(fw.b_vec, shared.linv) / np.sqrt(fw.sigma2)[:, None],
         shared=shared,
     )
 

@@ -206,12 +206,11 @@ def context_columns(schema: ContextSchema, rows) -> tuple[np.ndarray, np.ndarray
     columns: int64 categorical codes ``(n, categorical count)`` and float
     real values ``(n, real count)``, both C-ordered (a column mean sums in
     memory order).  Inverse of :func:`context_rows`.  A code that is not an
-    integer or a real value that is not finite is a ``ValueError`` naming
-    its context."""
+    integer code (:func:`is_code`) or a real value that is not finite is a
+    ``ValueError`` naming its context."""
     raw = np.asarray(rows, dtype=float).reshape(len(rows), schema.context_count)
     cats, reals = raw.take(schema.categorical_indices, axis=1), raw.take(schema.real_indices, axis=1)
-    bad_codes = ~(np.isfinite(cats) & (np.floor(cats) == cats))
-    for columns, indices, bad in ((cats, schema.categorical_indices, bad_codes),
+    for columns, indices, bad in ((cats, schema.categorical_indices, ~code_mask(cats)),
                                   (reals, schema.real_indices, ~np.isfinite(reals))):
         if bad.any():
             row, col = np.argwhere(bad)[0]
@@ -219,11 +218,40 @@ def context_columns(schema: ContextSchema, rows) -> tuple[np.ndarray, np.ndarray
     return cats.astype(np.int64), reals
 
 
+def is_code(value) -> bool:
+    """Whether a scalar is an integer code: integral and inside the int64
+    range, so that its int64 cast is exact (:func:`code_mask` for arrays)."""
+    return -2**63 <= value < 2**63 and float(value).is_integer()
+
+
+def code_mask(values: np.ndarray) -> np.ndarray:
+    """Where float ``values`` are integer codes (:func:`is_code`)."""
+    return (np.floor(values) == values) & (values >= -2.0**63) & (values < 2.0**63)
+
+
+def code_error(what: str, value) -> ValueError:
+    """The error for a value of ``what`` that is not an integer code."""
+    return ValueError(f"{what} value {value!r} is not an integer code")
+
+
+def integer_codes(values, what: str) -> np.ndarray:
+    """``values`` as int64 codes; one that is not an integer code
+    (:func:`is_code`) is a :func:`code_error` naming ``what``."""
+    values = np.asarray(values)
+    if values.dtype.kind != "i":
+        values = values.astype(float)
+        bad = ~code_mask(values)
+        if bad.any():
+            raise code_error(what, float(values[bad][0]))
+    return values.astype(np.int64)
+
+
 def context_value_error(context: ContextVariable, value) -> ValueError:
     """The error for a context value that is not an integer code (categorical)
     or not finite (real), naming the context."""
-    want = "an integer code" if context.is_categorical else "finite"
-    return ValueError(f"context {context.name!r} value {value!r} is not {want}")
+    if context.is_categorical:
+        return code_error(f"context {context.name!r}", value)
+    return ValueError(f"context {context.name!r} value {value!r} is not finite")
 
 
 def context_rows(schema: ContextSchema, codes, reals) -> list[tuple]:

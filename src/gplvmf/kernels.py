@@ -18,9 +18,10 @@ Both Psi1 and Psi2 are exponentials of products of small factors.  Row n
 of Psi1 has, per coordinate q, the exponent
 ``-v (mu - z_m)^2 / 2 - log(d1)/2`` with ``d1 = 1 + alpha s`` and
 ``v = alpha / d1``.  Expanded, the exponent over all coordinates (plus
-``log sigma2``) is one (N, 2Q+1) @ (2Q+1, M) product of the left factor
-``[v mu | -v/2 | -r1]`` with the right factor ``[z | z^2 | 1]``, where the
-row term is ``r1 = sum_q (v mu^2 + log d1) / 2 - log sigma2``.  Query rows
+``log sigma2``) is an (N, 2Q+1) @ (2Q+1, M) product, one per user (below),
+of the left factor ``[v mu | -v/2 | -r1]`` with the right factor
+``[z | z^2 | 1]``, where the row term is
+``r1 = sum_q (v mu^2 + log d1) / 2 - log sigma2``.  Query rows
 (:class:`Psi1Rows`, :func:`psi1_matrix`) use the same factors but take the
 product with ``np.einsum``, whose rows do not depend on the batch.
 
@@ -32,8 +33,8 @@ pairs a <= b only, as an (N, P) array.  The middle term is expanded as
 
     -w mu^2 + 2 w mu zbar_ab - w zbar_ab^2
 
-so the whole exponent is one (N, 2Q+2) @ (2Q+2, P) product of the left
-factor ``[2 w mu | -w | 1 | -r2]`` with the right factor
+so the whole exponent is an (N, 2Q+2) @ (2Q+2, P) product, one per user
+(below), of the left factor ``[2 w mu | -w | 1 | -r2]`` with the right factor
 ``[zbar | zbar^2 | c | 1]``: the row term ``r2 = sum_q (w mu^2 + log(d2)/2)``
 sits opposite the ones column, and the ones column opposite the per-pair
 constant ``c_ab = -alpha/4 (z_a - z_b)^2 + 2 log sigma2`` (in difference
@@ -44,20 +45,29 @@ same for (a, b) and (b, a), and no per-index terms are added per pair
 input gives rows and columns of Psi2, and columns of Psi1, equal bit for
 bit.
 
+The rows of a chunk of users fall into G equal consecutive groups, one per
+user, and every product over rows, forward and backward, is a stacked
+product with one group per slice (:func:`_by_group`,
+:func:`_cross_by_group`).  Each slice has one user's shapes, whatever G
+is: a user's rows round as in a cache of its own, and a product runs on
+more than one OpenBLAS thread only where one user's product already does
+(the library threads a product by its size).  The chunk size bounds memory
+alone.
+
 The backward pass folds the cotangent into the small factors instead of
 weighting the (N, P) rows.  With ``t1 = dPsi1 * Psi1``, the sums over
 inducing inputs are ``t1 @ [z | z^2 | 1]`` and those over rows
-``t1^T @ [v mu | -v/2 | -r1]``.  Psi2's cotangent weighs each pair by
-``dpair`` (dPsi2, both orders off the diagonal), one vector per group of
-rows when the rows fall into G groups that each sum their own Psi2; per
+``t1^T @ [v mu | -v/2 | -r1]``, per group and then summed over groups.
+Psi2's cotangent weighs each pair by ``dpair`` (dPsi2, both orders off the
+diagonal), one vector per group, since each group sums its own Psi2; per
 group g the sums over pairs are ``rows_g @ (dpair_g * rhs)`` and those over
-rows ``sum_g dpair_g * (rows_g^T @ lhs_g)``, as stacked products over G.  The
-row-term columns' sums are never read.  The pair tables depend on M alone
-and are built once per M.  No (N, M, M, Q) or (N, M, Q) array is built,
-and memory is one (N, P) array for the rows of Psi2.  The expansion cancels
-terms of size ``w mu^2``, so means and inducing inputs are first centred on
-the inducing inputs' column mean; Psi1, Psi2 and their gradients are
-invariant to that common shift.
+rows ``sum_g dpair_g * (rows_g^T @ lhs_g)``.  The row-term columns' sums
+are never read.  The pair tables depend on M alone and are built once per
+M.  No (N, M, M, Q) or (N, M, Q) array is built, and memory is one (N, P)
+array for the rows of Psi2.  The expansion cancels terms of size
+``w mu^2``, so means and inducing inputs are first centred on the inducing
+inputs' column mean; Psi1, Psi2 and their gradients are invariant to that
+common shift.
 """
 
 from __future__ import annotations
@@ -224,6 +234,26 @@ def _pair_tables(m: int) -> _PairTables:
     return tables
 
 
+def _by_group(a: np.ndarray, b: np.ndarray, groups: int) -> np.ndarray:
+    """``a @ b`` with the rows of ``a`` in ``groups`` equal consecutive
+    groups, one product per group; ``b`` may be one matrix or a stack of
+    ``groups``.  Each group's rows round, and run on as many BLAS threads, as
+    in a product of their own, whatever the number of groups."""
+    n = a.shape[0]
+    if groups == 1:     # the same product; a 2-D operand skips the stacked set-up
+        return (a @ b).reshape(n, -1)
+    return np.matmul(a.reshape(groups, n // groups, -1), b).reshape(n, -1)
+
+
+def _cross_by_group(a: np.ndarray, b: np.ndarray, groups: int) -> np.ndarray:
+    """``a_g^T @ b_g`` for each of ``groups`` equal consecutive row groups of
+    ``a`` and ``b``, (G, ., .): the sums over rows, one product per group."""
+    if groups == 1:
+        return (a.T @ b)[None]
+    a, b = (x.reshape(groups, x.shape[0] // groups, -1) for x in (a, b))
+    return np.matmul(a.transpose(0, 2, 1), b)
+
+
 class _PsiCache:
     """Forward intermediates reused by the backward pass.
 
@@ -231,13 +261,14 @@ class _PsiCache:
     inputs; Psi1, Psi2 and every gradient are invariant to that shift.
     ``lhs1``/``rhs1`` and ``lhs``/``rhs`` are the small factors of the Psi1
     and Psi2 exponents; ``psi2_rows`` holds row n's Psi2 over the pairs
-    a <= b, (N, P).
+    a <= b, (N, P).  The rows fall into ``groups`` equal consecutive groups
+    (the users of a chunk), and every product over rows is taken per group.
     """
 
-    __slots__ = ("mu", "s", "z", "alpha", "sigma2", "d1", "v", "lhs1", "rhs1", "psi1", "pairs", "d2", "w",
-                 "lhs", "rhs", "dz", "psi2_rows")
+    __slots__ = ("mu", "s", "z", "alpha", "sigma2", "groups", "d1", "v", "lhs1", "rhs1", "psi1", "pairs", "d2",
+                 "w", "lhs", "rhs", "dz", "psi2_rows")
 
-    def __init__(self, kernel: ArdKernel, points: LatentPoints, z: np.ndarray):
+    def __init__(self, kernel: ArdKernel, points: LatentPoints, z: np.ndarray, groups: int = 1):
         alpha = kernel.inv_length_scales
         sigma2 = kernel.signal_variance
         z = np.atleast_2d(np.asarray(z, dtype=float))
@@ -247,11 +278,11 @@ class _PsiCache:
         mu, s, z = points.mean - centre, points.var, z - centre
         (n, q), m = mu.shape, z.shape[0]
         self.pairs = pairs = _pair_tables(m)
-        self.mu, self.s, self.z, self.alpha, self.sigma2 = mu, s, z, alpha, sigma2
+        self.mu, self.s, self.z, self.alpha, self.sigma2, self.groups = mu, s, z, alpha, sigma2, groups
 
         self.d1, self.v, self.lhs1 = _psi1_left(alpha, sigma2, mu, s)
         self.rhs1 = _psi1_right(z)
-        expo = self.lhs1 @ self.rhs1.T
+        expo = _by_group(self.lhs1, self.rhs1.T, groups)
         self.psi1 = np.exp(expo, out=expo)                          # (N, M)
 
         self.d2 = d2 = 1.0 + 2.0 * alpha * s                        # (N, Q)
@@ -271,18 +302,18 @@ class _PsiCache:
         log_sigma4 = 2.0 * math.log(sigma2) if sigma2 > 0.0 else -np.inf
         rhs[:, 2 * q] = -0.25 * (self.dz**2 @ alpha) + log_sigma4
         rhs[:, 2 * q + 1] = 1.0
-        expo = lhs @ rhs.T
+        expo = _by_group(lhs, rhs.T, groups)
         self.psi2_rows = np.exp(expo, out=expo)                     # (N, P)
 
-    def psi2_sums(self, groups: int) -> np.ndarray:
-        """Psi2 summed over each of ``groups`` equal consecutive row groups, (G, M, M)."""
-        sums = self.psi2_rows.reshape(groups, -1, self.psi2_rows.shape[1]).sum(axis=1)
+    def psi2_sums(self) -> np.ndarray:
+        """Psi2 summed over each of the cache's row groups, (G, M, M)."""
+        sums = self.psi2_rows.reshape(self.groups, -1, self.psi2_rows.shape[1]).sum(axis=1)
         return sums[:, self.pairs.unpack]
 
     @property
     def psi2(self) -> np.ndarray:
         """Psi2 summed over all rows (M, M)."""
-        return self.psi2_sums(1)[0]
+        return self.psi2_sums().sum(axis=0)
 
     def stats(self) -> PsiStats:
         n = self.mu.shape[0]
@@ -338,17 +369,17 @@ def psi_backward(
     q = z.shape[1]
     flat = np.reshape(dpsi2, (-1, m * m))
     dpair = (flat[:, pairs.flat_ab] + flat[:, pairs.flat_ba]) * pairs.diag_half     # (G, P)
-    groups, p = dpair.shape
+    groups = dpair.shape[0]
 
     # Psi1 channel, per coordinate: exponent -v (mu - z_m)^2 / 2, v = alpha / d1
     d1, v = cache.d1, cache.v
     t1 = dpsi1 * cache.psi1                                         # (N, M)
-    by_row1 = t1 @ cache.rhs1                                       # [t1 z | t1 z^2 | sum_m t1]
+    by_row1 = _by_group(t1, cache.rhs1, groups)                     # [t1 z | t1 z^2 | sum_m t1]
     t1_z, t1_sum = by_row1[:, :q], by_row1[:, 2 * q:]
     sq1 = mu**2 * t1_sum - 2.0 * mu * t1_z + by_row1[:, q:2 * q]    # sum_m t1 (mu - z_m)^2
     gmu = -v * (mu * t1_sum - t1_z)
     gs = 0.5 * v**2 * sq1 - 0.5 * v * t1_sum
-    by_col1 = t1.T @ cache.lhs1                                     # [sum_n t1 v mu | -sum_n t1 v / 2 | .]
+    by_col1 = _cross_by_group(t1, cache.lhs1, groups).sum(axis=0)   # [sum_n t1 v mu | -sum_n t1 v / 2 | .]
     gz = by_col1[:, :q] + 2.0 * z * by_col1[:, q:2 * q]
     galpha = -0.5 * np.sum(sq1 / d1**2 + t1_sum * s / d1, axis=0)
 
@@ -356,13 +387,12 @@ def psi_backward(
     # with zbar_ab = (z_a + z_b) / 2; t2 = dpair Psi2 weighs both orders of
     # each pair and is never built: dpair is folded into the small factors
     w, d2 = cache.w, cache.d2
-    rows = cache.psi2_rows.reshape(groups, -1, p)
-    by_row = np.matmul(rows, dpair[:, :, None] * cache.rhs).reshape(n, -1)   # sum_ab t2 [zbar | zbar^2 | c | 1]
+    by_row = _by_group(cache.psi2_rows, dpair[:, :, None] * cache.rhs, groups)   # sum_ab t2 [zbar | zbar^2 | c | 1]
     t2_z, t2_sum = by_row[:, :q], by_row[:, 2 * q + 1:]
     sq2 = mu**2 * t2_sum - 2.0 * mu * t2_z + by_row[:, q:2 * q]     # sum_ab t2 (mu - zbar_ab)^2
     gmu -= 2.0 * w * (mu * t2_sum - t2_z)
     gs += 2.0 * w**2 * sq2 - w * t2_sum
-    by_pair = np.matmul(rows.transpose(0, 2, 1), cache.lhs.reshape(groups, -1, 2 * q + 2))
+    by_pair = _cross_by_group(cache.psi2_rows, cache.lhs, groups)
     by_pair = np.einsum("gp,gpk->pk", dpair, by_pair)               # sum_n t2 [2 w mu | -w | 1 | .]
     pair = by_pair[:, 2 * q]                                        # sum_n t2
     galpha -= 0.25 * (pair @ cache.dz**2) + np.sum(sq2 / d2**2 + t2_sum * s / d2, axis=0)

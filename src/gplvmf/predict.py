@@ -51,10 +51,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import _ROW_BUDGET, DEFAULT_JITTER, SharedFactors, _chunks, shared_factors, user_posterior
-from .data import ContextSchema, context_columns, context_value_error
+from .bound import DEFAULT_JITTER, SharedFactors, _chunks, shared_factors, user_posterior
+from .data import ContextSchema, code_error, context_columns, context_value_error, integer_codes, is_code
 from .kernels import ArdKernel, Psi1Rows
 from .state import VariationalState
+
+
+# Doubles of the projections one row step of predict_rows gathers (256 kB).
+# Steps of 2^16..2^18 measured no faster on the benchmark shapes.
+_STEP_BUDGET = 2**15
 
 
 class UnknownUserError(KeyError):
@@ -176,7 +181,7 @@ class Predictor:
             return
         linv = self.shared.linv
         posts = [user_posterior([todo[i] for i in idx], self.state, shared=self.shared)
-                 for idx in _chunks(todo, self.state.inducing_count)]
+                 for idx in _chunks(todo, self.state)]
         users = np.concatenate([post.users for post in posts])
         sigma2 = np.concatenate([post.sigma2 for post in posts])
         beta = np.concatenate([post.beta for post in posts])
@@ -202,6 +207,8 @@ class Predictor:
     ) -> Prediction:
         slot = self._slot.get(user)
         if slot is None:
+            if not is_code(user):
+                raise code_error("user", float(user))
             if user not in self.blocks_by_user:
                 if unknown_user == "global_mean" and self.global_mean is not None:
                     mean = self.global_mean
@@ -217,11 +224,14 @@ class Predictor:
         # the array split of :func:`gplvmf.data.context_columns` (several times
         # this loop), array clamps and fancy indexing would cost more than the
         # arithmetic (see :meth:`_rows`).  The values and errors are the same.
+        if not is_code(item):
+            raise code_error("item", float(item))
+        item = int(item)
         contexts = self.state.schema.contexts
         cats, raw = [], []
         for d in self._cat_cols:
             value = context_values[d]
-            if not (isinstance(value, (int, np.integer)) or float(value).is_integer()):
+            if not is_code(value):
                 raise context_value_error(contexts[d], float(value))
             cats.append(int(value))
         for d in self._real_cols:
@@ -238,7 +248,7 @@ class Predictor:
             mu[0, sl] = mean[row]
             var[0, sl] = variance[row]
         mu[:, self.state.layout.fixed_mask] = reals
-        phi1 = self._user_bias[user]
+        phi1 = self._user_bias[int(user)]
         for column, sums in self._bias_tables:
             code, last = item if column is None else cats[column], len(sums) - 1
             phi1 = phi1 + sums[code if 0 <= code < last else last]
@@ -276,8 +286,7 @@ class Predictor:
         for row in context_rows:
             if len(row) != count:
                 raise ValueError(f"expected {count} context values, got {len(row)}")
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
+        users, items = integer_codes(users, "user"), integer_codes(items, "item")
         cats, reals = context_columns(self.state.schema, context_rows)
         reals = self._standardize(reals)
 
@@ -318,7 +327,7 @@ class Predictor:
 
         psi = self._psi1(mu, var)
         out = np.empty((n, self._proj.shape[1]))
-        step = max(1, _ROW_BUDGET // self._proj[0].size)
+        step = max(1, _STEP_BUDGET // self._proj[0].size)
         for start in range(0, n, step):
             sl = slice(start, start + step)
             out[sl] = _project(self._proj[slots[sl]], psi[sl])

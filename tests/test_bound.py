@@ -353,7 +353,16 @@ STACKED_SHAPES = {
     "no_contexts": dict(n_users=3, cat_card=0, with_real=False),
     "only_real_contexts": dict(n_users=3, cat_card=0),
     "no_mean": dict(n_users=3, use_mean=False),
+    # the benchmark's medium_real shape: the default rule puts several users,
+    # not all, in a chunk
+    "medium_real_like": dict(n_users=7, ratings_per_user=100, m=20),
 }
+
+
+def chunk_size(n, m, q):
+    """Doubles a user of n ratings counts against bound._ROW_BUDGET: its
+    packed Psi2 rows and the backward pass's two (P, 2Q + 2) stacks."""
+    return m * (m + 1) // 2 * (n + 2 * (2 * q + 2))
 
 
 class TestStackedBound:
@@ -363,13 +372,37 @@ class TestStackedBound:
 
         _, blocks, state, _ = random_instance(21, **STACKED_SHAPES[shape])
         reference = one_user_reference(blocks, state)
-        n, m, u = blocks[0].count, state.inducing_count, len(blocks)
-        # the default budget puts every user in one chunk; then one user and
-        # two users per chunk, so that the last chunk is short
-        for budget, chunks in ((bound._ROW_BUDGET, 1), (1, u), (2 * n * m * m, (u + 1) // 2)):
+        size, u = chunk_size(blocks[0].count, state.inducing_count, state.kernel_dim), len(blocks)
+        per_chunk = bound._ROW_BUDGET // size
+        assert per_chunk > 1
+        # the default budget, then one user and two users per chunk, so that
+        # the last chunk is short
+        for budget, chunks in ((bound._ROW_BUDGET, -(-u // per_chunk)), (1, u), (2 * size, (u + 1) // 2)):
             monkeypatch.setattr(bound, "_ROW_BUDGET", budget)
-            assert len(bound._chunks(blocks, m)) == chunks
+            assert len(bound._chunks(blocks, state)) == chunks
             assert_matches_reference(total_bound(blocks, state), reference)
+
+    @pytest.mark.parametrize("shape", sorted(STACKED_SHAPES))
+    def test_a_users_terms_do_not_depend_on_its_chunk(self, shape):
+        # every product a user's terms take is one product per user, so each
+        # user of a chunk gets the bits of its one-user chunk
+        from gplvmf.bound import _terms, shared_factors, user_posterior
+
+        _, blocks, state, _ = random_instance(26, **STACKED_SHAPES[shape])
+        shared = shared_factors(state)
+        chunk = _terms(blocks, state, shared, want_gradients=True)
+        post = user_posterior(blocks, state, shared=shared)
+        n = blocks[0].count
+        for i, block in enumerate(blocks):
+            one = _terms([block], state, shared, want_gradients=True)
+            one_post = user_posterior([block], state, shared=shared)
+            rows = slice(i * n, (i + 1) * n)
+            for key in ("value", "glog_sigma2", "glog_beta"):
+                assert getattr(chunk, key)[i] == getattr(one, key)[0]
+            for key in ("gmu_rows", "glog_var_rows", "dphi1", "phi1"):
+                assert np.array_equal(getattr(chunk, key)[rows], getattr(one, key))
+            assert np.array_equal(post.v[i], one_post.v[0])
+            assert np.array_equal(post.chol_b[i], one_post.chol_b[0])
 
     def test_duplicated_blocks_share_a_chunk(self):
         _, blocks, state, _ = random_instance(22, n_users=3)
@@ -380,7 +413,7 @@ class TestStackedBound:
         import gplvmf.bound as bound
 
         # 300 users of 6 or 7 ratings at M = 8: users of equal counts share
-        # chunks of at most _ROW_BUDGET // (n * M^2) users
+        # chunks of at most _ROW_BUDGET // chunk_size(n, M, Q) users
         rng = np.random.default_rng(23)
         counts = np.where(np.arange(300) % 2 == 0, 6, 7)
         schema = ContextSchema(300, 10, (ContextVariable("c0", "categorical", 3),))
@@ -391,7 +424,8 @@ class TestStackedBound:
         )
         blocks = group_by_user(table)
         state = init_state(schema, blocks, TrainConfig(inducing_count=8, item_dim=2, context_dim=2, seed=23))
-        expected = sum(int(np.ceil(150 / (bound._ROW_BUDGET // (c * 64)))) for c in (6, 7))
+        per_chunk = [bound._ROW_BUDGET // chunk_size(c, 8, state.kernel_dim) for c in (6, 7)]
+        expected = sum(int(np.ceil(150 / k)) for k in per_chunk)
         assert expected < 10
 
         calls = {"psi": 0, "backward": 0}

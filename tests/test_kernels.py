@@ -383,6 +383,29 @@ class TestPsiGradients:
         for value, reference in zip(got, expected):
             assert error_to_largest(value, reference) < 1e-12
 
+    @pytest.mark.parametrize("groups", [1, 2, 5])
+    def test_group_rows_equal_a_cache_of_their_own(self, groups):
+        # every product over rows is taken per group, so each group's Psi1
+        # and Psi2 rows and row gradients are those of a one-group cache, bit
+        # for bit; at (100, 20, 6) five groups in one product would also
+        # cross OpenBLAS's threading size
+        per_group, m, q = 100, 20, 6
+        n = groups * per_group
+        kern, pts, z = random_setup(102 + groups, n=n, m=m, q=q)
+        rng = np.random.default_rng(103)
+        r0, r1, r2 = rng.normal(), rng.normal(size=(n, m)), rng.normal(size=(groups, m, m))
+        cache = _PsiCache(kern, pts, z, groups=groups)
+        grads = psi_backward(cache, r0, r1, r2)
+        for g in range(groups):
+            sl = slice(g * per_group, (g + 1) * per_group)
+            one = _PsiCache(kern, LatentPoints(pts.mean[sl], pts.var[sl]), z)
+            one_grads = psi_backward(one, r0, r1[sl], r2[g])
+            assert np.array_equal(cache.psi1[sl], one.psi1)
+            assert np.array_equal(cache.psi2_rows[sl], one.psi2_rows)
+            assert np.array_equal(cache.psi2_sums()[g], one.psi2_sums()[0])
+            assert np.array_equal(grads.dmu[sl], one_grads.dmu)
+            assert np.array_equal(grads.dvar[sl], one_grads.dvar)
+
     @pytest.mark.parametrize("shift", [0.0, 100.0])
     def test_psi1_matrix_matches_the_cache(self, shift):
         kern, pts, z = random_setup(92, n=20, m=8, q=6)

@@ -1,5 +1,8 @@
 """Predictive distribution and the context-relevance report."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -302,6 +305,36 @@ class TestPredict:
         good = pred.predict(0, 1, (1.0, 0.5, 0.5))
         assert good == pred.predict(0, 1, (1, 0.5, 0.5))
         assert pred.predict_rows([0], [1], [(np.float64(1.0), 0.5, 0.5)])[0][0] == good.mean
+
+    @pytest.mark.parametrize(
+        "user, item, row, message",
+        [
+            (0, 1.9, (1, 0.5, 0.5), "item value 1.9 is not an integer code"),
+            (0.7, 1, (1, 0.5, 0.5), "user value 0.7 is not an integer code"),
+            (0, float("nan"), (1, 0.5, 0.5), "item value nan is not an integer code"),
+            (0, 1e30, (1, 0.5, 0.5), "item value 1e+30 is not an integer code"),
+            (0, 1, (1e30, 0.5, 0.5), "context 'c0' value 1e+30 is not an integer code"),
+            (0, 1, (10**30, 0.5, 0.5), "context 'c0' value 1e+30 is not an integer code"),
+        ],
+    )
+    def test_bad_indices_are_rejected(self, user, item, row, message):
+        # a fractional user or item must not read as its integer part, and a
+        # code beyond int64 must not be cast
+        state, blocks, standardization = batch_instance(18)
+        pred = Predictor(state, blocks, standardization=standardization)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pred.predict(user, item, row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                pred.predict_rows([0, user], [1, item], [(1, 0.5, 0.5), row])
+
+    def test_integral_float_indices_are_indices(self):
+        state, blocks, standardization = batch_instance(18)
+        pred = Predictor(state, blocks, standardization=standardization)
+        good = pred.predict(1, 2, (1, 0.5, 0.5))
+        assert pred.predict(1.0, np.float64(2.0), (1, 0.5, 0.5)) == good
+        assert pred.predict_rows([1.0], [np.float64(2.0)], [(1, 0.5, 0.5)])[0][0] == good.mean
 
     def test_predict_rows_empty_batch(self):
         state, blocks, _ = batch_instance(16)
