@@ -86,18 +86,18 @@ print(f"gradient coordinate {i}: analytic {report.gradients[i]:+.8f}, "
 # ----------------------------------------------------------------------
 state.item_mean[:n_items] = rng.normal(0, 1.2, size=(n_items, 2))
 state.item_log_var[:] = -45.0
-state.bias.item_log_var[:] = -45.0
+state.params["bias_item_log_var"][:] = -45.0
 mu_rows, _ = state.assemble_rows(blocks[0])
 state.z = mu_rows.copy()
 state.log_beta[:] = np.log(2.0)
 
 from scipy.linalg import cho_factor, cho_solve
-from gplvmf import mean_vector
+from gplvmf import phi_statistics
 
 bound_val = user_bound(blocks[0], state, jitter=1e-12)
 kern_full = ArdKernel(float(np.exp(state.log_sigma2[0])), np.exp(state.log_alpha))
 cov = kernel_matrix(kern_full, mu_rows, mu_rows) + np.eye(n_items) / 2.0
-resid = blocks[0].ratings - mean_vector(state.bias, blocks[0])
+resid = blocks[0].ratings - phi_statistics(state, blocks[0]).phi1
 cf = cho_factor(cov, lower=True)
 exact = (
     -0.5 * n_items * np.log(2 * np.pi)

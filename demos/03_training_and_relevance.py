@@ -67,7 +67,7 @@ print(f"bound improved {start:.1f} -> {final:.1f}")
 # ----------------------------------------------------------------------
 # 3. Relevance report: inverse length-scales summed per latent block.
 # ----------------------------------------------------------------------
-relevance = context_relevance(state, table.schema)
+relevance = context_relevance(state)
 print("\ncontext relevance (score = sum of alphas over the block):")
 for name, score, share in relevance.entries:
     bar = "#" * int(round(50 * share))

@@ -51,7 +51,7 @@ from .kernels import (
     mc_psi_oracle,
     psi_statistics,
 )
-from .meanfn import BiasLatents, PhiStats, mc_phi_oracle, mean_vector, phi_statistics
+from .meanfn import PhiStats, mc_phi_oracle, phi_statistics
 from .model import TrainedModel, load_model, save_model
 from .optim import (
     OptimizationError,
@@ -69,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArdKernel",
-    "BiasLatents",
     "BoundReport",
     "CATEGORICAL",
     "ContextRelevance",
@@ -110,7 +109,6 @@ __all__ = [
     "make_folds",
     "mc_phi_oracle",
     "mc_psi_oracle",
-    "mean_vector",
     "metrics",
     "optimal_qu",
     "phi_statistics",

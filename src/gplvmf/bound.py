@@ -224,13 +224,9 @@ def _forward(blocks: list, state: VariationalState, shared: SharedFactors) -> _F
     kern = ArdKernel(1.0, np.exp(state.log_alpha))
     cache = _PsiCache(kern, LatentPoints(mu_rows, var_rows, state.layout.fixed_mask), state.z, groups=u)
 
-    if state.dims.use_mean:
-        phi = phi_statistics(state.bias, rows)
-        phi1, row_var = phi.phi1, phi.row_var
-    else:
-        phi1, row_var = np.zeros(rows.count), 0.0
-    resid = rows.ratings - phi1
-    quad = (resid**2 + row_var).reshape(u, n).sum(axis=1)
+    phi = phi_statistics(state, rows)
+    resid = rows.ratings - phi.phi1
+    quad = (resid**2 + phi.row_var).reshape(u, n).sum(axis=1)
 
     # whitened systems: L = sqrt(sigma2) L_C, so T = sigma2 L_C^-1 Psi2_unit L_C^-T
     linv = shared.linv
@@ -246,7 +242,7 @@ def _forward(blocks: list, state: VariationalState, shared: SharedFactors) -> _F
     c_hat = np.sqrt(sigma2)[:, None] * _per_user(c_unit, linv.T)
     b_vec = np.matmul(b_inv, c_hat[:, :, None])[:, :, 0]
     return _Forward(
-        rows=rows, users=users, sigma2=sigma2, beta=beta, cache=cache, phi1=phi1, resid=resid,
+        rows=rows, users=users, sigma2=sigma2, beta=beta, cache=cache, phi1=phi.phi1, resid=resid,
         quad=quad, t_mat=t_mat, chol_b=chol_b, b_inv=b_inv, extra=extra, c_hat=c_hat, b_vec=b_vec,
     )
 
@@ -440,7 +436,7 @@ def _scatter(state: VariationalState, terms: UserTerms, grads: dict) -> None:
     """
     rows, users = terms.rows, terms.users
     if state.dims.use_mean:
-        pg = phi_backward(state.bias, rows, terms.dphi1, terms.dphi0, terms.phi1)
+        pg = phi_backward(rows, terms.dphi1, terms.dphi0, terms.phi1)
         grads["real_weights"] += pg.real_weights
         np.add.at(grads["user_bias"], users, pg.mean_rows.reshape(len(users), -1).sum(axis=1))
     for t in state.layout.tables:
@@ -448,7 +444,7 @@ def _scatter(state: VariationalState, terms: UserTerms, grads: dict) -> None:
         if t.in_kernel:
             gmean, glog_var = terms.gmu_rows[:, t.sl], terms.glog_var_rows[:, t.sl]
         else:
-            gmean, glog_var = pg.mean_rows[:, None], pg.var[:, None] * np.exp(state.params[t.log_var][codes])
+            gmean, glog_var = pg.mean_rows[:, None], terms.dphi0[:, None] * np.exp(state.params[t.log_var][codes])
         np.add.at(grads[t.mean], codes, gmean)
         np.add.at(grads[t.log_var], codes, glog_var)
     grads["z"] += terms.gz

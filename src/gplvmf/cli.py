@@ -97,7 +97,7 @@ def cmd_predict(args) -> int:
 
 def cmd_analyze_contexts(args) -> int:
     model = load_model(args.model)
-    relevance = context_relevance(model.state, model.schema)
+    relevance = context_relevance(model.state)
     lines = ["context,score,share"]
     for name, score, share in relevance.entries:
         lines.append(f"{name},{score!r},{share!r}")

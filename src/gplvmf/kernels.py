@@ -22,8 +22,8 @@ of Psi1 has, per coordinate q, the exponent
 of the left factor ``[v mu | -v/2 | -r1]`` with the right factor
 ``[z | z^2 | 1]``, where the row term is
 ``r1 = sum_q (v mu^2 + log d1) / 2 - log sigma2``.  Query rows
-(:class:`Psi1Rows`, :func:`psi1_matrix`) use the same factors but take the
-product with ``np.einsum``, whose rows do not depend on the batch.
+(:class:`Psi1Rows`) use the same factors but take the product with
+``np.einsum``, whose rows do not depend on the batch.
 
 Row n of Psi2 (one rating's term of the sum) has, per coordinate q, the
 exponent ``-alpha/4 (z_a - z_b)^2 - w (mu - zbar_ab)^2 - log(d2)/2`` with
@@ -196,13 +196,6 @@ class Psi1Rows:
         _, _, lhs = _psi1_left(self.alpha, self.sigma2, mu - self.centre, var)
         expo = np.einsum("nk,mk->nm", lhs, self.rhs)
         return np.exp(expo, out=expo)
-
-
-def psi1_matrix(kernel: ArdKernel, mu: np.ndarray, var: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Psi1 = <K_NM> (N x M) for rows of means ``mu`` and variances ``var``,
-    in the same factors as :class:`_PsiCache`, centred on the column mean of
-    ``z`` and multiplied row by row (:class:`Psi1Rows`)."""
-    return Psi1Rows(kernel, z)(mu, var)
 
 
 class _PairTables(NamedTuple):

@@ -28,10 +28,12 @@ where L_B is the Cholesky factor of B.  So each user is reduced once to a
 chunk of users at a time from one stacked posterior pass
 (:func:`gplvmf.bound.user_posterior` over :func:`gplvmf.bound._chunks`), and
 a query costs one Psi1 row and one product with its user's projection; no
-triangular solve is left per query.  :meth:`Predictor.predict_rows` makes one
-gather over the latent tables, one Psi1 pass over all rows and the products
-in row chunks of bounded size (no O(rows * M^2) temporary);
-:meth:`Predictor.predict` is the one-row case of the same arithmetic.
+triangular solve is left per query.  :meth:`Predictor.predict_rows` reads its
+rows as the bound does (:meth:`~gplvmf.state.VariationalState.assemble_rows`
+and :func:`gplvmf.meanfn.phi_statistics` over a row view of the queries),
+makes one Psi1 pass over all rows and the products in row chunks of bounded
+size (no O(rows * M^2) temporary); :meth:`Predictor.predict` is the one-row
+case of the same arithmetic, with a scalar lookup of the same tables.
 
 Each query's result must not depend on the batch it arrives in: a batch
 agrees bit for bit with one-query calls on the same predictor.  Matrix
@@ -52,8 +54,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bound import DEFAULT_JITTER, SharedFactors, _chunks, shared_factors, user_posterior
-from .data import ContextSchema, code_error, context_columns, context_value_error, integer_codes, is_code
+from .data import UserBlock, code_error, context_columns, context_value_error, integer_codes, is_code
 from .kernels import ArdKernel, Psi1Rows
+from .meanfn import phi_statistics
 from .state import VariationalState
 
 
@@ -94,8 +97,9 @@ def _unknown(user) -> UnknownUserError:
     return UnknownUserError(f"user {user} has no training ratings; no cold-start model is defined")
 
 
-def _clamp_codes(codes: np.ndarray, last: int) -> np.ndarray:
-    """Codes outside [0, last) read the trailing prior row ``last``."""
+def _clamp_codes(codes: np.ndarray, last) -> np.ndarray:
+    """Codes outside [0, last) read the trailing prior row ``last`` (one
+    entity count, or one per column of ``codes``)."""
     return np.where((codes >= 0) & (codes < last), codes, last)
 
 
@@ -153,9 +157,11 @@ class Predictor:
 
         schema, p = state.schema, state.params
         self._cat_cols = schema.categorical_indices
+        self._cards = np.array([schema.contexts[d].cardinality for d in self._cat_cols], dtype=np.int64)
         self._real_cols = schema.real_indices
         self._psi1 = Psi1Rows(ArdKernel(1.0, np.exp(state.log_alpha)), state.z)
-        # kernel tables: (column, kernel slice, means, variances); bias tables: (column, row sums)
+        # the scalar lookup of predict; kernel tables: (column, kernel slice,
+        # means, variances); bias tables: (column, row sums)
         self._kernel_tables = [
             (t.column, t.sl, p[t.mean], np.exp(p[t.log_var])) for t in state.layout.tables if t.in_kernel
         ]
@@ -310,20 +316,14 @@ class Predictor:
         self.warm(uniq.tolist())
         slots = np.array([self._slot[u] for u in uniq.tolist()])[inv]
 
+        # the bound's row walks over a row view of the queries: no ratings,
+        # and every unknown code clamped to its table's trailing prior row
         n = len(users)
-        mu = np.empty((n, self.state.kernel_dim))
-        var = np.zeros((n, self.state.kernel_dim))
-        for column, sl, mean, variance in self._kernel_tables:
-            codes, last = items if column is None else cats[:, column], len(mean) - 1
-            rows = _clamp_codes(codes, last)
-            mu[:, sl] = mean[rows]
-            var[:, sl] = variance[rows]
-        mu[:, self.state.layout.fixed_mask] = reals
-        phi1 = self._user_bias[users]
-        for column, sums in self._bias_tables:
-            codes, last = items if column is None else cats[:, column], len(sums) - 1
-            phi1 = phi1 + sums[_clamp_codes(codes, last)]
-        phi1 = phi1 + np.einsum("qd,d->q", reals, self._real_weights)
+        items = _clamp_codes(items, self.state.schema.item_count)
+        rows = UserBlock(users, items, _clamp_codes(cats, self._cards), reals,
+                         ratings=np.full(n, np.nan), record_indices=np.arange(n))
+        mu, var = self.state.assemble_rows(rows)
+        phi1 = phi_statistics(self.state, rows).phi1
 
         psi = self._psi1(mu, var)
         out = np.empty((n, self._proj.shape[1]))
@@ -334,7 +334,7 @@ class Predictor:
         return _moments(out, phi1, self._sigma2[slots], self._beta[slots], include_noise)
 
 
-def context_relevance(state: VariationalState, schema: ContextSchema | None = None) -> ContextRelevance:
+def context_relevance(state: VariationalState) -> ContextRelevance:
     """Aggregate trained inverse length-scales per latent block.
 
     The per-context score sums alpha over that context's coordinates; the

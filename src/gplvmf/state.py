@@ -17,15 +17,16 @@ same kind.  :class:`KernelLayout` is the one description of this layout:
 ``tables`` lists every table once (keys, the block column that indexes
 each, and the kernel slice, empty for a bias table), ``fixed_mask`` marks
 the pinned real-context coordinates and ``slices`` names each block's
-kernel slice.  The row assembly, the bound's gradient scatter, the KL,
-SGD's step, the query lookup, initialization, the relevance report and the
-model file all walk that description; none of them re-derives it from the
-schema.
+kernel slice.  The row assembly, the mean function
+(:func:`gplvmf.meanfn.phi_statistics`), the bound's gradient scatter, the
+KL, SGD's step, the query lookup, initialization, the relevance report and
+the model file all walk that description; none of them re-derives it from
+the schema.
 
 The state keeps every parameter in one float64 vector, ``flat``, in the
 order of :attr:`KernelLayout.keys`.  ``params`` maps each key to a reshaped
 view of its slice (``offsets`` holds the bounds), and the familiar attributes
-(``item_mean``, ``bias``, ``z``, ...) read it; assigning one (``state.z =
+(``item_mean``, ``z``, ...) read it; assigning one (``state.z =
 ...``, maybe with a new shape) re-packs the vector.  All positive parameters
 (variances, inverse length-scales, signal variance, noise precision) are
 stored as logs, making the flat optimization vector unconstrained.
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ContextSchema, UserBlock
-from .meanfn import BiasLatents
 
 
 @dataclass(frozen=True)
@@ -174,22 +174,6 @@ class VariationalState:
     @property
     def inducing_count(self) -> int:
         return self.z.shape[0]
-
-    @property
-    def bias(self) -> BiasLatents | None:
-        """The bias latents and point parameters (the state's own arrays), or None."""
-        if not self.dims.use_mean:
-            return None
-        p = self.params
-        ctx = [t for t in self.layout.tables if not t.in_kernel and t.column is not None]
-        return BiasLatents(
-            user_bias=p["user_bias"],
-            item_mean=p["bias_item_mean"],
-            item_log_var=p["bias_item_log_var"],
-            context_mean=[p[t.mean] for t in ctx],
-            context_log_var=[p[t.log_var] for t in ctx],
-            real_weights=p["real_weights"],
-        )
 
     def copy(self) -> "VariationalState":
         return self.from_vector(self.flat)

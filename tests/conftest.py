@@ -78,7 +78,7 @@ def one_user_distinct_table(n_items, seed, rating_loc=3.0):
 
 def random_instance(seed, n_users=2, n_items=4, cat_card=3, with_real=True,
                     ratings_per_user=5, m=3, item_dim=2, context_dim=2,
-                    use_mean=True, state_noise=0.15):
+                    item_bias_dim=1, context_bias_dim=1, use_mean=True, state_noise=0.15):
     """A small randomized problem with a perturbed state, for gradient checks;
     ``cat_card=0`` leaves out the categorical context."""
     rng = np.random.default_rng(seed)
@@ -98,7 +98,7 @@ def random_instance(seed, n_users=2, n_items=4, cat_card=3, with_real=True,
     blocks = group_by_user(table)
     cfg = TrainConfig(
         inducing_count=m, item_dim=item_dim, context_dim=context_dim,
-        use_mean=use_mean, seed=seed,
+        item_bias_dim=item_bias_dim, context_bias_dim=context_bias_dim, use_mean=use_mean, seed=seed,
     )
     state = init_state(schema, blocks, cfg)
     if state_noise:
@@ -134,12 +134,12 @@ def mc_log_marginal(block, state, samples, seed, chunk=20_000):
         left -= size
         x = np.zeros((size, n, q))
         mean = np.zeros((size, n))
-        if state.bias is not None:
-            mean += state.bias.user_bias[block.user]
+        if state.dims.use_mean:
+            mean += state.params["user_bias"][block.user]
         off = dims.item_dim
         item_lat = rng.standard_normal((size, schema.item_count, dims.item_dim))
         x[:, :, :off] = item_lat[:, block.items, :]
-        if state.bias is not None:
+        if state.dims.use_mean:
             item_bias = rng.standard_normal((size, schema.item_count, dims.item_bias_dim))
             mean += item_bias[:, block.items, :].sum(axis=2)
         ci = 0
@@ -150,7 +150,7 @@ def mc_log_marginal(block, state, samples, seed, chunk=20_000):
                 codes = block.cat_values[:, ci]
                 x[:, :, off : off + dims.context_dim] = lat[:, codes, :]
                 off += dims.context_dim
-                if state.bias is not None:
+                if state.dims.use_mean:
                     cb = rng.standard_normal((size, ctx.cardinality, dims.context_bias_dim))
                     mean += cb[:, codes, :].sum(axis=2)
                 ci += 1
@@ -158,8 +158,8 @@ def mc_log_marginal(block, state, samples, seed, chunk=20_000):
                 vals = block.real_values[:, ri]
                 x[:, :, off] = vals[None, :]
                 off += 1
-                if state.bias is not None:
-                    mean += state.bias.real_weights[ri] * vals[None, :]
+                if state.dims.use_mean:
+                    mean += state.params["real_weights"][ri] * vals[None, :]
                 ri += 1
         diff = x[:, :, None, :] - x[:, None, :, :]
         cov = sigma2 * np.exp(-0.5 * np.einsum("q,snmq->snm", alpha, diff**2))

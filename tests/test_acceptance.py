@@ -28,7 +28,6 @@ from gplvmf import (
     mc_phi_oracle,
     mc_psi_oracle,
     metrics,
-    mean_vector,
     phi_statistics,
     psi_statistics,
     scg_run,
@@ -41,7 +40,7 @@ from gplvmf import (
 from gplvmf.predict import context_relevance
 from conftest import mc_log_marginal, random_instance
 from test_bound import collapsed_state, exact_log_marginal
-from test_meanfn import make_bias, one_block
+from test_meanfn import make_state, one_block
 from test_optim import toy_problem
 
 pytestmark = pytest.mark.acceptance
@@ -86,14 +85,14 @@ def test_criterion_02_phi_statistics_match_monte_carlo():
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(10):
-        block, rng = one_block(seed, n_rows=5 + seed % 3, repeat_item=(seed % 2 == 0))
-        bias = make_bias(rng, 1, 4, (3,), n_real=1)
-        phi = phi_statistics(bias, block)
-        est, (se1, se0) = mc_phi_oracle(bias, block, samples=200_000, seed=seed)
+        block, schema, rng = one_block(seed, n_rows=5 + seed % 3, repeat_item=(seed % 2 == 0))
+        state = make_state(rng, schema)
+        phi = phi_statistics(state, block)
+        (phi1, phi0), (se1, se0) = mc_phi_oracle(state, block, samples=200_000, seed=seed)
         worst = max(
             worst,
-            float(np.max(np.abs(phi.phi1 - est.phi1) / (se1 + 1e-14))),
-            abs(phi.phi0 - est.phi0) / (se0 + 1e-14),
+            float(np.max(np.abs(phi.phi1 - phi1) / (se1 + 1e-14))),
+            abs(phi.phi0 - phi0) / (se0 + 1e-14),
         )
     elapsed = time.perf_counter() - t0
     report(
@@ -214,7 +213,7 @@ def test_criterion_07_ard_recovers_context_relevance():
     state = init_state(table.schema, blocks, cfg)
     for epoch in range(cfg.epochs):
         state, _ = sgd_epoch(blocks, state, cfg, epoch)
-    rel = context_relevance(state, table.schema)
+    rel = context_relevance(state)
     ratio = rel.share("relevant") / max(rel.share("irrelevant"), 1e-12)
     elapsed = time.perf_counter() - t0
     report(

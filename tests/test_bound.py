@@ -15,8 +15,8 @@ from gplvmf import (
     init_state,
     kernel_matrix,
     kl_to_prior,
-    mean_vector,
     optimal_qu,
+    phi_statistics,
     sgd_epoch,
     synthesize,
     total_bound,
@@ -40,7 +40,7 @@ def exact_log_marginal(block, state):
     beta = float(np.exp(state.log_beta[block.user]))
     kern = ArdKernel(sigma2, np.exp(state.log_alpha))
     k = kernel_matrix(kern, mu_rows, mu_rows) + np.eye(block.count) / beta
-    m = mean_vector(state.bias, block) if state.bias is not None else np.zeros(block.count)
+    m = phi_statistics(state, block).phi1
     resid = block.ratings - m
     cf = cho_factor(k, lower=True)
     logdet = 2 * np.sum(np.log(np.diag(cf[0])))
@@ -57,7 +57,7 @@ def collapsed_state(seed, n_items):
     state = init_state(table.schema, blocks, cfg)
     state.item_mean[:n_items] = rng.normal(0, 1.2, size=(n_items, 2))
     state.item_log_var[:] = -45.0
-    state.bias.item_log_var[:] = -45.0
+    state.params["bias_item_log_var"][:] = -45.0
     mu_rows, _ = state.assemble_rows(blocks[0])
     state.z = mu_rows.copy()
     state.log_beta[:] = np.log(rng.uniform(0.5, 4.0))
@@ -126,9 +126,9 @@ class TestUserBound:
         st = init_state(table.schema, blocks, cfg)
         st.item_mean[0, 0] = 0.3
         st.item_log_var[0, 0] = np.log(0.4)
-        st.bias.user_bias[0] = 0.7
-        st.bias.item_mean[0, 0] = -0.2
-        st.bias.item_log_var[0, 0] = np.log(0.25)
+        st.params["user_bias"][0] = 0.7
+        st.params["bias_item_mean"][0, 0] = -0.2
+        st.params["bias_item_log_var"][0, 0] = np.log(0.25)
         st.z = np.array([[0.5]])
         st.log_alpha = np.array([np.log(2.0)])
         st.log_sigma2[:] = np.log(1.3)
@@ -262,9 +262,7 @@ class TestOptimalQu:
         table, blocks, state, _ = random_instance(11, n_users=1)
         block = blocks[0]
         # set ratings equal to phi1 so the residual vanishes
-        from gplvmf import phi_statistics
-
-        phi1 = phi_statistics(state.bias, block).phi1
+        phi1 = phi_statistics(state, block).phi1
         from gplvmf.data import UserBlock
 
         block0 = UserBlock(
@@ -292,7 +290,7 @@ class TestOptimalQu:
         st.log_sigma2[:] = np.log(0.9)
         st.log_beta[:] = np.log(2.0)
         y = float(blocks[0].ratings[0])
-        p1 = float(st.bias.user_bias[0] + st.bias.item_mean[0].sum())
+        p1 = float(st.params["user_bias"][0] + st.params["bias_item_mean"][0].sum())
         sigma2, beta, alpha = 0.9, 2.0, 1.5
         mu, s, z = -0.4, 0.3, 0.2
         k = sigma2 * (1 + 1e-6)
@@ -309,9 +307,7 @@ class TestOptimalQu:
         block, state = collapsed_state(13, n_items=4)
         state.log_beta[:] = np.log(1e8)
         mu_u, _ = optimal_qu(block, state, jitter=1e-12)
-        from gplvmf import phi_statistics
-
-        resid = block.ratings - phi_statistics(state.bias, block).phi1
+        resid = block.ratings - phi_statistics(state, block).phi1
         assert np.allclose(mu_u, resid, atol=1e-5)
 
     def test_covariance_spd(self):

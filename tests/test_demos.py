@@ -1,9 +1,11 @@
 """The walkthrough demos still run end to end.
 
-Demos 01 and 02 run in under a second each and call the public data and
-bound API (``load_table``/``save_table``, ``state.bias``, ``mean_vector``,
-``total_bound``), so they run here as subprocesses.  Demos 03 and 04 train
-models for several seconds each and stay out of this suite.
+Each demo runs as a subprocess and calls the public API: the data files
+(``load_table``/``save_table``), the state's parameters and the mean
+function (``state.params``, ``phi_statistics``), the bound
+(``total_bound``), training with the relevance report
+(``context_relevance``), and the predictor's query path.  Demos 03 and 04
+train models and take several seconds each.
 """
 
 import os
@@ -16,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_data_and_folds.py", "02_bound_and_statistics.py"])
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("[0-9]*.py")))
 def test_demo_runs(tmp_path, demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
     result = subprocess.run(

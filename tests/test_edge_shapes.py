@@ -1,6 +1,7 @@
 """The bound and SGD at the edge shapes training meets: one-rating users,
-more inducing points than ratings, no contexts, only real contexts and
-coinciding inducing points."""
+more inducing points than ratings, no contexts, only real contexts,
+coinciding inducing points, and bias tables two wide (items) and zero wide
+(contexts)."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ EDGE_SHAPES = {
     "no_contexts": dict(cat_card=0, with_real=False),
     "only_real_contexts": dict(cat_card=0, with_real=True),
     "coinciding_inducing": dict(m=4),
+    "wide_and_empty_bias_tables": dict(item_bias_dim=2, context_bias_dim=0),
 }
 
 

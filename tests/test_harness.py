@@ -266,12 +266,12 @@ class TestSchemaVariants:
         cfg = TrainConfig(inducing_count=4, item_dim=1, context_dim=1, seed=0,
                           epochs=10, learning_rate=0.02, use_mean=False)
         model = train_model(table, cfg)
-        assert model.state.bias is None
+        assert not model.state.dims.use_mean
         p = model.predictor().predict(0, 1, (0, 0))
         assert np.isfinite(p.mean)
         path = Path(tempfile.mkdtemp()) / "no_mean.npz"
         save_model(model, path)
         again = load_model(path)
-        assert again.state.bias is None
+        assert not again.state.dims.use_mean
         p2 = again.predictor().predict(0, 1, (0, 0))
         assert p2.mean == pytest.approx(p.mean)

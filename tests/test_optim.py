@@ -89,8 +89,8 @@ class TestInitState:
         blocks = group_by_user(table)
         cfg = TrainConfig(inducing_count=2, item_dim=1, context_dim=1, seed=0)
         state = init_state(schema, blocks, cfg)
-        assert state.bias.user_bias[0] == pytest.approx(4.0)
-        assert state.bias.user_bias[1] == pytest.approx(2.0)
+        assert state.params["user_bias"][0] == pytest.approx(4.0)
+        assert state.params["user_bias"][1] == pytest.approx(2.0)
 
     def test_alpha_uniform_one_over_q(self):
         table, blocks, cfg = toy_problem()
@@ -233,9 +233,9 @@ class TestSgd:
             ctx_tables = [mask.params["ctx_mean_0"], mask.params["ctx_log_var_0"]]
             whole = [mask.z, mask.log_alpha, mask.log_sigma2, mask.log_beta]
             if use_mean:
-                item_tables += [mask.bias.item_mean, mask.bias.item_log_var]
-                ctx_tables += [mask.bias.context_mean[0], mask.bias.context_log_var[0]]
-                whole += [mask.bias.user_bias, mask.bias.real_weights]
+                item_tables += [mask.params["bias_item_mean"], mask.params["bias_item_log_var"]]
+                ctx_tables += [mask.params["bias_ctx_mean_0"], mask.params["bias_ctx_log_var_0"]]
+                whole += [mask.params["user_bias"], mask.params["real_weights"]]
             for arr in item_tables:
                 arr[block.items] = 1.0
             for arr in ctx_tables:

@@ -28,7 +28,7 @@ def collapsed_predict_setup(seed, n_items=4, beta=2.0):
     state = init_state(table.schema, blocks, cfg)
     state.item_mean[:n_items, 0] = np.linspace(-1.5, 1.5, n_items)
     state.item_log_var[:] = -45.0
-    state.bias.item_log_var[:] = -45.0
+    state.params["bias_item_log_var"][:] = -45.0
     mu_rows, _ = state.assemble_rows(blocks[0])
     state.z = mu_rows.copy()
     state.log_beta[:] = np.log(beta)
@@ -90,7 +90,7 @@ class TestPredict:
         kern = ArdKernel(float(np.exp(state.log_sigma2[0])), np.exp(state.log_alpha))
         k = kernel_matrix(kern, mu_rows, mu_rows)
         cf = cho_factor(k + np.eye(blocks[0].count) / 2.0, lower=True)
-        phi1 = phi_statistics(state.bias, blocks[0]).phi1
+        phi1 = phi_statistics(state, blocks[0]).phi1
         resid = blocks[0].ratings - phi1
         for t in range(blocks[0].count):
             xs = mu_rows[t : t + 1]
@@ -105,7 +105,7 @@ class TestPredict:
         state.log_sigma2[:] = np.log(1e-30)
         pred = Predictor(state, blocks)
         p = pred.predict(0, 1, ())
-        expected = state.bias.user_bias[0] + state.bias.item_mean[1].sum()
+        expected = state.params["user_bias"][0] + state.params["bias_item_mean"][1].sum()
         assert p.mean == pytest.approx(float(expected), abs=1e-12)
 
     def test_scalar_hand_evaluation(self):
@@ -120,7 +120,7 @@ class TestPredict:
         st.log_sigma2[:] = np.log(1.3)
         st.log_beta[:] = np.log(0.8)
         y = float(blocks[0].ratings[0])
-        p1 = float(st.bias.user_bias[0] + st.bias.item_mean[0].sum())
+        p1 = float(st.params["user_bias"][0] + st.params["bias_item_mean"][0].sum())
         sigma2, beta, alpha = 1.3, 0.8, 2.0
         mu, s, z = 0.3, 0.4, 0.5
         k = sigma2 * (1 + 1e-6)
@@ -158,7 +158,7 @@ class TestPredict:
         base = Predictor(state, blocks).predict(0, 2, ()).mean
         c = 1.7
         shifted = state.copy()
-        shifted.bias.user_bias[0] += c
+        shifted.params["user_bias"][0] += c
         from gplvmf.data import UserBlock
 
         block = blocks[0]
@@ -228,7 +228,7 @@ class TestPredict:
     def test_clamping(self):
         table, blocks, state, _ = random_instance(10, n_users=1)
         pred = Predictor(state, blocks, rating_scale=(1.0, 5.0))
-        state.bias.user_bias[0] = 40.0
+        state.params["user_bias"][0] = 40.0
         pred2 = Predictor(state, blocks, rating_scale=(1.0, 5.0))
         p = pred2.predict(0, 0, (0, 0.0))
         assert p.clamped_mean == 5.0
@@ -378,13 +378,13 @@ class TestContextRelevance:
 
     def test_equal_alphas_give_equal_shares(self):
         state, schema = self._state([0.3] * 6)
-        rel = context_relevance(state, schema)
+        rel = context_relevance(state)
         shares = [sh for _, _, sh in rel.entries]
         assert np.allclose(shares, 1.0 / 3.0)
         assert sum(shares) == pytest.approx(1.0)
 
     def test_zeroed_context_gets_zero_share(self):
         state, schema = self._state([0.3, 0.3, 0.3, 0.3, 1e-300, 1e-300])
-        rel = context_relevance(state, schema)
+        rel = context_relevance(state)
         assert rel.share("b") == pytest.approx(0.0, abs=1e-12)
         assert rel.share("a") > 0.4

@@ -120,5 +120,5 @@ def test_context_named_item_keeps_its_own_relevance_entry():
     state = init_state(schema, group_by_user(table), TrainConfig(inducing_count=2, item_dim=2, context_dim=3))
     state.log_alpha = np.log([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     assert [name for name, _ in state.layout.slices] == ["item", "item", "price"]
-    rel = context_relevance(state, schema)
+    rel = context_relevance(state)
     assert [(name, score) for name, score, _ in rel.entries] == [("item", 3.0), ("item", 12.0), ("price", 6.0)]
