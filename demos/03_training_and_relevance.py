@@ -7,6 +7,8 @@ contexts below truly influences ratings; the other is noise.  After
 training, the learned inverse length-scales expose exactly that.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from gplvmf import (
@@ -15,10 +17,10 @@ from gplvmf import (
     TrainConfig,
     group_by_user,
     init_state,
-    scg_run,
     sgd_epoch,
     synthesize,
     total_bound,
+    train,
 )
 from gplvmf.predict import context_relevance
 
@@ -79,7 +81,8 @@ print(f"mood/weather share ratio: {ratio:.1f}")
 # 4. The full-batch alternative: scaled conjugate gradients on the same
 #    objective.  Accepted steps never lower the bound.
 # ----------------------------------------------------------------------
-scg_state, trace = scg_run(blocks, init_state(table.schema, blocks, config), config, max_iters=40)
+scg_config = replace(config, method="scg", epochs=40)
+scg_state, trace = train(blocks, init_state(table.schema, blocks, scg_config), scg_config)
 bounds = trace.bounds()
 print(f"\nSCG: {len(bounds)} iterations, bound {bounds[0]:.1f} -> {bounds[-1]:.1f}, "
       f"monotone over accepted steps: {bool(np.all(np.diff(bounds) >= -1e-9))}")

@@ -46,7 +46,7 @@ config = TrainConfig(
     epochs=50, learning_rate=0.02, lr_decay=0.995, seed=0,
 )
 model = train_model(table, config, rating_scale=(0.0, 6.0))
-print(f"trained on {len(table)} ratings; final bound "
+print(f"trained on {len(table)} ratings; final {model.trace.bound_column} "
       f"{model.trace.rows[-1].bound:.1f}")
 
 # ----------------------------------------------------------------------

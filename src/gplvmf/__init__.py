@@ -59,8 +59,8 @@ from .optim import (
     TrainTrace,
     init_state,
     scg_minimize,
-    scg_run,
     sgd_epoch,
+    train,
 )
 from .predict import ContextRelevance, Prediction, Predictor, UnknownUserError, context_relevance
 from .state import ModelDims, VariationalState
@@ -118,10 +118,10 @@ __all__ = [
     "save_model",
     "save_table",
     "scg_minimize",
-    "scg_run",
     "sgd_epoch",
     "synthesize",
     "total_bound",
+    "train",
     "train_model",
     "user_bound",
 ]

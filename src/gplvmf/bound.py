@@ -141,7 +141,6 @@ def _stack(blocks: list, users: np.ndarray) -> UserBlock:
         cat_values=np.concatenate([b.cat_values for b in blocks]),
         real_values=np.concatenate([b.real_values for b in blocks]),
         ratings=np.concatenate([b.ratings for b in blocks]),
-        record_indices=np.concatenate([b.record_indices for b in blocks]),
     )
 
 

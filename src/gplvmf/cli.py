@@ -32,10 +32,11 @@ def cmd_train(args) -> int:
     train_cfg = cfgmod.train_config_from_config(cfg)
     model = train_model(table, train_cfg, rating_scale=cfgmod.rating_scale_from_config(cfg))
     save_model(model, args.out)
-    if args.trace and model.trace is not None:
-        model.trace.write_csv(args.trace)
-    final = model.trace.rows[-1].bound if model.trace and model.trace.rows else float("nan")
-    print(f"trained {train_cfg.method} on {len(table)} ratings; final bound {final:.4f}")
+    trace = model.trace
+    if args.trace:
+        trace.write_csv(args.trace)
+    final = trace.rows[-1].bound if trace.rows else float("nan")
+    print(f"trained {train_cfg.method} on {len(table)} ratings; final {trace.bound_column} {final:.4f}")
     print(f"model written to {args.out}")
     return 0
 

@@ -368,7 +368,6 @@ class UserBlock(NamedTuple):
     cat_values: np.ndarray
     real_values: np.ndarray
     ratings: np.ndarray
-    record_indices: np.ndarray
 
     @property
     def count(self) -> int:
@@ -388,7 +387,7 @@ def group_by_user(table: RatingTable) -> list[UserBlock]:
     items, cats = table.items[order], table.cat_values[order]
     reals, ratings = table.real_values[order], table.ratings[order]
     return [
-        UserBlock(int(users[a]), items[a:b], cats[a:b], reals[a:b], ratings[a:b], order[a:b])
+        UserBlock(int(users[a]), items[a:b], cats[a:b], reals[a:b], ratings[a:b])
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
 

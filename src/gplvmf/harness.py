@@ -5,12 +5,13 @@ and bias latents from the standard-normal prior, then each user's ratings
 from the Gaussian likelihood with the bias mean and the ARD kernel.  The
 ground truth (latents, inverse length-scales, noise precision, and the
 per-user mean/covariance of the rating vector) is kept so tests can check
-recovery and noise floors.
+recovery and noise floors.  :func:`train_model` groups a table by user and
+wraps what :func:`gplvmf.optim.train` returns in a :class:`TrainedModel`,
+validating on a held-out table when one is given.
 """
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,7 +27,7 @@ from .data import (
 )
 from .kernels import ArdKernel, kernel_matrix
 from .model import TrainedModel
-from .optim import TrainConfig, TrainTrace, init_state, sgd_epoch, scg_run
+from .optim import TrainConfig, init_state, train
 from .predict import Predictor
 
 
@@ -243,7 +244,7 @@ def train_model(
     rating_scale: tuple[float, float] | None = None,
     validation_table: RatingTable | None = None,
 ) -> TrainedModel:
-    """Fit on a table with the configured optimizer and wrap the result.
+    """Fit on a table with :func:`gplvmf.optim.train` and wrap the result.
 
     ``validation_table`` (standardized consistently with ``table``) enables
     MAE early stopping with the configured patience.
@@ -269,27 +270,7 @@ def train_model(
             )
             return metrics(validation_table.ratings, clamped)
 
-    if config.method == "scg":
-        state, trace = scg_run(blocks, state, config, validation=validation)
-    else:
-        trace = TrainTrace()
-        t0 = time.perf_counter()
-        best = {"mae": np.inf, "state": None, "since": 0}
-        for epoch in range(config.epochs):
-            state, estimate = sgd_epoch(blocks, state, config, epoch)
-            val_mae = val_rmse = float("nan")
-            if validation is not None:
-                val_mae, val_rmse = validation(state)
-                if val_mae < best["mae"] - 1e-12:
-                    best.update(mae=val_mae, state=state.copy(), since=0)
-                else:
-                    best["since"] += 1
-            trace.append(epoch, estimate, val_mae, val_rmse, time.perf_counter() - t0)
-            if validation is not None and best["since"] >= config.patience:
-                break
-        if validation is not None and best["state"] is not None:
-            state = best["state"]
-
+    state, trace = train(blocks, state, config, validation=validation)
     return TrainedModel(
         state=state, table=table, config=config, rating_scale=scale, trace=trace
     )

@@ -66,8 +66,6 @@ def save_model(model: TrainedModel, path) -> None:
         "schema": schema_to_dict(model.schema),
         "config": model.config.to_dict(),
         "rating_scale": list(model.rating_scale),
-        "n_categorical": len(model.schema.categorical_indices),
-        "use_mean": state.dims.use_mean,
     }
     arrays = {_FILE_NAMES.get(key, key): arr for key, arr in state.param_entries()}
     arrays.update(

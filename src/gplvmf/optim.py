@@ -10,7 +10,8 @@ full batch (:func:`gplvmf.bound._user_terms`, the one-user chunk, and
 :func:`gplvmf.bound._scatter`); a step gathers and updates those entries
 through one index array.
 SCG is full-batch on the negated total bound, following Moller's algorithm
-with the scalar lambda regulator.
+with the scalar lambda regulator.  :func:`train` runs either method with one
+trace and one early-stopping record.
 """
 
 from __future__ import annotations
@@ -90,8 +91,15 @@ class TraceRow:
 
 @dataclass
 class TrainTrace:
-    """Per-epoch (SGD) or per-iteration (SCG) progress, writable as CSV."""
+    """Per-epoch (SGD) or per-iteration (SCG) progress, writable as CSV.
 
+    ``bound_column`` names what each row's ``bound`` holds, and heads that
+    CSV column: ``"bound"``, the exact bound at an SCG iterate, or
+    ``"bound_estimate"``, SGD's running estimate over an epoch
+    (:func:`sgd_epoch`).
+    """
+
+    bound_column: str = "bound"
     rows: list = field(default_factory=list)
 
     def append(self, step, bound, val_mae=float("nan"), val_rmse=float("nan"), seconds=0.0):
@@ -101,7 +109,7 @@ class TrainTrace:
         return np.array([r.bound for r in self.rows])
 
     def write_csv(self, path) -> None:
-        lines = ["step,bound,val_mae,val_rmse,seconds"]
+        lines = [f"step,{self.bound_column},val_mae,val_rmse,seconds"]
         for r in self.rows:
             lines.append(f"{r.step},{r.bound!r},{r.val_mae!r},{r.val_rmse!r},{r.seconds!r}")
         with open(path, "w", encoding="utf-8") as fh:
@@ -274,16 +282,17 @@ class ScgResult:
     reason: str
 
 
+# Moller's curvature probe step and starting lambda
+SCG_SIGMA0 = 1e-7
+SCG_LAMBDA0 = 1e-8
+
+
 def scg_minimize(
     fun,
     x0: np.ndarray,
     max_iters: int = 500,
     grad_tol: float = 1e-6,
-    f_tol: float = 0.0,
-    sigma0: float = 1e-7,
-    lambda0: float = 1e-8,
     callback=None,
-    should_stop=None,
 ) -> ScgResult:
     """Scaled conjugate gradients (Moller, 1993) on ``fun(x) -> (f, grad)``.
 
@@ -291,7 +300,9 @@ def scg_minimize(
     gradient evaluation per successful step; the lambda regulator keeps the
     effective quadratic model positive definite.  On a line-scale collapse
     (non-finite trial or lambda overflow) the direction is restarted from
-    steepest descent once, then the run aborts.
+    steepest descent once, then the run aborts.  ``callback(k, x, f,
+    accepted)`` runs after every iteration; a true return stops the run
+    with reason ``"early stop"``.
     """
     x = np.array(x0, dtype=float)
     n = x.size
@@ -300,7 +311,7 @@ def scg_minimize(
         raise OptimizationError("objective not finite at the starting point")
     r = -g
     p = r.copy()
-    lam, lam_bar = lambda0, 0.0
+    lam, lam_bar = SCG_LAMBDA0, 0.0
     success = True
     delta = 0.0
     s = np.zeros(n)
@@ -308,7 +319,6 @@ def scg_minimize(
     reason = "max iterations"
     converged = False
     k = 0
-    f_prev_accepted = f
 
     while k < max_iters:
         k += 1
@@ -318,7 +328,7 @@ def scg_minimize(
             k -= 1
             break
         if success:
-            sigma = sigma0 / np.sqrt(pp)
+            sigma = SCG_SIGMA0 / np.sqrt(pp)
             _, g_trial = fun(x + sigma * p)
             s = (g_trial - g) / sigma
             delta = float(p @ s)
@@ -355,9 +365,7 @@ def scg_minimize(
         if not collapse and comparison < 0.25:
             lam = lam + delta_k * (1.0 - comparison) / pp
 
-        if callback is not None:
-            callback(k, x, f, accepted)
-        if should_stop is not None and should_stop():
+        if callback is not None and callback(k, x, f, accepted):
             reason = "early stop"
             break
 
@@ -366,7 +374,7 @@ def scg_minimize(
                 reason = "line-scale collapse"
                 break
             restarted = True
-            lam, lam_bar = lambda0, 0.0
+            lam, lam_bar = SCG_LAMBDA0, 0.0
             p = r.copy()
             success = True
             continue
@@ -374,64 +382,60 @@ def scg_minimize(
         if gnorm < grad_tol:
             converged, reason = True, "gradient tolerance reached"
             break
-        if accepted and f_tol > 0.0 and abs(f_prev_accepted - f) < f_tol:
-            converged, reason = True, "objective change below tolerance"
-            break
-        if accepted:
-            f_prev_accepted = f
 
     return ScgResult(x=x, f=f, iterations=k, converged=converged, reason=reason)
 
 
-def scg_run(
+def train(
     blocks: list,
     state: VariationalState,
     config: TrainConfig,
     validation=None,
-    max_iters: int | None = None,
 ) -> tuple[VariationalState, TrainTrace]:
-    """Full-batch SCG on the negated bound over the flat unconstrained vector.
+    """Run ``config.method`` for at most ``config.epochs`` steps from ``state``.
 
-    ``validation``, when given, is a callable ``state -> (mae, rmse)``; the
-    best-MAE state is kept and the run stops after ``config.patience``
-    iterations without improvement.
+    A step is an SGD epoch (:func:`sgd_epoch`, which mutates ``state``) or
+    one SCG iteration on the negated :func:`total_bound` over the flat
+    vector.  ``validation``, when given, is a callable ``state -> (mae,
+    rmse)``, run after every SGD epoch and after every accepted SCG
+    iteration (a rejected one does not move the iterate, and its trace row
+    keeps NaN validation columns).  The run then returns the best-MAE state
+    and stops after ``config.patience`` validations that do not improve it.
     """
-    trace = TrainTrace()
-    template = state.copy()
+    trace = TrainTrace(bound_column="bound_estimate" if config.method == "sgd" else "bound")
     t0 = time.perf_counter()
-    best = {"mae": np.inf, "x": None, "since": 0}
+    best_mae, best, since = np.inf, None, 0
 
-    def objective(vec):
-        st = template.from_vector(vec)
-        report = total_bound(blocks, st, jitter=config.jitter, want_gradients=True)
-        return -report.total, -report.gradients
-
-    stop = {"flag": False}
-
-    def on_iter(k, vec, f, accepted):
+    def record(step, bound, current) -> bool:
+        """Trace one step, validating ``current`` unless it is None; true
+        once patience has run out."""
+        nonlocal best_mae, best, since
         val_mae = val_rmse = float("nan")
-        if validation is not None and accepted:
-            st = template.from_vector(vec)
-            val_mae, val_rmse = validation(st)
-            if val_mae < best["mae"] - 1e-12:
-                best.update(mae=val_mae, x=vec.copy(), since=0)
+        if validation is not None and current is not None:
+            val_mae, val_rmse = validation(current)
+            if val_mae < best_mae - 1e-12:
+                best_mae, best, since = val_mae, current.copy(), 0
             else:
-                best["since"] += 1
-                if best["since"] >= config.patience:
-                    stop["flag"] = True
-        trace.append(k, -f, val_mae, val_rmse, time.perf_counter() - t0)
+                since += 1
+        trace.append(step, bound, val_mae, val_rmse, time.perf_counter() - t0)
+        return since >= config.patience
 
-    x0 = state.to_vector()
-    iters = config.epochs if max_iters is None else max_iters
-    result = scg_minimize(
-        objective,
-        x0,
-        max_iters=iters,
-        grad_tol=config.tolerance,
-        callback=on_iter,
-        should_stop=lambda: stop["flag"],
-    )
-    x = result.x
-    if validation is not None and best["x"] is not None:
-        x = best["x"]
-    return template.from_vector(x), trace
+    if config.method == "sgd":
+        for epoch in range(config.epochs):
+            state, estimate = sgd_epoch(blocks, state, config, epoch)
+            if record(epoch, estimate, state):
+                break
+    else:
+        def objective(vec):
+            report = total_bound(blocks, state.from_vector(vec), jitter=config.jitter, want_gradients=True)
+            return -report.total, -report.gradients
+
+        result = scg_minimize(
+            objective,
+            state.to_vector(),
+            max_iters=config.epochs,
+            grad_tol=config.tolerance,
+            callback=lambda k, vec, f, accepted: record(k, -f, state.from_vector(vec) if accepted else None),
+        )
+        state = state.from_vector(result.x)
+    return (state if best is None else best), trace

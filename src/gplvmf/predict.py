@@ -320,8 +320,7 @@ class Predictor:
         # and every unknown code clamped to its table's trailing prior row
         n = len(users)
         items = _clamp_codes(items, self.state.schema.item_count)
-        rows = UserBlock(users, items, _clamp_codes(cats, self._cards), reals,
-                         ratings=np.full(n, np.nan), record_indices=np.arange(n))
+        rows = UserBlock(users, items, _clamp_codes(cats, self._cards), reals, ratings=np.full(n, np.nan))
         mu, var = self.state.assemble_rows(rows)
         phi1 = phi_statistics(self.state, rows).phi1
 

@@ -7,6 +7,7 @@ to later calibration.
 
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +31,10 @@ from gplvmf import (
     metrics,
     phi_statistics,
     psi_statistics,
-    scg_run,
     sgd_epoch,
     synthesize,
     total_bound,
+    train,
     train_model,
     user_bound,
 )
@@ -169,7 +170,7 @@ def test_criterion_06_optimizer_soundness():
     table, blocks, cfg = toy_problem()
 
     state = init_state(table.schema, blocks, cfg)
-    _, trace = scg_run(blocks, state, cfg, max_iters=200)
+    _, trace = train(blocks, state, replace(cfg, method="scg", epochs=200))
     monotone = bool(np.all(np.diff(trace.bounds()) >= -1e-9))
 
     cfg0 = TrainConfig(inducing_count=3, item_dim=1, context_dim=1, seed=2,
@@ -183,7 +184,7 @@ def test_criterion_06_optimizer_soundness():
     for epoch in range(cfg.epochs):
         st_sgd, _ = sgd_epoch(blocks, st_sgd, cfg, epoch)
     f_sgd = total_bound(blocks, st_sgd, want_gradients=False).total
-    st_scg, _ = scg_run(blocks, init_state(table.schema, blocks, cfg), cfg, max_iters=3000)
+    st_scg, _ = train(blocks, init_state(table.schema, blocks, cfg), replace(cfg, method="scg", epochs=3000))
     f_scg = total_bound(blocks, st_scg, want_gradients=False).total
     gap = abs(f_sgd - f_scg) / abs(f_scg)
 

@@ -190,7 +190,6 @@ class TestUserBound:
             cat_values=block.cat_values[perm],
             real_values=block.real_values[perm],
             ratings=block.ratings[perm],
-            record_indices=block.record_indices[perm],
         )
         assert user_bound(shuffled, state) == pytest.approx(f1, rel=1e-12)
 
@@ -271,7 +270,6 @@ class TestOptimalQu:
             cat_values=block.cat_values,
             real_values=block.real_values,
             ratings=phi1.copy(),
-            record_indices=block.record_indices,
         )
         mu_u, sigma_u = optimal_qu(block0, state)
         assert np.allclose(mu_u, 0.0, atol=1e-12)

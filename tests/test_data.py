@@ -280,7 +280,6 @@ class TestGroupByUser:
         assert [b.user for b in blocks] == expected.tolist()
         for block, user in zip(blocks, expected):
             idx = np.flatnonzero(table.users == user)
-            assert np.array_equal(block.record_indices, idx)
             assert np.array_equal(block.items, table.items[idx])
             assert np.array_equal(block.cat_values, table.cat_values[idx])
             assert np.array_equal(block.real_values, table.real_values[idx])

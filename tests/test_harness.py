@@ -191,7 +191,7 @@ class TestTrainModel:
         path = tmp_path / "trace.csv"
         model.trace.write_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "step,bound,val_mae,val_rmse,seconds"
+        assert lines[0] == "step,bound_estimate,val_mae,val_rmse,seconds"
         assert len(lines) == 5
 
     def test_early_stopping_with_validation(self):

@@ -67,6 +67,23 @@ class TestSerialization:
             assert message in capsys.readouterr().err
 
 
+    def test_files_with_the_old_meta_keys_still_load(self, tmp_path):
+        model = small_model(tmp_path)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = dict(data.items())
+        meta = json.loads(str(arrays["meta"]))
+        assert "n_categorical" not in meta and "use_mean" not in meta
+        arrays["meta"] = json.dumps({**meta, "n_categorical": 1, "use_mean": True})
+        old = tmp_path / "old.npz"
+        np.savez(old, **arrays)
+        again = load_model(old)
+        assert np.array_equal(again.state.to_vector(), model.state.to_vector())
+        query = (2, 3, (1, 0.7))
+        assert again.predictor().predict(*query).mean == model.predictor().predict(*query).mean
+
+
 def write_config(tmp_path):
     cfg = {
         "seed": 0,
@@ -104,7 +121,7 @@ class TestCli:
             "--out", str(model), "--trace", str(trace),
         ]) == 0
         assert model.exists()
-        assert trace.read_text().splitlines()[0] == "step,bound,val_mae,val_rmse,seconds"
+        assert trace.read_text().splitlines()[0] == "step,bound_estimate,val_mae,val_rmse,seconds"
 
         queries = tmp_path / "queries.csv"
         queries.write_text("user,item,mood,price\n0,1,2,0.4\n3,5,0,-1.2\n", encoding="utf-8")

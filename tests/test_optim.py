@@ -1,5 +1,7 @@
 """State initialization, SGD stepping, and scaled conjugate gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,15 +9,19 @@ from gplvmf import (
     ContextSchema,
     ContextVariable,
     OptimizationError,
+    Predictor,
     SyntheticSpec,
     TrainConfig,
     group_by_user,
     init_state,
+    make_folds,
+    metrics,
+    raw_context_rows,
     scg_minimize,
-    scg_run,
     sgd_epoch,
     synthesize,
     total_bound,
+    train,
 )
 from conftest import random_instance
 
@@ -310,7 +316,7 @@ class TestScg:
     def test_accepted_bound_sequence_non_decreasing(self):
         table, blocks, cfg = toy_problem()
         state = init_state(table.schema, blocks, cfg)
-        _, trace = scg_run(blocks, state, cfg, max_iters=150)
+        _, trace = train(blocks, state, replace(cfg, method="scg", epochs=150))
         bounds = trace.bounds()
         # only accepted steps move the iterate, and they never lower the bound
         assert np.all(np.diff(bounds) >= -1e-9)
@@ -322,7 +328,8 @@ class TestScg:
             state_sgd, _ = sgd_epoch(blocks, state_sgd, cfg, epoch)
         f_sgd = total_bound(blocks, state_sgd, want_gradients=False).total
 
-        state_scg, _ = scg_run(blocks, init_state(table.schema, blocks, cfg), cfg, max_iters=3000)
+        scg_cfg = replace(cfg, method="scg", epochs=3000)
+        state_scg, _ = train(blocks, init_state(table.schema, blocks, cfg), scg_cfg)
         f_scg = total_bound(blocks, state_scg, want_gradients=False).total
         assert abs(f_sgd - f_scg) / abs(f_scg) < 0.01
 
@@ -339,3 +346,91 @@ class TestScg:
         assert not res.converged
         assert res.reason == "line-scale collapse"
 
+    def test_callback_return_value_stops_the_run(self):
+        scales = np.arange(1.0, 6.0)  # five distinct curvatures: five steps to converge
+
+        def quadratic(x):
+            return 0.5 * x @ (scales * x) - x.sum(), scales * x - 1.0
+
+        calls = []
+        res = scg_minimize(quadratic, np.zeros(5), max_iters=1,
+                           callback=lambda k, x, f, accepted: calls.append(k))
+        assert res.iterations == 1 and calls == [1]
+        assert res.reason == "max iterations"
+
+        for stop_at in (1, 3):
+            calls.clear()
+
+            def stop(k, x, f, accepted):
+                calls.append(k)
+                return k == stop_at
+
+            res = scg_minimize(quadratic, np.zeros(5), max_iters=50, grad_tol=0.0, callback=stop)
+            assert res.reason == "early stop"
+            assert res.iterations == stop_at and calls == list(range(1, stop_at + 1))
+
+
+def validation_split():
+    """Training blocks and a ``state -> (mae, rmse)`` validation on a held-out fold."""
+    ctxs = (ContextVariable("c", "categorical", 3),)
+    spec = SyntheticSpec(user_count=10, item_count=6, contexts=ctxs, ratings_per_user=12,
+                         item_dim=1, context_dim=1, context_alphas=(1.0,), user_bias_mean=3.0, seed=3)
+    table, _ = synthesize(spec)
+    plan = make_folds(table, 4, seed=0)
+    train_table = table.subset(plan.train_indices(0), standardization="refit")
+    val = table.subset(plan.test_indices(0), standardization=train_table.standardization)
+    blocks = group_by_user(train_table)
+    rows = raw_context_rows(val)
+
+    def validation(state):
+        pred = Predictor(state, blocks, standardization=train_table.standardization)
+        _, _, clamped = pred.predict_rows(val.users, val.items, rows, unknown_user="global_mean")
+        return metrics(val.ratings, clamped)
+
+    return train_table.schema, blocks, validation
+
+
+class TestTrain:
+    def test_sgd_is_the_epoch_loop(self):
+        table, blocks, cfg = toy_problem()
+        cfg = replace(cfg, epochs=30)
+        state, trace = train(blocks, init_state(table.schema, blocks, cfg), cfg)
+
+        reference = init_state(table.schema, blocks, cfg)
+        estimates = []
+        for epoch in range(cfg.epochs):
+            reference, estimate = sgd_epoch(blocks, reference, cfg, epoch)
+            estimates.append(estimate)
+        assert np.array_equal(state.to_vector(), reference.to_vector())
+        assert trace.bounds().tolist() == estimates
+        assert [r.step for r in trace.rows] == list(range(cfg.epochs))
+        assert trace.bound_column == "bound_estimate"
+
+    def test_scg_is_scg_minimize_on_the_negated_bound(self):
+        table, blocks, cfg = toy_problem()
+        cfg = replace(cfg, method="scg", epochs=30)
+        start = init_state(table.schema, blocks, cfg)
+        state, trace = train(blocks, start, cfg)
+
+        def objective(vec):
+            report = total_bound(blocks, start.from_vector(vec), jitter=cfg.jitter)
+            return -report.total, -report.gradients
+
+        values = []
+        res = scg_minimize(objective, start.to_vector(), max_iters=cfg.epochs, grad_tol=cfg.tolerance,
+                           callback=lambda k, x, f, accepted: values.append(-f))
+        assert np.array_equal(state.to_vector(), res.x)
+        assert trace.bounds().tolist() == values
+        assert trace.bound_column == "bound"
+
+    @pytest.mark.parametrize("method", ["sgd", "scg"])
+    def test_validation_returns_the_best_state_and_stops_after_patience(self, method):
+        schema, blocks, validation = validation_split()
+        cfg = TrainConfig(method=method, inducing_count=3, item_dim=1, context_dim=1, seed=0,
+                          epochs=100, learning_rate=0.05, patience=3)
+        state, trace = train(blocks, init_state(schema, blocks, cfg), cfg, validation)
+        maes = np.array([r.val_mae for r in trace.rows])
+        validated = maes[np.isfinite(maes)]
+        assert validation(state)[0] == validated.min()
+        assert validated.size - 1 - np.argmin(validated) == cfg.patience
+        assert len(trace.rows) < cfg.epochs

@@ -144,7 +144,6 @@ class TestPredict:
         shuffled = UserBlock(
             user=block.user, items=block.items[perm], cat_values=block.cat_values[perm],
             real_values=block.real_values[perm], ratings=block.ratings[perm],
-            record_indices=block.record_indices[perm],
         )
         p2 = Predictor(state, [shuffled]).predict(0, 0, (1, 0.3))
         assert p1.mean == pytest.approx(p2.mean, rel=1e-10)
@@ -165,7 +164,6 @@ class TestPredict:
         shifted_block = UserBlock(
             user=block.user, items=block.items, cat_values=block.cat_values,
             real_values=block.real_values, ratings=block.ratings + c,
-            record_indices=block.record_indices,
         )
         moved = Predictor(shifted, [shifted_block]).predict(0, 2, ()).mean
         assert moved - base == pytest.approx(c, abs=1e-12)
