@@ -71,18 +71,21 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
 from .data import UserBlock
-from .kernels import ArdKernel, LatentPoints, _PsiCache, gram_backward, psi_backward
+from .kernels import _PsiCache, gram_backward, psi_backward
 from .meanfn import phi_backward, phi_statistics
 from .state import VariationalState
 
 DEFAULT_JITTER = 1e-6
 _ESCALATION = (1.0, 10.0, 100.0)
-# Doubles of one chunk of users, counted as in _chunks.  It caps the memory a
-# chunk holds, not BLAS threading: every product over rows or users is taken
+# Doubles of one chunk of users, counted as in _chunks.  It bounds the memory
+# a chunk holds, not BLAS threading: every product over rows or users is taken
 # per user (_PsiCache, _per_user), so a chunk's products have one user's
-# shapes.  Swept over 2^15..2^20 on the benchmark shapes: 2^17 takes most of
-# the time saved by larger chunks while the tracemalloc peak of many small
-# users grows by about 2 MB (CHANGES.md).
+# shapes.  The count is a proxy: it names the packed Psi2 rows and the
+# backward stacks, about 40% of a small user's chunk memory, and not the
+# (U, M, M) whitened temporaries or the (n, Q)-wide row arrays.  Swept over
+# 2^15..2^20 on the benchmark shapes: 2^17 takes most of the time saved by
+# larger chunks while the tracemalloc peak of many small users grows by about
+# 2 MB (CHANGES.md).
 _ROW_BUDGET = 2**17
 
 
@@ -149,7 +152,10 @@ def _chunks(blocks: list, state: VariationalState) -> list:
     at most ``_ROW_BUDGET`` doubles together, one block at the least.  A user
     of n ratings counts P (n + 2 (2Q + 2)) doubles, P = M (M + 1) / 2: its
     packed Psi2 rows and its share of :func:`psi_backward`'s two
-    (G, P, 2Q + 2) stacks."""
+    (G, P, 2Q + 2) stacks.  That is a proxy for the chunk's memory, not all
+    of it: the whitened (U, M, M) systems and cotangents and the (n, Q)-wide
+    row arrays are not counted, and on small users the counted part is about
+    40% of the total (CHANGES.md)."""
     pairs = state.inducing_count * (state.inducing_count + 1) // 2
     stacks = 2 * (2 * state.kernel_dim + 2)
     open_chunk, chunks = {}, []
@@ -220,8 +226,7 @@ def _forward(blocks: list, state: VariationalState, shared: SharedFactors) -> _F
     beta = np.exp(state.log_beta[users])
 
     mu_rows, var_rows = state.assemble_rows(rows)
-    kern = ArdKernel(1.0, np.exp(state.log_alpha))
-    cache = _PsiCache(kern, LatentPoints(mu_rows, var_rows, state.layout.fixed_mask), state.z, groups=u)
+    cache = _PsiCache(np.exp(state.log_alpha), mu_rows, var_rows, state.z, groups=u)
 
     phi = phi_statistics(state, rows)
     resid = rows.ratings - phi.phi1
@@ -318,7 +323,7 @@ def _terms(
     lw = _per_user(b_vec, linv)                                         # rows (L_C^-T b)^T
     d_psi1 = ((root * beta**2)[:, None] * fw.resid.reshape(u, n))[:, :, None] * lw[:, None, :]
     d_psi2 = sigma2[:, None, None] * (linv.T @ x_psi2 @ linv)
-    psi_grads = psi_backward(fw.cache, 0.0, d_psi1.reshape(u * n, m), d_psi2)
+    psi_grads = psi_backward(fw.cache, d_psi1.reshape(u * n, m), d_psi2)
 
     # K = sigma2 * C and the psi statistics are monomials in sigma2: with
     # dF/dPsi0 = -beta/2, sigma2 * dF/dsigma2 = beta^2 c^T w + 2 Tr(x_psi2 T)
@@ -366,7 +371,7 @@ def _gram_gradient(state: VariationalState, shared: SharedFactors, d_gram: np.nd
     """(z, log alpha) gradients through the unit-signal inducing gram, for the
     summed ``d_gram = sum_u sigma2_u * dF/dK_u``."""
     alpha = np.exp(state.log_alpha)
-    gz, galpha = gram_backward(ArdKernel(1.0, alpha), state.z, shared.gram0, d_gram)
+    gz, galpha = gram_backward(alpha, state.z, shared.gram0, d_gram)
     return gz, galpha * alpha
 
 

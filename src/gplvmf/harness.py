@@ -29,6 +29,7 @@ from .kernels import ArdKernel, kernel_matrix
 from .model import TrainedModel
 from .optim import TrainConfig, init_state, train
 from .predict import Predictor
+from .state import KernelLayout, ModelDims
 
 
 def metrics(y_true, y_pred) -> tuple[float, float]:
@@ -55,7 +56,8 @@ class SyntheticSpec:
     ``item_alpha`` / ``context_alphas`` give the true inverse length-scales,
     one scalar per block (broadcast over that block's coordinates); an
     irrelevant context is encoded as 0.  Real-valued contexts always occupy
-    one coordinate.
+    one coordinate.  ``real_weights`` is empty (all zero) or has one weight
+    per real context, in schema order.
     """
 
     user_count: int
@@ -80,8 +82,13 @@ class SyntheticSpec:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if min(self.user_count, self.item_count, self.ratings_per_user) < 1:
             raise ValueError("all counts must be positive")
-        if self.contexts and len(self.context_alphas) != len(self.contexts):
-            raise ValueError("need one context_alpha per context")
+        if len(self.context_alphas) != len(self.contexts):
+            raise ValueError(f"context_alphas: need one per context ({len(self.contexts)}), "
+                             f"got {len(self.context_alphas)}")
+        n_real = sum(1 for c in self.contexts if not c.is_categorical)
+        if len(self.real_weights) not in (0, n_real):
+            raise ValueError(f"real_weights: need none or one per real context ({n_real}), "
+                             f"got {len(self.real_weights)}")
 
 
 @dataclass
@@ -104,25 +111,21 @@ class SyntheticTruth:
     user_rows: list = field(default_factory=list)   # row indices per user
 
 
-def _truth_layout(spec: SyntheticSpec):
-    slices = {"item": slice(0, spec.item_dim)}
-    off = spec.item_dim
-    for ctx in spec.contexts:
-        width = spec.context_dim if ctx.is_categorical else 1
-        slices[ctx.name] = slice(off, off + width)
-        off += width
-    return slices, off
-
-
 def synthesize(spec: SyntheticSpec) -> tuple[RatingTable, SyntheticTruth]:
-    """Draw a dataset from the generative model; deterministic in ``spec.seed``."""
+    """Draw a dataset from the generative model; deterministic in ``spec.seed``.
+    The latent coordinates are laid out as in the model (:class:`KernelLayout`)."""
     rng = np.random.default_rng(spec.seed)
-    slices, q = _truth_layout(spec)
+    schema = ContextSchema(
+        user_count=spec.user_count, item_count=spec.item_count, contexts=tuple(spec.contexts)
+    )
+    layout = KernelLayout(schema, ModelDims(inducing_count=1, item_dim=spec.item_dim, context_dim=spec.context_dim))
+    item_sl, *ctx_sls = (sl for _, sl in layout.slices)
+    q = layout.dim
 
     alphas = np.zeros(q)
-    alphas[slices["item"]] = spec.item_alpha
-    for ctx, a in zip(spec.contexts, spec.context_alphas):
-        alphas[slices[ctx.name]] = a
+    alphas[item_sl] = spec.item_alpha
+    for sl, a in zip(ctx_sls, spec.context_alphas):
+        alphas[sl] = a
 
     item_latents = rng.standard_normal((spec.item_count, spec.item_dim))
     ctx_latents = []
@@ -176,18 +179,18 @@ def synthesize(spec: SyntheticSpec) -> tuple[RatingTable, SyntheticTruth]:
     for u in range(spec.user_count):
         rows = np.flatnonzero(users == u)
         x = np.zeros((rows.size, q))
-        x[:, slices["item"]] = item_latents[items[rows]]
+        x[:, item_sl] = item_latents[items[rows]]
         ci = ri = 0
         mean = np.full(rows.size, user_bias[u]) + item_bias[items[rows]]
         for d, ctx in enumerate(spec.contexts):
             if ctx.is_categorical:
                 codes = cat[rows, ci]
-                x[:, slices[ctx.name]] = ctx_latents[d][codes]
+                x[:, ctx_sls[d]] = ctx_latents[d][codes]
                 mean += ctx_bias[d][codes]
                 ci += 1
             else:
                 vals = real[rows, ri]
-                x[:, slices[ctx.name]] = vals[:, None]
+                x[:, ctx_sls[d]] = vals[:, None]
                 mean += real_w[ri] * vals
                 ri += 1
         if spec.signal_variance > 0:
@@ -200,10 +203,6 @@ def synthesize(spec: SyntheticSpec) -> tuple[RatingTable, SyntheticTruth]:
         truth.covariances.append(cov)
 
     ratings = sample_ratings(truth, rng)
-
-    schema = ContextSchema(
-        user_count=spec.user_count, item_count=spec.item_count, contexts=tuple(spec.contexts)
-    )
     table = RatingTable(
         schema=schema,
         users=users,

@@ -14,14 +14,22 @@ For this kernel family all three are closed-form products of 1-D Gaussian
 integrals; the Monte-Carlo estimator in :func:`mc_psi_oracle` exists purely
 to validate the closed forms and is never used in training.
 
+The signal variance enters only as a factor: psi0 = N sigma2, and Psi1 and
+Psi2 are sigma2 and sigma2^2 times their unit-signal values.  So the psi
+code below (:class:`_PsiCache`, :func:`psi_backward`, :class:`Psi1Rows`)
+computes unit-signal statistics from plain arrays (inverse length-scales,
+means, variances, inducing inputs); the bound brings each user's sigma2 in
+through its whitening (:mod:`gplvmf.bound`), and :func:`psi_statistics`,
+the public entry point, checks its inputs and scales by the kernel's
+sigma2.
+
 Both Psi1 and Psi2 are exponentials of products of small factors.  Row n
 of Psi1 has, per coordinate q, the exponent
 ``-v (mu - z_m)^2 / 2 - log(d1)/2`` with ``d1 = 1 + alpha s`` and
-``v = alpha / d1``.  Expanded, the exponent over all coordinates (plus
-``log sigma2``) is an (N, 2Q+1) @ (2Q+1, M) product, one per user (below),
-of the left factor ``[v mu | -v/2 | -r1]`` with the right factor
-``[z | z^2 | 1]``, where the row term is
-``r1 = sum_q (v mu^2 + log d1) / 2 - log sigma2``.  Query rows
+``v = alpha / d1``.  Expanded, the exponent over all coordinates is an
+(N, 2Q+1) @ (2Q+1, M) product, one per user (below), of the left factor
+``[v mu | -v/2 | -r1]`` with the right factor ``[z | z^2 | 1]``, where the
+row term is ``r1 = sum_q (v mu^2 + log d1) / 2``.  Query rows
 (:class:`Psi1Rows`) use the same factors but take the product with
 ``np.einsum``, whose rows do not depend on the batch.
 
@@ -37,13 +45,12 @@ so the whole exponent is an (N, 2Q+2) @ (2Q+2, P) product, one per user
 (below), of the left factor ``[2 w mu | -w | 1 | -r2]`` with the right factor
 ``[zbar | zbar^2 | c | 1]``: the row term ``r2 = sum_q (w mu^2 + log(d2)/2)``
 sits opposite the ones column, and the ones column opposite the per-pair
-constant ``c_ab = -alpha/4 (z_a - z_b)^2 + 2 log sigma2`` (in difference
-form), so no pass over the (N, P) rows adds either.  Every per-pair
-quantity is built from ``z_a + z_b`` and ``(z_a - z_b)^2``, which round the
-same for (a, b) and (b, a), and no per-index terms are added per pair
-(their sum would round by the order of a and b): a duplicated inducing
-input gives rows and columns of Psi2, and columns of Psi1, equal bit for
-bit.
+constant ``c_ab = -alpha/4 (z_a - z_b)^2`` (in difference form), so no pass
+over the (N, P) rows adds either.  Every per-pair quantity is built from
+``z_a + z_b`` and ``(z_a - z_b)^2``, which round the same for (a, b) and
+(b, a), and no per-index terms are added per pair (their sum would round by
+the order of a and b): a duplicated inducing input gives rows and columns
+of Psi2, and columns of Psi1, equal bit for bit.
 
 The rows of a chunk of users fall into G equal consecutive groups, one per
 user, and every product over rows, forward and backward, is a stacked
@@ -73,7 +80,6 @@ common shift.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -101,15 +107,10 @@ class ArdKernel:
 
 @dataclass(frozen=True)
 class LatentPoints:
-    """Rows of diagonal-Gaussian latent points.
-
-    ``fixed_mask`` marks coordinates pinned to observed values (point-mass
-    posterior); those columns must carry exactly zero variance.
-    """
+    """Rows of diagonal-Gaussian latent points."""
 
     mean: np.ndarray
     var: np.ndarray
-    fixed_mask: np.ndarray | None = None
 
     def __post_init__(self):
         mean = np.atleast_2d(np.asarray(self.mean, dtype=float))
@@ -120,13 +121,6 @@ class LatentPoints:
             raise ValueError("latent variances must be non-negative")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "var", var)
-        if self.fixed_mask is not None:
-            mask = np.asarray(self.fixed_mask, dtype=bool)
-            if mask.shape != (mean.shape[1],):
-                raise ValueError("fixed_mask must have one entry per coordinate")
-            if np.any(var[:, mask] != 0.0):
-                raise ValueError("fixed coordinates must have exactly zero variance")
-            object.__setattr__(self, "fixed_mask", mask)
 
     @property
     def count(self) -> int:
@@ -160,14 +154,13 @@ def kernel_matrix(kernel: ArdKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return kernel.signal_variance * np.exp(expo)
 
 
-def _psi1_left(alpha: np.ndarray, sigma2: float, mu: np.ndarray, s: np.ndarray):
+def _psi1_left(alpha: np.ndarray, mu: np.ndarray, s: np.ndarray):
     """``d1``, ``v`` and the left factor ``[v mu | -v/2 | -r1]`` (N, 2Q+1) of
     the Psi1 exponent (module docstring), for centred ``mu``."""
     d1 = 1.0 + alpha * s                                            # (N, Q)
     v = alpha / d1
     vmu = v * mu
-    log_sigma2 = math.log(sigma2) if sigma2 > 0.0 else -np.inf
-    row = log_sigma2 - 0.5 * np.sum(vmu * mu + np.log(d1), axis=1)
+    row = -0.5 * np.sum(vmu * mu + np.log(d1), axis=1)
     return d1, v, np.concatenate((vmu, -0.5 * v, row[:, None]), axis=1)
 
 
@@ -177,7 +170,8 @@ def _psi1_right(z: np.ndarray) -> np.ndarray:
 
 
 class Psi1Rows:
-    """Psi1 rows against fixed inducing inputs ``z``: the query path's Psi1
+    """Unit-signal Psi1 rows at inverse length-scales ``alpha`` against fixed
+    inducing inputs ``z``: the query path's Psi1
     (:class:`gplvmf.predict.Predictor`).
 
     The centre (the column mean of ``z``) and the right factor are built
@@ -187,13 +181,13 @@ class Psi1Rows:
     arrives in.  Inputs are not validated.
     """
 
-    def __init__(self, kernel: ArdKernel, z: np.ndarray):
-        self.alpha, self.sigma2 = kernel.inv_length_scales, kernel.signal_variance
+    def __init__(self, alpha: np.ndarray, z: np.ndarray):
+        self.alpha = alpha
         self.centre = z.mean(axis=0)
         self.rhs = _psi1_right(z - self.centre)
 
     def __call__(self, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
-        _, _, lhs = _psi1_left(self.alpha, self.sigma2, mu - self.centre, var)
+        _, _, lhs = _psi1_left(self.alpha, mu - self.centre, var)
         expo = np.einsum("nk,mk->nm", lhs, self.rhs)
         return np.exp(expo, out=expo)
 
@@ -248,7 +242,10 @@ def _cross_by_group(a: np.ndarray, b: np.ndarray, groups: int) -> np.ndarray:
 
 
 class _PsiCache:
-    """Forward intermediates reused by the backward pass.
+    """Unit-signal Psi1 and Psi2 of rows with means ``mu`` and variances
+    ``s`` (N, Q) at inverse length-scales ``alpha`` against inducing inputs
+    ``z`` (M, Q), and the forward intermediates reused by the backward pass.
+    Inputs are not validated (:func:`psi_statistics` checks them).
 
     ``mu`` and ``z`` are kept centred on the column mean of the inducing
     inputs; Psi1, Psi2 and every gradient are invariant to that shift.
@@ -258,22 +255,17 @@ class _PsiCache:
     (the users of a chunk), and every product over rows is taken per group.
     """
 
-    __slots__ = ("mu", "s", "z", "alpha", "sigma2", "groups", "d1", "v", "lhs1", "rhs1", "psi1", "pairs", "d2",
+    __slots__ = ("mu", "s", "z", "alpha", "groups", "d1", "v", "lhs1", "rhs1", "psi1", "pairs", "d2",
                  "w", "lhs", "rhs", "dz", "psi2_rows")
 
-    def __init__(self, kernel: ArdKernel, points: LatentPoints, z: np.ndarray, groups: int = 1):
-        alpha = kernel.inv_length_scales
-        sigma2 = kernel.signal_variance
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        if z.shape[1] != kernel.dim or points.dim != kernel.dim:
-            raise ValueError("latent points, inducing inputs and kernel must share dimension Q")
+    def __init__(self, alpha: np.ndarray, mu: np.ndarray, s: np.ndarray, z: np.ndarray, groups: int = 1):
         centre = z.mean(axis=0)
-        mu, s, z = points.mean - centre, points.var, z - centre
+        mu, z = mu - centre, z - centre
         (n, q), m = mu.shape, z.shape[0]
         self.pairs = pairs = _pair_tables(m)
-        self.mu, self.s, self.z, self.alpha, self.sigma2, self.groups = mu, s, z, alpha, sigma2, groups
+        self.mu, self.s, self.z, self.alpha, self.groups = mu, s, z, alpha, groups
 
-        self.d1, self.v, self.lhs1 = _psi1_left(alpha, sigma2, mu, s)
+        self.d1, self.v, self.lhs1 = _psi1_left(alpha, mu, s)
         self.rhs1 = _psi1_right(z)
         expo = _by_group(self.lhs1, self.rhs1.T, groups)
         self.psi1 = np.exp(expo, out=expo)                          # (N, M)
@@ -292,8 +284,7 @@ class _PsiCache:
         zbar = np.add(za, zb, out=rhs[:, :q])
         zbar *= 0.5
         np.square(zbar, out=rhs[:, q:2 * q])
-        log_sigma4 = 2.0 * math.log(sigma2) if sigma2 > 0.0 else -np.inf
-        rhs[:, 2 * q] = -0.25 * (self.dz**2 @ alpha) + log_sigma4
+        rhs[:, 2 * q] = -0.25 * (self.dz**2 @ alpha)
         rhs[:, 2 * q + 1] = 1.0
         expo = _by_group(lhs, rhs.T, groups)
         self.psi2_rows = np.exp(expo, out=expo)                     # (N, P)
@@ -303,50 +294,43 @@ class _PsiCache:
         sums = self.psi2_rows.reshape(self.groups, -1, self.psi2_rows.shape[1]).sum(axis=1)
         return sums[:, self.pairs.unpack]
 
-    @property
-    def psi2(self) -> np.ndarray:
-        """Psi2 summed over all rows (M, M)."""
-        return self.psi2_sums().sum(axis=0)
-
-    def stats(self) -> PsiStats:
-        n = self.mu.shape[0]
-        return PsiStats(psi0=n * self.sigma2, psi1=self.psi1, psi2=self.psi2)
-
 
 def psi_statistics(kernel: ArdKernel, points: LatentPoints, z: np.ndarray) -> PsiStats:
     """Closed-form psi0, Psi1, Psi2 under the diagonal-Gaussian posterior.
 
     With all variances zero this collapses to the plain kernel matrices:
     Psi1 = K_NM and Psi2 = K_MN K_NM.  psi0 is exactly N * sigma2 because
-    the kernel diagonal is constant.
+    the kernel diagonal is constant; Psi1 and Psi2 are the unit-signal
+    statistics of :class:`_PsiCache` times sigma2 and sigma2^2.
     """
     if points.count < 1:
         raise ValueError("need at least one latent point")
-    return _PsiCache(kernel, points, z).stats()
+    z = np.atleast_2d(np.asarray(z, dtype=float))
+    if z.shape[1] != kernel.dim or points.dim != kernel.dim:
+        raise ValueError("latent points, inducing inputs and kernel must share dimension Q")
+    cache = _PsiCache(kernel.inv_length_scales, points.mean, points.var, z)
+    sigma2 = kernel.signal_variance
+    return PsiStats(psi0=points.count * sigma2, psi1=sigma2 * cache.psi1, psi2=sigma2**2 * cache.psi2_sums()[0])
 
 
 @dataclass(frozen=True)
 class PsiGradients:
-    """Gradients of a scalar objective through the psi statistics.
+    """Gradients of a scalar objective through the unit-signal psi statistics.
 
-    ``dmu``/``dvar`` are per-row (N x Q); ``dz`` is (M x Q); ``dalpha`` and
-    ``dsigma2`` are in the raw (not log) parameterization.
+    ``dmu``/``dvar`` are per-row (N x Q); ``dz`` is (M x Q); ``dalpha`` is
+    in the raw (not log) parameterization.
     """
 
     dmu: np.ndarray
     dvar: np.ndarray
     dz: np.ndarray
     dalpha: np.ndarray
-    dsigma2: float
 
 
-def psi_backward(
-    cache: _PsiCache,
-    dpsi0: float,
-    dpsi1: np.ndarray,
-    dpsi2: np.ndarray,
-) -> PsiGradients:
-    """Chain ``d objective / d (psi0, Psi1, Psi2)`` back to inputs.
+def psi_backward(cache: _PsiCache, dpsi1: np.ndarray, dpsi2: np.ndarray) -> PsiGradients:
+    """Chain ``d objective / d (Psi1, Psi2)`` of the cache's unit-signal
+    statistics back to its inputs; a caller with signal variance sigma2
+    passes sigma2 * dPsi1 and sigma2^2 * dPsi2.
 
     ``dpsi2`` is the gradient with respect to the summed (M x M) Psi2, or a
     (G, M, M) stack of them when the rows fall into G equal consecutive
@@ -355,10 +339,10 @@ def psi_backward(
     convention.  Every sum over inducing inputs, pairs or rows is one
     product with a small factor, and ``dpsi2`` is folded into the small
     factors, so no weighted copy of the (N, P) Psi2 rows is made (module
-    docstring).  ``dsigma2`` is for the cache's one signal variance.
+    docstring).
     """
     alpha, s, mu, z, pairs = cache.alpha, cache.s, cache.mu, cache.z, cache.pairs
-    n, m = cache.psi1.shape
+    m = cache.psi1.shape[1]
     q = z.shape[1]
     flat = np.reshape(dpsi2, (-1, m * m))
     dpair = (flat[:, pairs.flat_ab] + flat[:, pairs.flat_ba]) * pairs.diag_half     # (G, P)
@@ -394,23 +378,16 @@ def psi_backward(
     toward = by_pair[:, :q] + 2.0 * by_pair[:, q:2 * q] * cache.rhs[:, :q]
     lin = (alpha * pair[:, None]) * cache.dz
     gz += pairs.spread @ np.concatenate((toward, lin))
-
-    # All three statistics are monomials in sigma2 (degrees 1, 1, 2).
-    gsigma2 = (np.sum(t1_sum) + 2.0 * np.sum(pair) + dpsi0 * n * cache.sigma2) / cache.sigma2
-
-    return PsiGradients(dmu=gmu, dvar=gs, dz=gz, dalpha=galpha, dsigma2=float(gsigma2))
+    return PsiGradients(dmu=gmu, dvar=gs, dz=gz, dalpha=galpha)
 
 
-def gram_backward(kernel: ArdKernel, z: np.ndarray, gram: np.ndarray, dgram: np.ndarray):
-    """Backward of ``kernel_matrix(kernel, z, z)`` for a symmetric ``dgram``.
-
-    Returns (dz, dalpha); the sigma2 channel is left to the caller, which
-    usually folds it into a single scaling identity across all statistics.
-    """
+def gram_backward(alpha: np.ndarray, z: np.ndarray, gram: np.ndarray, dgram: np.ndarray):
+    """Backward of the unit-signal gram ``gram`` of ``z`` at inverse
+    length-scales ``alpha`` for a symmetric ``dgram``; returns (dz, dalpha)."""
     dgram = 0.5 * (dgram + dgram.T)
     w = dgram * gram
     dz_pair = z[:, None, :] - z[None, :, :]
-    gz = -2.0 * kernel.inv_length_scales[None, :] * np.einsum("ab,abq->aq", w, dz_pair)
+    gz = -2.0 * alpha[None, :] * np.einsum("ab,abq->aq", w, dz_pair)
     galpha = -0.5 * np.einsum("ab,abq->q", w, dz_pair**2)
     return gz, galpha
 

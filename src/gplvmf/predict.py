@@ -55,7 +55,7 @@ import numpy as np
 
 from .bound import DEFAULT_JITTER, SharedFactors, _chunks, shared_factors, user_posterior
 from .data import UserBlock, code_error, context_columns, context_value_error, integer_codes, is_code
-from .kernels import ArdKernel, Psi1Rows
+from .kernels import Psi1Rows
 from .meanfn import phi_statistics
 from .state import VariationalState
 
@@ -82,15 +82,26 @@ class ContextRelevance:
 
     Entries are (name, score, share); the item block appears as its own entry
     for reference.  Shares sum to one whenever any score is positive.
+    :meth:`score` and :meth:`share` look an entry up by name; a name that two
+    entries share (a context named ``item``) is a ``ValueError``, and such
+    entries are told apart by their position in ``entries``.
     """
 
     entries: tuple
 
+    def _entry(self, name: str) -> tuple:
+        found = [entry for entry in self.entries if entry[0] == name]
+        if len(found) > 1:
+            raise ValueError(f"{len(found)} relevance entries are named {name!r}; read them from entries")
+        if not found:
+            raise KeyError(name)
+        return found[0]
+
     def score(self, name: str) -> float:
-        return dict((n, s) for n, s, _ in self.entries)[name]
+        return self._entry(name)[1]
 
     def share(self, name: str) -> float:
-        return dict((n, sh) for n, _, sh in self.entries)[name]
+        return self._entry(name)[2]
 
 
 def _unknown(user) -> UnknownUserError:
@@ -159,7 +170,7 @@ class Predictor:
         self._cat_cols = schema.categorical_indices
         self._cards = np.array([schema.contexts[d].cardinality for d in self._cat_cols], dtype=np.int64)
         self._real_cols = schema.real_indices
-        self._psi1 = Psi1Rows(ArdKernel(1.0, np.exp(state.log_alpha)), state.z)
+        self._psi1 = Psi1Rows(np.exp(state.log_alpha), state.z)
         # the scalar lookup of predict; kernel tables: (column, kernel slice,
         # means, variances); bias tables: (column, row sums)
         self._kernel_tables = [

@@ -86,6 +86,37 @@ class TestSynthesize:
             )
             assert np.allclose(truth.means[u], expected)
 
+    def test_context_named_item_keeps_the_item_coordinates(self):
+        # the truth layout is the model's KernelLayout, whose slices are a
+        # list: a context named "item" takes its own coordinates
+        def spec(name):
+            return SyntheticSpec(user_count=3, item_count=4, contexts=(ContextVariable(name, "categorical", 3),),
+                                 ratings_per_user=5, context_alphas=(0.0,), item_alpha=1.0, seed=4)
+
+        named, truth = synthesize(spec("item"))
+        other, other_truth = synthesize(spec("other"))
+        assert np.array_equal(truth.alphas, [1.0, 1.0, 0.0, 0.0])
+        assert np.array_equal(other_truth.alphas, truth.alphas)
+        assert np.array_equal(named.ratings, other.ratings)
+
+    @pytest.mark.parametrize(
+        "contexts, alphas, weights, field",
+        [
+            ((ContextVariable("t", "real"), ContextVariable("p", "real")), (1.0, 1.0), (0.5,), "real_weights"),
+            ((ContextVariable("t", "real"), ContextVariable("p", "real")), (1.0, 1.0), (0.5, 0.1, 0.2),
+             "real_weights"),
+            ((ContextVariable("c", "categorical", 2),), (1.0,), (0.5,), "real_weights"),
+            ((), (1.0,), (), "context_alphas"),
+            ((ContextVariable("c", "categorical", 2),), (), (), "context_alphas"),
+        ],
+        ids=["one_weight_for_two", "three_weights_for_two", "weight_without_real", "alpha_without_context",
+             "no_alpha_for_a_context"],
+    )
+    def test_spec_rejects_lengths_that_do_not_fit_the_contexts(self, contexts, alphas, weights, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            SyntheticSpec(user_count=2, item_count=3, contexts=contexts, ratings_per_user=2,
+                          context_alphas=alphas, real_weights=weights)
+
 
 def small_context_dataset(seed=5):
     ctxs = (ContextVariable("relevant", "categorical", 6),

@@ -19,6 +19,11 @@ def random_setup(seed, n=3, m=4, q=2):
     return kern, pts, z
 
 
+def unit_cache(kern, pts, z, groups=1):
+    """The unit-signal cache of the setup's inverse length-scales and points."""
+    return _PsiCache(kern.inv_length_scales, pts.mean, pts.var, z, groups=groups)
+
+
 class TestKernelMatrix:
     def test_zero_distance_gives_signal_variance(self):
         kern = ArdKernel(2.5, np.array([1.0, 3.0]))
@@ -117,9 +122,12 @@ class TestPsiStatistics:
         with pytest.raises(ValueError, match="non-negative"):
             LatentPoints([[0.0]], [[-0.1]])
 
-    def test_fixed_mask_requires_zero_variance(self):
-        with pytest.raises(ValueError, match="zero variance"):
-            LatentPoints([[0.0, 1.0]], [[0.0, 0.5]], fixed_mask=np.array([False, True]))
+    def test_dimension_mismatch_rejected(self):
+        kern, pts, z = random_setup(9)
+        with pytest.raises(ValueError, match="dimension Q"):
+            psi_statistics(kern, pts, z[:, :1])
+        with pytest.raises(ValueError, match="dimension Q"):
+            psi_statistics(kern, LatentPoints(pts.mean[:, :1], pts.var[:, :1]), z)
 
 
 class TestMcOracle:
@@ -169,7 +177,7 @@ def edge_setup(case, seed):
         mask[-1] = True
         var = pts.var.copy()
         var[:, mask] = 0.0
-        return kern, LatentPoints(pts.mean, var, fixed_mask=mask), z
+        return kern, LatentPoints(pts.mean, var), z
     raise ValueError(case)
 
 
@@ -178,54 +186,51 @@ EDGE_CASES = ["single_row", "one_inducing", "two_inducing", "more_inducing_than_
 
 
 def random_probe(rng, n, m):
-    """Cotangents (r0, R1, R2) of the scalar probe r0*psi0 + <R1, Psi1> + <R2, Psi2>."""
-    r0 = rng.normal()
+    """Cotangents (R1, R2) of the scalar probe <R1, Psi1> + <R2, Psi2>."""
     r1 = rng.normal(size=(n, m))
     r2 = rng.normal(size=(m, m))
-    return r0, r1, 0.5 * (r2 + r2.T)
+    return r1, 0.5 * (r2 + r2.T)
 
 
-def loop_reference(kern, pts, z, r0, r1, r2):
-    """Psi1, Psi2 and the probe's gradients, one (row, a) or (row, a, b) entry
-    at a time in the difference form of the closed-form statistics."""
+def loop_reference(kern, pts, z, r1, r2):
+    """Psi1 and Psi2 at the kernel's signal variance and the probe's gradients
+    at unit signal, one (row, a) or (row, a, b) entry at a time in the
+    difference form of the closed-form statistics."""
     alpha, sigma2 = kern.inv_length_scales, kern.signal_variance
     n, m = pts.count, z.shape[0]
     psi1, psi2 = np.zeros((n, m)), np.zeros((m, m))
     gmu, gvar = np.zeros(pts.mean.shape), np.zeros(pts.mean.shape)
-    gz, galpha, gsigma2 = np.zeros(z.shape), np.zeros(alpha.shape), r0 * n
+    gz, galpha = np.zeros(z.shape), np.zeros(alpha.shape)
     for i in range(n):
         mu, s = pts.mean[i], pts.var[i]
         d1, d2 = 1.0 + alpha * s, 1.0 + 2.0 * alpha * s
         for a in range(m):
             e = mu - z[a]
-            k1 = sigma2 * np.prod(d1**-0.5 * np.exp(-0.5 * alpha * e**2 / d1))
-            psi1[i, a] = k1
+            k1 = np.prod(d1**-0.5 * np.exp(-0.5 * alpha * e**2 / d1))
+            psi1[i, a] = sigma2 * k1
             t = r1[i, a] * k1
             gmu[i] -= t * alpha * e / d1
             gvar[i] += t * (0.5 * alpha**2 * e**2 / d1**2 - 0.5 * alpha / d1)
             gz[a] += t * alpha * e / d1
             galpha -= t * 0.5 * (e**2 / d1**2 + s / d1)
-            gsigma2 += t / sigma2
             for b in range(m):
                 dz, e2 = z[a] - z[b], mu - 0.5 * (z[a] + z[b])
-                k2 = sigma2**2 * np.prod(d2**-0.5 * np.exp(-0.25 * alpha * dz**2 - alpha * e2**2 / d2))
-                psi2[a, b] += k2
+                k2 = np.prod(d2**-0.5 * np.exp(-0.25 * alpha * dz**2 - alpha * e2**2 / d2))
+                psi2[a, b] += sigma2**2 * k2
                 t = r2[a, b] * k2
                 gmu[i] -= t * 2.0 * alpha * e2 / d2
                 gvar[i] += t * (2.0 * alpha**2 * e2**2 / d2**2 - alpha / d2)
                 gz[a] += t * (-0.5 * alpha * dz + alpha * e2 / d2)
                 gz[b] += t * (0.5 * alpha * dz + alpha * e2 / d2)
                 galpha -= t * (0.25 * dz**2 + e2**2 / d2**2 + s / d2)
-                gsigma2 += 2.0 * t / sigma2
-    return [psi1, psi2, gmu, gvar, gz, galpha, gsigma2]
+    return [psi1, psi2, gmu, gvar, gz, galpha]
 
 
-def closed_form(kern, pts, z, r0, r1, r2):
-    """The same seven outputs from the cache and psi_backward."""
-    cache = _PsiCache(kern, pts, z)
-    g = psi_backward(cache, r0, r1, r2)
-    stats = cache.stats()
-    return [stats.psi1, stats.psi2, g.dmu, g.dvar, g.dz, g.dalpha, g.dsigma2]
+def closed_form(kern, pts, z, r1, r2):
+    """The same six outputs from psi_statistics and psi_backward."""
+    stats = psi_statistics(kern, pts, z)
+    g = psi_backward(unit_cache(kern, pts, z), r1, r2)
+    return [stats.psi1, stats.psi2, g.dmu, g.dvar, g.dz, g.dalpha]
 
 
 def error_to_largest(value, reference):
@@ -236,21 +241,18 @@ def error_to_largest(value, reference):
 class TestPsiGradients:
     @staticmethod
     def check_finite_differences(kern, pts, z, rng):
-        # scalar probe T = r0*psi0 + <R1, Psi1> + <R2, Psi2>, FD in every input
+        # scalar probe T = <R1, Psi1> + <R2, Psi2> at unit signal, FD in every input
         q = pts.dim
-        r0, r1, r2 = random_probe(rng, pts.count, z.shape[0])
+        r1, r2 = random_probe(rng, pts.count, z.shape[0])
 
-        def probe(mu, var, zz, log_alpha, log_sigma2):
-            kk = ArdKernel(np.exp(log_sigma2), np.exp(log_alpha))
-            st = psi_statistics(kk, LatentPoints(mu, var), zz)
-            return r0 * st.psi0 + np.sum(r1 * st.psi1) + np.sum(r2 * st.psi2)
+        def probe(mu, var, zz, log_alpha):
+            st = psi_statistics(ArdKernel(1.0, np.exp(log_alpha)), LatentPoints(mu, var), zz)
+            return np.sum(r1 * st.psi1) + np.sum(r2 * st.psi2)
 
-        cache = _PsiCache(kern, pts, z)
-        grads = psi_backward(cache, r0, r1, r2)
+        grads = psi_backward(unit_cache(kern, pts, z), r1, r2)
 
         eps = 1e-6
         la0 = np.log(kern.inv_length_scales)
-        ls0 = np.log(kern.signal_variance)
 
         def fd(setter, one_sided=False):
             def h(e):
@@ -264,27 +266,25 @@ class TestPsiGradients:
             for j in range(pts.dim):
                 dmu = fd(lambda e, i=i, j=j: (
                     pts.mean + e * np.eye(pts.count)[i][:, None] * np.eye(pts.dim)[j][None, :],
-                    pts.var, z, la0, ls0))
+                    pts.var, z, la0))
                 assert max_rel_error(grads.dmu[i, j], dmu) < 1e-4
                 # a zero-variance coordinate can only be perturbed upwards
                 dvar = fd(lambda e, i=i, j=j: (
                     pts.mean,
                     pts.var + e * np.eye(pts.count)[i][:, None] * np.eye(pts.dim)[j][None, :],
-                    z, la0, ls0), one_sided=pts.var[i, j] == 0.0)
+                    z, la0), one_sided=pts.var[i, j] == 0.0)
                 assert max_rel_error(grads.dvar[i, j], dvar) < 1e-4
         for i in range(z.shape[0]):
             for j in range(z.shape[1]):
                 dz = fd(lambda e, i=i, j=j: (
                     pts.mean, pts.var,
                     z + e * np.eye(z.shape[0])[i][:, None] * np.eye(z.shape[1])[j][None, :],
-                    la0, ls0))
+                    la0))
                 assert max_rel_error(grads.dz[i, j], dz) < 1e-4
         for j in range(q):
-            dla = fd(lambda e, j=j: (pts.mean, pts.var, z, la0 + e * np.eye(q)[j], ls0))
+            dla = fd(lambda e, j=j: (pts.mean, pts.var, z, la0 + e * np.eye(q)[j]))
             analytic = grads.dalpha[j] * kern.inv_length_scales[j]
             assert max_rel_error(analytic, dla) < 1e-4
-        dls = fd(lambda e: (pts.mean, pts.var, z, la0, ls0 + e))
-        assert max_rel_error(grads.dsigma2 * kern.signal_variance, dls) < 1e-4
 
     def test_backward_matches_finite_differences(self):
         for seed in range(4):
@@ -319,10 +319,10 @@ class TestPsiGradients:
         # (N, M, M, Q) float64 array (21.6 MB here)
         n, m, q = 500, 30, 6
         kern, pts, z = random_setup(80, n=n, m=m, q=q)
-        r0, r1, r2 = random_probe(np.random.default_rng(81), n, m)
+        r1, r2 = random_probe(np.random.default_rng(81), n, m)
         tracemalloc.start()
         try:
-            psi_backward(_PsiCache(kern, pts, z), r0, r1, r2)
+            psi_backward(unit_cache(kern, pts, z), r1, r2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -333,10 +333,10 @@ class TestPsiGradients:
         # hold them and one weighted copy, not the parent layout's (N, M, M)
         n, m, q = 500, 30, 6
         kern, pts, z = random_setup(82, n=n, m=m, q=q)
-        r0, r1, r2 = random_probe(np.random.default_rng(83), n, m)
+        r1, r2 = random_probe(np.random.default_rng(83), n, m)
         tracemalloc.start()
         try:
-            psi_backward(_PsiCache(kern, pts, z), r0, r1, r2)
+            psi_backward(unit_cache(kern, pts, z), r1, r2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -347,10 +347,10 @@ class TestPsiGradients:
         # weighting a copy of the (N, P) Psi2 rows
         n, m, q = 500, 30, 6
         kern, pts, z = random_setup(84, n=n, m=m, q=q)
-        r0, r1, r2 = random_probe(np.random.default_rng(85), n, m)
+        r1, r2 = random_probe(np.random.default_rng(85), n, m)
         tracemalloc.start()
         try:
-            psi_backward(_PsiCache(kern, pts, z), r0, r1, r2)
+            psi_backward(unit_cache(kern, pts, z), r1, r2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -365,21 +365,20 @@ class TestPsiGradients:
         n = groups * rows_per_group
         kern, pts, z = random_setup(100 + rows_per_group, n=n, m=m, q=q)
         rng = np.random.default_rng(101)
-        r0, r1, r2 = rng.normal(), rng.normal(size=(n, m)), rng.normal(size=(groups, m, m))
-        stacked = psi_backward(_PsiCache(kern, pts, z), r0, r1, r2)
+        r1, r2 = rng.normal(size=(n, m)), rng.normal(size=(groups, m, m))
+        stacked = psi_backward(unit_cache(kern, pts, z), r1, r2)
         parts = []
         for g in range(groups):
             sl = slice(g * rows_per_group, (g + 1) * rows_per_group)
-            cache = _PsiCache(kern, LatentPoints(pts.mean[sl], pts.var[sl]), z)
-            parts.append(psi_backward(cache, r0, r1[sl], r2[g]))
+            cache = unit_cache(kern, LatentPoints(pts.mean[sl], pts.var[sl]), z)
+            parts.append(psi_backward(cache, r1[sl], r2[g]))
         expected = [
             np.concatenate([part.dmu for part in parts]),
             np.concatenate([part.dvar for part in parts]),
             sum(part.dz for part in parts),
             sum(part.dalpha for part in parts),
-            sum(part.dsigma2 for part in parts),
         ]
-        got = [stacked.dmu, stacked.dvar, stacked.dz, stacked.dalpha, stacked.dsigma2]
+        got = [stacked.dmu, stacked.dvar, stacked.dz, stacked.dalpha]
         for value, reference in zip(got, expected):
             assert error_to_largest(value, reference) < 1e-12
 
@@ -393,13 +392,13 @@ class TestPsiGradients:
         n = groups * per_group
         kern, pts, z = random_setup(102 + groups, n=n, m=m, q=q)
         rng = np.random.default_rng(103)
-        r0, r1, r2 = rng.normal(), rng.normal(size=(n, m)), rng.normal(size=(groups, m, m))
-        cache = _PsiCache(kern, pts, z, groups=groups)
-        grads = psi_backward(cache, r0, r1, r2)
+        r1, r2 = rng.normal(size=(n, m)), rng.normal(size=(groups, m, m))
+        cache = unit_cache(kern, pts, z, groups=groups)
+        grads = psi_backward(cache, r1, r2)
         for g in range(groups):
             sl = slice(g * per_group, (g + 1) * per_group)
-            one = _PsiCache(kern, LatentPoints(pts.mean[sl], pts.var[sl]), z)
-            one_grads = psi_backward(one, r0, r1[sl], r2[g])
+            one = unit_cache(kern, LatentPoints(pts.mean[sl], pts.var[sl]), z)
+            one_grads = psi_backward(one, r1[sl], r2[g])
             assert np.array_equal(cache.psi1[sl], one.psi1)
             assert np.array_equal(cache.psi2_rows[sl], one.psi2_rows)
             assert np.array_equal(cache.psi2_sums()[g], one.psi2_sums()[0])
@@ -409,13 +408,13 @@ class TestPsiGradients:
     @pytest.mark.parametrize("shift", [0.0, 100.0])
     def test_psi1_rows_match_the_cache(self, shift):
         kern, pts, z = random_setup(92, n=20, m=8, q=6)
-        got = Psi1Rows(kern, z + shift)(pts.mean + shift, pts.var)
-        assert error_to_largest(got, _PsiCache(kern, pts, z).psi1) < 1e-12
+        got = Psi1Rows(kern.inv_length_scales, z + shift)(pts.mean + shift, pts.var)
+        assert error_to_largest(got, unit_cache(kern, pts, z).psi1) < 1e-12
 
     @pytest.mark.parametrize("n, m, q", [(7, 6, 3), (40, 30, 12), (3, 9, 25)])
     def test_psi1_rows_do_not_depend_on_the_batch(self, n, m, q):
         kern, pts, z = random_setup(93, n=n, m=m, q=q)
-        psi1_rows = Psi1Rows(kern, z)
+        psi1_rows = Psi1Rows(kern.inv_length_scales, z)
         batch = psi1_rows(pts.mean, pts.var)
         for i in range(n):
             assert np.array_equal(batch[i], psi1_rows(pts.mean[i:i + 1], pts.var[i:i + 1])[0])
@@ -425,7 +424,7 @@ class TestPsiGradients:
     def test_duplicate_inducing_input_gives_equal_psi1_columns(self, first, second, n):
         kern, pts, z = random_setup(94, n=n, m=6, q=3)
         z[second] = z[first]
-        for psi1 in (psi_statistics(kern, pts, z).psi1, Psi1Rows(kern, z)(pts.mean, pts.var)):
+        for psi1 in (psi_statistics(kern, pts, z).psi1, Psi1Rows(kern.inv_length_scales, z)(pts.mean, pts.var)):
             assert np.array_equal(psi1[:, first], psi1[:, second])
 
     @pytest.mark.parametrize("first, second", [(1, 4), (0, 5), (2, 3)])

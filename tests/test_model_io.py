@@ -246,6 +246,17 @@ class TestCli:
         assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 2
         assert "ratings_per_user" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weights", [[0.3, 0.2], [0.1, 0.2, 0.3]])
+    def test_synthetic_real_weights_must_fit_the_real_contexts(self, tmp_path, capsys, weights):
+        path = write_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["synthetic"]["real_weights"] = weights
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        data = tmp_path / "data.csv"
+        assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 2
+        assert "error: real_weights: need none or one per real context (1)" in capsys.readouterr().err
+        assert not data.exists()
+
     def test_synthetic_defaults_come_from_the_spec(self, tmp_path):
         from gplvmf.config import load_config, synthetic_spec_from_config
 

@@ -122,3 +122,9 @@ def test_context_named_item_keeps_its_own_relevance_entry():
     assert [name for name, _ in state.layout.slices] == ["item", "item", "price"]
     rel = context_relevance(state)
     assert [(name, score) for name, score, _ in rel.entries] == [("item", 3.0), ("item", 12.0), ("price", 6.0)]
+    # a lookup by a name that two entries share is refused, not answered by the last entry
+    for lookup in (rel.score, rel.share):
+        with pytest.raises(ValueError, match="2 relevance entries are named 'item'"):
+            lookup("item")
+    assert rel.score("price") == 6.0
+    assert rel.share("price") == pytest.approx(6.0 / 21.0)
