@@ -38,13 +38,16 @@ anywhere in training.
 
 User terms are independent given the state (rows and users sum
 independently, the map-reduce form of Gal, van der Wilk & Rasmussen 2014),
-so :func:`total_bound` takes users in chunks.  Users with the same number of
-ratings share a chunk of at most ``_ROW_BUDGET`` doubles of packed Psi2
-rows and backward-pass stacks (:func:`_chunks`).  A chunk makes one
-unit-signal psi pass over its rows (Psi1 scales by sigma2 and Psi2 by
-sigma2^2 per user), takes every per-user sum as a reshape over (U, n, ...),
-solves one stacked (U, M, M) whitened system, makes one :func:`psi_backward`
-call and one ``np.add.at`` per latent table (:func:`_scatter`).  Every
+so :func:`total_bound` takes users in chunks: users of the same rating count,
+at most ``_ROW_BUDGET`` doubles together (:func:`_chunks`).  Only the
+parameters change between calls, so a block sequence is planned once
+(:func:`plan`): a :class:`Chunk` keeps its rows end to end and the flat
+positions of the table entries they read.  A chunk gathers those entries
+with one index, makes one unit-signal psi pass over its rows (Psi1 scales by
+sigma2 and Psi2 by sigma2^2 per user), takes every per-user sum as a reshape
+over (U, n, ...), solves one stacked (U, M, M) whitened system, makes one
+:func:`psi_backward` call and adds its gradients with one ``np.bincount``
+over the same positions, the gather's adjoint (:func:`_scatter`).  Every
 matrix product over rows or over users is a stacked product with one user
 per slice (:func:`_per_user` and the psi cache's), so a chunk's products
 have one user's shapes: the chunk size changes neither how many BLAS
@@ -52,19 +55,16 @@ threads a product runs on nor any bit of a user's terms or q(u), only the
 rounding of sums over users, and the budget bounds memory alone.  The
 inducing-gram gradient is linear in dF/dK, so the chunks' sigma2-weighted
 cotangents are summed and go through one :func:`gram_backward` per call.
-One user is the U = 1 chunk that SGD's :func:`_user_terms` passes to the
-same :func:`_forward`; prediction's :func:`user_posterior` takes
-:func:`_chunks` chunks, as the bound does.
-The scatter walks the state's table description
-(:attr:`gplvmf.state.KernelLayout.tables`): a kernel table takes its slice
-of the kernel row gradients, a bias table the per-row gradients of
-:func:`phi_backward`, and both are added at the entries the rows read.  The
-KL (:func:`kl_to_prior`, :func:`kl_gradients`) walks the same description,
-since kernel and bias latents share the standard-normal prior.
+SGD's :func:`_user_terms` takes the plan's one-user chunks
+(:meth:`Plan.steps`) and prediction's :func:`user_posterior` takes
+:func:`_chunks` chunks.  The KL (:func:`kl_to_prior`, :func:`kl_gradients`)
+walks the state's table description, since kernel and bias latents share
+the standard-normal prior.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,15 +77,11 @@ from .state import VariationalState
 
 DEFAULT_JITTER = 1e-6
 _ESCALATION = (1.0, 10.0, 100.0)
-# Doubles of one chunk of users, counted as in _chunks.  It bounds the memory
-# a chunk holds, not BLAS threading: every product over rows or users is taken
-# per user (_PsiCache, _per_user), so a chunk's products have one user's
-# shapes.  The count is a proxy: it names the packed Psi2 rows and the
-# backward stacks, about 40% of a small user's chunk memory, and not the
-# (U, M, M) whitened temporaries or the (n, Q)-wide row arrays.  Swept over
-# 2^15..2^20 on the benchmark shapes: 2^17 takes most of the time saved by
-# larger chunks while the tracemalloc peak of many small users grows by about
-# 2 MB (CHANGES.md).
+# Doubles of one chunk of users, counted as in _chunks: a proxy that bounds
+# the memory a chunk holds, not BLAS threading (every product over rows or
+# users is taken per user).  Swept over 2^15..2^20 on the benchmark shapes:
+# 2^17 takes most of the time saved by larger chunks while the tracemalloc
+# peak of many small users grows by about 2 MB (CHANGES.md).
 _ROW_BUDGET = 2**17
 
 
@@ -135,38 +131,113 @@ def shared_factors(state: VariationalState, jitter: float = DEFAULT_JITTER) -> S
     return SharedFactors(gram0=gram0, c=gram0 + j * np.eye(gram0.shape[0]), chol_c=chol_c, linv=linv, jitter=j)
 
 
-def _stack(blocks: list, users: np.ndarray) -> UserBlock:
-    """The blocks' rows end to end.  ``user`` holds every row's user, which is
-    all that the mean function reads of it."""
-    return UserBlock(
-        user=np.repeat(users, blocks[0].count),
-        items=np.concatenate([b.items for b in blocks]),
-        cat_values=np.concatenate([b.cat_values for b in blocks]),
-        real_values=np.concatenate([b.real_values for b in blocks]),
-        ratings=np.concatenate([b.ratings for b in blocks]),
-    )
-
-
 def _chunks(blocks: list, state: VariationalState) -> list:
-    """Index lists of the blocks that share a chunk: equal rating counts and
-    at most ``_ROW_BUDGET`` doubles together, one block at the least.  A user
-    of n ratings counts P (n + 2 (2Q + 2)) doubles, P = M (M + 1) / 2: its
-    packed Psi2 rows and its share of :func:`psi_backward`'s two
-    (G, P, 2Q + 2) stacks.  That is a proxy for the chunk's memory, not all
-    of it: the whitened (U, M, M) systems and cotangents and the (n, Q)-wide
-    row arrays are not counted, and on small users the counted part is about
-    40% of the total (CHANGES.md)."""
+    """Index arrays of the blocks that share a chunk, in the order of their
+    first blocks: equal rating counts and at most ``_ROW_BUDGET`` doubles
+    together, one block at the least.  A user of n ratings counts
+    P (n + 2 (2Q + 2)) doubles, P = M (M + 1) / 2: its packed Psi2 rows and
+    its share of :func:`psi_backward`'s two (G, P, 2Q + 2) stacks, about 40%
+    of a small user's chunk memory (CHANGES.md)."""
     pairs = state.inducing_count * (state.inducing_count + 1) // 2
     stacks = 2 * (2 * state.kernel_dim + 2)
-    open_chunk, chunks = {}, []
-    for i, block in enumerate(blocks):
-        size = max(1, _ROW_BUDGET // (pairs * (block.count + stacks)))
-        chunk = open_chunk.get(block.count)
-        if chunk is None or len(chunk) == size:
-            chunk = open_chunk[block.count] = []
-            chunks.append(chunk)
-        chunk.append(i)
-    return chunks
+    counts = np.array([block.count for block in blocks], dtype=np.int64)
+    sizes = np.maximum(1, _ROW_BUDGET // (pairs * (counts + stacks)))
+    order = np.argsort(counts, kind="stable")
+    chunks = []
+    for same in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1) if len(blocks) else []:
+        chunks += np.split(same, range(sizes[same[0]], len(same), sizes[same[0]]))
+    return sorted(chunks, key=lambda chunk: chunk[0])   # a chunk opens at its first block
+
+
+# Point parameters a chunk reads at its users' entries alone, not whole.
+_PER_USER = ("user_bias", "log_sigma2", "log_beta")
+
+
+def _points(state: VariationalState, users: np.ndarray) -> list:
+    """Flat positions of the point entries in flat order, a per-user key's at the users."""
+    return [
+        state.offsets[k] + (users if key in _PER_USER else np.arange(state.params[key].size))
+        for k, key in enumerate(state.layout.keys) if k >= 2 * len(state.layout.tables)
+    ]
+
+
+class Chunk:
+    """The users of one :func:`_chunks` entry (all of ``blocks`` when ``idx``
+    is None), planned for a state layout.  ``rows`` holds their rows end to
+    end (a lone block's own rows), whose ``user`` then holds every row's
+    user.  ``gather`` holds the flat positions ``offset[key] + code * width
+    + column`` of the (N, K) table entries the rows read, in the order of
+    :attr:`gplvmf.state.KernelLayout.entries`; the forward pass reads
+    ``state.flat[gather]``.  ``pos`` adds :func:`_points`, along which
+    :func:`_scatter` lays the gradients out for one ``np.bincount``.
+    """
+
+    def __init__(self, blocks, state: VariationalState, idx=None):
+        self.idx = np.arange(len(blocks)) if idx is None else np.asarray(idx)
+        chosen = [blocks[i] for i in self.idx]
+        self.users = np.array([b.user for b in chosen])
+        self.rows = chosen[0] if len(chosen) == 1 else UserBlock(
+            np.repeat(self.users, chosen[0].count), *map(np.concatenate, zip(*(b[1:] for b in chosen)))
+        )
+        self.gather, self.pos = state.layout.positions(self.rows), None
+
+    def positions(self, state: VariationalState) -> np.ndarray:
+        """``pos``, built on first use; ``gather`` then becomes a view of it."""
+        if self.pos is None:
+            self.pos = np.concatenate([self.gather.ravel()] + _points(state, self.users))
+            self.gather = self.pos[: self.gather.size].reshape(self.gather.shape)
+        return self.pos
+
+    def one(self, s: int, block) -> "Chunk":
+        """User ``s``, whose block is ``block``, as a one-user chunk over views."""
+        one = copy.copy(self)
+        n = block.count
+        one.idx, one.users, one.rows, one.pos = self.idx[s : s + 1], self.users[s : s + 1], block, None
+        one.gather = self.gather[s * n : (s + 1) * n]
+        return one
+
+
+class Plan:
+    """The chunks of a block sequence at one state layout and, once SGD asks
+    (:meth:`steps`), one step per block."""
+
+    def __init__(self, blocks, state: VariationalState):
+        self.blocks = blocks
+        self.chunks = [Chunk(blocks, state, idx) for idx in _chunks(blocks, state)]
+        self._steps = None
+
+    def steps(self, state: VariationalState) -> list:
+        """Per block: its one-user chunk, the sorted flat entries ``idx`` it
+        reads, each :func:`_scatter` entry's index into ``idx``, and which
+        leading latent-table entries of ``idx`` are log-variances."""
+        if self._steps is None:
+            var_keys = {t.log_var for t in state.layout.tables}
+            is_var = np.repeat([key in var_keys for key in state.layout.keys], np.diff(state.offsets))
+            table_end = state.offsets[2 * len(state.layout.tables)]
+            self._steps = [None] * len(self.blocks)
+            for chunk in self.chunks:
+                chunk.positions(state)   # before the views are taken
+                for s, i in enumerate(chunk.idx):
+                    one = chunk.one(s, self.blocks[i])
+                    idx, local = np.unique(np.concatenate([one.gather.ravel()] + _points(state, one.users)),
+                                           return_inverse=True)
+                    local = local.astype(np.min_scalar_type(idx.size))   # one is kept per block
+                    self._steps[i] = (one, idx, local, is_var[idx[: np.searchsorted(idx, table_end)]])
+        return self._steps
+
+
+def plan(blocks, state: VariationalState) -> Plan:
+    """The plan of ``blocks`` at ``state``'s layout, kept in the ``plans`` memo
+    of :func:`gplvmf.data.group_by_user`'s result, whose blocks cannot
+    change; any other sequence gets a fresh one.  ``state.z`` may be given a
+    shape that ``state.dims`` does not record, so the key holds M too."""
+    memo = getattr(blocks, "plans", None)
+    if memo is None:
+        return Plan(blocks, state)
+    key = (state.schema, state.dims, state.inducing_count, _ROW_BUDGET)
+    if key not in memo:
+        memo[key] = Plan(blocks, state)
+    return memo[key]
 
 
 def _chol_users(b_mat: np.ndarray, users: np.ndarray, jitter: float):
@@ -200,12 +271,11 @@ class _Forward:
     statistics over the rows end to end and the stacked whitened systems.
     Per-user arrays lead with U; row arrays have U * n rows."""
 
-    rows: UserBlock
-    users: np.ndarray        # (U,)
     sigma2: np.ndarray       # (U,)
     beta: np.ndarray         # (U,)
     cache: _PsiCache         # unit signal; keeps alpha, the row variances, Psi1 and the Psi2 rows
     phi1: np.ndarray         # (U*n,)
+    bias_var: np.ndarray     # (U*n, B) the bias-table variances the rows read
     resid: np.ndarray        # (U*n,) y - phi1
     quad: np.ndarray         # (U,) y^T y - 2 y^T phi1 + phi0
     t_mat: np.ndarray        # (U, M, M) L^-1 Psi2 L^-T
@@ -216,19 +286,19 @@ class _Forward:
     b_vec: np.ndarray        # (U, M) B^-1 c_hat
 
 
-def _forward(blocks: list, state: VariationalState, shared: SharedFactors) -> _Forward:
+def _forward(chunk: Chunk, state: VariationalState, shared: SharedFactors) -> _Forward:
     """Psi cache, phi statistics and whitened B with per-user jitter escalation
-    of a chunk of users with equal rating counts; shared by the bound and q(u)."""
-    users = np.array([b.user for b in blocks])
-    rows = blocks[0] if len(blocks) == 1 else _stack(blocks, users)
-    u, n, m = len(blocks), blocks[0].count, state.inducing_count
+    of a chunk; shared by the bound and q(u)."""
+    rows, users = chunk.rows, chunk.users
+    u, n, m = len(users), rows.count // len(users), state.inducing_count
     sigma2 = np.exp(state.log_sigma2[users])
     beta = np.exp(state.log_beta[users])
 
-    mu_rows, var_rows = state.assemble_rows(rows)
+    entries = state.row_entries(rows, chunk.gather)
+    mu_rows, var_rows = state.assemble_rows(rows, entries)
     cache = _PsiCache(np.exp(state.log_alpha), mu_rows, var_rows, state.z, groups=u)
 
-    phi = phi_statistics(state, rows)
+    phi = phi_statistics(state, rows, entries)
     resid = rows.ratings - phi.phi1
     quad = (resid**2 + phi.row_var).reshape(u, n).sum(axis=1)
 
@@ -246,8 +316,9 @@ def _forward(blocks: list, state: VariationalState, shared: SharedFactors) -> _F
     c_hat = np.sqrt(sigma2)[:, None] * _per_user(c_unit, linv.T)
     b_vec = np.matmul(b_inv, c_hat[:, :, None])[:, :, 0]
     return _Forward(
-        rows=rows, users=users, sigma2=sigma2, beta=beta, cache=cache, phi1=phi.phi1, resid=resid,
-        quad=quad, t_mat=t_mat, chol_b=chol_b, b_inv=b_inv, extra=extra, c_hat=c_hat, b_vec=b_vec,
+        sigma2=sigma2, beta=beta, cache=cache, phi1=phi.phi1, resid=resid, quad=quad, t_mat=t_mat,
+        chol_b=chol_b, b_inv=b_inv, extra=extra, c_hat=c_hat, b_vec=b_vec,
+        bias_var=entries[:, entries.shape[1] // 2 + state.layout.kernel_width :],
     )
 
 
@@ -257,17 +328,15 @@ class UserTerms:
     for an SGD step), from :func:`_terms`.
 
     Gradients are with respect to the unconstrained (log) parameters.  The
-    row-level kernel gradients (``gmu_rows``/``glog_var_rows``) are per
-    rating row of ``rows``; :func:`_scatter` adds them into the shared
-    entity tables.  ``dphi1``/``dphi0`` feed the bias-latent backward pass.
+    kernel gradients (``gmu_rows``/``glog_var_rows``) are per rating row of
+    the chunk; ``dphi1``/``dphi0`` feed the bias-latent backward pass, and
+    :func:`_scatter` lays both out for the table entries the rows read.
     ``gz``/``glog_alpha`` hold the psi part; the inducing-gram part comes
     from ``d_gram``, the chunk's summed sigma2 * dF/dK, through
     :func:`_gram_gradient` (:func:`_user_terms` folds it in).
     """
 
     value: np.ndarray                     # (U,)
-    rows: UserBlock
-    users: np.ndarray                     # (U,)
     gmu_rows: np.ndarray | None = None
     glog_var_rows: np.ndarray | None = None
     gz: np.ndarray | None = None
@@ -277,18 +346,20 @@ class UserTerms:
     dphi1: np.ndarray | None = None
     dphi0: np.ndarray | None = None         # per row
     phi1: np.ndarray | None = None
+    bias_var: np.ndarray | None = None      # (N, B) the bias-table variances the rows read
     d_gram: np.ndarray | None = None
 
 
 def _terms(
-    blocks: list,
+    chunk: Chunk,
     state: VariationalState,
     shared: SharedFactors,
     want_gradients: bool,
 ) -> UserTerms:
     """Bound terms of a chunk of users with equal rating counts (module docstring)."""
-    fw = _forward(blocks, state, shared)
-    u, n, m = len(blocks), blocks[0].count, state.inducing_count
+    fw = _forward(chunk, state, shared)
+    u, m = len(chunk.users), state.inducing_count
+    n = chunk.rows.count // u
     sigma2, beta, t_mat, b_vec = fw.sigma2, fw.beta, fw.t_mat, fw.b_vec
     psi0 = n * sigma2
 
@@ -307,7 +378,7 @@ def _terms(
     )
 
     if not want_gradients:
-        return UserTerms(value=value, rows=fw.rows, users=fw.users)
+        return UserTerms(value=value)
 
     linv = shared.linv
     bt = fw.b_inv @ t_mat                                               # B^-1 T
@@ -347,13 +418,11 @@ def _terms(
     )
 
     psi1_w = root[:, None] * np.matmul(fw.cache.psi1.reshape(u, n, m), lw[:, :, None])[:, :, 0]
-    d_phi1 = beta[:, None] * fw.rows.ratings.reshape(u, n) - (beta**2)[:, None] * psi1_w
+    d_phi1 = beta[:, None] * chunk.rows.ratings.reshape(u, n) - (beta**2)[:, None] * psi1_w
 
     # chain rule into the log parameterization: d/dlog(x) = x * d/dx
     return UserTerms(
         value=value,
-        rows=fw.rows,
-        users=fw.users,
         gmu_rows=psi_grads.dmu,
         glog_var_rows=psi_grads.dvar * fw.cache.s,
         gz=psi_grads.dz,
@@ -363,6 +432,7 @@ def _terms(
         dphi1=d_phi1.ravel(),
         dphi0=np.repeat(-0.5 * beta, n),
         phi1=fw.phi1,
+        bias_var=fw.bias_var,
         d_gram=linv.T @ x_k.sum(axis=0) @ linv,
     )
 
@@ -376,14 +446,14 @@ def _gram_gradient(state: VariationalState, shared: SharedFactors, d_gram: np.nd
 
 
 def _user_terms(
-    block: UserBlock,
+    chunk: Chunk,
     state: VariationalState,
     shared: SharedFactors,
     want_gradients: bool,
 ) -> UserTerms:
     """One user's terms, the U = 1 chunk, with the inducing-gram gradient
     folded into ``gz``/``glog_alpha``: what one SGD step scatters."""
-    terms = _terms([block], state, shared, want_gradients)
+    terms = _terms(chunk, state, shared, want_gradients)
     if want_gradients:
         gz, glog_alpha = _gram_gradient(state, shared, terms.d_gram)
         terms.gz += gz
@@ -394,7 +464,7 @@ def _user_terms(
 def user_bound(block: UserBlock, state: VariationalState, jitter: float = DEFAULT_JITTER) -> float:
     """The collapsed bound term of a single user."""
     shared = shared_factors(state, jitter)
-    return float(_user_terms(block, state, shared, want_gradients=False).value[0])
+    return float(_user_terms(Chunk([block], state), state, shared, want_gradients=False).value[0])
 
 
 def kl_to_prior(state: VariationalState) -> float:
@@ -429,32 +499,28 @@ class BoundReport:
     grad_dict: dict | None = None
 
 
-def _scatter(state: VariationalState, terms: UserTerms, grads: dict) -> None:
-    """Add a chunk's gradients into ``grads`` (the views of ``state.zero_grads()``,
-    log parameterization), mapping row gradients onto the latent tables.
+def _scatter(state: VariationalState, chunk: Chunk, terms: UserTerms) -> np.ndarray:
+    """A chunk's gradients (log parameterization) laid out along its
+    :meth:`Chunk.positions`, so that one ``np.bincount`` over those adds
+    them into a flat gradient: the adjoint of the forward pass's gather.
 
-    Kernel tables take their slice of the kernel row gradients; bias tables
-    take the per-row gradients of :func:`phi_backward`.  Real columns are
-    data, not parameters, so their kernel gradient is dropped.  Per-user
-    entries are added with ``np.add.at`` too: a chunk may hold a user twice.
+    Kernel tables take the kernel row gradients; bias tables take the per-row
+    gradients of :func:`phi_backward`.  Real columns are data, not
+    parameters, so their kernel gradient is dropped.
     """
-    rows, users = terms.rows, terms.users
+    free, split = ~state.layout.fixed_mask, state.layout.kernel_width
+    rows = np.empty(chunk.gather.shape)
+    half = rows.shape[1] // 2
+    rows[:, :split], rows[:, half : half + split] = terms.gmu_rows[:, free], terms.glog_var_rows[:, free]
+    points = {"z": terms.gz, "log_alpha": terms.glog_alpha, "log_sigma2": terms.glog_sigma2,
+              "log_beta": terms.glog_beta}
     if state.dims.use_mean:
-        pg = phi_backward(rows, terms.dphi1, terms.dphi0, terms.phi1)
-        grads["real_weights"] += pg.real_weights
-        np.add.at(grads["user_bias"], users, pg.mean_rows.reshape(len(users), -1).sum(axis=1))
-    for t in state.layout.tables:
-        codes = t.codes(rows)
-        if t.in_kernel:
-            gmean, glog_var = terms.gmu_rows[:, t.sl], terms.glog_var_rows[:, t.sl]
-        else:
-            gmean, glog_var = pg.mean_rows[:, None], terms.dphi0[:, None] * np.exp(state.params[t.log_var][codes])
-        np.add.at(grads[t.mean], codes, gmean)
-        np.add.at(grads[t.log_var], codes, glog_var)
-    grads["z"] += terms.gz
-    grads["log_alpha"] += terms.glog_alpha
-    np.add.at(grads["log_sigma2"], users, terms.glog_sigma2)
-    np.add.at(grads["log_beta"], users, terms.glog_beta)
+        pg = phi_backward(chunk.rows, terms.dphi1, terms.dphi0, terms.phi1)
+        rows[:, split:half], rows[:, half + split :] = pg.mean_rows[:, None], terms.dphi0[:, None] * terms.bias_var
+        points.update(real_weights=pg.real_weights,
+                      user_bias=pg.mean_rows.reshape(len(chunk.users), -1).sum(axis=1))
+    keys = state.layout.keys[2 * len(state.layout.tables) :]
+    return np.concatenate([rows.ravel()] + [points[key].ravel() for key in keys])
 
 
 def total_bound(
@@ -466,19 +532,18 @@ def total_bound(
     """Sum of user terms minus the KL to the prior, with the full gradient.
 
     User terms are independent given a read-only state snapshot (map-reduce
-    contract); users are taken in chunks (:func:`_chunks`), and each chunk's
-    gradients are scattered straight into the full-size gradient tables by
-    :func:`_scatter`.
+    contract); users are taken in the chunks of the blocks' :func:`plan`, and
+    one ``np.bincount`` per chunk adds its gradients (:func:`_scatter`).
     """
     shared = shared_factors(state, jitter)
     per_user = np.empty(len(blocks))
     vec, grads = state.zero_grads() if want_gradients else (None, None)
     d_gram = np.zeros_like(shared.gram0)
-    for idx in _chunks(blocks, state):
-        terms = _terms([blocks[i] for i in idx], state, shared, want_gradients)
-        per_user[idx] = terms.value
+    for chunk in plan(blocks, state).chunks:
+        terms = _terms(chunk, state, shared, want_gradients)
+        per_user[chunk.idx] = terms.value
         if want_gradients:
-            _scatter(state, terms, grads)
+            vec += np.bincount(chunk.positions(state), _scatter(state, chunk, terms), minlength=vec.size)
             d_gram += terms.d_gram
 
     kl = kl_to_prior(state)
@@ -509,18 +574,18 @@ class UserPosterior:
 
 
 def user_posterior(
-    blocks: list,
+    chunk: Chunk,
     state: VariationalState,
     shared: SharedFactors | None = None,
     jitter: float = DEFAULT_JITTER,
 ) -> UserPosterior:
-    """q(u) factors of a chunk of users with equal rating counts (one
-    :func:`_chunks` entry), from one stacked :func:`_forward`."""
+    """q(u) factors of a chunk of users with equal rating counts, from one
+    stacked :func:`_forward`."""
     if shared is None:
         shared = shared_factors(state, jitter)
-    fw = _forward(blocks, state, shared)
+    fw = _forward(chunk, state, shared)
     return UserPosterior(
-        users=fw.users,
+        users=chunk.users,
         sigma2=fw.sigma2,
         beta=fw.beta,
         chol_b=fw.chol_b,
@@ -539,7 +604,7 @@ def optimal_qu(block: UserBlock, state: VariationalState, jitter: float = DEFAUL
     system up to a beta rescaling; everything here solves against
     A = K + beta * Psi2 in whitened form.
     """
-    post = user_posterior([block], state, jitter=jitter)
+    post = user_posterior(Chunk([block], state), state, jitter=jitter)
     sigma2, shared = post.sigma2[0], post.shared
     mu_u = post.beta[0] * ((sigma2 * shared.c) @ post.v[0])
     shalf = solve_triangular(post.chol_b[0], (np.sqrt(sigma2) * shared.chol_c).T, lower=True)

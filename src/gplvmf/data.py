@@ -374,11 +374,22 @@ class UserBlock(NamedTuple):
         return self.ratings.shape[0]
 
 
-def group_by_user(table: RatingTable) -> list[UserBlock]:
-    """Split the table into one immutable block per user appearing in it,
-    in ascending user order; each block keeps its rows in input order.
-    One stable sort orders every column, and a block's arrays are slices of
-    the sorted columns."""
+class UserBlocks(tuple):
+    """What :func:`group_by_user` returns: an immutable sequence of blocks over
+    read-only columns.  ``plans`` is the memo of :func:`gplvmf.bound.plan`;
+    slices and sums of it are plain tuples, which hold no memo."""
+
+    def __new__(cls, blocks):
+        self = super().__new__(cls, blocks)
+        self.plans = {}
+        return self
+
+
+def group_by_user(table: RatingTable) -> UserBlocks:
+    """Split the table into one block per user appearing in it, in ascending
+    user order; each block keeps its rows in input order.  One stable sort
+    orders every column, and a block's arrays are slices of the sorted
+    columns, which are read-only so that a memoized plan cannot go stale."""
     if len(table) == 0:
         raise ValueError("cannot group an empty table")
     order = np.argsort(table.users, kind="stable")
@@ -386,10 +397,12 @@ def group_by_user(table: RatingTable) -> list[UserBlock]:
     bounds = np.flatnonzero(np.r_[True, users[1:] != users[:-1], True]).tolist()
     items, cats = table.items[order], table.cat_values[order]
     reals, ratings = table.real_values[order], table.ratings[order]
-    return [
+    for column in (items, cats, reals, ratings):
+        column.flags.writeable = False
+    return UserBlocks([
         UserBlock(int(users[a]), items[a:b], cats[a:b], reals[a:b], ratings[a:b])
         for a, b in zip(bounds[:-1], bounds[1:])
-    ]
+    ])
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ where ``b_user`` (``user_bias``) and the real-context weights
 (``real_weights``) are point parameters and every other term reads a bias
 table: a diagonal-Gaussian latent table under the same standard-normal prior
 as the kernel latents, listed in :attr:`gplvmf.state.KernelLayout.tables`
-with an empty kernel slice.  :func:`phi_statistics` walks those tables as
-:meth:`~gplvmf.state.VariationalState.assemble_rows` walks the kernel
+with an empty kernel slice.  :func:`phi_statistics` reads those tables from
+the rows' :meth:`~gplvmf.state.VariationalState.row_entries`, as
+:meth:`~gplvmf.state.VariationalState.assemble_rows` reads the kernel
 tables, and serves the bound's chunks and the predictor's query rows alike.
 
 Because the mean is linear in the latents, its first moment phi1 is the mean
@@ -43,20 +44,21 @@ class PhiStats:
         return float(np.sum(self.phi1**2) + np.sum(self.row_var))
 
 
-def phi_statistics(state: VariationalState, rows: UserBlock) -> PhiStats:
+def phi_statistics(state: VariationalState, rows: UserBlock, entries=None) -> PhiStats:
     """phi1 = <m> and the row variances under the variational posterior, for
-    rows whose ``user`` is one user or one per row; zero without a mean
+    rows whose ``user`` is one user or one per row, from their
+    :meth:`~gplvmf.state.VariationalState.row_entries`; zero without a mean
     function."""
     if not state.dims.use_mean:
         return PhiStats(phi1=np.zeros(rows.count), row_var=np.zeros(rows.count))
     p = state.params
+    entries = state.row_entries(rows) if entries is None else entries
+    variances = entries[:, entries.shape[1] // 2 :]
     phi1 = np.full(rows.count, p["user_bias"][rows.user], dtype=float)
     row_var = np.zeros(rows.count)
-    for t in state.layout.tables:
-        if not t.in_kernel:
-            codes = t.codes(rows)
-            phi1 += p[t.mean][codes].sum(axis=1)
-            row_var += np.exp(p[t.log_var][codes]).sum(axis=1)
+    for sl in state.layout.bias_columns:
+        phi1 += entries[:, sl].sum(axis=1)
+        row_var += variances[:, sl].sum(axis=1)
     phi1 += np.einsum("qd,d->q", rows.real_values, p["real_weights"])
     return PhiStats(phi1=phi1, row_var=row_var)
 
@@ -69,7 +71,7 @@ class PhiGradients:
     Each of these, per mean coordinate, receives ``mean_rows[t]``; each bias
     variance receives the given ``dphi0`` once per reading row, i.e. its
     log-variance receives ``dphi0 * variance``.  :func:`gplvmf.bound._scatter`
-    adds these into the tables as it does the kernel row gradients.
+    lays these out for the tables as it does the kernel row gradients.
     """
 
     real_weights: np.ndarray

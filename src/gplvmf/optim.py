@@ -6,9 +6,8 @@ shuffled order and each step ascends the gradient of ``F_n - KL/N`` over the
 entries touched by that user plus the shared slice (inducing inputs and
 inverse length-scales); the KL gradient is shared out at weight 1/N per step.
 Its per-user gradient comes from the same forward pass and scatter as the
-full batch (:func:`gplvmf.bound._user_terms`, the one-user chunk, and
-:func:`gplvmf.bound._scatter`); a step gathers and updates those entries
-through one index array.
+full batch, on the user's one-user chunk of the blocks' plan
+(:meth:`gplvmf.bound.Plan.steps`, which also holds the entries it steps).
 SCG is full-batch on the negated total bound, following Moller's algorithm
 with the scalar lambda regulator.  :func:`train` runs either method with one
 trace and one early-stopping record.
@@ -21,8 +20,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .bound import DEFAULT_JITTER, kl_to_prior, shared_factors, total_bound, _scatter, _user_terms
-from .data import ContextSchema
+from .bound import DEFAULT_JITTER, kl_to_prior, plan, shared_factors, total_bound, _scatter, _user_terms
+from .data import ContextSchema, UserBlock
 from .meanfn import phi_backward  # noqa: F401  looked up here by perfbench's traced run
 from .state import KernelLayout, ModelDims, VariationalState
 
@@ -158,55 +157,14 @@ def init_state(
     state = VariationalState.from_tables(schema, dims, tables)
 
     # inducing inputs: mean rows of randomly chosen rating rows, plus jitter
-    row_index = [(bi, t) for bi, blk in enumerate(blocks) for t in range(blk.count)]
+    starts = np.cumsum([0] + [blk.count for blk in blocks])
     z = state.z
-    if row_index:
-        picks = rng.choice(len(row_index), size=dims.inducing_count, replace=len(row_index) < dims.inducing_count)
-        for i, pick in enumerate(picks):
-            bi, t = row_index[pick]
-            mu_rows, _ = state.assemble_rows(blocks[bi])
-            z[i] = mu_rows[t]
+    if starts[-1]:
+        picks = rng.choice(starts[-1], size=dims.inducing_count, replace=starts[-1] < dims.inducing_count)
+        picked = [(blocks[b], pick - starts[b]) for b, pick in zip(np.searchsorted(starts, picks, "right") - 1, picks)]
+        z[:] = state.assemble_rows(UserBlock(0, *(np.array([blk[f][t] for blk, t in picked]) for f in range(1, 5))))[0]
     z += rng.normal(0.0, 0.05, size=z.shape)
     return state
-
-
-# Point parameters a step touches at its user's entry alone, not whole.
-_PER_USER = ("user_bias", "log_sigma2", "log_beta")
-
-
-def _step_plans(blocks: list, state: VariationalState) -> list:
-    """Per block, the sorted flat indices of the entries its SGD step touches,
-    and which of the leading latent-table entries among them are log-variances.
-
-    Entry i of block b sorts as b * state size + i.  A block column's unique
-    (block, code) pairs, expanded to every table the column indexes, and the
-    point entries are put in block and flat-index order by one sort.
-    """
-    n, size = len(blocks), state.flat.size
-    offsets = dict(zip(state.layout.keys, state.offsets))
-    base = np.arange(n) * size
-    row_base = np.repeat(base, [b.count for b in blocks])
-    pairs, parts = {}, []
-    for t in state.layout.tables:
-        if t.column not in pairs:
-            pair = np.sort(row_base + np.concatenate([t.codes(b) for b in blocks]))
-            pairs[t.column] = pair[np.concatenate(([True], pair[1:] != pair[:-1]))]
-        width = t.shape[1]
-        first = pairs[t.column] + (width - 1) * (pairs[t.column] % size)   # b * size + width * code
-        parts += [(first[:, None] + (offsets[key] + np.arange(width))).ravel() for key in (t.mean, t.log_var)]
-    users = np.array([b.user for b in blocks])
-    points = state.layout.keys[2 * len(state.layout.tables):]
-    for key in points:
-        cols = users[:, None] if key in _PER_USER else np.arange(state.params[key].size)
-        parts.append((base[:, None] + offsets[key] + cols).ravel())
-    block_of, flat_index = np.divmod(np.sort(np.concatenate(parts)), size)
-
-    var_keys = {t.log_var for t in state.layout.tables}
-    is_var = np.concatenate([np.full(a.size, key in var_keys) for key, a in state.param_entries()])[flat_index]
-    n_point = sum(1 if key in _PER_USER else state.params[key].size for key in points)
-    ends = np.cumsum(np.bincount(block_of, minlength=n))
-    return [(flat_index[end - count : end], is_var[end - count : end - n_point])
-            for end, count in zip(ends, np.diff(ends, prepend=0))]
 
 
 def _non_finite(what: str, state: VariationalState, index: int, user: int) -> OptimizationError:
@@ -223,21 +181,19 @@ def sgd_epoch(
     """One seeded shuffled pass over all users; mutates and returns ``state``.
 
     A step gathers and checks the entries of ``state.flat`` the user touches
-    (:func:`_step_plans`), scatters the user's gradient into a zeroed flat
-    gradient with :func:`_scatter` and gathers it there, subtracts the 1/N
-    KL share on the latent-table entries, checks and clips it over those
-    entries (each counted once), steps them and zeroes them again, so no step
-    reads an entry its user does not touch.  Returns the running bound
-    estimate: the per-user terms as they were computed during the pass,
-    minus the KL at the end of the epoch.
+    (:meth:`gplvmf.bound.Plan.steps`), sums the user's gradient onto them
+    with one ``np.bincount``, subtracts the 1/N KL share on the latent-table
+    entries, checks and clips it over those entries (each counted once) and
+    steps them, so no step reads an entry its user does not touch.  Returns
+    the running bound estimate: the per-user terms as they were computed
+    during the pass, minus the KL at the end of the epoch.
     """
     n_users = len(blocks)
     rng = np.random.default_rng([config.seed, 7919, epoch_index])
     order = rng.permutation(n_users)
     lr = config.learning_rate * config.lr_decay**epoch_index
-    plans = _step_plans(blocks, state) if blocks else []
+    steps = plan(blocks, state).steps(state)
     pflat = state.flat
-    gflat, grads = state.zero_grads()
     # every step's entries end with z, log_alpha, log_sigma2[u] and log_beta[u],
     # the last keys; the last three must stay finite under exp
     n_exp = state.log_alpha.size + 2
@@ -245,30 +201,26 @@ def sgd_epoch(
     value_sum = 0.0
 
     for bi in order:
-        block = blocks[bi]
-        idx, is_var = plans[bi]
+        chunk, idx, local, is_var = steps[bi]
         p = pflat[idx]
         with np.errstate(over="ignore"):
             exp_p = np.exp(p)
         ok = np.isfinite(np.concatenate([p[-n_check:-n_exp], exp_p[-n_exp:]]))
         if not ok.all():
-            raise _non_finite("value", state, idx[idx.size - n_check + np.argmin(ok)], block.user)
+            raise _non_finite("value", state, idx[idx.size - n_check + np.argmin(ok)], chunk.rows.user)
         shared = shared_factors(state, config.jitter)
-        terms = _user_terms(block, state, shared, want_gradients=True)
+        terms = _user_terms(chunk, state, shared, want_gradients=True)
         value_sum += terms.value[0]
-        _scatter(state, terms, grads)
-
-        g = gflat[idx]
+        g = np.bincount(local, _scatter(state, chunk, terms), minlength=idx.size)
         n_table = is_var.size
         g[:n_table] -= np.where(is_var, 0.5 * (exp_p[:n_table] - 1.0), p[:n_table]) / n_users
         if not np.isfinite(g).all():
-            raise _non_finite("gradient", state, idx[np.argmin(np.isfinite(g))], block.user)
+            raise _non_finite("gradient", state, idx[np.argmin(np.isfinite(g))], chunk.rows.user)
         scale = lr
         norm = np.sqrt(g @ g)
         if config.clip_norm and norm > config.clip_norm:
             scale = lr * config.clip_norm / norm
         pflat[idx] += scale * g
-        gflat[idx] = 0.0
 
     return state, value_sum - kl_to_prior(state)
 

@@ -26,11 +26,11 @@ sigma2,
 where L_B is the Cholesky factor of B.  So each user is reduced once to a
 (2M + 1, M) projection, the rows [w; L_C^-1; L_B^-1 L_C^-1], built for a
 chunk of users at a time from one stacked posterior pass
-(:func:`gplvmf.bound.user_posterior` over :func:`gplvmf.bound._chunks`), and
+(:func:`gplvmf.bound.user_posterior` over a :class:`gplvmf.bound.Chunk`), and
 a query costs one Psi1 row and one product with its user's projection; no
 triangular solve is left per query.  :meth:`Predictor.predict_rows` reads its
-rows as the bound does (:meth:`~gplvmf.state.VariationalState.assemble_rows`
-and :func:`gplvmf.meanfn.phi_statistics` over a row view of the queries),
+rows as the bound does (one :meth:`~gplvmf.state.VariationalState.row_entries`
+gather over a row view of the queries),
 makes one Psi1 pass over all rows and the products in row chunks of bounded
 size (no O(rows * M^2) temporary); :meth:`Predictor.predict` is the one-row
 case of the same arithmetic, with a scalar lookup of the same tables.
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import DEFAULT_JITTER, SharedFactors, _chunks, shared_factors, user_posterior
+from .bound import DEFAULT_JITTER, SharedFactors, plan, shared_factors, user_posterior
 from .data import UserBlock, code_error, context_columns, context_value_error, integer_codes, is_code
 from .kernels import Psi1Rows
 from .meanfn import phi_statistics
@@ -185,9 +185,8 @@ class Predictor:
 
     def warm(self, users) -> None:
         """Build the projections of every listed user not built yet, one
-        stacked posterior per chunk of users with equal rating counts
-        (:func:`gplvmf.bound._chunks`); an unknown user raises
-        :class:`UnknownUserError`."""
+        stacked posterior per chunk of their (fresh) :func:`gplvmf.bound.plan`;
+        an unknown user raises :class:`UnknownUserError`."""
         todo = []
         for user in dict.fromkeys(users):
             if user not in self._slot:
@@ -197,8 +196,7 @@ class Predictor:
         if not todo:
             return
         linv = self.shared.linv
-        posts = [user_posterior([todo[i] for i in idx], self.state, shared=self.shared)
-                 for idx in _chunks(todo, self.state)]
+        posts = [user_posterior(chunk, self.state, shared=self.shared) for chunk in plan(todo, self.state).chunks]
         users = np.concatenate([post.users for post in posts])
         sigma2 = np.concatenate([post.sigma2 for post in posts])
         beta = np.concatenate([post.beta for post in posts])
@@ -332,8 +330,9 @@ class Predictor:
         n = len(users)
         items = _clamp_codes(items, self.state.schema.item_count)
         rows = UserBlock(users, items, _clamp_codes(cats, self._cards), reals, ratings=np.full(n, np.nan))
-        mu, var = self.state.assemble_rows(rows)
-        phi1 = phi_statistics(self.state, rows).phi1
+        entries = self.state.row_entries(rows)
+        mu, var = self.state.assemble_rows(rows, entries)
+        phi1 = phi_statistics(self.state, rows, entries).phi1
 
         psi = self._psi1(mu, var)
         out = np.empty((n, self._proj.shape[1]))

@@ -122,6 +122,25 @@ class KernelLayout:
             point = ["real_weights", "user_bias"] + point
         self.keys = [key for t in self.tables for key in (t.mean, t.log_var)] + point
 
+        # A row reads K entries of the tables: the means, kernel tables first
+        # (``kernel_width`` of them, the bias tables at ``bias_columns``), then
+        # the log-variances in the same order.  Per entry, ``entries`` holds
+        # the block column it reads (-1: items), its table's width and its
+        # flat position at code 0, which the tables fix as they lead ``flat``.
+        sizes = [t.shape[0] * t.shape[1] for t in self.tables]
+        starts = np.cumsum([0] + [2 * size for size in sizes])
+        self.entries = np.array([(-1 if t.column is None else t.column, t.shape[1], start + half * size + c)
+                                 for half in (0, 1) for t, start, size in zip(self.tables, starts, sizes)
+                                 for c in range(t.shape[1])]).T.copy()
+        self.kernel_width = int(np.count_nonzero(~self.fixed_mask))
+        bounds = np.cumsum([self.kernel_width] + [t.shape[1] for t in self.tables if not t.in_kernel])
+        self.bias_columns = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+    def positions(self, rows: UserBlock) -> np.ndarray:
+        """Flat positions of the (N, K) table entries ``rows`` read."""
+        column, width, base = self.entries
+        return np.column_stack([rows.cat_values, rows.items])[:, column] * width + base
+
 
 class _Param:
     """Attribute access to one entry of ``VariationalState.params``; assigning re-packs ``flat``."""
@@ -178,22 +197,27 @@ class VariationalState:
     def copy(self) -> "VariationalState":
         return self.from_vector(self.flat)
 
-    def assemble_rows(self, block: UserBlock):
-        """Per-row latent means and variances (N x Q) for one user block.
+    def row_entries(self, rows: UserBlock, gather=None) -> np.ndarray:
+        """The (N, K) table entries ``rows`` read, in the order of
+        ``layout.entries``: their means, then their variances.  ``gather``
+        holds their flat positions when planned ahead (``layout.positions``)."""
+        entries = self.flat[self.layout.positions(rows) if gather is None else gather]
+        half = entries.shape[1] // 2
+        np.exp(entries[:, half:], out=entries[:, half:])
+        return entries
+
+    def assemble_rows(self, block: UserBlock, entries=None):
+        """Per-row latent means and variances (N x Q) for one user block, from
+        its :meth:`row_entries`.
 
         Real-context columns carry the observed standardized values with
         exactly zero variance.
         """
-        n = block.count
-        mu = np.empty((n, self.kernel_dim))
-        var = np.zeros((n, self.kernel_dim))
-        p = self.params
-        for t in self.layout.tables:
-            if t.in_kernel:
-                codes = t.codes(block)
-                mu[:, t.sl] = p[t.mean][codes]
-                var[:, t.sl] = np.exp(p[t.log_var][codes])
-        mu[:, self.layout.fixed_mask] = block.real_values
+        entries = self.row_entries(block) if entries is None else entries
+        width, free = self.layout.kernel_width, ~self.layout.fixed_mask
+        mu, var = np.empty((block.count, self.kernel_dim)), np.zeros((block.count, self.kernel_dim))
+        mu[:, free], var[:, free] = entries[:, :width], entries[:, entries.shape[1] // 2 :][:, :width]
+        mu[:, ~free] = block.real_values
         return mu, var
 
     # -- flat packing --------------------------------------------------------

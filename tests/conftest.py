@@ -195,3 +195,29 @@ def max_rel_error(analytic, numeric, floor=1e-6):
     numeric = np.asarray(numeric, dtype=float).ravel()
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def add_at_scatter(state, chunk, terms, grads):
+    """Add the gradients ``terms`` of a ``gplvmf.bound.Chunk`` into ``grads``,
+    the views of ``state.zero_grads()``, table by table with ``np.add.at``:
+    an oracle for the bound's position-and-bincount scatter that shares none
+    of its indexing."""
+    from gplvmf.meanfn import phi_backward
+
+    rows, users = chunk.rows, chunk.users
+    if state.dims.use_mean:
+        pg = phi_backward(rows, terms.dphi1, terms.dphi0, terms.phi1)
+        grads["real_weights"] += pg.real_weights
+        np.add.at(grads["user_bias"], users, pg.mean_rows.reshape(len(users), -1).sum(axis=1))
+    for t in state.layout.tables:
+        codes = t.codes(rows)
+        if t.in_kernel:
+            gmean, glog_var = terms.gmu_rows[:, t.sl], terms.glog_var_rows[:, t.sl]
+        else:
+            gmean, glog_var = pg.mean_rows[:, None], terms.dphi0[:, None] * np.exp(state.params[t.log_var][codes])
+        np.add.at(grads[t.mean], codes, gmean)
+        np.add.at(grads[t.log_var], codes, glog_var)
+    grads["z"] += terms.gz
+    grads["log_alpha"] += terms.glog_alpha
+    np.add.at(grads["log_sigma2"], users, terms.glog_sigma2)
+    np.add.at(grads["log_beta"], users, terms.glog_beta)

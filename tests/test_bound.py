@@ -24,6 +24,7 @@ from gplvmf import (
 )
 from gplvmf.bound import kl_gradients
 from conftest import (
+    add_at_scatter,
     build_table,
     central_difference,
     max_rel_error,
@@ -317,16 +318,18 @@ class TestOptimalQu:
 
 
 def one_user_reference(blocks, state, jitter=1e-6):
-    """Per-user values, total and flat gradient from one-user calls alone."""
-    from gplvmf.bound import _scatter, _user_terms, shared_factors
+    """Per-user values, total and flat gradient from one-user calls alone,
+    scattered by the ``np.add.at`` oracle."""
+    from gplvmf.bound import Chunk, _user_terms, shared_factors
 
     shared = shared_factors(state, jitter)
     grad, grads = state.zero_grads()
     values = []
     for block in blocks:
-        terms = _user_terms(block, state, shared, want_gradients=True)
+        chunk = Chunk([block], state)
+        terms = _user_terms(chunk, state, shared, want_gradients=True)
         values.append(terms.value[0])
-        _scatter(state, terms, grads)
+        add_at_scatter(state, chunk, terms, grads)
     kl = kl_to_prior(state)
     for key, g in kl_gradients(state).items():
         grads[key] -= g
@@ -380,16 +383,16 @@ class TestStackedBound:
     def test_a_users_terms_do_not_depend_on_its_chunk(self, shape):
         # every product a user's terms take is one product per user, so each
         # user of a chunk gets the bits of its one-user chunk
-        from gplvmf.bound import _terms, shared_factors, user_posterior
+        from gplvmf.bound import Chunk, _terms, shared_factors, user_posterior
 
         _, blocks, state, _ = random_instance(26, **STACKED_SHAPES[shape])
         shared = shared_factors(state)
-        chunk = _terms(blocks, state, shared, want_gradients=True)
-        post = user_posterior(blocks, state, shared=shared)
+        chunk = _terms(Chunk(blocks, state), state, shared, want_gradients=True)
+        post = user_posterior(Chunk(blocks, state), state, shared=shared)
         n = blocks[0].count
         for i, block in enumerate(blocks):
-            one = _terms([block], state, shared, want_gradients=True)
-            one_post = user_posterior([block], state, shared=shared)
+            one = _terms(Chunk([block], state), state, shared, want_gradients=True)
+            one_post = user_posterior(Chunk([block], state), state, shared=shared)
             rows = slice(i * n, (i + 1) * n)
             for key in ("value", "glog_sigma2", "glog_beta"):
                 assert getattr(chunk, key)[i] == getattr(one, key)[0]
@@ -441,9 +444,9 @@ class TestStackedBound:
     def _poison(self, monkeypatch, block, state, rtol):
         """Make np.linalg.cholesky fail, alone or inside a stack, on any
         matrix within ``rtol`` of the user's B = I + beta * T."""
-        from gplvmf.bound import _forward, shared_factors
+        from gplvmf.bound import Chunk, _forward, shared_factors
 
-        fw = _forward([block], state, shared_factors(state))
+        fw = _forward(Chunk([block], state), state, shared_factors(state))
         poisoned = np.eye(state.inducing_count) + fw.beta[0] * fw.t_mat[0]
         tol = rtol * np.max(np.abs(poisoned))
         real = np.linalg.cholesky
@@ -475,6 +478,85 @@ class TestStackedBound:
         # every escalation of user 1's B (at most 1e-4 * I) still fails
         self._poison(monkeypatch, blocks[1], state, rtol=1e-3)
         with pytest.raises(FactorizationError, match=f"user {blocks[1].user} system"):
+            total_bound(blocks, state)
+
+
+def assert_same_report(rep, other):
+    assert np.array_equal(rep.per_user, other.per_user)
+    assert rep.total == other.total
+    assert np.array_equal(rep.gradients, other.gradients)
+
+
+class TestPlan:
+    """The plan is memoized on group_by_user's result, keyed by the layout,
+    the inducing count and the chunk budget; any other sequence gets a fresh
+    one.  Changing one of those must give what a fresh plan gives."""
+
+    def check_against_fresh(self, blocks, state):
+        import gplvmf.bound as bound
+
+        assert len(bound.plan(blocks, state).chunks) == len(bound.plan(list(blocks), state).chunks)
+        assert_same_report(total_bound(blocks, state), total_bound(list(blocks), state))
+
+    def test_each_key_change_matches_a_fresh_plan(self, monkeypatch):
+        import dataclasses
+
+        import gplvmf.bound as bound
+
+        _, blocks, state, cfg = random_instance(41, n_users=6, ratings_per_user=3, m=4)
+        self.check_against_fresh(blocks, state)
+        first = len(bound.plan(blocks, state).chunks)
+        # a budget of one user per chunk
+        monkeypatch.setattr(bound, "_ROW_BUDGET", 1)
+        self.check_against_fresh(blocks, state)
+        assert len(bound.plan(blocks, state).chunks) == len(blocks) > first
+        monkeypatch.undo()
+        # new dims: another inducing count, no mean function
+        for other in (init_state(state.schema, blocks, dataclasses.replace(cfg, inducing_count=6)),
+                      init_state(state.schema, blocks, dataclasses.replace(cfg, use_mean=False))):
+            self.check_against_fresh(blocks, other)
+        # the same dims over a reshaped z
+        reshaped = state.copy()
+        reshaped.z = np.vstack([state.z, state.z[:2] + 0.1])
+        self.check_against_fresh(blocks, reshaped)
+        # and back: the first plan is still the one used
+        self.check_against_fresh(blocks, state)
+        assert len(blocks.plans) == 5
+
+    def test_built_once_per_sequence_and_not_at_setup(self, monkeypatch):
+        import gplvmf.bound as bound
+
+        builds = []
+        real = bound.Plan
+
+        def spy(blocks, state):
+            builds.append(blocks)
+            return real(blocks, state)
+
+        monkeypatch.setattr(bound, "Plan", spy)
+        table, _, _, cfg = random_instance(42, n_users=5)
+        blocks = group_by_user(table)
+        state = init_state(table.schema, blocks, cfg)
+        assert builds == []
+        for k in range(3):
+            total_bound(blocks, state.from_vector(state.flat + 0.01 * k))
+        for epoch in range(2):
+            sgd_epoch(blocks, state, cfg, epoch)
+        assert len(builds) == 1 and builds[0] is blocks
+        # a slice or a list is planned afresh at every call
+        for _ in range(2):
+            total_bound(blocks[:3], state)
+            total_bound(list(blocks), state)
+        assert [type(b) for b in builds[1:]] == [tuple, list, tuple, list]
+
+    def test_sgd_steps_are_planned_once(self, monkeypatch):
+        import gplvmf.bound as bound
+
+        _, blocks, state, cfg = random_instance(43, n_users=4)
+        sgd_epoch(blocks, state, cfg, 0)
+        monkeypatch.setattr(bound, "Chunk", None)   # any further chunk build fails
+        for epoch in range(1, 3):
+            sgd_epoch(blocks, state, cfg, epoch)
             total_bound(blocks, state)
 
 

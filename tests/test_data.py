@@ -291,6 +291,21 @@ class TestGroupByUser:
         with pytest.raises(ValueError, match="empty"):
             group_by_user(table)
 
+    def test_blocks_are_read_only(self):
+        # the bound memoizes its plan on the blocks, so they must not change
+        schema = ContextSchema(2, 3, ())
+        table = build_table(schema, users=[1, 0, 1], items=[0, 1, 2], ratings=[1.0, 2.0, 3.0])
+        blocks = group_by_user(table)
+        for block in blocks:
+            with pytest.raises(ValueError, match="read-only"):
+                block.items[0] = 2
+            with pytest.raises(ValueError, match="read-only"):
+                block.ratings[0] = 0.0
+        with pytest.raises(TypeError):
+            blocks[0] = blocks[1]
+        # the table keeps its own writable columns
+        table.ratings[0] = 5.0
+
 
 class TestMakeFolds:
     def _table(self, n, seed=0):

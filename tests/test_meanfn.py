@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gplvmf import ModelDims, VariationalState, mc_phi_oracle, phi_statistics
-from gplvmf.bound import _stack
 from gplvmf.data import UserBlock
 from gplvmf.meanfn import phi_backward
 from gplvmf.state import KernelLayout
@@ -143,13 +142,23 @@ class TestPhiStatistics:
         assert abs(phi.phi0 - phi0) < 4 * se0 + 1e-12
 
     @pytest.mark.parametrize("n_real, bias_dim", [(0, 1), (1, 2), (2, 1), (2, 0)])
-    def test_chunk_rows_equal_block_and_one_row_calls(self, n_real, bias_dim):
-        # the bound takes a chunk of stacked blocks and the predictor single
-        # query rows; every row must come out the same, bit for bit
+    def test_chunk_rows_equal_block_and_one_row_calls(self, n_real, bias_dim, monkeypatch):
+        # the bound reads a chunk of stacked blocks through its plan's flat
+        # positions and the predictor single query rows; every row must come
+        # out the same, bit for bit
+        import gplvmf.bound as bound
+
         blocks, schema, rng = make_blocks(50 + n_real, n_users=4, n_rows=5, cat_cards=(3, 2), n_real=n_real)
         state = make_state(rng, schema, bias_dim=bias_dim)
-        stacked = _stack(blocks, np.array([b.user for b in blocks]))
-        chunk = phi_statistics(state, stacked)
+        seen = []
+
+        def spy(state, rows, bias=None):
+            seen.append((rows, phi_statistics(state, rows, bias)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(bound, "phi_statistics", spy)
+        bound._forward(bound.Chunk(blocks, state), state, bound.shared_factors(state))
+        ((stacked, chunk),) = seen
         for parts in ([phi_statistics(state, b) for b in blocks],
                       [phi_statistics(state, UserBlock(*(f[i:i + 1] for f in stacked))) for i in range(stacked.count)]):
             assert np.array_equal(chunk.phi1, np.concatenate([p.phi1 for p in parts]))

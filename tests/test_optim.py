@@ -23,7 +23,7 @@ from gplvmf import (
     total_bound,
     train,
 )
-from conftest import random_instance
+from conftest import add_at_scatter, random_instance
 
 
 def toy_problem(data_seed=1, init_seed=2):
@@ -46,8 +46,9 @@ def per_table_sgd_epoch(blocks, state, config, epoch_index):
     """SGD's epoch as a step per parameter table: each user's entries are
     gathered table by table (sorted unique rows), the KL share is subtracted
     table by table, and the step is concatenated for its norm.  Returns the
-    state, the running bound estimate and the number of clipped steps."""
-    from gplvmf.bound import _scatter, _user_terms, kl_to_prior, shared_factors
+    state, the running bound estimate and the number of clipped steps.  The
+    gradient is scattered by the ``np.add.at`` oracle."""
+    from gplvmf.bound import Chunk, _user_terms, kl_to_prior, shared_factors
 
     n_users = len(blocks)
     order = np.random.default_rng([config.seed, 7919, epoch_index]).permutation(n_users)
@@ -56,9 +57,10 @@ def per_table_sgd_epoch(blocks, state, config, epoch_index):
     value_sum, clipped = 0.0, 0
     for bi in order:
         block = blocks[bi]
-        terms = _user_terms(block, state, shared_factors(state, config.jitter), want_gradients=True)
+        chunk = Chunk([block], state)
+        terms = _user_terms(chunk, state, shared_factors(state, config.jitter), want_gradients=True)
         value_sum += terms.value[0]
-        _scatter(state, terms, grads)
+        add_at_scatter(state, chunk, terms, grads)
         rows = {"log_sigma2": block.user, "log_beta": block.user, "user_bias": block.user}
         for t in state.layout.tables:
             rows[t.mean] = rows[t.log_var] = np.unique(t.codes(block))
@@ -168,9 +170,9 @@ class TestSgd:
         visited = []
         real = optim._user_terms
 
-        def spy(block, state, shared, want_gradients):
-            visited.append(block.user)
-            return real(block, state, shared, want_gradients)
+        def spy(chunk, state, shared, want_gradients):
+            visited.append(chunk.rows.user)
+            return real(chunk, state, shared, want_gradients)
 
         monkeypatch.setattr(optim, "_user_terms", spy)
         state = init_state(table.schema, blocks, cfg)
