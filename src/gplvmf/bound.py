@@ -52,30 +52,34 @@ matrix product over rows or over users is a stacked product with one user
 per slice (:func:`_per_user` and the psi cache's), so a chunk's products
 have one user's shapes: the chunk size changes neither how many BLAS
 threads a product runs on nor any bit of a user's terms or q(u), only the
-rounding of sums over users, and the budget bounds memory alone.  The
-inducing-gram gradient is linear in dF/dK, so the chunks' sigma2-weighted
-cotangents are summed and go through one :func:`gram_backward` per call.
+rounding of sums over users, and the budget bounds memory alone.  What
+depends on (Z, alpha) alone, the psi statistics' side and the inducing
+gram's factors (:class:`SharedFactors`), is built once per call.  A chunk's
+sigma2-weighted dF/dK goes through its :func:`psi_backward` call with its
+Psi2 cotangent, since the gram is ``exp(2 c)`` of the pair constant.
 SGD's :func:`_user_terms` takes the plan's one-user chunks
 (:meth:`Plan.steps`) and prediction's :func:`user_posterior` takes
-:func:`_chunks` chunks.  The KL (:func:`kl_to_prior`, :func:`kl_gradients`)
+:func:`_chunks` chunks.  Per-user values and gradients are combined from a
+few per-user traces (:func:`_terms`), so a step makes few calls.  The KL (:func:`kl_to_prior`, :func:`kl_gradients`)
 walks the state's table description, since kernel and bias latents share
 the standard-normal prior.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
 from .data import UserBlock
-from .kernels import _PsiCache, gram_backward, psi_backward
+from .kernels import _InducingSide, _PsiCache, psi_backward
 from .meanfn import phi_backward, phi_statistics
 from .state import VariationalState
 
 DEFAULT_JITTER = 1e-6
+_LOG_2PI = float(np.log(2.0 * np.pi))
 _ESCALATION = (1.0, 10.0, 100.0)
 # Doubles of one chunk of users, counted as in _chunks: a proxy that bounds
 # the memory a chunk holds, not BLAS threading (every product over rows or
@@ -109,26 +113,29 @@ def _chol_with_escalation(mat: np.ndarray, jitter: float, what: str, base: bool 
     )
 
 
-@dataclass
-class SharedFactors:
-    """Quantities common to every user at a fixed (Z, alpha): the unit-signal
-    inducing gram C = exp-part + jitter*I, its factor and that factor's inverse."""
+class SharedFactors(NamedTuple):
+    """Quantities common to every user at a fixed (Z, alpha), built once per
+    :func:`shared_factors` call: the (Z, alpha) side of the psi statistics
+    and of the unit-signal inducing gram (:class:`gplvmf.kernels._InducingSide`,
+    which the psi cache and backward pass read), the lower factor L_C of
+    C = gram + jitter*I and its inverse."""
 
-    gram0: np.ndarray        # exp part only, unit diagonal
-    c: np.ndarray            # gram0 + jitter*I
+    side: _InducingSide
     chol_c: np.ndarray       # lower triangular L_C
     linv: np.ndarray         # L_C^-1, lower triangular
     jitter: float
 
+    @property
+    def c(self) -> np.ndarray:
+        """C = gram + jitter*I."""
+        return self.side.gram + self.jitter * np.eye(len(self.linv))
+
 
 def shared_factors(state: VariationalState, jitter: float = DEFAULT_JITTER) -> SharedFactors:
-    alpha = np.exp(state.log_alpha)
-    gram0 = np.exp(
-        -0.5 * np.einsum("q,abq->ab", alpha, (state.z[:, None, :] - state.z[None, :, :]) ** 2)
-    )
-    chol_c, j = _chol_with_escalation(gram0, jitter, "inducing gram")
+    side = _InducingSide(np.exp(state.log_alpha), state.z)
+    chol_c, j = _chol_with_escalation(side.gram, jitter, "inducing gram")
     linv, _ = lapack.dtrtri(chol_c, lower=1)
-    return SharedFactors(gram0=gram0, c=gram0 + j * np.eye(gram0.shape[0]), chol_c=chol_c, linv=linv, jitter=j)
+    return SharedFactors(side=side, chol_c=chol_c, linv=linv, jitter=j)
 
 
 def _chunks(blocks: list, state: VariationalState) -> list:
@@ -170,6 +177,8 @@ class Chunk:
     :attr:`gplvmf.state.KernelLayout.entries`; the forward pass reads
     ``state.flat[gather]``.  ``pos`` adds :func:`_points`, along which
     :func:`_scatter` lays the gradients out for one ``np.bincount``.
+    ``scales`` holds the flat positions of the users' ``log_sigma2`` and
+    ``log_beta``, (2, U).
     """
 
     def __init__(self, blocks, state: VariationalState, idx=None):
@@ -180,6 +189,8 @@ class Chunk:
             np.repeat(self.users, chosen[0].count), *map(np.concatenate, zip(*(b[1:] for b in chosen)))
         )
         self.gather, self.pos = state.layout.positions(self.rows), None
+        keys = state.layout.keys
+        self.scales = np.stack([state.offsets[keys.index(key)] + self.users for key in ("log_sigma2", "log_beta")])
 
     def positions(self, state: VariationalState) -> np.ndarray:
         """``pos``, built on first use; ``gather`` then becomes a view of it."""
@@ -190,10 +201,9 @@ class Chunk:
 
     def one(self, s: int, block) -> "Chunk":
         """User ``s``, whose block is ``block``, as a one-user chunk over views."""
-        one = copy.copy(self)
-        n = block.count
+        one, n = Chunk.__new__(Chunk), block.count
         one.idx, one.users, one.rows, one.pos = self.idx[s : s + 1], self.users[s : s + 1], block, None
-        one.gather = self.gather[s * n : (s + 1) * n]
+        one.scales, one.gather = self.scales[:, s : s + 1], self.gather[s * n : (s + 1) * n]
         return one
 
 
@@ -209,20 +219,32 @@ class Plan:
     def steps(self, state: VariationalState) -> list:
         """Per block: its one-user chunk, the sorted flat entries ``idx`` it
         reads, each :func:`_scatter` entry's index into ``idx``, and which
-        leading latent-table entries of ``idx`` are log-variances."""
+        leading latent-table entries of ``idx`` are log-variances.  A chunk's
+        steps come from one ``np.unique`` over (block, flat position) keys of
+        every block's entries, each block's laid out as its one-user chunk's
+        :meth:`Chunk.positions`."""
         if self._steps is None:
-            var_keys = {t.log_var for t in state.layout.tables}
-            is_var = np.repeat([key in var_keys for key in state.layout.keys], np.diff(state.offsets))
-            table_end = state.offsets[2 * len(state.layout.tables)]
+            layout = state.layout
+            var_keys = {t.log_var for t in layout.tables}
+            is_var = np.repeat([key in var_keys for key in layout.keys], np.diff(state.offsets))
+            table_end, size = state.offsets[2 * len(layout.tables)], state.flat.size
+            point_keys = layout.keys[2 * len(layout.tables) :]
             self._steps = [None] * len(self.blocks)
             for chunk in self.chunks:
                 chunk.positions(state)   # before the views are taken
+                u = len(chunk.idx)
+                each = np.concatenate([chunk.gather.reshape(u, -1)] + [
+                    pos[:, None] if key in _PER_USER else np.broadcast_to(pos, (u, pos.size))
+                    for key, pos in zip(point_keys, _points(state, chunk.users))
+                ], axis=1)
+                keys, inverse = np.unique(each + size * np.arange(u)[:, None], return_inverse=True)
+                starts = np.searchsorted(keys, size * np.arange(u + 1))
+                inverse = inverse.reshape(u, -1) - starts[:-1, None]
                 for s, i in enumerate(chunk.idx):
-                    one = chunk.one(s, self.blocks[i])
-                    idx, local = np.unique(np.concatenate([one.gather.ravel()] + _points(state, one.users)),
-                                           return_inverse=True)
-                    local = local.astype(np.min_scalar_type(idx.size))   # one is kept per block
-                    self._steps[i] = (one, idx, local, is_var[idx[: np.searchsorted(idx, table_end)]])
+                    idx = keys[starts[s] : starts[s + 1]] - size * s
+                    local = inverse[s].astype(np.min_scalar_type(idx.size))   # one is kept per block
+                    self._steps[i] = (chunk.one(s, self.blocks[i]), idx, local,
+                                      is_var[idx[: np.searchsorted(idx, table_end)]])
         return self._steps
 
 
@@ -265,15 +287,14 @@ def _per_user(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], mat)[:, 0]
 
 
-@dataclass
-class _Forward:
+class _Forward(NamedTuple):
     """Forward pass of a chunk of U users of n ratings each: psi and phi
     statistics over the rows end to end and the stacked whitened systems.
     Per-user arrays lead with U; row arrays have U * n rows."""
 
     sigma2: np.ndarray       # (U,)
     beta: np.ndarray         # (U,)
-    cache: _PsiCache         # unit signal; keeps alpha, the row variances, Psi1 and the Psi2 rows
+    cache: _PsiCache         # unit signal; keeps the row variances, Psi1 and the Psi2 rows
     phi1: np.ndarray         # (U*n,)
     bias_var: np.ndarray     # (U*n, B) the bias-table variances the rows read
     resid: np.ndarray        # (U*n,) y - phi1
@@ -289,23 +310,21 @@ class _Forward:
 def _forward(chunk: Chunk, state: VariationalState, shared: SharedFactors) -> _Forward:
     """Psi cache, phi statistics and whitened B with per-user jitter escalation
     of a chunk; shared by the bound and q(u)."""
-    rows, users = chunk.rows, chunk.users
-    u, n, m = len(users), rows.count // len(users), state.inducing_count
-    sigma2 = np.exp(state.log_sigma2[users])
-    beta = np.exp(state.log_beta[users])
+    rows, users, linv, side = chunk.rows, chunk.users, shared.linv, shared.side
+    u, m = len(users), len(linv)
+    n = rows.count // u
+    sigma2, beta = np.exp(state.flat[chunk.scales])
 
     entries = state.row_entries(rows, chunk.gather)
     mu_rows, var_rows = state.assemble_rows(rows, entries)
-    cache = _PsiCache(np.exp(state.log_alpha), mu_rows, var_rows, state.z, groups=u)
+    cache = _PsiCache(side.alpha, mu_rows, var_rows, side, groups=u)
 
     phi = phi_statistics(state, rows, entries)
     resid = rows.ratings - phi.phi1
     quad = (resid**2 + phi.row_var).reshape(u, n).sum(axis=1)
 
     # whitened systems: L = sqrt(sigma2) L_C, so T = sigma2 L_C^-1 Psi2_unit L_C^-T
-    linv = shared.linv
-    psi2 = cache.psi2_sums()
-    t_mat = sigma2[:, None, None] * (linv @ psi2 @ linv.T)
+    t_mat = sigma2[:, None, None] * (linv @ cache.psi2_sums() @ linv.T)
     t_mat = 0.5 * (t_mat + t_mat.transpose(0, 2, 1))
     b_mat = np.eye(m) + beta[:, None, None] * t_mat
     # escalation adds extra*I to B, i.e. extra*K to A; gradient stays exact
@@ -322,8 +341,7 @@ def _forward(chunk: Chunk, state: VariationalState, shared: SharedFactors) -> _F
     )
 
 
-@dataclass
-class UserTerms:
+class UserTerms(NamedTuple):
     """Values and gradients of the bound terms of a chunk of users (one user
     for an SGD step), from :func:`_terms`.
 
@@ -331,9 +349,7 @@ class UserTerms:
     kernel gradients (``gmu_rows``/``glog_var_rows``) are per rating row of
     the chunk; ``dphi1``/``dphi0`` feed the bias-latent backward pass, and
     :func:`_scatter` lays both out for the table entries the rows read.
-    ``gz``/``glog_alpha`` hold the psi part; the inducing-gram part comes
-    from ``d_gram``, the chunk's summed sigma2 * dF/dK, through
-    :func:`_gram_gradient` (:func:`_user_terms` folds it in).
+    ``gz``/``glog_alpha`` hold the psi part and the inducing-gram part.
     """
 
     value: np.ndarray                     # (U,)
@@ -347,7 +363,6 @@ class UserTerms:
     dphi0: np.ndarray | None = None         # per row
     phi1: np.ndarray | None = None
     bias_var: np.ndarray | None = None      # (N, B) the bias-table variances the rows read
-    d_gram: np.ndarray | None = None
 
 
 def _terms(
@@ -358,67 +373,65 @@ def _terms(
 ) -> UserTerms:
     """Bound terms of a chunk of users with equal rating counts (module docstring)."""
     fw = _forward(chunk, state, shared)
-    u, m = len(chunk.users), state.inducing_count
+    u, m, linv = len(chunk.users), len(shared.linv), shared.linv
     n = chunk.rows.count // u
-    sigma2, beta, t_mat, b_vec = fw.sigma2, fw.beta, fw.t_mat, fw.b_vec
+    sigma2, beta, extra, t_mat, b_vec = fw.sigma2, fw.beta, fw.extra, fw.t_mat, fw.b_vec
     psi0 = n * sigma2
 
-    logdet_b = 2.0 * np.log(np.diagonal(fw.chol_b, axis1=1, axis2=2)).sum(axis=1)
-    tr_t = np.trace(t_mat, axis1=1, axis2=2)                            # Tr(K^-1 Psi2)
-    cb = np.einsum("ua,ua->u", fw.c_hat, b_vec)                         # W2 / beta^2
-
-    value = (
-        0.5 * n * np.log(beta)
-        - 0.5 * n * np.log(2.0 * np.pi)
-        - 0.5 * logdet_b
-        - 0.5 * beta * fw.quad
-        + 0.5 * beta**2 * cb
-        - 0.5 * beta * psi0
-        + 0.5 * beta * tr_t
-    )
+    # per user, the traces of a stack of T, c_hat b^T and (gradients) B^-1 T,
+    # b b^T and B^-1 T^2: Tr(K^-1 Psi2), c_hat^T b = W2 / beta^2, Tr(B^-1 T),
+    # |b|^2 and Tr(B^-1 T^2)
+    work = np.empty((u, 5 if want_gradients else 2, m, m))
+    work[:, 0] = t_mat
+    np.multiply(fw.c_hat[:, :, None], b_vec[:, None, :], out=work[:, 1])
+    if want_gradients:
+        bt = np.matmul(fw.b_inv, t_mat, out=work[:, 2])
+        np.multiply(b_vec[:, :, None], b_vec[:, None, :], out=work[:, 3])
+        np.matmul(bt, t_mat, out=work[:, 4])
+    traces = work.reshape(u, work.shape[1], m * m)[:, :, :: m + 1].sum(axis=2)
+    tr_t, cb = traces[:, 0], traces[:, 1]
+    logdet_b = 2.0 * np.log(fw.chol_b.reshape(u, m * m)[:, :: m + 1]).sum(axis=1)
+    fit = tr_t - fw.quad - psi0
+    value = 0.5 * (n * (np.log(beta) - _LOG_2PI) - logdet_b + beta * (fit + beta * cb))
 
     if not want_gradients:
         return UserTerms(value=value)
 
-    linv = shared.linv
-    bt = fw.b_inv @ t_mat                                               # B^-1 T
-    bb = b_vec[:, :, None] * b_vec[:, None, :]
-    be, ex = beta[:, None, None], fw.extra[:, None, None]
-    # whitened cotangents of K and Psi2: dF/dK = L^-T x_k L^-1, dF/dPsi2 = L^-T x_psi2 L^-1
-    x_k = -0.5 * be**2 * (bt @ t_mat + (1.0 + ex) * bb) - 0.5 * be * ex * bt
-    x_psi2 = 0.5 * be * (be * bt + ex * fw.b_inv - be**2 * bb)
+    # whitened cotangents of Psi2 and K, dF/dPsi2 = L^-T x_psi2 L^-1 and
+    # dF/dK = L^-T x_k L^-1 (module docstring), from [B^-1 T, B^-1, b b^T, B^-1 T^2]:
+    #   x_psi2 =  (beta^2/2) (B^-1 T - beta b b^T + (e/beta) B^-1)
+    #   x_k    = -(beta^2/2) (b b^T + B^-1 T^2 + (e/beta) (beta b b^T + B^-1 T))
+    # The unit-signal cache takes sigma2 * dF/dPsi2 = L_C^-T sigma2 x_psi2 L_C^-1
+    # and the unit gram sigma2 * dF/dK = L_C^-T x_k L_C^-1.
+    half = 0.5 * beta
+    hb, bb = half * beta, work[:, 3]
+    x_mats = np.empty((u, 2, m, m))
+    x_psi2, x_k = np.multiply(beta[:, None, None], bb, out=x_mats[:, 0]), x_mats[:, 1]
+    np.subtract(bt, x_psi2, out=x_psi2)
+    np.add(bb, work[:, 4], out=x_k)
+    if extra.any():     # the e terms are exact zeros otherwise
+        ratio = (extra / beta)[:, None, None]
+        x_psi2 += ratio * fw.b_inv
+        x_k += ratio * (beta[:, None, None] * bb + bt)
+    x_psi2 *= (sigma2 * hb)[:, None, None]
+    x_k *= -hb[:, None, None]
+    d_mats = linv.T @ x_mats @ linv
 
-    # the unit-signal cache takes sigma2 * dF/dPsi1 and sigma2^2 * dF/dPsi2;
-    # dF/dPsi1 = beta^2 r w^T with w = A^-1 c = L_C^-T b / sqrt(sigma2)
-    root = np.sqrt(sigma2)
+    # with I - B^-1 = beta B^-1 T + e B^-1 and c_hat^T b = (1 + e) |b|^2 + beta b^T T b:
+    # sigma2 dF/dsigma2 = (beta/2) (beta ((1 + e) |b|^2 + Tr(B^-1 T^2)) + e Tr(B^-1 T) - psi0),
+    # beta dF/dbeta = n/2 + (beta/2) (fit - Tr(B^-1 T) + beta (c_hat^T b + (1 + e) |b|^2))
+    tr_bt, eb2, tr_btt = traces[:, 2], (1.0 + extra) * traces[:, 3], traces[:, 4]
+    glog_sigma2 = half * (beta * (eb2 + tr_btt) + extra * tr_bt - psi0)
+    glog_beta = 0.5 * n + half * (fit - tr_bt + beta * (cb + eb2))
+
+    # dF/dPsi1 = beta^2 r w^T with w = A^-1 c = L_C^-T b / sqrt(sigma2); the
+    # cache takes sigma2 * dF/dPsi1
+    root_b2 = np.sqrt(sigma2) * beta**2
     lw = _per_user(b_vec, linv)                                         # rows (L_C^-T b)^T
-    d_psi1 = ((root * beta**2)[:, None] * fw.resid.reshape(u, n))[:, :, None] * lw[:, None, :]
-    d_psi2 = sigma2[:, None, None] * (linv.T @ x_psi2 @ linv)
-    psi_grads = psi_backward(fw.cache, d_psi1.reshape(u * n, m), d_psi2)
-
-    # K = sigma2 * C and the psi statistics are monomials in sigma2: with
-    # dF/dPsi0 = -beta/2, sigma2 * dF/dsigma2 = beta^2 c^T w + 2 Tr(x_psi2 T)
-    # - (beta/2) psi0 + Tr(x_k)
-    glog_sigma2 = (
-        beta**2 * cb
-        + 2.0 * np.sum(x_psi2 * t_mat, axis=(1, 2))
-        - 0.5 * beta * psi0
-        + np.trace(x_k, axis1=1, axis2=2)
-    )
-    # d(W2/2)/dbeta = beta c^T w - (beta^2/2) w^T Psi2 w, with dA/dbeta = Psi2
-    tbt = np.einsum("ua,uab,ub->u", b_vec, t_mat, b_vec)
-    glog_beta = beta * (
-        0.5 * n / beta
-        - 0.5 * np.trace(bt, axis1=1, axis2=2)
-        - 0.5 * fw.quad
-        + beta * cb
-        - 0.5 * beta**2 * tbt
-        - 0.5 * psi0
-        + 0.5 * tr_t
-    )
-
-    psi1_w = root[:, None] * np.matmul(fw.cache.psi1.reshape(u, n, m), lw[:, :, None])[:, :, 0]
-    d_phi1 = beta[:, None] * chunk.rows.ratings.reshape(u, n) - (beta**2)[:, None] * psi1_w
+    d_psi1 = (root_b2[:, None] * fw.resid.reshape(u, n))[:, :, None] * lw[:, None, :]
+    psi_grads = psi_backward(fw.cache, d_psi1.reshape(u * n, m), d_mats[:, 0], d_mats[:, 1])
+    psi1_w = np.matmul(fw.cache.psi1.reshape(u, n, m), lw[:, :, None])[:, :, 0]
+    d_phi1 = beta[:, None] * chunk.rows.ratings.reshape(u, n) - root_b2[:, None] * psi1_w
 
     # chain rule into the log parameterization: d/dlog(x) = x * d/dx
     return UserTerms(
@@ -426,39 +439,18 @@ def _terms(
         gmu_rows=psi_grads.dmu,
         glog_var_rows=psi_grads.dvar * fw.cache.s,
         gz=psi_grads.dz,
-        glog_alpha=psi_grads.dalpha * fw.cache.alpha,
+        glog_alpha=psi_grads.dalpha * shared.side.alpha,
         glog_sigma2=glog_sigma2,
         glog_beta=glog_beta,
         dphi1=d_phi1.ravel(),
-        dphi0=np.repeat(-0.5 * beta, n),
+        dphi0=np.repeat(-half, n),
         phi1=fw.phi1,
         bias_var=fw.bias_var,
-        d_gram=linv.T @ x_k.sum(axis=0) @ linv,
     )
 
 
-def _gram_gradient(state: VariationalState, shared: SharedFactors, d_gram: np.ndarray):
-    """(z, log alpha) gradients through the unit-signal inducing gram, for the
-    summed ``d_gram = sum_u sigma2_u * dF/dK_u``."""
-    alpha = np.exp(state.log_alpha)
-    gz, galpha = gram_backward(alpha, state.z, shared.gram0, d_gram)
-    return gz, galpha * alpha
-
-
-def _user_terms(
-    chunk: Chunk,
-    state: VariationalState,
-    shared: SharedFactors,
-    want_gradients: bool,
-) -> UserTerms:
-    """One user's terms, the U = 1 chunk, with the inducing-gram gradient
-    folded into ``gz``/``glog_alpha``: what one SGD step scatters."""
-    terms = _terms(chunk, state, shared, want_gradients)
-    if want_gradients:
-        gz, glog_alpha = _gram_gradient(state, shared, terms.d_gram)
-        terms.gz += gz
-        terms.glog_alpha += glog_alpha
-    return terms
+# SGD's step and the one-user callers use this name for the terms of a one-user chunk.
+_user_terms = _terms
 
 
 def user_bound(block: UserBlock, state: VariationalState, jitter: float = DEFAULT_JITTER) -> float:
@@ -508,7 +500,7 @@ def _scatter(state: VariationalState, chunk: Chunk, terms: UserTerms) -> np.ndar
     gradients of :func:`phi_backward`.  Real columns are data, not
     parameters, so their kernel gradient is dropped.
     """
-    free, split = ~state.layout.fixed_mask, state.layout.kernel_width
+    free, split = state.layout.free, state.layout.kernel_width
     rows = np.empty(chunk.gather.shape)
     half = rows.shape[1] // 2
     rows[:, :split], rows[:, half : half + split] = terms.gmu_rows[:, free], terms.glog_var_rows[:, free]
@@ -538,13 +530,11 @@ def total_bound(
     shared = shared_factors(state, jitter)
     per_user = np.empty(len(blocks))
     vec, grads = state.zero_grads() if want_gradients else (None, None)
-    d_gram = np.zeros_like(shared.gram0)
     for chunk in plan(blocks, state).chunks:
         terms = _terms(chunk, state, shared, want_gradients)
         per_user[chunk.idx] = terms.value
         if want_gradients:
             vec += np.bincount(chunk.positions(state), _scatter(state, chunk, terms), minlength=vec.size)
-            d_gram += terms.d_gram
 
     kl = kl_to_prior(state)
     total = float(per_user.sum() - kl)
@@ -552,9 +542,6 @@ def total_bound(
     if not want_gradients:
         return BoundReport(total=total, per_user=per_user, kl=kl, gradients=None)
 
-    gz, glog_alpha = _gram_gradient(state, shared, d_gram)
-    grads["z"] += gz
-    grads["log_alpha"] += glog_alpha
     for key, g in kl_gradients(state).items():
         grads[key] -= g
     return BoundReport(total=total, per_user=per_user, kl=kl, gradients=vec, grad_dict=grads)

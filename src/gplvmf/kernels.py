@@ -24,33 +24,34 @@ the public entry point, checks its inputs and scales by the kernel's
 sigma2.
 
 Both Psi1 and Psi2 are exponentials of products of small factors.  Row n
-of Psi1 has, per coordinate q, the exponent
-``-v (mu - z_m)^2 / 2 - log(d1)/2`` with ``d1 = 1 + alpha s`` and
-``v = alpha / d1``.  Expanded, the exponent over all coordinates is an
-(N, 2Q+1) @ (2Q+1, M) product, one per user (below), of the left factor
-``[v mu | -v/2 | -r1]`` with the right factor ``[z | z^2 | 1]``, where the
-row term is ``r1 = sum_q (v mu^2 + log d1) / 2``.  Query rows
-(:class:`Psi1Rows`) use the same factors but take the product with
-``np.einsum``, whose rows do not depend on the batch.
-
-Row n of Psi2 (one rating's term of the sum) has, per coordinate q, the
-exponent ``-alpha/4 (z_a - z_b)^2 - w (mu - zbar_ab)^2 - log(d2)/2`` with
+of Psi2 (one rating's term of the sum) has, per coordinate q, the exponent
+``-alpha/4 (z_a - z_b)^2 - w (mu - zbar_ab)^2 - log(d2)/2`` with
 ``zbar_ab = (z_a + z_b)/2``, ``d2 = 1 + 2 alpha s`` and ``w = alpha / d2``.
 Psi2 is symmetric in (a, b), so the rows are kept over the P = M(M+1)/2
-pairs a <= b only, as an (N, P) array.  The middle term is expanded as
+pairs a <= b only, as an (N, P) array.  Expanding the middle term as
+``-w mu^2 + 2 w mu zbar_ab - w zbar_ab^2`` makes the whole exponent an
+(N, 2Q+2) @ (2Q+2, P) product, one per user (below), of the left factor
+``[2 w mu | -w | 1 | -r2]`` with the right factor ``[zbar | zbar^2 | c | 1]``:
+the row term ``r2 = sum_q (w mu^2 + log(d2)/2)`` sits opposite the ones
+column, and the ones column opposite the per-pair constant
+``c_ab = -alpha/4 (z_a - z_b)^2``, so no pass over the (N, P) rows adds
+either.  Psi1 is the same form at c = 1 where Psi2 is at c = 2: with
+``d1 = 1 + alpha s`` and ``v = alpha / d1`` its exponent is the left factor
+``[v mu | -v/2 | 0 | -r1]``, ``r1 = sum_q (v mu^2 + log d1) / 2``, times the
+right factor's rows at the pairs (a, a), ``[z | z^2 | 0 | 1]``.  Every
+per-pair quantity is built from ``z_a + z_b`` and ``(z_a - z_b)^2``, which
+round the same for (a, b) and (b, a): a duplicated inducing input gives rows
+and columns of Psi2, and columns of Psi1, equal bit for bit.  Query rows
+(:class:`Psi1Rows`) take Psi1's product with ``np.einsum``, whose rows do
+not depend on the batch.
 
-    -w mu^2 + 2 w mu zbar_ab - w zbar_ab^2
-
-so the whole exponent is an (N, 2Q+2) @ (2Q+2, P) product, one per user
-(below), of the left factor ``[2 w mu | -w | 1 | -r2]`` with the right factor
-``[zbar | zbar^2 | c | 1]``: the row term ``r2 = sum_q (w mu^2 + log(d2)/2)``
-sits opposite the ones column, and the ones column opposite the per-pair
-constant ``c_ab = -alpha/4 (z_a - z_b)^2`` (in difference form), so no pass
-over the (N, P) rows adds either.  Every per-pair quantity is built from
-``z_a + z_b`` and ``(z_a - z_b)^2``, which round the same for (a, b) and
-(b, a), and no per-index terms are added per pair (their sum would round by
-the order of a and b): a duplicated inducing input gives rows and columns
-of Psi2, and columns of Psi1, equal bit for bit.
+The right factors, the pair tables and the unit-signal inducing gram,
+``exp(2 c)`` over the pairs, depend on (Z, alpha) alone and are built once
+per (Z, alpha) by :class:`_InducingSide`; the bound builds one per call,
+and its psi caches and backward passes read it.  The expansion cancels
+terms of size ``w mu^2``, so means and inducing inputs are centred on the
+inducing inputs' column mean; Psi1, Psi2 and their gradients are invariant
+to that common shift.
 
 The rows of a chunk of users fall into G equal consecutive groups, one per
 user, and every product over rows, forward and backward, is a stacked
@@ -62,19 +63,15 @@ more than one OpenBLAS thread only where one user's product already does
 alone.
 
 The backward pass folds the cotangent into the small factors instead of
-weighting the (N, P) rows.  With ``t1 = dPsi1 * Psi1``, the sums over
-inducing inputs are ``t1 @ [z | z^2 | 1]`` and those over rows
-``t1^T @ [v mu | -v/2 | -r1]``, per group and then summed over groups.
-Psi2's cotangent weighs each pair by ``dpair`` (dPsi2, both orders off the
-diagonal), one vector per group, since each group sums its own Psi2; per
-group g the sums over pairs are ``rows_g @ (dpair_g * rhs)`` and those over
-rows ``sum_g dpair_g * (rows_g^T @ lhs_g)``.  The row-term columns' sums
-are never read.  The pair tables depend on M alone and are built once per
-M.  No (N, M, M, Q) or (N, M, Q) array is built, and memory is one (N, P)
-array for the rows of Psi2.  The expansion cancels terms of size
-``w mu^2``, so means and inducing inputs are first centred on the inducing
-inputs' column mean; Psi1, Psi2 and their gradients are invariant to that
-common shift.
+weighting the (N, P) rows.  Per channel, the sums over inducing inputs or
+pairs, ``t @ right factor``, are the cotangent of the left factor, and the
+sums over rows, ``t^T @ left factor``, that of the right factor's rows, with
+``t = dPsi1 * Psi1`` or, for Psi2, each pair weighed by ``dpair`` (dPsi2,
+both orders off the diagonal; one vector per group, folded into the right
+factor).  Psi1's column sums join the pairs (a, a).  A gram cotangent joins
+the pair constant's, since d gram / d c = 2 gram.  No (N, M, M, Q) or
+(N, M, Q) array is built, and memory is one (N, P) array for the rows of
+Psi2.
 """
 
 from __future__ import annotations
@@ -154,41 +151,44 @@ def kernel_matrix(kernel: ArdKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return kernel.signal_variance * np.exp(expo)
 
 
-def _psi1_left(alpha: np.ndarray, mu: np.ndarray, s: np.ndarray):
-    """``d1``, ``v`` and the left factor ``[v mu | -v/2 | -r1]`` (N, 2Q+1) of
-    the Psi1 exponent (module docstring), for centred ``mu``."""
-    d1 = 1.0 + alpha * s                                            # (N, Q)
-    v = alpha / d1
+def _left_factor(c: float, alpha_c: np.ndarray, alpha: np.ndarray, mu: np.ndarray, s: np.ndarray):
+    """``d``, ``v`` and the left factor ``[c v mu | -c v / 2 | c - 1 | -r]``
+    (N, 2Q+2) of channel ``c``'s exponent (:class:`_InducingSide`), for
+    centred ``mu``; ``alpha_c`` is ``c * alpha``."""
+    d = 1.0 + alpha_c * s
+    v = alpha / d
     vmu = v * mu
-    row = -0.5 * np.sum(vmu * mu + np.log(d1), axis=1)
-    return d1, v, np.concatenate((vmu, -0.5 * v, row[:, None]), axis=1)
-
-
-def _psi1_right(z: np.ndarray) -> np.ndarray:
-    """The right factor ``[z | z^2 | 1]`` (M, 2Q+1) of the Psi1 exponent, for centred ``z``."""
-    return np.concatenate((z, z**2, np.ones((z.shape[0], 1))), axis=1)
+    row = vmu * mu
+    row += np.log(d) if c == 1.0 else np.log(d) / c
+    q = mu.shape[1]
+    lhs = np.empty((len(mu), 2 * q + 2))
+    np.multiply(vmu, c, out=lhs[:, :q])
+    np.multiply(v, -c / 2, out=lhs[:, q:2 * q])
+    lhs[:, 2 * q] = c - 1.0
+    np.multiply(row.sum(axis=1), -c / 2, out=lhs[:, 2 * q + 1])
+    return d, v, lhs
 
 
 class Psi1Rows:
     """Unit-signal Psi1 rows at inverse length-scales ``alpha`` against fixed
-    inducing inputs ``z``: the query path's Psi1
-    (:class:`gplvmf.predict.Predictor`).
+    inducing inputs ``z``, or their :class:`_InducingSide` at ``alpha``: the
+    query path's Psi1 (:class:`gplvmf.predict.Predictor`).
 
-    The centre (the column mean of ``z``) and the right factor are built
-    once; each call builds the left factor of its rows and takes the product
-    with ``np.einsum``, not ``@``: a BLAS product's rounding depends on the
-    number of rows, and a query's Psi1 row must not depend on the batch it
-    arrives in.  Inputs are not validated.
+    Each call builds the left factor of its rows, C-ordered whatever the
+    inputs' layout, and takes the product with the side's ``rhs1`` by
+    ``np.einsum``, not ``@``: a BLAS product's rounding depends on the
+    number of rows, einsum's loop order on the operands' layout, and a
+    query's Psi1 row must not depend on the batch it arrives in.  Inputs are
+    not validated.
     """
 
-    def __init__(self, alpha: np.ndarray, z: np.ndarray):
-        self.alpha = alpha
-        self.centre = z.mean(axis=0)
-        self.rhs = _psi1_right(z - self.centre)
+    def __init__(self, alpha: np.ndarray, z):
+        self.side = z if isinstance(z, _InducingSide) else _InducingSide(alpha, z)
 
     def __call__(self, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
-        _, _, lhs = _psi1_left(self.alpha, mu - self.centre, var)
-        expo = np.einsum("nk,mk->nm", lhs, self.rhs)
+        side = self.side
+        lhs = _left_factor(1.0, side.alpha, side.alpha, mu - side.centre, var)[2]
+        expo = np.einsum("nk,mk->nm", lhs, side.rhs1)
         return np.exp(expo, out=expo)
 
 
@@ -202,6 +202,7 @@ class _PairTables(NamedTuple):
     flat_ab: np.ndarray      # (P,) flat index of (a, b) in an (M, M) matrix
     flat_ba: np.ndarray      # (P,) flat index of (b, a)
     diag_half: np.ndarray    # (P,) 1/2 on the diagonal pairs, else 1
+    diag: np.ndarray         # (M,) the pair (a, a) of each a
 
 
 @functools.lru_cache(maxsize=8)
@@ -215,6 +216,7 @@ def _pair_tables(m: int) -> _PairTables:
         ab=np.stack((ia, ib)),
         spread=np.ascontiguousarray(0.5 * np.concatenate((one_a + one_b, one_b - one_a)).T),
         unpack=unpack, flat_ab=ia * m + ib, flat_ba=ib * m + ia, diag_half=np.where(ia == ib, 0.5, 1.0),
+        diag=np.flatnonzero(ia == ib),
     )
     for table in tables:
         table.setflags(write=False)
@@ -241,58 +243,72 @@ def _cross_by_group(a: np.ndarray, b: np.ndarray, groups: int) -> np.ndarray:
     return np.matmul(a.transpose(0, 2, 1), b)
 
 
+class _InducingSide:
+    """What the unit-signal psi statistics and the inducing gram take from
+    the inducing inputs ``z`` (M, Q) and inverse length-scales ``alpha``
+    alone (module docstring): the centre, the pair tables, the centred
+    ``z_a - z_b``, its square and ``z_a + z_b``, Psi2's right factor over
+    the pairs and Psi1's, its rows at the pairs (a, a), both also
+    transposed, and the gram, twice over the pairs (``gram2``) and as
+    (M, M)."""
+
+    __slots__ = ("alpha", "alpha2", "centre", "pairs", "dz", "dz2", "rhs", "rhs1", "rhs_t", "rhs1_t", "zbar2", "gram2",
+                 "gram")
+
+    def __init__(self, alpha: np.ndarray, z: np.ndarray):
+        (m, q), pairs = z.shape, _pair_tables(z.shape[0])
+        self.alpha, self.pairs = alpha, pairs
+        self.alpha2 = 2.0 * alpha
+        self.centre = z.sum(axis=0) / m
+        za, zb = (z - self.centre)[pairs.ab]                        # (P, Q) each
+        self.dz = za - zb
+        self.dz2 = self.dz**2
+        self.rhs = rhs = np.empty((pairs.ab.shape[1], 2 * q + 2))
+        self.zbar2 = np.add(za, zb)                                 # 2 zbar
+        zbar = np.multiply(self.zbar2, 0.5, out=rhs[:, :q])
+        np.square(zbar, out=rhs[:, q:2 * q])
+        c = np.multiply(self.dz2 @ alpha, -0.25, out=rhs[:, 2 * q])
+        rhs[:, 2 * q + 1] = 1.0
+        self.rhs1 = rhs[pairs.diag]
+        # contiguous: a stacked product with a transposed view runs at half the speed
+        self.rhs_t, self.rhs1_t = np.ascontiguousarray(rhs.T), np.ascontiguousarray(self.rhs1.T)
+        gram = np.exp(2.0 * c)                                      # exp(-1/2 sum_q alpha_q (z_a - z_b)^2)
+        self.gram2, self.gram = 2.0 * gram, gram[pairs.unpack]
+
+
 class _PsiCache:
     """Unit-signal Psi1 and Psi2 of rows with means ``mu`` and variances
     ``s`` (N, Q) at inverse length-scales ``alpha`` against inducing inputs
-    ``z`` (M, Q), and the forward intermediates reused by the backward pass.
-    Inputs are not validated (:func:`psi_statistics` checks them).
+    ``z`` (M, Q), or their :class:`_InducingSide` at ``alpha``, and the
+    forward intermediates reused by the backward pass.  Inputs are not
+    validated (:func:`psi_statistics` checks them).
 
-    ``mu`` and ``z`` are kept centred on the column mean of the inducing
-    inputs; Psi1, Psi2 and every gradient are invariant to that shift.
-    ``lhs1``/``rhs1`` and ``lhs``/``rhs`` are the small factors of the Psi1
-    and Psi2 exponents; ``psi2_rows`` holds row n's Psi2 over the pairs
-    a <= b, (N, P).  The rows fall into ``groups`` equal consecutive groups
-    (the users of a chunk), and every product over rows is taken per group.
+    ``mu`` is kept centred on the column mean of the inducing inputs; Psi1,
+    Psi2 and every gradient are invariant to that shift.  ``channels`` holds
+    per channel (Psi1, Psi2; :class:`_InducingSide`) ``d``, ``v`` (``w``
+    for Psi2) and the left factor of the exponent, (N, 2Q+2).  ``psi2_rows``
+    holds row n's Psi2 over the pairs a <= b, (N, P).  The rows fall into
+    ``groups`` equal consecutive groups (the users of a chunk), and every
+    product over rows is taken per group.
     """
 
-    __slots__ = ("mu", "s", "z", "alpha", "groups", "d1", "v", "lhs1", "rhs1", "psi1", "pairs", "d2",
-                 "w", "lhs", "rhs", "dz", "psi2_rows")
+    __slots__ = ("side", "mu", "s", "groups", "channels", "psi1", "psi2_rows")
 
-    def __init__(self, alpha: np.ndarray, mu: np.ndarray, s: np.ndarray, z: np.ndarray, groups: int = 1):
-        centre = z.mean(axis=0)
-        mu, z = mu - centre, z - centre
-        (n, q), m = mu.shape, z.shape[0]
-        self.pairs = pairs = _pair_tables(m)
-        self.mu, self.s, self.z, self.alpha, self.groups = mu, s, z, alpha, groups
-
-        self.d1, self.v, self.lhs1 = _psi1_left(alpha, mu, s)
-        self.rhs1 = _psi1_right(z)
-        expo = _by_group(self.lhs1, self.rhs1.T, groups)
-        self.psi1 = np.exp(expo, out=expo)                          # (N, M)
-
-        self.d2 = d2 = 1.0 + 2.0 * alpha * s                        # (N, Q)
-        self.w = w = alpha / d2
-        self.lhs = lhs = np.empty((n, 2 * q + 2))                   # [2 w mu | -w | 1 | -r2]
-        wmu = np.multiply(w, mu, out=lhs[:, :q])
-        lhs[:, 2 * q + 1] = -np.sum(wmu * mu + 0.5 * np.log(d2), axis=1)
-        wmu *= 2.0
-        np.negative(w, out=lhs[:, q:2 * q])
-        lhs[:, 2 * q] = 1.0
-        za, zb = z[pairs.ab]                                        # (P, Q) each
-        self.dz = za - zb
-        self.rhs = rhs = np.empty((pairs.ab.shape[1], 2 * q + 2))   # [zbar | zbar^2 | c | 1]
-        zbar = np.add(za, zb, out=rhs[:, :q])
-        zbar *= 0.5
-        np.square(zbar, out=rhs[:, q:2 * q])
-        rhs[:, 2 * q] = -0.25 * (self.dz**2 @ alpha)
-        rhs[:, 2 * q + 1] = 1.0
-        expo = _by_group(lhs, rhs.T, groups)
-        self.psi2_rows = np.exp(expo, out=expo)                     # (N, P)
+    def __init__(self, alpha: np.ndarray, mu: np.ndarray, s: np.ndarray, z, groups: int = 1):
+        self.side = side = z if isinstance(z, _InducingSide) else _InducingSide(alpha, z)
+        self.mu = mu = mu - side.centre
+        self.s, self.groups = s, groups
+        self.channels, exps = [], []
+        for c, alpha_c, rhs_t in ((1.0, side.alpha, side.rhs1_t), (2.0, side.alpha2, side.rhs_t)):
+            self.channels.append(_left_factor(c, alpha_c, side.alpha, mu, s))
+            expo = _by_group(self.channels[-1][2], rhs_t, groups)
+            exps.append(np.exp(expo, out=expo))
+        self.psi1, self.psi2_rows = exps                            # (N, M), (N, P)
 
     def psi2_sums(self) -> np.ndarray:
         """Psi2 summed over each of the cache's row groups, (G, M, M)."""
         sums = self.psi2_rows.reshape(self.groups, -1, self.psi2_rows.shape[1]).sum(axis=1)
-        return sums[:, self.pairs.unpack]
+        return sums[:, self.side.pairs.unpack]
 
 
 def psi_statistics(kernel: ArdKernel, points: LatentPoints, z: np.ndarray) -> PsiStats:
@@ -313,8 +329,7 @@ def psi_statistics(kernel: ArdKernel, points: LatentPoints, z: np.ndarray) -> Ps
     return PsiStats(psi0=points.count * sigma2, psi1=sigma2 * cache.psi1, psi2=sigma2**2 * cache.psi2_sums()[0])
 
 
-@dataclass(frozen=True)
-class PsiGradients:
+class PsiGradients(NamedTuple):
     """Gradients of a scalar objective through the unit-signal psi statistics.
 
     ``dmu``/``dvar`` are per-row (N x Q); ``dz`` is (M x Q); ``dalpha`` is
@@ -327,7 +342,7 @@ class PsiGradients:
     dalpha: np.ndarray
 
 
-def psi_backward(cache: _PsiCache, dpsi1: np.ndarray, dpsi2: np.ndarray) -> PsiGradients:
+def psi_backward(cache: _PsiCache, dpsi1: np.ndarray, dpsi2: np.ndarray, dgram=None) -> PsiGradients:
     """Chain ``d objective / d (Psi1, Psi2)`` of the cache's unit-signal
     statistics back to its inputs; a caller with signal variance sigma2
     passes sigma2 * dPsi1 and sigma2^2 * dPsi2.
@@ -340,56 +355,56 @@ def psi_backward(cache: _PsiCache, dpsi1: np.ndarray, dpsi2: np.ndarray) -> PsiG
     product with a small factor, and ``dpsi2`` is folded into the small
     factors, so no weighted copy of the (N, P) Psi2 rows is made (module
     docstring).
+
+    ``dgram``, when given, is the gradient with respect to the side's
+    unit-signal inducing gram (or a (G, M, M) stack, summed), whose (z,
+    alpha) part is added: the gram is ``exp(2 c)`` over the pairs, so its
+    cotangent joins the pair constant's.
     """
-    alpha, s, mu, z, pairs = cache.alpha, cache.s, cache.mu, cache.z, cache.pairs
-    m = cache.psi1.shape[1]
-    q = z.shape[1]
+    side, mu, s = cache.side, cache.mu, cache.s
+    pairs, (n, q), m = side.pairs, mu.shape, len(side.gram)
     flat = np.reshape(dpsi2, (-1, m * m))
-    dpair = (flat[:, pairs.flat_ab] + flat[:, pairs.flat_ba]) * pairs.diag_half     # (G, P)
-    groups = dpair.shape[0]
+    groups = flat.shape[0]
+    if dgram is not None:
+        flat = np.concatenate((flat, np.reshape(dgram, (-1, flat.shape[1]))))
+    dpair = (flat[:, pairs.flat_ab] + flat[:, pairs.flat_ba]) * pairs.diag_half     # (G [+ gram], P)
 
-    # Psi1 channel, per coordinate: exponent -v (mu - z_m)^2 / 2, v = alpha / d1
-    d1, v = cache.d1, cache.v
+    # per row and channel, with t1 = dPsi1 * Psi1 over inducing inputs and
+    # t2 = dpair * Psi2 over pairs (never built: dpair is folded into the
+    # small factor), [sum t z | sum t z^2 | . | sum t] (zbar_ab for z in
+    # Psi2) is the cotangent of the left factor [c v mu | -c v / 2 | . | -r]
     t1 = dpsi1 * cache.psi1                                         # (N, M)
-    by_row1 = _by_group(t1, cache.rhs1, groups)                     # [t1 z | t1 z^2 | sum_m t1]
-    t1_z, t1_sum = by_row1[:, :q], by_row1[:, 2 * q:]
-    sq1 = mu**2 * t1_sum - 2.0 * mu * t1_z + by_row1[:, q:2 * q]    # sum_m t1 (mu - z_m)^2
-    gmu = -v * (mu * t1_sum - t1_z)
-    gs = 0.5 * v**2 * sq1 - 0.5 * v * t1_sum
-    by_col1 = _cross_by_group(t1, cache.lhs1, groups).sum(axis=0)   # [sum_n t1 v mu | -sum_n t1 v / 2 | .]
-    gz = by_col1[:, :q] + 2.0 * z * by_col1[:, q:2 * q]
-    galpha = -0.5 * np.sum(sq1 / d1**2 + t1_sum * s / d1, axis=0)
-
-    # Psi2 channel, per coordinate: exponent -alpha/4 dz_ab^2 - w (mu - zbar_ab)^2
-    # with zbar_ab = (z_a + z_b) / 2; t2 = dpair Psi2 weighs both orders of
-    # each pair and is never built: dpair is folded into the small factors
-    w, d2 = cache.w, cache.d2
-    by_row = _by_group(cache.psi2_rows, dpair[:, :, None] * cache.rhs, groups)   # sum_ab t2 [zbar | zbar^2 | c | 1]
-    t2_z, t2_sum = by_row[:, :q], by_row[:, 2 * q + 1:]
-    sq2 = mu**2 * t2_sum - 2.0 * mu * t2_z + by_row[:, q:2 * q]     # sum_ab t2 (mu - zbar_ab)^2
-    gmu -= 2.0 * w * (mu * t2_sum - t2_z)
-    gs += 2.0 * w**2 * sq2 - w * t2_sum
-    by_pair = _cross_by_group(cache.psi2_rows, cache.lhs, groups)
-    by_pair = np.einsum("gp,gpk->pk", dpair, by_pair)               # sum_n t2 [2 w mu | -w | 1 | .]
+    by_rows = (_by_group(t1, side.rhs1, groups),
+               _by_group(cache.psi2_rows, dpair[:groups, :, None] * side.rhs, groups))
+    parts = []
+    for c, (d, v, _), by_row in zip((1.0, 2.0), cache.channels, by_rows):
+        t_z, t_sum = by_row[:, :q], by_row[:, 2 * q + 1:]
+        lean = mu * t_sum - t_z                                     # sum t (mu - z)
+        sq = mu * (lean - t_z) + by_row[:, q:2 * q]                 # sum t (mu - z)^2
+        cv = -c * v
+        # d/dmu, d/ds and, summed over rows, -d/dalpha * (2 / c) of the channel
+        parts.append((cv * lean, (0.5 * cv) * (cv * sq + t_sum), ((sq / d + t_sum * s) / d).sum(axis=0)))
+    (gmu1, gs1, sum1), (gmu2, gs2, sum2) = parts
+    # per pair, sum_n t2 [2 w mu | -w | 1 | .]; Psi1's columns are the pairs
+    # (a, a), with sum_n t1 [v mu | -v/2 | 0 | .]
+    by_pair = _cross_by_group(cache.psi2_rows, cache.channels[1][2], groups)
+    if groups == 1:     # the same products; the einsum below sums one term
+        by_pair = dpair[0][:, None] * by_pair[0]
+    else:
+        by_pair = np.einsum("gp,gpk->pk", dpair[:groups], by_pair)
+    by_pair[pairs.diag] += _cross_by_group(t1, cache.channels[0][2], groups).sum(axis=0)
     pair = by_pair[:, 2 * q]                                        # sum_n t2
-    galpha -= 0.25 * (pair @ cache.dz**2) + np.sum(sq2 / d2**2 + t2_sum * s / d2, axis=0)
+    if dgram is not None:
+        pair += side.gram2 * dpair[groups:].sum(axis=0)             # d gram / d c = 2 gram
+    galpha = -0.5 * sum1 - (0.25 * (pair @ side.dz2) + sum2)
     # pair (a, b) gives a and b each half of 2 sum_n t2 w (mu - zbar_ab), and
     # -/+ half of alpha pair (z_a - z_b)
-    toward = by_pair[:, :q] + 2.0 * by_pair[:, q:2 * q] * cache.rhs[:, :q]
-    lin = (alpha * pair[:, None]) * cache.dz
-    gz += pairs.spread @ np.concatenate((toward, lin))
-    return PsiGradients(dmu=gmu, dvar=gs, dz=gz, dalpha=galpha)
-
-
-def gram_backward(alpha: np.ndarray, z: np.ndarray, gram: np.ndarray, dgram: np.ndarray):
-    """Backward of the unit-signal gram ``gram`` of ``z`` at inverse
-    length-scales ``alpha`` for a symmetric ``dgram``; returns (dz, dalpha)."""
-    dgram = 0.5 * (dgram + dgram.T)
-    w = dgram * gram
-    dz_pair = z[:, None, :] - z[None, :, :]
-    gz = -2.0 * alpha[None, :] * np.einsum("ab,abq->aq", w, dz_pair)
-    galpha = -0.5 * np.einsum("ab,abq->q", w, dz_pair**2)
-    return gz, galpha
+    spread = np.empty((2 * len(pair), q))
+    toward = np.multiply(by_pair[:, q:2 * q], side.zbar2, out=spread[: len(pair)])
+    toward += by_pair[:, :q]
+    np.multiply(side.alpha * pair[:, None], side.dz, out=spread[len(pair):])
+    gz = pairs.spread @ spread
+    return PsiGradients(dmu=gmu1 + gmu2, dvar=gs1 + gs2, dz=gz, dalpha=galpha)
 
 
 @dataclass(frozen=True)

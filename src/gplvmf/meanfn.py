@@ -23,7 +23,7 @@ cross-row terms, so rows sharing an entity need no special handling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .data import UserBlock
 from .state import VariationalState
 
 
-@dataclass(frozen=True)
-class PhiStats:
+class PhiStats(NamedTuple):
     """First moment of the mean per row and ``row_var``, Var[m_t] per row."""
 
     phi1: np.ndarray
@@ -57,14 +56,14 @@ def phi_statistics(state: VariationalState, rows: UserBlock, entries=None) -> Ph
     phi1 = np.full(rows.count, p["user_bias"][rows.user], dtype=float)
     row_var = np.zeros(rows.count)
     for sl in state.layout.bias_columns:
-        phi1 += entries[:, sl].sum(axis=1)
-        row_var += variances[:, sl].sum(axis=1)
-    phi1 += np.einsum("qd,d->q", rows.real_values, p["real_weights"])
+        for acc, part in ((phi1, entries[:, sl]), (row_var, variances[:, sl])):
+            acc += part[:, 0] if part.shape[1] == 1 else part.sum(axis=1)
+    if rows.real_values.shape[1]:
+        phi1 += np.einsum("qd,d->q", rows.real_values, p["real_weights"])
     return PhiStats(phi1=phi1, row_var=row_var)
 
 
-@dataclass(frozen=True)
-class PhiGradients:
+class PhiGradients(NamedTuple):
     """Gradients of a scalar objective through phi1/phi0, per rating row.
 
     Row t reads ``user_bias`` of its user and one entry of every bias table.

@@ -23,7 +23,7 @@ import numpy as np
 from .bound import DEFAULT_JITTER, kl_to_prior, plan, shared_factors, total_bound, _scatter, _user_terms
 from .data import ContextSchema, UserBlock
 from .meanfn import phi_backward  # noqa: F401  looked up here by perfbench's traced run
-from .state import KernelLayout, ModelDims, VariationalState
+from .state import KernelLayout, ModelDims, VariationalState, check_field
 
 
 class OptimizationError(RuntimeError):
@@ -55,21 +55,23 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in ("sgd", "scg"):
             raise ValueError(f"unknown optimization method {self.method!r}")
-        # A negative clip_norm or lr_decay steps down the bound, and a
-        # non-positive variance or jitter fails only later, as a non-finite
+        # A fractional count or a string fails only later, in range() or
+        # np.empty; a negative clip_norm or lr_decay steps down the bound; and
+        # a non-positive variance or jitter fails only later, as a non-finite
         # gradient or a failed factorization.
-        for name, ok, rule in (
-            ("epochs", self.epochs >= 1, ">= 1"),
-            ("learning_rate", self.learning_rate >= 0, ">= 0"),
-            ("lr_decay", self.lr_decay > 0, "> 0"),
-            ("init_mean_scale", self.init_mean_scale >= 0, ">= 0"),
-            ("init_variance", self.init_variance > 0, "> 0"),
-            ("patience", self.patience >= 1, ">= 1"),
-            ("clip_norm", self.clip_norm >= 0, ">= 0 (0 turns clipping off)"),
-            ("jitter", self.jitter > 0, "> 0"),
+        for name, integer, bound, strict, note in (
+            ("epochs", True, 1, False, ""),
+            ("seed", True, 0, False, ""),
+            ("patience", True, 1, False, ""),
+            ("learning_rate", False, 0, False, ""),
+            ("lr_decay", False, 0, True, ""),
+            ("init_mean_scale", False, 0, False, ""),
+            ("init_variance", False, 0, True, ""),
+            ("tolerance", False, 0, False, ""),
+            ("clip_norm", False, 0, False, " (0 turns clipping off)"),
+            ("jitter", False, 0, True, ""),
         ):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+            check_field(name, getattr(self, name), integer, bound, strict, note)
         self.dims()  # checks the model dimensions
 
     def dims(self) -> ModelDims:
@@ -180,13 +182,15 @@ def sgd_epoch(
 ) -> tuple[VariationalState, float]:
     """One seeded shuffled pass over all users; mutates and returns ``state``.
 
-    A step gathers and checks the entries of ``state.flat`` the user touches
-    (:meth:`gplvmf.bound.Plan.steps`), sums the user's gradient onto them
-    with one ``np.bincount``, subtracts the 1/N KL share on the latent-table
-    entries, checks and clips it over those entries (each counted once) and
-    steps them, so no step reads an entry its user does not touch.  Returns
-    the running bound estimate: the per-user terms as they were computed
-    during the pass, minus the KL at the end of the epoch.
+    A step gathers the entries of ``state.flat`` the user touches
+    (:meth:`gplvmf.bound.Plan.steps`) and checks the last ones (z finite,
+    log_alpha, log_sigma2 and log_beta finite under exp), sums the user's
+    gradient onto them with one ``np.bincount``, subtracts the 1/N KL share
+    on the latent-table entries, clips it over those entries (each counted
+    once) and steps them, so no step reads an entry its user does not touch.
+    A non-finite squared norm names the first non-finite entry's block.
+    Returns the running bound estimate: the per-user terms as they were
+    computed during the pass, minus the KL at the end of the epoch.
     """
     n_users = len(blocks)
     rng = np.random.default_rng([config.seed, 7919, epoch_index])
@@ -195,29 +199,28 @@ def sgd_epoch(
     steps = plan(blocks, state).steps(state)
     pflat = state.flat
     # every step's entries end with z, log_alpha, log_sigma2[u] and log_beta[u],
-    # the last keys; the last three must stay finite under exp
-    n_exp = state.log_alpha.size + 2
-    n_check = state.z.size + n_exp
+    # the last keys: z must be finite and the other three finite under exp
+    n_check, big = state.z.size + state.log_alpha.size + 2, np.finfo(float).max
+    low, high = np.repeat([[-big, -np.inf], [big, np.log(big)]], [state.z.size, n_check - state.z.size], axis=1)
     value_sum = 0.0
 
     for bi in order:
         chunk, idx, local, is_var = steps[bi]
         p = pflat[idx]
-        with np.errstate(over="ignore"):
-            exp_p = np.exp(p)
-        ok = np.isfinite(np.concatenate([p[-n_check:-n_exp], exp_p[-n_exp:]]))
+        ok = (low <= p[-n_check:]) & (p[-n_check:] <= high)
         if not ok.all():
             raise _non_finite("value", state, idx[idx.size - n_check + np.argmin(ok)], chunk.rows.user)
         shared = shared_factors(state, config.jitter)
         terms = _user_terms(chunk, state, shared, want_gradients=True)
         value_sum += terms.value[0]
         g = np.bincount(local, _scatter(state, chunk, terms), minlength=idx.size)
-        n_table = is_var.size
-        g[:n_table] -= np.where(is_var, 0.5 * (exp_p[:n_table] - 1.0), p[:n_table]) / n_users
-        if not np.isfinite(g).all():
+        table = p[: is_var.size]
+        g[: is_var.size] -= np.where(is_var, 0.5 * (np.exp(table) - 1.0), table) / n_users
+        norm2 = g @ g
+        if not np.isfinite(norm2) and not np.isfinite(g).all():
             raise _non_finite("gradient", state, idx[np.argmin(np.isfinite(g))], chunk.rows.user)
         scale = lr
-        norm = np.sqrt(g @ g)
+        norm = np.sqrt(norm2)
         if config.clip_norm and norm > config.clip_norm:
             scale = lr * config.clip_norm / norm
         pflat[idx] += scale * g

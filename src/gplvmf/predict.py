@@ -170,7 +170,7 @@ class Predictor:
         self._cat_cols = schema.categorical_indices
         self._cards = np.array([schema.contexts[d].cardinality for d in self._cat_cols], dtype=np.int64)
         self._real_cols = schema.real_indices
-        self._psi1 = Psi1Rows(np.exp(state.log_alpha), state.z)
+        self._psi1 = Psi1Rows(self.shared.side.alpha, self.shared.side)
         # the scalar lookup of predict; kernel tables: (column, kernel slice,
         # means, variances); bias tables: (column, row sums)
         self._kernel_tables = [

@@ -35,11 +35,23 @@ stored as logs, making the flat optimization vector unconstrained.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ContextSchema, UserBlock
+
+
+def check_field(name: str, value, integer: bool, bound, strict: bool = False, note: str = "") -> None:
+    """A ``ValueError`` naming config field ``name`` unless ``value`` is an
+    integer (``integer``; not a bool) or a finite real number, at least
+    ``bound`` (above it if ``strict``)."""
+    number = isinstance(value, (int, np.integer) if integer else (int, float, np.integer, np.floating))
+    if not number or isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
+    if value < bound or (strict and value == bound):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {bound}{note}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +68,7 @@ class ModelDims:
     def __post_init__(self):
         for name, least in (("inducing_count", 1), ("item_dim", 1), ("context_dim", 1),
                             ("item_bias_dim", 0), ("context_bias_dim", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+            check_field(name, getattr(self, name), True, least)
 
 
 @dataclass(frozen=True)
@@ -133,6 +144,8 @@ class KernelLayout:
                                  for half in (0, 1) for t, start, size in zip(self.tables, starts, sizes)
                                  for c in range(t.shape[1])]).T.copy()
         self.kernel_width = int(np.count_nonzero(~self.fixed_mask))
+        # the free kernel coordinates, as an index of a row's Q
+        self.free = ~self.fixed_mask if self.fixed_mask.any() else slice(None)
         bounds = np.cumsum([self.kernel_width] + [t.shape[1] for t in self.tables if not t.in_kernel])
         self.bias_columns = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
@@ -215,6 +228,9 @@ class VariationalState:
         """
         entries = self.row_entries(block) if entries is None else entries
         width, free = self.layout.kernel_width, ~self.layout.fixed_mask
+        if width == self.kernel_dim:    # nothing pinned: C-ordered copies of the rows' kernel entries
+            half = entries.shape[1] // 2
+            return np.array(entries[:, :width], order="C"), np.array(entries[:, half : half + width], order="C")
         mu, var = np.empty((block.count, self.kernel_dim)), np.zeros((block.count, self.kernel_dim))
         mu[:, free], var[:, free] = entries[:, :width], entries[:, entries.shape[1] // 2 :][:, :width]
         mu[:, ~free] = block.real_values

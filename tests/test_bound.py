@@ -441,6 +441,41 @@ class TestStackedBound:
         total_bound(blocks, state)
         assert calls == {"psi": expected, "backward": expected}
 
+    def test_call_budget_of_a_step_and_of_the_bound(self, monkeypatch):
+        # the (Z, alpha) side is built once per shared_factors call, which SGD
+        # makes once per step and total_bound once per call, and each step
+        # makes one psi pass forward and back
+        import gplvmf.bound as bound
+        import gplvmf.kernels as kernels
+        import gplvmf.optim as optim
+
+        _, blocks, state, cfg = random_instance(27, n_users=12, ratings_per_user=4)
+        monkeypatch.setattr(bound, "_ROW_BUDGET", 2 * chunk_size(4, state.inducing_count, state.kernel_dim))
+        assert len(bound.plan(blocks, state).chunks) == 6
+        calls = dict.fromkeys(("side", "shared", "psi", "backward"), 0)
+
+        class SideSpy(kernels._InducingSide):
+            def __init__(self, *args):
+                calls["side"] += 1
+                super().__init__(*args)
+
+        def spy(key, real):
+            def call(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(bound, "_InducingSide", SideSpy)
+        monkeypatch.setattr(kernels, "_InducingSide", SideSpy)
+        monkeypatch.setattr(optim, "shared_factors", spy("shared", bound.shared_factors))
+        monkeypatch.setattr(bound, "_PsiCache", spy("psi", bound._PsiCache))
+        monkeypatch.setattr(bound, "psi_backward", spy("backward", bound.psi_backward))
+        sgd_epoch(blocks, state, cfg, 0)
+        assert calls == dict.fromkeys(("side", "shared", "psi", "backward"), len(blocks))
+        calls.update(dict.fromkeys(calls, 0))
+        total_bound(blocks, state)
+        assert calls == {"side": 1, "shared": 0, "psi": 6, "backward": 6}
+
     def _poison(self, monkeypatch, block, state, rtol):
         """Make np.linalg.cholesky fail, alone or inside a stack, on any
         matrix within ``rtol`` of the user's B = I + beta * T."""
@@ -558,6 +593,26 @@ class TestPlan:
         for epoch in range(1, 3):
             sgd_epoch(blocks, state, cfg, epoch)
             total_bound(blocks, state)
+
+    @pytest.mark.parametrize("shape", [dict(with_real=False), dict(with_real=False, use_mean=False), dict()],
+                             ids=["bias_tables", "no_bias_tables", "real_context"])
+    def test_steps_equal_a_unique_of_each_block(self, shape, monkeypatch):
+        # a chunk's steps come from one sort over (block, position) keys;
+        # each block's must be what np.unique of its own entries gives
+        import gplvmf.bound as bound
+
+        _, blocks, state, _ = random_instance(44, n_users=7, ratings_per_user=3, **shape)
+        monkeypatch.setattr(bound, "_ROW_BUDGET", 3 * chunk_size(3, state.inducing_count, state.kernel_dim))
+        assert [len(c.idx) for c in bound.plan(blocks, state).chunks] == [3, 3, 1]
+        var_keys = {t.log_var for t in state.layout.tables}
+        is_var = np.repeat([key in var_keys for key in state.layout.keys], np.diff(state.offsets))
+        table_end = state.offsets[2 * len(state.layout.tables)]
+        for block, (one, idx, local, var) in zip(blocks, bound.plan(blocks, state).steps(state)):
+            alone = bound.Chunk([block], state)
+            ref_idx, ref_local = np.unique(alone.positions(state), return_inverse=True)
+            assert np.array_equal(idx, ref_idx) and np.array_equal(one.gather, alone.gather)
+            assert local.dtype == np.min_scalar_type(ref_idx.size) and np.array_equal(local, ref_local)
+            assert np.array_equal(var, is_var[ref_idx[: np.searchsorted(ref_idx, table_end)]])
 
 
 class TestIllConditionedGradient:

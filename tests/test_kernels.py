@@ -419,6 +419,14 @@ class TestPsiGradients:
         for i in range(n):
             assert np.array_equal(batch[i], psi1_rows(pts.mean[i:i + 1], pts.var[i:i + 1])[0])
 
+    @pytest.mark.parametrize("n, m, q", [(7, 6, 3), (600, 8, 6)])
+    def test_psi1_rows_do_not_depend_on_the_layout(self, n, m, q):
+        # row gathers can hand over Fortran-ordered means and variances
+        kern, pts, z = random_setup(95, n=n, m=m, q=q)
+        psi1_rows = Psi1Rows(kern.inv_length_scales, z)
+        batch = psi1_rows(np.asfortranarray(pts.mean), np.asfortranarray(pts.var))
+        assert np.array_equal(batch, psi1_rows(pts.mean, pts.var))
+
     @pytest.mark.parametrize("first, second", [(1, 4), (0, 5), (2, 3)])
     @pytest.mark.parametrize("n", [7, 500])
     def test_duplicate_inducing_input_gives_equal_psi1_columns(self, first, second, n):

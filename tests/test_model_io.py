@@ -306,6 +306,48 @@ class TestCli:
         assert (cfg.clip_norm, cfg.dims().item_bias_dim, cfg.dims().context_bias_dim) == (0.0, 0, 0)
 
     @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("epochs", 2.5), ("epochs", "10"), ("epochs", True), ("patience", 1.5), ("seed", 0.5), ("seed", -1),
+            ("inducing_count", 2.5), ("item_dim", "2"), ("context_bias_dim", 1.0),
+            ("tolerance", float("nan")), ("tolerance", -1.0), ("learning_rate", float("inf")),
+            ("learning_rate", "0.1"), ("jitter", float("inf")), ("clip_norm", float("nan")),
+            ("lr_decay", float("inf")), ("init_variance", None),
+        ],
+    )
+    def test_config_fields_of_the_wrong_kind_are_named(self, name, value):
+        # a fractional count or a string would fail only later, in range()
+        # or np.empty, and a non-finite float would train on it
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [("inducing_count", 2.5), ("item_dim", np.float64(2.0)),
+                                             ("item_bias_dim", -1), ("context_dim", "1")])
+    def test_model_dims_of_the_wrong_kind_are_named(self, name, value):
+        from gplvmf.state import ModelDims
+
+        kwargs = {"inducing_count": 2, "item_dim": 1, "context_dim": 1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ModelDims(**kwargs)
+
+    def test_numpy_integers_and_floats_stay_allowed(self):
+        cfg = TrainConfig(epochs=np.int64(3), inducing_count=np.int32(2), learning_rate=np.float32(0.5))
+        assert (cfg.epochs, cfg.dims().inducing_count) == (3, 2)
+
+    def test_config_file_with_a_string_count_exits_2_naming_the_key(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        data = tmp_path / "data.csv"
+        assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 0
+        raw = json.loads(path.read_text())
+        raw["train"]["epochs"] = "10"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        capsys.readouterr()
+        code = cli_main(["train", "--config", str(path), "--data", str(data), "--out", str(tmp_path / "m.npz")])
+        assert code == 2
+        assert "error: epochs must be an integer, got '10'" in capsys.readouterr().err
+        assert not (tmp_path / "m.npz").exists()
+
+    @pytest.mark.parametrize(
         "body, message",
         [
             ("user\n0,1,2,0.4\n", "line 1: header has 1 fields, expected 4 (user, item, mood, price)"),
