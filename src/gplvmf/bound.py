@@ -49,8 +49,9 @@ over (U, n, ...), solves one stacked (U, M, M) whitened system, makes one
 :func:`psi_backward` call and adds its gradients with one ``np.bincount``
 over the same positions, the gather's adjoint (:func:`_scatter`).  Every
 matrix product over rows or over users is a stacked product with one user
-per slice (:func:`_per_user` and the psi cache's), so a chunk's products
-have one user's shapes: the chunk size changes neither how many BLAS
+per slice (:func:`gplvmf.kernels._by_group` and
+:func:`gplvmf.kernels._cross_by_group`), so a chunk's products have one
+user's shapes: the chunk size changes neither how many BLAS
 threads a product runs on nor any bit of a user's terms or q(u), only the
 rounding of sums over users, and the budget bounds memory alone.  What
 depends on (Z, alpha) alone, the psi statistics' side and the inducing
@@ -74,7 +75,7 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
 from .data import UserBlock
-from .kernels import _InducingSide, _PsiCache, psi_backward
+from .kernels import _by_group, _InducingSide, _PsiCache, psi_backward
 from .meanfn import phi_backward, phi_statistics
 from .state import VariationalState
 
@@ -279,14 +280,6 @@ def _chol_users(b_mat: np.ndarray, users: np.ndarray, jitter: float):
     return chol, extra
 
 
-def _per_user(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """``rows @ mat`` for (U, M) per-user rows, one product per user: a
-    product over all U rows would round each user by U."""
-    if len(rows) == 1:  # the same product; a 2-D operand skips the stacked set-up
-        return rows @ mat
-    return np.matmul(rows[:, None, :], mat)[:, 0]
-
-
 class _Forward(NamedTuple):
     """Forward pass of a chunk of U users of n ratings each: psi and phi
     statistics over the rows end to end and the stacked whitened systems.
@@ -332,7 +325,7 @@ def _forward(chunk: Chunk, state: VariationalState, shared: SharedFactors) -> _F
     b_inv = np.linalg.inv(b_mat)
 
     c_unit = np.matmul(resid.reshape(u, 1, n), cache.psi1.reshape(u, n, m))[:, 0]
-    c_hat = np.sqrt(sigma2)[:, None] * _per_user(c_unit, linv.T)
+    c_hat = np.sqrt(sigma2)[:, None] * _by_group(c_unit, linv.T, u)
     b_vec = np.matmul(b_inv, c_hat[:, :, None])[:, :, 0]
     return _Forward(
         sigma2=sigma2, beta=beta, cache=cache, phi1=phi.phi1, resid=resid, quad=quad, t_mat=t_mat,
@@ -427,7 +420,7 @@ def _terms(
     # dF/dPsi1 = beta^2 r w^T with w = A^-1 c = L_C^-T b / sqrt(sigma2); the
     # cache takes sigma2 * dF/dPsi1
     root_b2 = np.sqrt(sigma2) * beta**2
-    lw = _per_user(b_vec, linv)                                         # rows (L_C^-T b)^T
+    lw = _by_group(b_vec, linv, u)                                      # rows (L_C^-T b)^T
     d_psi1 = (root_b2[:, None] * fw.resid.reshape(u, n))[:, :, None] * lw[:, None, :]
     psi_grads = psi_backward(fw.cache, d_psi1.reshape(u * n, m), d_mats[:, 0], d_mats[:, 1])
     psi1_w = np.matmul(fw.cache.psi1.reshape(u, n, m), lw[:, :, None])[:, :, 0]
@@ -547,38 +540,20 @@ def total_bound(
     return BoundReport(total=total, per_user=per_user, kl=kl, gradients=vec, grad_dict=grads)
 
 
-@dataclass
-class UserPosterior:
+class UserPosterior(NamedTuple):
     """Whitened solve factors of q(u) for a chunk of users with equal rating
     counts, stacked: per-user arrays lead with U."""
 
-    users: np.ndarray        # (U,)
-    sigma2: np.ndarray       # (U,)
-    beta: np.ndarray         # (U,)
     chol_b: np.ndarray       # (U, M, M) lower factor of B = I + beta * L^-1 Psi2 L^-T
     v: np.ndarray            # (U, M) A^-1 Psi1^T (y - phi1) = L^-T b
-    shared: SharedFactors
 
 
-def user_posterior(
-    chunk: Chunk,
-    state: VariationalState,
-    shared: SharedFactors | None = None,
-    jitter: float = DEFAULT_JITTER,
-) -> UserPosterior:
+def user_posterior(chunk: Chunk, state: VariationalState, shared: SharedFactors) -> UserPosterior:
     """q(u) factors of a chunk of users with equal rating counts, from one
     stacked :func:`_forward`."""
-    if shared is None:
-        shared = shared_factors(state, jitter)
     fw = _forward(chunk, state, shared)
-    return UserPosterior(
-        users=chunk.users,
-        sigma2=fw.sigma2,
-        beta=fw.beta,
-        chol_b=fw.chol_b,
-        v=_per_user(fw.b_vec, shared.linv) / np.sqrt(fw.sigma2)[:, None],
-        shared=shared,
-    )
+    v = _by_group(fw.b_vec, shared.linv, len(chunk.users)) / np.sqrt(fw.sigma2)[:, None]
+    return UserPosterior(chol_b=fw.chol_b, v=v)
 
 
 def optimal_qu(block: UserBlock, state: VariationalState, jitter: float = DEFAULT_JITTER):
@@ -591,9 +566,10 @@ def optimal_qu(block: UserBlock, state: VariationalState, jitter: float = DEFAUL
     system up to a beta rescaling; everything here solves against
     A = K + beta * Psi2 in whitened form.
     """
-    post = user_posterior(Chunk([block], state), state, jitter=jitter)
-    sigma2, shared = post.sigma2[0], post.shared
-    mu_u = post.beta[0] * ((sigma2 * shared.c) @ post.v[0])
+    chunk, shared = Chunk([block], state), shared_factors(state, jitter)
+    post = user_posterior(chunk, state, shared)
+    sigma2, beta = np.exp(state.flat[chunk.scales[:, 0]])
+    mu_u = beta * ((sigma2 * shared.c) @ post.v[0])
     shalf = solve_triangular(post.chol_b[0], (np.sqrt(sigma2) * shared.chol_c).T, lower=True)
     sigma_u = shalf.T @ shalf
     return mu_u, 0.5 * (sigma_u + sigma_u.T)

@@ -117,12 +117,7 @@ class TrainTrace:
             fh.write("\n".join(lines) + "\n")
 
 
-def init_state(
-    schema: ContextSchema,
-    blocks: list,
-    config: TrainConfig,
-    seed: int | None = None,
-) -> VariationalState:
+def init_state(schema: ContextSchema, blocks: list, config: TrainConfig) -> VariationalState:
     """Deterministic starting point.
 
     Free latent means start near zero (N(0, init_mean_scale^2)), variances at
@@ -131,7 +126,7 @@ def init_state(
     means with small jitter.  Per-user: sigma2 = beta = 1 and the bias starts
     at the user's mean rating.  alpha starts uniform at 1/Q.
     """
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     dims = config.dims()
     layout = KernelLayout(schema, dims)
     log_v0 = np.log(config.init_variance)

@@ -24,11 +24,13 @@ sigma2,
     var  = sigma2 (1 - |L_C^-1 psi*|^2 + |L_B^-1 L_C^-1 psi*|^2)
 
 where L_B is the Cholesky factor of B.  So each user is reduced once to a
-(2M + 1, M) projection, the rows [w; L_C^-1; L_B^-1 L_C^-1], built for a
+(2M + 1, M) projection, the rows [w; L_C^-1; L_B^-1 L_C^-1], and a query
+costs one Psi1 row and one product with its user's projection; no
+triangular solve is left per query.  The projections live in one store,
+an array indexed by user id that :meth:`Predictor.warm` fills in place, a
 chunk of users at a time from one stacked posterior pass
-(:func:`gplvmf.bound.user_posterior` over a :class:`gplvmf.bound.Chunk`), and
-a query costs one Psi1 row and one product with its user's projection; no
-triangular solve is left per query.  :meth:`Predictor.predict_rows` reads its
+(:func:`gplvmf.bound.user_posterior` over a :class:`gplvmf.bound.Chunk`);
+a boolean mask marks the users built.  :meth:`Predictor.predict_rows` reads its
 rows as the bound does (one :meth:`~gplvmf.state.VariationalState.row_entries`
 gather over a row view of the queries),
 makes one Psi1 pass over all rows and the products in row chunks of bounded
@@ -131,13 +133,15 @@ def _moments(out, phi1, sigma2, beta, include_noise: bool):
 
 
 class Predictor:
-    """Read-only prediction context over a trained state and its training blocks.
+    """Prediction context over a trained state and its training blocks.
 
-    Latent variances, bias row sums and per-user projections are derived
-    from the state once, so the state must not change while the predictor
-    is in use.  Projections are built on first use (or by :meth:`warm`), a
-    chunk of users at a time, and shared across queries; ``users_built``
-    counts the users built so far.
+    Latent variances, bias row sums, each user's sigma2 and beta and the
+    per-user projections are derived from the state, so the state must not
+    change while the predictor is in use.  Queries fill the projection
+    store: a user's projection is built on its first query (or by
+    :meth:`warm`), a chunk of users at a time, written into the user's row
+    of the store and shared by every later query; ``users_built`` counts
+    the users built so far.
     """
 
     def __init__(
@@ -147,26 +151,22 @@ class Predictor:
         standardization=None,
         rating_scale: tuple[float, float] | None = None,
         jitter: float = DEFAULT_JITTER,
-        global_mean: float | None = None,
     ):
         self.state = state
         self.blocks_by_user = {b.user: b for b in blocks}
         self.standardization = standardization
         self.rating_scale = rating_scale
         self.shared: SharedFactors = shared_factors(state, jitter)
-        if global_mean is None and blocks:
-            global_mean = float(np.mean(np.concatenate([b.ratings for b in blocks])))
-        self.global_mean = global_mean
-        self.users_built = 0
+        self.global_mean = float(np.mean(np.concatenate([b.ratings for b in blocks]))) if blocks else None
 
-        m = state.inducing_count
-        self._slot: dict[int, int] = {}               # user -> row of the factor arrays
-        self._sigma2 = np.empty(0)
-        self._beta = np.empty(0)
-        self._proj = np.empty((0, 2 * m + 1, m))      # rows [w; L_C^-1; L_B^-1 L_C^-1]
+        # the store, one row per user id: np.empty takes a row's memory only
+        # once its user is built
+        schema, p, m = state.schema, state.params, state.inducing_count
+        self._proj = np.empty((schema.user_count, 2 * m + 1, m))    # rows [w; L_C^-1; L_B^-1 L_C^-1]
+        self._built = np.zeros(schema.user_count, dtype=bool)
+        self._sigma2, self._beta = np.exp(state.log_sigma2), np.exp(state.log_beta)
         self._known = np.array(sorted(self.blocks_by_user), dtype=np.int64)
 
-        schema, p = state.schema, state.params
         self._cat_cols = schema.categorical_indices
         self._cards = np.array([schema.contexts[d].cardinality for d in self._cat_cols], dtype=np.int64)
         self._real_cols = schema.real_indices
@@ -183,31 +183,30 @@ class Predictor:
         self._user_bias = p["user_bias"] if use_mean else np.zeros(state.log_sigma2.shape)
         self._real_weights = p["real_weights"] if use_mean else np.zeros(len(self._real_cols))
 
+    @property
+    def users_built(self) -> int:
+        return int(np.count_nonzero(self._built))
+
     def warm(self, users) -> None:
         """Build the projections of every listed user not built yet, one
-        stacked posterior per chunk of their (fresh) :func:`gplvmf.bound.plan`;
-        an unknown user raises :class:`UnknownUserError`."""
+        stacked posterior per chunk of their (fresh) :func:`gplvmf.bound.plan`,
+        into their rows of the store; an unknown user raises
+        :class:`UnknownUserError`."""
         todo = []
         for user in dict.fromkeys(users):
-            if user not in self._slot:
-                if user not in self.blocks_by_user:
-                    raise _unknown(user)
-                todo.append(self.blocks_by_user[user])
-        if not todo:
-            return
-        linv = self.shared.linv
-        posts = [user_posterior(chunk, self.state, shared=self.shared) for chunk in plan(todo, self.state).chunks]
-        users = np.concatenate([post.users for post in posts])
-        sigma2 = np.concatenate([post.sigma2 for post in posts])
-        beta = np.concatenate([post.beta for post in posts])
-        weights = (beta * sigma2)[:, None] * np.concatenate([post.v for post in posts])
-        whiten = np.concatenate([np.linalg.solve(post.chol_b, linv) for post in posts])
-        proj = np.concatenate([weights[:, None, :], np.broadcast_to(linv, whiten.shape), whiten], axis=1)
-        self._slot.update(zip(users.tolist(), range(len(self._sigma2), len(self._sigma2) + len(users))))
-        self._sigma2 = np.concatenate([self._sigma2, sigma2])
-        self._beta = np.concatenate([self._beta, beta])
-        self._proj = np.concatenate([self._proj, proj])
-        self.users_built += len(todo)
+            block = self.blocks_by_user.get(user)
+            if block is None:
+                raise _unknown(user)
+            if not self._built[block.user]:
+                todo.append(block)
+        linv, m = self.shared.linv, len(self.shared.linv)
+        for chunk in plan(todo, self.state).chunks:
+            post = user_posterior(chunk, self.state, self.shared)
+            users = chunk.users
+            self._proj[users, 0] = (self._beta[users] * self._sigma2[users])[:, None] * post.v
+            self._proj[users, 1 : m + 1] = linv
+            self._proj[users, m + 1 :] = np.linalg.solve(post.chol_b, linv)
+            self._built[users] = True
 
     def _standardize(self, reals: np.ndarray) -> np.ndarray:
         return reals if self.standardization is None else self.standardization.apply(reals)
@@ -220,17 +219,16 @@ class Predictor:
         include_noise: bool = False,
         unknown_user: str = "error",
     ) -> Prediction:
-        slot = self._slot.get(user)
-        if slot is None:
+        if user not in self.blocks_by_user:
             if not is_code(user):
                 raise code_error("user", float(user))
-            if user not in self.blocks_by_user:
-                if unknown_user == "global_mean" and self.global_mean is not None:
-                    mean = self.global_mean
-                    return Prediction(mean, float("nan"), self._clamp(mean))
-                raise _unknown(user)
+            if unknown_user == "global_mean" and self.global_mean is not None:
+                mean = self.global_mean
+                return Prediction(mean, float("nan"), self._clamp(mean))
+            raise _unknown(user)
+        user = int(user)
+        if not self._built[user]:
             self.warm([user])
-            slot = self._slot[user]
         count = self.state.schema.context_count
         if len(context_values) != count:
             raise ValueError(f"expected {count} context values, got {len(context_values)}")
@@ -263,15 +261,15 @@ class Predictor:
             mu[0, sl] = mean[row]
             var[0, sl] = variance[row]
         mu[:, self.state.layout.fixed_mask] = reals
-        phi1 = self._user_bias[int(user)]
+        phi1 = self._user_bias[user]
         for column, sums in self._bias_tables:
             code, last = item if column is None else cats[column], len(sums) - 1
             phi1 = phi1 + sums[code if 0 <= code < last else last]
         phi1 = phi1 + np.einsum("qd,d->q", reals, self._real_weights)
 
         psi = self._psi1(mu, var)
-        out = _project(self._proj[slot][None], psi)
-        mean, variance = _moments(out, phi1, self._sigma2[slot], self._beta[slot], include_noise)
+        out = _project(self._proj[user][None], psi)
+        mean, variance = _moments(out, phi1, self._sigma2[user], self._beta[user], include_noise)
         mean = float(mean[0])
         return Prediction(mean=mean, variance=float(variance[0]), clamped_mean=self._clamp(mean))
 
@@ -321,9 +319,7 @@ class Predictor:
 
     def _rows(self, users, items, cats, reals, include_noise):
         """Mean and variance of query rows of known users."""
-        uniq, inv = np.unique(users, return_inverse=True)
-        self.warm(uniq.tolist())
-        slots = np.array([self._slot[u] for u in uniq.tolist()])[inv]
+        self.warm(users[~self._built[users]].tolist())
 
         # the bound's row walks over a row view of the queries: no ratings,
         # and every unknown code clamped to its table's trailing prior row
@@ -339,8 +335,8 @@ class Predictor:
         step = max(1, _STEP_BUDGET // self._proj[0].size)
         for start in range(0, n, step):
             sl = slice(start, start + step)
-            out[sl] = _project(self._proj[slots[sl]], psi[sl])
-        return _moments(out, phi1, self._sigma2[slots], self._beta[slots], include_noise)
+            out[sl] = _project(self._proj[users[sl]], psi[sl])
+        return _moments(out, phi1, self._sigma2[users], self._beta[users], include_noise)
 
 
 def context_relevance(state: VariationalState) -> ContextRelevance:

@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -245,13 +246,35 @@ class TestPredict:
         assert np.array_equal(variances, [p.variance for p in single])
         assert np.array_equal(clamped, [p.clamped_mean for p in single])
 
-        # A cold predictor builds the user alone, not in the batch's chunk.
-        for user in range(6):
-            i = users.index(user)
-            cold = Predictor(state, blocks, standardization=standardization)
-            cold = cold.predict(users[i], items[i], rows[i])
-            assert cold.mean == pytest.approx(means[i], rel=1e-12)
-            assert cold.variance == pytest.approx(variances[i], rel=1e-12)
+        # A cold predictor builds the user alone, not in the batch's chunk;
+        # one predictor walking the queries backwards builds the users in
+        # another order.  Neither changes a bit.
+        expected = list(zip(means, variances, clamped))
+        for i, query in enumerate(zip(users, items, rows)):
+            cold = Predictor(state, blocks, standardization=standardization, rating_scale=(1.0, 5.0))
+            assert astuple(cold.predict(*query)) == expected[i]
+        backwards = Predictor(state, blocks, standardization=standardization, rating_scale=(1.0, 5.0))
+        for i in reversed(range(len(users))):
+            assert astuple(backwards.predict(users[i], items[i], rows[i])) == expected[i]
+
+    def test_users_outside_the_store_are_unknown(self):
+        # the store is indexed by user id: an id outside the schema's users is
+        # an unknown user, never an index error or a read of the last row
+        state, blocks, standardization = batch_instance(17)
+        query = (2, (1, 0.5, -0.5))
+        count = state.schema.user_count
+        for user in (-1, count, np.int64(-1), float(count)):
+            pred = Predictor(state, blocks, standardization=standardization)
+            pred.warm([count - 1])
+            with pytest.raises(UnknownUserError):
+                pred.predict(user, *query)
+            fallback = pred.predict(user, *query, unknown_user="global_mean")
+            assert fallback.mean == pred.global_mean and np.isnan(fallback.variance)
+            means, variances, _ = pred.predict_rows([user], [2], [query[1]], unknown_user="global_mean")
+            assert means[0] == pred.global_mean and np.isnan(variances[0])
+            with pytest.raises(UnknownUserError):
+                pred.warm([user])
+            assert pred.users_built == 1
 
     def test_predict_rows_unknown_users_get_the_global_mean(self):
         state, blocks, _ = batch_instance(13)
@@ -333,6 +356,11 @@ class TestPredict:
         good = pred.predict(1, 2, (1, 0.5, 0.5))
         assert pred.predict(1.0, np.float64(2.0), (1, 0.5, 0.5)) == good
         assert pred.predict_rows([1.0], [np.float64(2.0)], [(1, 0.5, 0.5)])[0][0] == good.mean
+        # a first query builds the user's row of the store by its integer id
+        for user in (1.0, np.int64(1), np.float64(1.0)):
+            cold = Predictor(state, blocks, standardization=standardization)
+            assert cold.predict(user, 2, (1, 0.5, 0.5)) == good
+            assert cold.users_built == 1
 
     def test_predict_rows_empty_batch(self):
         state, blocks, _ = batch_instance(16)

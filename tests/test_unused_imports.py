@@ -1,8 +1,14 @@
-"""Every name a ``gplvmf`` module imports is used there.
+"""Every name a ``gplvmf`` module imports is used there, and every private
+name it defines is read somewhere.
 
 An import is used when its name is read anywhere in the module or listed
 in ``__all__``.  An import line that carries ``# noqa`` is kept on purpose
 (a name looked up on the module from outside) and is not checked.
+
+A module-level private name (``_name``: a function, class or constant) is
+read when some module under ``src/``, ``tests/`` or ``perfbench/`` loads
+it as a name or an attribute, or spells it as a string (a ``setattr`` or
+``getattr`` lookup), so a helper whose last caller is gone fails here.
 """
 
 import ast
@@ -10,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gplvmf"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gplvmf"
 
 
 def unused_imports(source: str) -> list:
@@ -54,3 +61,62 @@ def test_check_finds_unused_names_and_honours_noqa():
         "x = os.path.join(array([1]))\n"
     )
     assert unused_imports(source) == [(2, "math"), (9, "Kernel")]
+
+
+def private_definitions(source: str) -> list:
+    """(line, name) of each module-level private function, class or constant."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in found if name.startswith("_") and not name.startswith("__")]
+
+
+def names_read(source: str) -> set:
+    """Names a module loads, attributes it loads and identifiers it spells as strings."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            read.add(node.value)
+    return read
+
+
+def test_every_private_module_name_is_read():
+    readers = [path for folder in ("src", "tests", "perfbench") for path in (ROOT / folder).rglob("*.py")]
+    read = set().union(*(names_read(path.read_text(encoding="utf-8")) for path in readers))
+    unread = [
+        (path.name, line, name)
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in private_definitions(path.read_text(encoding="utf-8"))
+        if name not in read
+    ]
+    assert unread == []
+
+
+def test_check_finds_unread_private_names():
+    defining = (
+        "import numpy as np\n"
+        "_LIMIT = 3\n"
+        "_TABLE: dict = {}\n"
+        "__all__ = []\n"
+        "def _helper(x):\n"
+        "    _local = _helper(x - 1)\n"
+        "    return _local\n"
+        "class _Box:\n"
+        "    _inner = 1\n"
+        "def _dead():\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _LIMIT\n"
+    )
+    assert private_definitions(defining) == [(2, "_LIMIT"), (3, "_TABLE"), (5, "_helper"), (8, "_Box"), (10, "_dead")]
+    reading = "import m\nm._Box()\nsetattr(m, '_TABLE', {})\nm._dead = None\n"
+    read = names_read(defining) | names_read(reading)
+    assert [name for _, name in private_definitions(defining) if name not in read] == ["_dead"]
