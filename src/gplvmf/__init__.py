@@ -7,14 +7,7 @@ variational bound.  Prediction returns Gaussian rating estimates, and the
 learned inverse length-scales rank the contexts by influence.
 """
 
-from .bound import (
-    BoundReport,
-    FactorizationError,
-    kl_to_prior,
-    optimal_qu,
-    total_bound,
-    user_bound,
-)
+from .bound import BoundReport, FactorizationError, kl_to_prior, total_bound
 from .data import (
     CATEGORICAL,
     REAL,
@@ -43,15 +36,7 @@ from .harness import (
     synthesize,
     train_model,
 )
-from .kernels import (
-    ArdKernel,
-    LatentPoints,
-    PsiStats,
-    kernel_matrix,
-    mc_psi_oracle,
-    psi_statistics,
-)
-from .meanfn import PhiStats, mc_phi_oracle, phi_statistics
+from .meanfn import PhiStats, phi_statistics
 from .model import TrainedModel, load_model, save_model
 from .optim import (
     OptimizationError,
@@ -63,6 +48,18 @@ from .optim import (
     train,
 )
 from .predict import ContextRelevance, Prediction, Predictor, UnknownUserError, context_relevance
+from .reference import (
+    ArdKernel,
+    LatentPoints,
+    McPsiEstimate,
+    PsiStats,
+    kernel_matrix,
+    mc_phi_oracle,
+    mc_psi_oracle,
+    optimal_qu,
+    psi_statistics,
+    user_bound,
+)
 from .state import ModelDims, VariationalState
 
 __version__ = "0.1.0"
@@ -79,6 +76,7 @@ __all__ = [
     "FactorizationError",
     "FoldPlan",
     "LatentPoints",
+    "McPsiEstimate",
     "ModelDims",
     "OptimizationError",
     "PhiStats",

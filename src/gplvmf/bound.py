@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import lapack
 
 from .data import UserBlock
 from .kernels import _by_group, _InducingSide, _PsiCache, psi_backward
@@ -310,7 +310,7 @@ def _forward(chunk: Chunk, state: VariationalState, shared: SharedFactors) -> _F
 
     entries = state.row_entries(rows, chunk.gather)
     mu_rows, var_rows = state.assemble_rows(rows, entries)
-    cache = _PsiCache(side.alpha, mu_rows, var_rows, side, groups=u)
+    cache = _PsiCache(side, mu_rows, var_rows, groups=u)
 
     phi = phi_statistics(state, rows, entries)
     resid = rows.ratings - phi.phi1
@@ -446,12 +446,6 @@ def _terms(
 _user_terms = _terms
 
 
-def user_bound(block: UserBlock, state: VariationalState, jitter: float = DEFAULT_JITTER) -> float:
-    """The collapsed bound term of a single user."""
-    shared = shared_factors(state, jitter)
-    return float(_user_terms(Chunk([block], state), state, shared, want_gradients=False).value[0])
-
-
 def kl_to_prior(state: VariationalState) -> float:
     """KL(q || standard normal) summed over all free latent coordinates."""
     total = 0.0
@@ -554,22 +548,3 @@ def user_posterior(chunk: Chunk, state: VariationalState, shared: SharedFactors)
     fw = _forward(chunk, state, shared)
     v = _by_group(fw.b_vec, shared.linv, len(chunk.users)) / np.sqrt(fw.sigma2)[:, None]
     return UserPosterior(chol_b=fw.chol_b, v=v)
-
-
-def optimal_qu(block: UserBlock, state: VariationalState, jitter: float = DEFAULT_JITTER):
-    """Mean and covariance of the collapsed-out inducing posterior q(u).
-
-    mu_u  = K (beta^-1 K + Psi2)^-1 Psi1^T (y - phi1) = beta K A^-1 c
-    Sig_u = beta^-1 K (beta^-1 K + Psi2)^-1 K = K A^-1 K = L B^-1 L^T
-
-    The two spellings (beta^-1 K + Psi2 versus K + beta Psi2) are the same
-    system up to a beta rescaling; everything here solves against
-    A = K + beta * Psi2 in whitened form.
-    """
-    chunk, shared = Chunk([block], state), shared_factors(state, jitter)
-    post = user_posterior(chunk, state, shared)
-    sigma2, beta = np.exp(state.flat[chunk.scales[:, 0]])
-    mu_u = beta * ((sigma2 * shared.c) @ post.v[0])
-    shalf = solve_triangular(post.chol_b[0], (np.sqrt(sigma2) * shared.chol_c).T, lower=True)
-    sigma_u = shalf.T @ shalf
-    return mu_u, 0.5 * (sigma_u + sigma_u.T)

@@ -25,10 +25,10 @@ from .data import (
     group_by_user,
     make_folds,
 )
-from .kernels import ArdKernel, kernel_matrix
 from .model import TrainedModel
 from .optim import TrainConfig, init_state, train
 from .predict import Predictor
+from .reference import ArdKernel, kernel_matrix
 from .state import KernelLayout, ModelDims
 
 

@@ -11,17 +11,15 @@ posterior over the inputs (rows are independent, coordinates independent):
     psi0 = Tr <K_NN>        Psi1 = <K_NM>        Psi2 = <K_MN K_NM>
 
 For this kernel family all three are closed-form products of 1-D Gaussian
-integrals; the Monte-Carlo estimator in :func:`mc_psi_oracle` exists purely
-to validate the closed forms and is never used in training.
+integrals.
 
 The signal variance enters only as a factor: psi0 = N sigma2, and Psi1 and
 Psi2 are sigma2 and sigma2^2 times their unit-signal values.  So the psi
-code below (:class:`_PsiCache`, :func:`psi_backward`, :class:`Psi1Rows`)
-computes unit-signal statistics from plain arrays (inverse length-scales,
-means, variances, inducing inputs); the bound brings each user's sigma2 in
-through its whitening (:mod:`gplvmf.bound`), and :func:`psi_statistics`,
-the public entry point, checks its inputs and scales by the kernel's
-sigma2.
+code below (:class:`_PsiCache`, :func:`psi_backward`, :func:`psi1_rows`)
+computes unit-signal statistics from plain arrays (means, variances) and
+the :class:`_InducingSide` of the inducing inputs and inverse length-scales;
+the bound brings each user's sigma2 in through its whitening
+(:mod:`gplvmf.bound`).
 
 Both Psi1 and Psi2 are exponentials of products of small factors.  Row n
 of Psi2 (one rating's term of the sum) has, per coordinate q, the exponent
@@ -42,7 +40,7 @@ right factor's rows at the pairs (a, a), ``[z | z^2 | 0 | 1]``.  Every
 per-pair quantity is built from ``z_a + z_b`` and ``(z_a - z_b)^2``, which
 round the same for (a, b) and (b, a): a duplicated inducing input gives rows
 and columns of Psi2, and columns of Psi1, equal bit for bit.  Query rows
-(:class:`Psi1Rows`) take Psi1's product with ``np.einsum``, whose rows do
+(:func:`psi1_rows`) take Psi1's product with ``np.einsum``, whose rows do
 not depend on the batch.
 
 The right factors, the pair tables and the unit-signal inducing gram,
@@ -77,78 +75,9 @@ Psi2.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ArdKernel:
-    """Signal variance and per-coordinate inverse length-scales (all > 0)."""
-
-    signal_variance: float
-    inv_length_scales: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "inv_length_scales", np.asarray(self.inv_length_scales, dtype=float))
-        if self.signal_variance < 0:
-            raise ValueError("signal variance must be non-negative")
-        if np.any(self.inv_length_scales < 0):
-            raise ValueError("inverse length-scales must be non-negative")
-
-    @property
-    def dim(self) -> int:
-        return self.inv_length_scales.shape[0]
-
-
-@dataclass(frozen=True)
-class LatentPoints:
-    """Rows of diagonal-Gaussian latent points."""
-
-    mean: np.ndarray
-    var: np.ndarray
-
-    def __post_init__(self):
-        mean = np.atleast_2d(np.asarray(self.mean, dtype=float))
-        var = np.atleast_2d(np.asarray(self.var, dtype=float))
-        if mean.shape != var.shape:
-            raise ValueError("mean and var must have matching shapes")
-        if np.any(var < 0):
-            raise ValueError("latent variances must be non-negative")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "var", var)
-
-    @property
-    def count(self) -> int:
-        return self.mean.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[1]
-
-
-@dataclass(frozen=True)
-class PsiStats:
-    """The three kernel expectations for one user block."""
-
-    psi0: float
-    psi1: np.ndarray
-    psi2: np.ndarray
-
-
-def kernel_matrix(kernel: ArdKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain kernel matrix between row sets ``a`` (n x Q) and ``b`` (m x Q)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.shape[1] != kernel.dim or b.shape[1] != kernel.dim:
-        raise ValueError(
-            f"input dimension mismatch: kernel expects Q={kernel.dim}, "
-            f"got {a.shape[1]} and {b.shape[1]}"
-        )
-    diff = a[:, None, :] - b[None, :, :]
-    expo = -0.5 * np.einsum("q,nmq->nm", kernel.inv_length_scales, diff**2)
-    return kernel.signal_variance * np.exp(expo)
 
 
 def _left_factor(c: float, alpha_c: np.ndarray, alpha: np.ndarray, mu: np.ndarray, s: np.ndarray):
@@ -169,10 +98,10 @@ def _left_factor(c: float, alpha_c: np.ndarray, alpha: np.ndarray, mu: np.ndarra
     return d, v, lhs
 
 
-class Psi1Rows:
-    """Unit-signal Psi1 rows at inverse length-scales ``alpha`` against fixed
-    inducing inputs ``z``, or their :class:`_InducingSide` at ``alpha``: the
-    query path's Psi1 (:class:`gplvmf.predict.Predictor`).
+def psi1_rows(side: _InducingSide, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Unit-signal Psi1 rows of means ``mu`` and variances ``var`` against
+    the inducing inputs of ``side`` at its inverse length-scales: the query
+    path's Psi1 (:class:`gplvmf.predict.Predictor`).
 
     Each call builds the left factor of its rows, C-ordered whatever the
     inputs' layout, and takes the product with the side's ``rhs1`` by
@@ -181,15 +110,9 @@ class Psi1Rows:
     query's Psi1 row must not depend on the batch it arrives in.  Inputs are
     not validated.
     """
-
-    def __init__(self, alpha: np.ndarray, z):
-        self.side = z if isinstance(z, _InducingSide) else _InducingSide(alpha, z)
-
-    def __call__(self, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
-        side = self.side
-        lhs = _left_factor(1.0, side.alpha, side.alpha, mu - side.centre, var)[2]
-        expo = np.einsum("nk,mk->nm", lhs, side.rhs1)
-        return np.exp(expo, out=expo)
+    lhs = _left_factor(1.0, side.alpha, side.alpha, mu - side.centre, var)[2]
+    expo = np.einsum("nk,mk->nm", lhs, side.rhs1)
+    return np.exp(expo, out=expo)
 
 
 class _PairTables(NamedTuple):
@@ -278,10 +201,9 @@ class _InducingSide:
 
 class _PsiCache:
     """Unit-signal Psi1 and Psi2 of rows with means ``mu`` and variances
-    ``s`` (N, Q) at inverse length-scales ``alpha`` against inducing inputs
-    ``z`` (M, Q), or their :class:`_InducingSide` at ``alpha``, and the
-    forward intermediates reused by the backward pass.  Inputs are not
-    validated (:func:`psi_statistics` checks them).
+    ``s`` (N, Q) against the inducing inputs (M, Q) of ``side`` at its
+    inverse length-scales, and the forward intermediates reused by the
+    backward pass.  Inputs are not validated.
 
     ``mu`` is kept centred on the column mean of the inducing inputs; Psi1,
     Psi2 and every gradient are invariant to that shift.  ``channels`` holds
@@ -294,8 +216,8 @@ class _PsiCache:
 
     __slots__ = ("side", "mu", "s", "groups", "channels", "psi1", "psi2_rows")
 
-    def __init__(self, alpha: np.ndarray, mu: np.ndarray, s: np.ndarray, z, groups: int = 1):
-        self.side = side = z if isinstance(z, _InducingSide) else _InducingSide(alpha, z)
+    def __init__(self, side: _InducingSide, mu: np.ndarray, s: np.ndarray, groups: int = 1):
+        self.side = side
         self.mu = mu = mu - side.centre
         self.s, self.groups = s, groups
         self.channels, exps = [], []
@@ -309,24 +231,6 @@ class _PsiCache:
         """Psi2 summed over each of the cache's row groups, (G, M, M)."""
         sums = self.psi2_rows.reshape(self.groups, -1, self.psi2_rows.shape[1]).sum(axis=1)
         return sums[:, self.side.pairs.unpack]
-
-
-def psi_statistics(kernel: ArdKernel, points: LatentPoints, z: np.ndarray) -> PsiStats:
-    """Closed-form psi0, Psi1, Psi2 under the diagonal-Gaussian posterior.
-
-    With all variances zero this collapses to the plain kernel matrices:
-    Psi1 = K_NM and Psi2 = K_MN K_NM.  psi0 is exactly N * sigma2 because
-    the kernel diagonal is constant; Psi1 and Psi2 are the unit-signal
-    statistics of :class:`_PsiCache` times sigma2 and sigma2^2.
-    """
-    if points.count < 1:
-        raise ValueError("need at least one latent point")
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    if z.shape[1] != kernel.dim or points.dim != kernel.dim:
-        raise ValueError("latent points, inducing inputs and kernel must share dimension Q")
-    cache = _PsiCache(kernel.inv_length_scales, points.mean, points.var, z)
-    sigma2 = kernel.signal_variance
-    return PsiStats(psi0=points.count * sigma2, psi1=sigma2 * cache.psi1, psi2=sigma2**2 * cache.psi2_sums()[0])
 
 
 class PsiGradients(NamedTuple):
@@ -405,87 +309,3 @@ def psi_backward(cache: _PsiCache, dpsi1: np.ndarray, dpsi2: np.ndarray, dgram=N
     np.multiply(side.alpha * pair[:, None], side.dz, out=spread[len(pair):])
     gz = pairs.spread @ spread
     return PsiGradients(dmu=gmu1 + gmu2, dvar=gs1 + gs2, dz=gz, dalpha=galpha)
-
-
-@dataclass(frozen=True)
-class McPsiEstimate:
-    """Monte-Carlo psi statistics with per-entry standard errors."""
-
-    stats: PsiStats
-    psi0_se: float
-    psi1_se: np.ndarray
-    psi2_se: np.ndarray
-    samples: int
-
-
-def mc_psi_oracle(
-    kernel: ArdKernel,
-    points: LatentPoints,
-    z: np.ndarray,
-    samples: int,
-    seed: int,
-    chunk: int = 100_000,
-) -> McPsiEstimate:
-    """Unbiased sampling estimate of the psi statistics, for validation.
-
-    Draws each latent row from its diagonal Gaussian, evaluates the exact
-    kernel on the draws, and averages.  Standard errors are the sample
-    standard deviation of the per-draw statistics divided by sqrt(samples).
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    mu, s = points.mean, points.var
-    n, m = points.count, z.shape[0]
-    q = mu.shape[1]
-    sd = np.sqrt(s)
-
-    sum1 = np.zeros((n, m))
-    sumsq1 = np.zeros((n, m))
-    sum2 = np.zeros((m, m))
-    sumsq2 = np.zeros((m, m))
-    sum0 = 0.0
-    sumsq0 = 0.0
-
-    # scaled coordinates turn the exponent into a matmul-friendly form
-    root_alpha = np.sqrt(kernel.inv_length_scales)
-    zs = z * root_alpha[None, :]
-    z_sq = np.sum(zs**2, axis=1)
-
-    done = 0
-    while done < samples:
-        size = min(chunk, samples - done)
-        x = mu[None, :, :] + rng.standard_normal((size, n, q)) * sd[None, :, :]
-        xs = (x * root_alpha[None, None, :]).reshape(size * n, q)
-        x_sq = np.sum(xs**2, axis=1)
-        expo = xs @ zs.T
-        expo *= 2.0
-        expo -= x_sq[:, None]
-        expo -= z_sq[None, :]
-        k = kernel.signal_variance * np.exp(0.5 * expo).reshape(size, n, m)
-        sum1 += k.sum(axis=0)
-        sumsq1 += (k**2).sum(axis=0)
-        p2 = np.matmul(k.transpose(0, 2, 1), k)
-        sum2 += p2.sum(axis=0)
-        sumsq2 += (p2**2).sum(axis=0)
-        diag = np.full(size, n * kernel.signal_variance)
-        sum0 += diag.sum()
-        sumsq0 += (diag**2).sum()
-        done += size
-
-    def _finish(total, totalsq, count):
-        mean = total / count
-        var = np.maximum(totalsq / count - mean**2, 0.0)
-        return mean, np.sqrt(var / count)
-
-    mean1, se1 = _finish(sum1, sumsq1, samples)
-    mean2, se2 = _finish(sum2, sumsq2, samples)
-    mean0, se0 = _finish(np.asarray(sum0), np.asarray(sumsq0), samples)
-    return McPsiEstimate(
-        stats=PsiStats(psi0=float(mean0), psi1=mean1, psi2=mean2),
-        psi0_se=float(se0),
-        psi1_se=se1,
-        psi2_se=se2,
-        samples=samples,
-    )

@@ -82,42 +82,3 @@ def phi_backward(rows: UserBlock, dphi1: np.ndarray, dphi0, phi1: np.ndarray) ->
     row) and ``dphi0`` (one value, or one per row) at its ``phi1``."""
     g = dphi1 + 2.0 * dphi0 * phi1                                    # (N,)
     return PhiGradients(real_weights=rows.real_values.T @ g, mean_rows=g)
-
-
-def mc_phi_oracle(state: VariationalState, block: UserBlock, samples: int, seed: int):
-    """Monte-Carlo phi statistics for validation.
-
-    Samples the *entities* of every bias table (not per-row copies), so
-    correlation between rows that share an item or context category is fully
-    represented.  Returns ((phi1, phi0), (phi1_se, phi0_se)).
-    """
-    rng = np.random.default_rng(seed)
-    p = state.params
-    base = p["user_bias"][block.user] + block.real_values @ p["real_weights"]
-    tables = [(p[t.mean], np.sqrt(np.exp(p[t.log_var])), t.codes(block))
-              for t in state.layout.tables if not t.in_kernel]
-
-    sum1 = np.zeros(block.count)
-    sumsq1 = np.zeros(block.count)
-    sum0 = 0.0
-    sumsq0 = 0.0
-    chunk = max(1, min(samples, 20_000))
-    done = 0
-    while done < samples:
-        size = min(chunk, samples - done)
-        m = np.broadcast_to(base, (size, block.count)).copy()
-        for mean, sd, codes in tables:
-            draws = mean[None] + rng.standard_normal((size,) + mean.shape) * sd[None]
-            m += np.einsum("siq->si", draws)[:, codes]
-        sum1 += m.sum(axis=0)
-        sumsq1 += (m**2).sum(axis=0)
-        phi0_draws = (m**2).sum(axis=1)
-        sum0 += phi0_draws.sum()
-        sumsq0 += (phi0_draws**2).sum()
-        done += size
-
-    phi1 = sum1 / samples
-    phi1_se = np.sqrt(np.maximum(sumsq1 / samples - phi1**2, 0.0) / samples)
-    phi0 = sum0 / samples
-    phi0_se = np.sqrt(max(sumsq0 / samples - phi0**2, 0.0) / samples)
-    return (phi1, float(phi0)), (phi1_se, float(phi0_se))

@@ -57,7 +57,7 @@ import numpy as np
 
 from .bound import DEFAULT_JITTER, SharedFactors, plan, shared_factors, user_posterior
 from .data import UserBlock, code_error, context_columns, context_value_error, integer_codes, is_code
-from .kernels import Psi1Rows
+from .kernels import psi1_rows
 from .meanfn import phi_statistics
 from .state import VariationalState
 
@@ -170,7 +170,6 @@ class Predictor:
         self._cat_cols = schema.categorical_indices
         self._cards = np.array([schema.contexts[d].cardinality for d in self._cat_cols], dtype=np.int64)
         self._real_cols = schema.real_indices
-        self._psi1 = Psi1Rows(self.shared.side.alpha, self.shared.side)
         # the scalar lookup of predict; kernel tables: (column, kernel slice,
         # means, variances); bias tables: (column, row sums)
         self._kernel_tables = [
@@ -199,6 +198,8 @@ class Predictor:
                 raise _unknown(user)
             if not self._built[block.user]:
                 todo.append(block)
+        if not todo:
+            return
         linv, m = self.shared.linv, len(self.shared.linv)
         for chunk in plan(todo, self.state).chunks:
             post = user_posterior(chunk, self.state, self.shared)
@@ -267,7 +268,7 @@ class Predictor:
             phi1 = phi1 + sums[code if 0 <= code < last else last]
         phi1 = phi1 + np.einsum("qd,d->q", reals, self._real_weights)
 
-        psi = self._psi1(mu, var)
+        psi = psi1_rows(self.shared.side, mu, var)
         out = _project(self._proj[user][None], psi)
         mean, variance = _moments(out, phi1, self._sigma2[user], self._beta[user], include_noise)
         mean = float(mean[0])
@@ -330,7 +331,7 @@ class Predictor:
         mu, var = self.state.assemble_rows(rows, entries)
         phi1 = phi_statistics(self.state, rows, entries).phi1
 
-        psi = self._psi1(mu, var)
+        psi = psi1_rows(self.shared.side, mu, var)
         out = np.empty((n, self._proj.shape[1]))
         step = max(1, _STEP_BUDGET // self._proj[0].size)
         for start in range(0, n, step):

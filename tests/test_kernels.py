@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gplvmf import ArdKernel, LatentPoints, kernel_matrix, mc_psi_oracle, psi_statistics
-from gplvmf.kernels import Psi1Rows, _PsiCache, psi_backward
+from gplvmf.kernels import _InducingSide, _PsiCache, psi1_rows, psi_backward
 from conftest import max_rel_error
 
 
@@ -21,7 +21,7 @@ def random_setup(seed, n=3, m=4, q=2):
 
 def unit_cache(kern, pts, z, groups=1):
     """The unit-signal cache of the setup's inverse length-scales and points."""
-    return _PsiCache(kern.inv_length_scales, pts.mean, pts.var, z, groups=groups)
+    return _PsiCache(_InducingSide(kern.inv_length_scales, z), pts.mean, pts.var, groups=groups)
 
 
 class TestKernelMatrix:
@@ -408,31 +408,32 @@ class TestPsiGradients:
     @pytest.mark.parametrize("shift", [0.0, 100.0])
     def test_psi1_rows_match_the_cache(self, shift):
         kern, pts, z = random_setup(92, n=20, m=8, q=6)
-        got = Psi1Rows(kern.inv_length_scales, z + shift)(pts.mean + shift, pts.var)
+        got = psi1_rows(_InducingSide(kern.inv_length_scales, z + shift), pts.mean + shift, pts.var)
         assert error_to_largest(got, unit_cache(kern, pts, z).psi1) < 1e-12
 
     @pytest.mark.parametrize("n, m, q", [(7, 6, 3), (40, 30, 12), (3, 9, 25)])
     def test_psi1_rows_do_not_depend_on_the_batch(self, n, m, q):
         kern, pts, z = random_setup(93, n=n, m=m, q=q)
-        psi1_rows = Psi1Rows(kern.inv_length_scales, z)
-        batch = psi1_rows(pts.mean, pts.var)
+        side = _InducingSide(kern.inv_length_scales, z)
+        batch = psi1_rows(side, pts.mean, pts.var)
         for i in range(n):
-            assert np.array_equal(batch[i], psi1_rows(pts.mean[i:i + 1], pts.var[i:i + 1])[0])
+            assert np.array_equal(batch[i], psi1_rows(side, pts.mean[i:i + 1], pts.var[i:i + 1])[0])
 
     @pytest.mark.parametrize("n, m, q", [(7, 6, 3), (600, 8, 6)])
     def test_psi1_rows_do_not_depend_on_the_layout(self, n, m, q):
         # row gathers can hand over Fortran-ordered means and variances
         kern, pts, z = random_setup(95, n=n, m=m, q=q)
-        psi1_rows = Psi1Rows(kern.inv_length_scales, z)
-        batch = psi1_rows(np.asfortranarray(pts.mean), np.asfortranarray(pts.var))
-        assert np.array_equal(batch, psi1_rows(pts.mean, pts.var))
+        side = _InducingSide(kern.inv_length_scales, z)
+        batch = psi1_rows(side, np.asfortranarray(pts.mean), np.asfortranarray(pts.var))
+        assert np.array_equal(batch, psi1_rows(side, pts.mean, pts.var))
 
     @pytest.mark.parametrize("first, second", [(1, 4), (0, 5), (2, 3)])
     @pytest.mark.parametrize("n", [7, 500])
     def test_duplicate_inducing_input_gives_equal_psi1_columns(self, first, second, n):
         kern, pts, z = random_setup(94, n=n, m=6, q=3)
         z[second] = z[first]
-        for psi1 in (psi_statistics(kern, pts, z).psi1, Psi1Rows(kern.inv_length_scales, z)(pts.mean, pts.var)):
+        side = _InducingSide(kern.inv_length_scales, z)
+        for psi1 in (psi_statistics(kern, pts, z).psi1, psi1_rows(side, pts.mean, pts.var)):
             assert np.array_equal(psi1[:, first], psi1[:, second])
 
     @pytest.mark.parametrize("first, second", [(1, 4), (0, 5), (2, 3)])

@@ -386,6 +386,24 @@ class TestPredict:
         assert pred.users_built == 300
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
+    def test_built_users_plan_nothing(self, monkeypatch):
+        # once every queried user is built, queries and warm make no plan
+        import gplvmf.predict as predict
+
+        state, blocks, standardization = batch_instance(18)
+        users, items, rows = batch_queries(19, n=40)
+        pred = Predictor(state, blocks, standardization=standardization)
+        first = pred.predict_rows(users, items, rows)
+
+        def no_plan(*args):
+            raise AssertionError("a plan was made with every user built")
+
+        monkeypatch.setattr(predict, "plan", no_plan)
+        again = pred.predict_rows(users, items, rows)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        assert pred.predict(users[0], items[0], rows[0]).mean == first[0][0]
+        pred.warm(users)
+
 
 class TestContextRelevance:
     def _state(self, alphas):

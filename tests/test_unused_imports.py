@@ -9,9 +9,14 @@ A module-level private name (``_name``: a function, class or constant) is
 read when some module under ``src/``, ``tests/`` or ``perfbench/`` loads
 it as a name or an attribute, or spells it as a string (a ``setattr`` or
 ``getattr`` lookup), so a helper whose last caller is gone fails here.
+
+The trained modules, which training and queries run, import neither the
+validation oracles (``reference``) nor the harness, nor the package root,
+which imports both; the package still exports every oracle.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -120,3 +125,54 @@ def test_check_finds_unread_private_names():
     reading = "import m\nm._Box()\nsetattr(m, '_TABLE', {})\nm._dead = None\n"
     read = names_read(defining) | names_read(reading)
     assert [name for _, name in private_definitions(defining) if name not in read] == ["_dead"]
+
+
+
+# What training and queries run, and what they must not import.
+TRAINED = ("state", "data", "kernels", "meanfn", "bound", "optim", "predict", "model")
+OUTSIDE_TRAINED = {"reference", "harness", "gplvmf"}
+ORACLES = ("ArdKernel", "LatentPoints", "McPsiEstimate", "PsiStats", "kernel_matrix", "mc_phi_oracle",
+           "mc_psi_oracle", "optimal_qu", "psi_statistics", "user_bound")
+
+
+def gplvmf_imports(source: str) -> set:
+    """The ``gplvmf`` modules a module imports, relative or absolute and at
+    any depth; ``gplvmf`` for the package root."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [".".join(["gplvmf"] + ([node.module] if node.module else [])) if node.level else node.module]
+        else:
+            continue
+        found.update(name.split(".")[1] if "." in name else name for name in names if name.split(".")[0] == "gplvmf")
+    return found
+
+
+@pytest.mark.parametrize("name", TRAINED)
+def test_trained_module_imports_no_oracle_or_harness(name):
+    assert gplvmf_imports((SRC / f"{name}.py").read_text(encoding="utf-8")) & OUTSIDE_TRAINED == set()
+    module = importlib.import_module(f"gplvmf.{name}")
+    assert [oracle for oracle in ORACLES if hasattr(module, oracle)] == []
+
+
+def test_package_exports_every_oracle():
+    import gplvmf
+    import gplvmf.reference as reference
+
+    assert [name for name in ORACLES if getattr(gplvmf, name, None) is not getattr(reference, name)] == []
+    assert set(ORACLES) <= set(gplvmf.__all__)
+
+
+def test_check_finds_imports_of_the_oracles_and_the_harness():
+    source = (
+        "import numpy as np\n"
+        "from .bound import plan\n"
+        "import gplvmf.reference as ref\n"
+        "def later():\n"
+        "    from gplvmf.harness import synthesize\n"
+        "from gplvmf import total_bound\n"
+    )
+    assert gplvmf_imports(source) == {"bound", "reference", "harness", "gplvmf"}
+    assert gplvmf_imports("from . import data\nfrom .kernels import psi1_rows\n") == {"gplvmf", "kernels"}
