@@ -61,9 +61,11 @@ Psi2 cotangent, since the gram is ``exp(2 c)`` of the pair constant.
 SGD's :func:`_user_terms` takes the plan's one-user chunks
 (:meth:`Plan.steps`) and prediction's :func:`user_posterior` takes
 :func:`_chunks` chunks.  Per-user values and gradients are combined from a
-few per-user traces (:func:`_terms`), so a step makes few calls.  The KL (:func:`kl_to_prior`, :func:`kl_gradients`)
-walks the state's table description, since kernel and bias latents share
-the standard-normal prior.
+few per-user traces (:func:`_terms`), so a step makes few calls.  Kernel and
+bias latents share the standard-normal prior: :func:`kl_to_prior` walks the
+state's table description, and :func:`kl_gradient` takes the tables' prefix
+of the flat vector, whole for :func:`total_bound` or a step's entries of it
+for SGD.
 """
 
 from __future__ import annotations
@@ -125,11 +127,6 @@ class SharedFactors(NamedTuple):
     chol_c: np.ndarray       # lower triangular L_C
     linv: np.ndarray         # L_C^-1, lower triangular
     jitter: float
-
-    @property
-    def c(self) -> np.ndarray:
-        """C = gram + jitter*I."""
-        return self.side.gram + self.jitter * np.eye(len(self.linv))
 
 
 def shared_factors(state: VariationalState, jitter: float = DEFAULT_JITTER) -> SharedFactors:
@@ -226,9 +223,7 @@ class Plan:
         :meth:`Chunk.positions`."""
         if self._steps is None:
             layout = state.layout
-            var_keys = {t.log_var for t in layout.tables}
-            is_var = np.repeat([key in var_keys for key in layout.keys], np.diff(state.offsets))
-            table_end, size = state.offsets[2 * len(layout.tables)], state.flat.size
+            table_end, size = layout.table_end, state.flat.size
             point_keys = layout.keys[2 * len(layout.tables) :]
             self._steps = [None] * len(self.blocks)
             for chunk in self.chunks:
@@ -245,7 +240,7 @@ class Plan:
                     idx = keys[starts[s] : starts[s + 1]] - size * s
                     local = inverse[s].astype(np.min_scalar_type(idx.size))   # one is kept per block
                     self._steps[i] = (chunk.one(s, self.blocks[i]), idx, local,
-                                      is_var[idx[: np.searchsorted(idx, table_end)]])
+                                      layout.is_var[idx[: np.searchsorted(idx, table_end)]])
         return self._steps
 
 
@@ -458,13 +453,10 @@ def kl_to_prior(state: VariationalState) -> float:
     return total
 
 
-def kl_gradients(state: VariationalState) -> dict:
-    """Named gradients of :func:`kl_to_prior` (log-variance parameterization)."""
-    grads = {}
-    for t in state.layout.tables:
-        grads[t.mean] = state.params[t.mean].copy()
-        grads[t.log_var] = 0.5 * (np.exp(state.params[t.log_var]) - 1.0)
-    return grads
+def kl_gradient(values: np.ndarray, is_var: np.ndarray) -> np.ndarray:
+    """Gradient of :func:`kl_to_prior` at latent-table entries ``values``,
+    of which ``is_var`` marks the log-variances (the others are means)."""
+    return np.where(is_var, 0.5 * (np.exp(values) - 1.0), values)
 
 
 @dataclass
@@ -529,8 +521,8 @@ def total_bound(
     if not want_gradients:
         return BoundReport(total=total, per_user=per_user, kl=kl, gradients=None)
 
-    for key, g in kl_gradients(state).items():
-        grads[key] -= g
+    end = state.layout.table_end
+    vec[:end] -= kl_gradient(state.flat[:end], state.layout.is_var)
     return BoundReport(total=total, per_user=per_user, kl=kl, gradients=vec, grad_dict=grads)
 
 

@@ -49,13 +49,13 @@ class TrainedModel:
     def schema(self) -> ContextSchema:
         return self.table.schema
 
-    def predictor(self, jitter: float | None = None) -> Predictor:
+    def predictor(self) -> Predictor:
         return Predictor(
             self.state,
             self.blocks,
             standardization=self.table.standardization,
             rating_scale=self.rating_scale,
-            jitter=self.config.jitter if jitter is None else jitter,
+            jitter=self.config.jitter,
         )
 
 

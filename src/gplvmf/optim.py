@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .bound import DEFAULT_JITTER, kl_to_prior, plan, shared_factors, total_bound, _scatter, _user_terms
+from .bound import DEFAULT_JITTER, kl_gradient, kl_to_prior, plan, shared_factors, total_bound, _scatter, _user_terms
 from .data import ContextSchema, UserBlock
 from .meanfn import phi_backward  # noqa: F401  looked up here by perfbench's traced run
 from .state import KernelLayout, ModelDims, VariationalState, check_field
@@ -209,8 +209,7 @@ def sgd_epoch(
         terms = _user_terms(chunk, state, shared, want_gradients=True)
         value_sum += terms.value[0]
         g = np.bincount(local, _scatter(state, chunk, terms), minlength=idx.size)
-        table = p[: is_var.size]
-        g[: is_var.size] -= np.where(is_var, 0.5 * (np.exp(table) - 1.0), table) / n_users
+        g[: is_var.size] -= kl_gradient(p[: is_var.size], is_var) / n_users
         norm2 = g @ g
         if not np.isfinite(norm2) and not np.isfinite(g).all():
             raise _non_finite("gradient", state, idx[np.argmin(np.isfinite(g))], chunk.rows.user)

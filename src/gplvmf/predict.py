@@ -27,10 +27,12 @@ where L_B is the Cholesky factor of B.  So each user is reduced once to a
 (2M + 1, M) projection, the rows [w; L_C^-1; L_B^-1 L_C^-1], and a query
 costs one Psi1 row and one product with its user's projection; no
 triangular solve is left per query.  The projections live in one store,
-an array indexed by user id that :meth:`Predictor.warm` fills in place, a
-chunk of users at a time from one stacked posterior pass
-(:func:`gplvmf.bound.user_posterior` over a :class:`gplvmf.bound.Chunk`);
-a boolean mask marks the users built.  :meth:`Predictor.predict_rows` reads its
+an array indexed by user id that the predictor fills when it is made, for
+every user with a block: one stacked posterior pass
+(:func:`gplvmf.bound.user_posterior`) per chunk of the blocks'
+:func:`gplvmf.bound.plan`; a boolean mask marks those users.  The users'
+q(u) depend on their training ratings alone, so a query only reads the
+store.  :meth:`Predictor.predict_rows` reads its
 rows as the bound does (one :meth:`~gplvmf.state.VariationalState.row_entries`
 gather over a row view of the queries),
 makes one Psi1 pass over all rows and the products in row chunks of bounded
@@ -137,11 +139,9 @@ class Predictor:
 
     Latent variances, bias row sums, each user's sigma2 and beta and the
     per-user projections are derived from the state, so the state must not
-    change while the predictor is in use.  Queries fill the projection
-    store: a user's projection is built on its first query (or by
-    :meth:`warm`), a chunk of users at a time, written into the user's row
-    of the store and shared by every later query; ``users_built`` counts
-    the users built so far.
+    change while the predictor is in use.  The projection of every user with
+    a block is built here, a chunk of users at a time, into the user's row
+    of the store; queries only read it.
     """
 
     def __init__(
@@ -153,19 +153,24 @@ class Predictor:
         jitter: float = DEFAULT_JITTER,
     ):
         self.state = state
-        self.blocks_by_user = {b.user: b for b in blocks}
         self.standardization = standardization
         self.rating_scale = rating_scale
         self.shared: SharedFactors = shared_factors(state, jitter)
         self.global_mean = float(np.mean(np.concatenate([b.ratings for b in blocks]))) if blocks else None
 
-        # the store, one row per user id: np.empty takes a row's memory only
-        # once its user is built
+        # the store, one row per user id, rows [w; L_C^-1; L_B^-1 L_C^-1]
         schema, p, m = state.schema, state.params, state.inducing_count
-        self._proj = np.empty((schema.user_count, 2 * m + 1, m))    # rows [w; L_C^-1; L_B^-1 L_C^-1]
-        self._built = np.zeros(schema.user_count, dtype=bool)
+        self._proj = np.empty((schema.user_count, 2 * m + 1, m))
+        self._known = np.zeros(schema.user_count, dtype=bool)
         self._sigma2, self._beta = np.exp(state.log_sigma2), np.exp(state.log_beta)
-        self._known = np.array(sorted(self.blocks_by_user), dtype=np.int64)
+        linv = self.shared.linv
+        for chunk in plan(blocks, state).chunks:
+            post = user_posterior(chunk, state, self.shared)
+            users = chunk.users
+            self._proj[users, 0] = (self._beta[users] * self._sigma2[users])[:, None] * post.v
+            self._proj[users, 1 : m + 1] = linv
+            self._proj[users, m + 1 :] = np.linalg.solve(post.chol_b, linv)
+            self._known[users] = True
 
         self._cat_cols = schema.categorical_indices
         self._cards = np.array([schema.contexts[d].cardinality for d in self._cat_cols], dtype=np.int64)
@@ -182,33 +187,6 @@ class Predictor:
         self._user_bias = p["user_bias"] if use_mean else np.zeros(state.log_sigma2.shape)
         self._real_weights = p["real_weights"] if use_mean else np.zeros(len(self._real_cols))
 
-    @property
-    def users_built(self) -> int:
-        return int(np.count_nonzero(self._built))
-
-    def warm(self, users) -> None:
-        """Build the projections of every listed user not built yet, one
-        stacked posterior per chunk of their (fresh) :func:`gplvmf.bound.plan`,
-        into their rows of the store; an unknown user raises
-        :class:`UnknownUserError`."""
-        todo = []
-        for user in dict.fromkeys(users):
-            block = self.blocks_by_user.get(user)
-            if block is None:
-                raise _unknown(user)
-            if not self._built[block.user]:
-                todo.append(block)
-        if not todo:
-            return
-        linv, m = self.shared.linv, len(self.shared.linv)
-        for chunk in plan(todo, self.state).chunks:
-            post = user_posterior(chunk, self.state, self.shared)
-            users = chunk.users
-            self._proj[users, 0] = (self._beta[users] * self._sigma2[users])[:, None] * post.v
-            self._proj[users, 1 : m + 1] = linv
-            self._proj[users, m + 1 :] = np.linalg.solve(post.chol_b, linv)
-            self._built[users] = True
-
     def _standardize(self, reals: np.ndarray) -> np.ndarray:
         return reals if self.standardization is None else self.standardization.apply(reals)
 
@@ -220,16 +198,14 @@ class Predictor:
         include_noise: bool = False,
         unknown_user: str = "error",
     ) -> Prediction:
-        if user not in self.blocks_by_user:
-            if not is_code(user):
-                raise code_error("user", float(user))
+        if not is_code(user):
+            raise code_error("user", float(user))
+        user = int(user)
+        if not (0 <= user < self._known.size and self._known[user]):
             if unknown_user == "global_mean" and self.global_mean is not None:
                 mean = self.global_mean
                 return Prediction(mean, float("nan"), self._clamp(mean))
             raise _unknown(user)
-        user = int(user)
-        if not self._built[user]:
-            self.warm([user])
         count = self.state.schema.context_count
         if len(context_values) != count:
             raise ValueError(f"expected {count} context values, got {len(context_values)}")
@@ -305,7 +281,8 @@ class Predictor:
         reals = self._standardize(reals)
 
         means, variances = np.empty(n), np.empty(n)
-        known = np.isin(users, self._known)
+        inside = (users >= 0) & (users < self._known.size)
+        known = inside & self._known[np.where(inside, users, 0)]
         if not known.all():
             if unknown_user != "global_mean" or self.global_mean is None:
                 raise _unknown(int(users[~known][0]))
@@ -320,8 +297,6 @@ class Predictor:
 
     def _rows(self, users, items, cats, reals, include_noise):
         """Mean and variance of query rows of known users."""
-        self.warm(users[~self._built[users]].tolist())
-
         # the bound's row walks over a row view of the queries: no ratings,
         # and every unknown code clamped to its table's trailing prior row
         n = len(users)

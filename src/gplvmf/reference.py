@@ -251,7 +251,8 @@ def optimal_qu(block: UserBlock, state: VariationalState, jitter: float = DEFAUL
     chunk, shared = Chunk([block], state), shared_factors(state, jitter)
     post = user_posterior(chunk, state, shared)
     sigma2, beta = np.exp(state.flat[chunk.scales[:, 0]])
-    mu_u = beta * ((sigma2 * shared.c) @ post.v[0])
+    c = shared.side.gram + shared.jitter * np.eye(len(shared.linv))
+    mu_u = beta * ((sigma2 * c) @ post.v[0])
     shalf = solve_triangular(post.chol_b[0], (np.sqrt(sigma2) * shared.chol_c).T, lower=True)
     sigma_u = shalf.T @ shalf
     return mu_u, 0.5 * (sigma_u + sigma_u.T)

@@ -140,6 +140,10 @@ class KernelLayout:
         # flat position at code 0, which the tables fix as they lead ``flat``.
         sizes = [t.shape[0] * t.shape[1] for t in self.tables]
         starts = np.cumsum([0] + [2 * size for size in sizes])
+        # the tables' prefix of ``flat`` ends at ``table_end``; ``is_var``
+        # marks its log-variance entries
+        self.table_end = int(starts[-1])
+        self.is_var = np.repeat(np.tile([False, True], len(sizes)), np.repeat(sizes, 2))
         self.entries = np.array([(-1 if t.column is None else t.column, t.shape[1], start + half * size + c)
                                  for half in (0, 1) for t, start, size in zip(self.tables, starts, sizes)
                                  for c in range(t.shape[1])]).T.copy()

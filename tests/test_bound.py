@@ -17,12 +17,13 @@ from gplvmf import (
     kl_to_prior,
     optimal_qu,
     phi_statistics,
+    raw_context_rows,
     sgd_epoch,
     synthesize,
     total_bound,
     user_bound,
 )
-from gplvmf.bound import kl_gradients
+from gplvmf.bound import kl_gradient
 from conftest import (
     add_at_scatter,
     build_table,
@@ -112,11 +113,14 @@ class TestKlToPrior:
 
     def test_gradients(self):
         _, _, state, _ = random_instance(4)
-        grads = kl_gradients(state)
-        assert np.allclose(grads["item_mean"], state.item_mean)
-        assert np.allclose(
-            grads["item_log_var"], 0.5 * (np.exp(state.item_log_var) - 1.0)
-        )
+        # the closed form per table, by hand; nothing past the tables' prefix
+        expected, grads = state.zero_grads()
+        for t in state.layout.tables:
+            grads[t.mean][:] = state.params[t.mean]
+            grads[t.log_var][:] = 0.5 * (np.exp(state.params[t.log_var]) - 1.0)
+        end = state.layout.table_end
+        assert np.allclose(kl_gradient(state.flat[:end], state.layout.is_var), expected[:end])
+        assert not expected[end:].any()
 
 
 class TestUserBound:
@@ -331,8 +335,9 @@ def one_user_reference(blocks, state, jitter=1e-6):
         values.append(terms.value[0])
         add_at_scatter(state, chunk, terms, grads)
     kl = kl_to_prior(state)
-    for key, g in kl_gradients(state).items():
-        grads[key] -= g
+    for t in state.layout.tables:
+        grads[t.mean] -= state.params[t.mean]
+        grads[t.log_var] -= 0.5 * (np.exp(state.params[t.log_var]) - 1.0)
     return np.array(values), sum(values) - kl, grad
 
 
@@ -466,7 +471,6 @@ class TestStackedBound:
             return call
 
         monkeypatch.setattr(bound, "_InducingSide", SideSpy)
-        monkeypatch.setattr(kernels, "_InducingSide", SideSpy)
         monkeypatch.setattr(optim, "shared_factors", spy("shared", bound.shared_factors))
         monkeypatch.setattr(bound, "_PsiCache", spy("psi", bound._PsiCache))
         monkeypatch.setattr(bound, "psi_backward", spy("backward", bound.psi_backward))
@@ -475,6 +479,32 @@ class TestStackedBound:
         calls.update(dict.fromkeys(calls, 0))
         total_bound(blocks, state)
         assert calls == {"side": 1, "shared": 0, "psi": 6, "backward": 6}
+
+    def test_call_budget_of_a_predictor(self, monkeypatch):
+        # a predictor builds every user when it is made, one user_posterior
+        # call per chunk of the plan; its queries then build and plan nothing
+        import gplvmf.bound as bound
+        import gplvmf.predict as predict
+
+        table, blocks, state, _ = random_instance(27, n_users=12, ratings_per_user=4)
+        monkeypatch.setattr(bound, "_ROW_BUDGET", 2 * chunk_size(4, state.inducing_count, state.kernel_dim))
+        assert len(bound.plan(blocks, state).chunks) == 6
+        calls = dict.fromkeys(("plan", "posterior"), 0)
+
+        def spy(key, real):
+            def call(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(predict, "plan", spy("plan", predict.plan))
+        monkeypatch.setattr(predict, "user_posterior", spy("posterior", predict.user_posterior))
+        pred = predict.Predictor(state, blocks, standardization=table.standardization)
+        assert calls == {"plan": 1, "posterior": 6}
+        rows = raw_context_rows(table)
+        pred.predict_rows(table.users, table.items, rows)
+        pred.predict(table.users[0], table.items[0], rows[0])
+        assert calls == {"plan": 1, "posterior": 6}
 
     def _poison(self, monkeypatch, block, state, rtol):
         """Make np.linalg.cholesky fail, alone or inside a stack, on any
@@ -636,7 +666,8 @@ class TestIllConditionedGradient:
         state = init_state(table.schema, blocks, cfg)
         for epoch in range(cfg.epochs):
             sgd_epoch(blocks, state, cfg, epoch)
-        assert np.linalg.cond(shared_factors(state).c) >= 1e7
+        shared = shared_factors(state)
+        assert np.linalg.cond(shared.side.gram + shared.jitter * np.eye(len(shared.linv))) >= 1e7
 
         rep = total_bound(blocks, state)
         x = state.to_vector()

@@ -246,9 +246,8 @@ class TestPredict:
         assert np.array_equal(variances, [p.variance for p in single])
         assert np.array_equal(clamped, [p.clamped_mean for p in single])
 
-        # A cold predictor builds the user alone, not in the batch's chunk;
-        # one predictor walking the queries backwards builds the users in
-        # another order.  Neither changes a bit.
+        # Neither a fresh predictor per query nor one predictor walking the
+        # queries backwards changes a bit.
         expected = list(zip(means, variances, clamped))
         for i, query in enumerate(zip(users, items, rows)):
             cold = Predictor(state, blocks, standardization=standardization, rating_scale=(1.0, 5.0))
@@ -265,16 +264,12 @@ class TestPredict:
         count = state.schema.user_count
         for user in (-1, count, np.int64(-1), float(count)):
             pred = Predictor(state, blocks, standardization=standardization)
-            pred.warm([count - 1])
             with pytest.raises(UnknownUserError):
                 pred.predict(user, *query)
             fallback = pred.predict(user, *query, unknown_user="global_mean")
             assert fallback.mean == pred.global_mean and np.isnan(fallback.variance)
             means, variances, _ = pred.predict_rows([user], [2], [query[1]], unknown_user="global_mean")
             assert means[0] == pred.global_mean and np.isnan(variances[0])
-            with pytest.raises(UnknownUserError):
-                pred.warm([user])
-            assert pred.users_built == 1
 
     def test_predict_rows_unknown_users_get_the_global_mean(self):
         state, blocks, _ = batch_instance(13)
@@ -356,11 +351,10 @@ class TestPredict:
         good = pred.predict(1, 2, (1, 0.5, 0.5))
         assert pred.predict(1.0, np.float64(2.0), (1, 0.5, 0.5)) == good
         assert pred.predict_rows([1.0], [np.float64(2.0)], [(1, 0.5, 0.5)])[0][0] == good.mean
-        # a first query builds the user's row of the store by its integer id
+        # a first query reads the user's row of the store by its integer id
         for user in (1.0, np.int64(1), np.float64(1.0)):
             cold = Predictor(state, blocks, standardization=standardization)
             assert cold.predict(user, 2, (1, 0.5, 0.5)) == good
-            assert cold.users_built == 1
 
     def test_predict_rows_empty_batch(self):
         state, blocks, _ = batch_instance(16)
@@ -368,7 +362,7 @@ class TestPredict:
         assert len(out) == 3
         assert all(isinstance(a, np.ndarray) and a.shape == (0,) for a in out)
 
-    def test_users_built_counts_each_user_once(self):
+    def test_a_repeated_batch_is_equal(self):
         schema = ContextSchema(300, 5, ())
         rng = np.random.default_rng(17)
         table = build_table(
@@ -381,28 +375,45 @@ class TestPredict:
         users = rng.permutation(np.repeat(np.arange(300), 2))
         items = rng.integers(0, 5, size=600)
         first = pred.predict_rows(users, items, [()] * 600)
-        assert pred.users_built == 300
         again = pred.predict_rows(users, items, [()] * 600)
-        assert pred.users_built == 300
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
-    def test_built_users_plan_nothing(self, monkeypatch):
-        # once every queried user is built, queries and warm make no plan
+    def test_queries_plan_nothing(self, monkeypatch):
+        # every user is built when the predictor is made; no query plans
         import gplvmf.predict as predict
 
         state, blocks, standardization = batch_instance(18)
         users, items, rows = batch_queries(19, n=40)
+        expected = Predictor(state, blocks, standardization=standardization).predict_rows(users, items, rows)
         pred = Predictor(state, blocks, standardization=standardization)
-        first = pred.predict_rows(users, items, rows)
 
         def no_plan(*args):
-            raise AssertionError("a plan was made with every user built")
+            raise AssertionError("a query made a plan")
 
         monkeypatch.setattr(predict, "plan", no_plan)
-        again = pred.predict_rows(users, items, rows)
-        assert all(np.array_equal(a, b) for a, b in zip(first, again))
-        assert pred.predict(users[0], items[0], rows[0]).mean == first[0][0]
-        pred.warm(users)
+        got = pred.predict_rows(users, items, rows)
+        assert all(np.array_equal(a, b) for a, b in zip(expected, got))
+        assert pred.predict(users[0], items[0], rows[0]).mean == expected[0][0]
+
+    def test_a_memoized_plan_is_not_rebuilt(self, monkeypatch):
+        # over group_by_user's blocks a predictor reuses the plan that
+        # training made; any other sequence is planned afresh
+        import gplvmf.bound as bound
+
+        state, blocks, standardization = batch_instance(20)
+        bound.plan(blocks, state)
+        builds = []
+        real = bound.Plan
+
+        def spy(blocks, state):
+            builds.append(blocks)
+            return real(blocks, state)
+
+        monkeypatch.setattr(bound, "Plan", spy)
+        Predictor(state, blocks, standardization=standardization)
+        assert builds == []
+        Predictor(state, list(blocks), standardization=standardization)
+        assert len(builds) == 1
 
 
 class TestContextRelevance:
