@@ -42,15 +42,16 @@ so :func:`total_bound` takes users in chunks: users of the same rating count,
 at most ``_ROW_BUDGET`` doubles together (:func:`_chunks`).  Only the
 parameters change between calls, so a block sequence is planned once
 (:func:`plan`): a :class:`Chunk` keeps its rows end to end and the flat
-positions of the table entries they read.  A chunk gathers those entries
-with one index, makes one unit-signal psi pass over its rows (Psi1 scales by
-sigma2 and Psi2 by sigma2^2 per user), takes every per-user sum as a reshape
-over (U, n, ...), solves one stacked (U, M, M) whitened system, makes one
-:func:`psi_backward` call and adds its gradients with one ``np.bincount``
-over the same positions, the gather's adjoint (:func:`_scatter`).  Every
-matrix product over rows or over users is a stacked product with one user
-per slice (:func:`gplvmf.kernels._by_group` and
-:func:`gplvmf.kernels._cross_by_group`), so a chunk's products have one
+positions it reads, which the state hands out: those of the table entries
+of its rows, then those of its users' point block.  A chunk gathers the
+table entries with one index, makes one unit-signal psi pass over its rows
+(Psi1 scales by sigma2 and Psi2 by sigma2^2 per user), takes every per-user
+sum as a reshape over (U, n, ...), solves one stacked (U, M, M) whitened
+system, makes one :func:`psi_backward` call and adds its gradients with one
+``np.bincount`` over all its positions, the gather's adjoint
+(:func:`_scatter`).  Every matrix product over rows or over users is a
+stacked product with one user per slice (:func:`gplvmf.kernels._by_group`
+and :func:`gplvmf.kernels._cross_by_group`), so a chunk's products have one
 user's shapes: the chunk size changes neither how many BLAS
 threads a product runs on nor any bit of a user's terms or q(u), only the
 rounding of sums over users, and the budget bounds memory alone.  What
@@ -154,29 +155,17 @@ def _chunks(blocks: list, state: VariationalState) -> list:
     return sorted(chunks, key=lambda chunk: chunk[0])   # a chunk opens at its first block
 
 
-# Point parameters a chunk reads at its users' entries alone, not whole.
-_PER_USER = ("user_bias", "log_sigma2", "log_beta")
-
-
-def _points(state: VariationalState, users: np.ndarray) -> list:
-    """Flat positions of the point entries in flat order, a per-user key's at the users."""
-    return [
-        state.offsets[k] + (users if key in _PER_USER else np.arange(state.params[key].size))
-        for k, key in enumerate(state.layout.keys) if k >= 2 * len(state.layout.tables)
-    ]
-
-
 class Chunk:
     """The users of one :func:`_chunks` entry (all of ``blocks`` when ``idx``
     is None), planned for a state layout.  ``rows`` holds their rows end to
     end (a lone block's own rows), whose ``user`` then holds every row's
-    user.  ``gather`` holds the flat positions ``offset[key] + code * width
-    + column`` of the (N, K) table entries the rows read, in the order of
-    :attr:`gplvmf.state.KernelLayout.entries`; the forward pass reads
-    ``state.flat[gather]``.  ``pos`` adds :func:`_points`, along which
-    :func:`_scatter` lays the gradients out for one ``np.bincount``.
-    ``scales`` holds the flat positions of the users' ``log_sigma2`` and
-    ``log_beta``, (2, U).
+    user.  ``pos`` holds the flat positions the chunk reads: first those of
+    the (N, K) table entries of its rows, in the order of
+    :attr:`gplvmf.state.KernelLayout.entries`, whose (N, K) view ``gather``
+    the forward pass reads as ``state.flat[gather]``; then those of its
+    users' point block (:meth:`gplvmf.state.VariationalState.point_positions`).
+    :func:`_scatter` lays the gradients out along ``pos`` for one
+    ``np.bincount``.
     """
 
     def __init__(self, blocks, state: VariationalState, idx=None):
@@ -186,22 +175,19 @@ class Chunk:
         self.rows = chosen[0] if len(chosen) == 1 else UserBlock(
             np.repeat(self.users, chosen[0].count), *map(np.concatenate, zip(*(b[1:] for b in chosen)))
         )
-        self.gather, self.pos = state.layout.positions(self.rows), None
-        keys = state.layout.keys
-        self.scales = np.stack([state.offsets[keys.index(key)] + self.users for key in ("log_sigma2", "log_beta")])
-
-    def positions(self, state: VariationalState) -> np.ndarray:
-        """``pos``, built on first use; ``gather`` then becomes a view of it."""
-        if self.pos is None:
-            self.pos = np.concatenate([self.gather.ravel()] + _points(state, self.users))
-            self.gather = self.pos[: self.gather.size].reshape(self.gather.shape)
-        return self.pos
+        points = state.point_positions(self.users)
+        n, k = self.rows.count, state.layout.entries.shape[1]
+        self.pos = np.empty(n * k + sum(p.size for p in points), dtype=np.int64)
+        self.gather = state.layout.positions(self.rows, out=self.pos[: n * k].reshape(n, k))
+        np.concatenate(points, out=self.pos[n * k :])
 
     def one(self, s: int, block) -> "Chunk":
-        """User ``s``, whose block is ``block``, as a one-user chunk over views."""
+        """User ``s``, whose block is ``block``, as a one-user chunk over
+        views; its step (:meth:`Plan.steps`) holds its positions, so it has
+        no ``pos``."""
         one, n = Chunk.__new__(Chunk), block.count
         one.idx, one.users, one.rows, one.pos = self.idx[s : s + 1], self.users[s : s + 1], block, None
-        one.scales, one.gather = self.scales[:, s : s + 1], self.gather[s * n : (s + 1) * n]
+        one.gather = self.gather[s * n : (s + 1) * n]
         return one
 
 
@@ -220,18 +206,17 @@ class Plan:
         leading latent-table entries of ``idx`` are log-variances.  A chunk's
         steps come from one ``np.unique`` over (block, flat position) keys of
         every block's entries, each block's laid out as its one-user chunk's
-        :meth:`Chunk.positions`."""
+        ``pos`` would be: its rows' table entries, then the layout's point
+        block, a per-user key's at the block's user."""
         if self._steps is None:
             layout = state.layout
             table_end, size = layout.table_end, state.flat.size
-            point_keys = layout.keys[2 * len(layout.tables) :]
             self._steps = [None] * len(self.blocks)
             for chunk in self.chunks:
-                chunk.positions(state)   # before the views are taken
                 u = len(chunk.idx)
                 each = np.concatenate([chunk.gather.reshape(u, -1)] + [
-                    pos[:, None] if key in _PER_USER else np.broadcast_to(pos, (u, pos.size))
-                    for key, pos in zip(point_keys, _points(state, chunk.users))
+                    pos[:, None] if per_user else np.broadcast_to(pos, (u, pos.size))
+                    for (_, per_user), pos in zip(layout.points, state.point_positions(chunk.users))
                 ], axis=1)
                 keys, inverse = np.unique(each + size * np.arange(u)[:, None], return_inverse=True)
                 starts = np.searchsorted(keys, size * np.arange(u + 1))
@@ -301,7 +286,7 @@ def _forward(chunk: Chunk, state: VariationalState, shared: SharedFactors) -> _F
     rows, users, linv, side = chunk.rows, chunk.users, shared.linv, shared.side
     u, m = len(users), len(linv)
     n = rows.count // u
-    sigma2, beta = np.exp(state.flat[chunk.scales])
+    sigma2, beta = np.exp(state.log_sigma2[users]), np.exp(state.log_beta[users])
 
     entries = state.row_entries(rows, chunk.gather)
     mu_rows, var_rows = state.assemble_rows(rows, entries)
@@ -471,9 +456,10 @@ class BoundReport:
 
 
 def _scatter(state: VariationalState, chunk: Chunk, terms: UserTerms) -> np.ndarray:
-    """A chunk's gradients (log parameterization) laid out along its
-    :meth:`Chunk.positions`, so that one ``np.bincount`` over those adds
-    them into a flat gradient: the adjoint of the forward pass's gather.
+    """A chunk's gradients (log parameterization) laid out along its ``pos``,
+    so that one ``np.bincount`` over it adds them into a flat gradient: the
+    adjoint of the forward pass's gather.  The point block's come in the
+    order of :attr:`gplvmf.state.KernelLayout.points`.
 
     Kernel tables take the kernel row gradients; bias tables take the per-row
     gradients of :func:`phi_backward`.  Real columns are data, not
@@ -490,8 +476,7 @@ def _scatter(state: VariationalState, chunk: Chunk, terms: UserTerms) -> np.ndar
         rows[:, split:half], rows[:, half + split :] = pg.mean_rows[:, None], terms.dphi0[:, None] * terms.bias_var
         points.update(real_weights=pg.real_weights,
                       user_bias=pg.mean_rows.reshape(len(chunk.users), -1).sum(axis=1))
-    keys = state.layout.keys[2 * len(state.layout.tables) :]
-    return np.concatenate([rows.ravel()] + [points[key].ravel() for key in keys])
+    return np.concatenate([rows.ravel()] + [points[key].ravel() for key, _ in state.layout.points])
 
 
 def total_bound(
@@ -513,7 +498,7 @@ def total_bound(
         terms = _terms(chunk, state, shared, want_gradients)
         per_user[chunk.idx] = terms.value
         if want_gradients:
-            vec += np.bincount(chunk.positions(state), _scatter(state, chunk, terms), minlength=vec.size)
+            vec += np.bincount(chunk.pos, _scatter(state, chunk, terms), minlength=vec.size)
 
     kl = kl_to_prior(state)
     total = float(per_user.sum() - kl)

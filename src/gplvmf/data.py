@@ -37,8 +37,7 @@ class ContextVariable:
         if self.kind not in (CATEGORICAL, REAL):
             raise ValueError(f"unknown context kind {self.kind!r}")
         if self.kind == CATEGORICAL:
-            if self.cardinality is None or self.cardinality < 1:
-                raise ValueError(f"context {self.name!r}: cardinality must be >= 1")
+            check_field(f"context {self.name!r}: cardinality", self.cardinality, True, 1)
         elif self.cardinality is not None:
             raise ValueError(f"context {self.name!r}: real-valued context takes no cardinality")
 
@@ -56,8 +55,8 @@ class ContextSchema:
     contexts: tuple[ContextVariable, ...] = ()
 
     def __post_init__(self):
-        if self.user_count < 1 or self.item_count < 1:
-            raise ValueError("user_count and item_count must be positive")
+        check_field("user_count", self.user_count, True, 1)
+        check_field("item_count", self.item_count, True, 1)
         names = [c.name for c in self.contexts]
         if len(set(names)) != len(names):
             raise ValueError("context names must be unique")
@@ -96,6 +95,18 @@ def schema_from_dict(d: dict, where: str = "the schema") -> ContextSchema:
         check_keys(c, ("name", "kind", "cardinality"), f"context {i} of {where}")
         contexts.append(ContextVariable(name=c["name"], kind=c["kind"], cardinality=c.get("cardinality")))
     return ContextSchema(user_count=d["user_count"], item_count=d["item_count"], contexts=tuple(contexts))
+
+
+def check_field(name: str, value, integer: bool, bound, strict: bool = False, note: str = "") -> None:
+    """A ``ValueError`` naming field ``name`` unless ``value`` is an integer
+    (``integer``; not a bool) or a finite real number, at least ``bound``
+    (above it if ``strict``); the schema and every config check their counts
+    and settings here."""
+    number = isinstance(value, (int, np.integer) if integer else (int, float, np.integer, np.floating))
+    if not number or isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
+    if value < bound or (strict and value == bound):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {bound}{note}, got {value!r}")
 
 
 def check_keys(given, known, where: str) -> None:
@@ -155,7 +166,11 @@ class RatingTable:
 
     ``real_values`` holds the z-scored real contexts; ``real_raw`` keeps the
     original values so subsets can refit or reuse statistics without leakage.
-    Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads.  A table checks
+    its columns when it is made: a :class:`DataError` names the first column
+    whose shape does not fit the schema, whose codes are not integers, or
+    whose first bad row holds a code out of range or a non-finite rating or
+    raw real value.
     """
 
     schema: ContextSchema
@@ -168,6 +183,27 @@ class RatingTable:
     real_values: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        schema, n = self.schema, (len(self.users),)
+        widths = {"cat_values": (len(schema.categorical_indices),), "real_raw": (len(schema.real_indices),)}
+        for name in ("users", "items", "cat_values", "real_raw", "ratings"):
+            shape, expected = np.shape(getattr(self, name)), n + widths.get(name, ())
+            if shape != expected:
+                raise DataError(f"column {name} has shape {shape}, expected {expected}")
+        for name in ("users", "items", "cat_values"):
+            if getattr(self, name).dtype.kind not in "iu":
+                raise DataError(f"column {name} holds {getattr(self, name).dtype} values, not integer codes")
+        found = out_of_range(schema, self.users, self.items, self.cat_values)
+        if found:
+            what, row, code, count = found
+            raise DataError(f"row {row}: {what} {code} out of range [0, {count})")
+        bad = np.argwhere(~np.isfinite(self.real_raw))
+        if bad.size:
+            row, col = bad[0]
+            context = schema.contexts[schema.real_indices[col]]
+            raise DataError(f"row {row}: {context_value_error(context, float(self.real_raw[row, col]))}")
+        bad = np.flatnonzero(~np.isfinite(self.ratings))
+        if bad.size:
+            raise DataError(f"row {bad[0]}: rating {float(self.ratings[bad[0]])!r} is not finite")
         object.__setattr__(self, "real_values", self.standardization.apply(self.real_raw))
 
     def __len__(self) -> int:
@@ -199,6 +235,22 @@ class RatingTable:
             ratings=self.ratings[indices],
             standardization=standardization,
         )
+
+
+def out_of_range(schema: ContextSchema, users, items, cats):
+    """The first code outside its range [0, count), as (what, row, code,
+    count), or None.  The user index, the item index and each categorical
+    context's code (``cats`` holds their columns in schema order) are
+    checked in that order; :func:`load_table` and :class:`RatingTable` share
+    this rule."""
+    columns = [("user index", users, schema.user_count), ("item index", items, schema.item_count)]
+    categorical = [schema.contexts[d] for d in schema.categorical_indices]
+    columns += [(f"context {c.name!r} code", cats[:, j], c.cardinality) for j, c in enumerate(categorical)]
+    for what, codes, count in columns:
+        bad = np.flatnonzero((codes < 0) | (codes >= count))
+        if bad.size:
+            return what, int(bad[0]), int(codes[bad[0]]), count
+    return None
 
 
 def context_columns(schema: ContextSchema, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -329,15 +381,10 @@ def load_table(path, schema: ContextSchema, delimiter: str = ",") -> RatingTable
     if not records:
         raise DataError(f"{path}: no records")
     values = np.array(records, dtype=float)
-    ranges = [("user index", 0, schema.user_count), ("item index", 1, schema.item_count)]
-    ranges += [(f"context {c.name!r} code", 2 + d, c.cardinality)
-               for d, c in enumerate(schema.contexts) if c.is_categorical]
-    for what, col, count in ranges:
-        bad = np.flatnonzero((values[:, col] < 0) | (values[:, col] >= count))
-        if bad.size:
-            raise DataError(
-                f"{path}, line {linenos[bad[0]]}: {what} {int(values[bad[0], col])} out of range [0, {count})"
-            )
+    found = out_of_range(schema, values[:, 0], values[:, 1], values[:, [2 + d for d in schema.categorical_indices]])
+    if found:
+        what, row, code, count = found
+        raise DataError(f"{path}, line {linenos[row]}: {what} {code} out of range [0, {count})")
     cats, raw = context_columns(schema, values[:, 2:-1])
     return RatingTable(
         schema=schema,

@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .bound import DEFAULT_JITTER, kl_gradient, kl_to_prior, plan, shared_factors, total_bound, _scatter, _user_terms
-from .data import ContextSchema, UserBlock
+from .data import ContextSchema, UserBlock, check_field
 from .meanfn import phi_backward  # noqa: F401  looked up here by perfbench's traced run
-from .state import KernelLayout, ModelDims, VariationalState, check_field
+from .state import KernelLayout, ModelDims, VariationalState
 
 
 class OptimizationError(RuntimeError):
@@ -164,9 +164,8 @@ def init_state(schema: ContextSchema, blocks: list, config: TrainConfig) -> Vari
     return state
 
 
-def _non_finite(what: str, state: VariationalState, index: int, user: int) -> OptimizationError:
-    key = state.layout.keys[np.searchsorted(state.offsets, index, side="right") - 1]
-    return OptimizationError(f"non-finite {what} in parameter block {key!r} while processing user {user}")
+def _non_finite(what: str, state: VariationalState, i: int, user: int) -> OptimizationError:
+    return OptimizationError(f"non-finite {what} in parameter block {state.key_at(i)!r} while processing user {user}")
 
 
 def sgd_epoch(
@@ -178,12 +177,12 @@ def sgd_epoch(
     """One seeded shuffled pass over all users; mutates and returns ``state``.
 
     A step gathers the entries of ``state.flat`` the user touches
-    (:meth:`gplvmf.bound.Plan.steps`) and checks the last ones (z finite,
-    log_alpha, log_sigma2 and log_beta finite under exp), sums the user's
+    (:meth:`gplvmf.bound.Plan.steps`), checks those of the point block
+    (log-parameters finite under exp, the others finite), sums the user's
     gradient onto them with one ``np.bincount``, subtracts the 1/N KL share
     on the latent-table entries, clips it over those entries (each counted
     once) and steps them, so no step reads an entry its user does not touch.
-    A non-finite squared norm names the first non-finite entry's block.
+    A non-finite value or squared norm names the first bad entry's block.
     Returns the running bound estimate: the per-user terms as they were
     computed during the pass, minus the KL at the end of the epoch.
     """
@@ -193,18 +192,18 @@ def sgd_epoch(
     lr = config.learning_rate * config.lr_decay**epoch_index
     steps = plan(blocks, state).steps(state)
     pflat = state.flat
-    # every step's entries end with z, log_alpha, log_sigma2[u] and log_beta[u],
-    # the last keys: z must be finite and the other three finite under exp
-    n_check, big = state.z.size + state.log_alpha.size + 2, np.finfo(float).max
-    low, high = np.repeat([[-big, -np.inf], [big, np.log(big)]], [state.z.size, n_check - state.z.size], axis=1)
+    # a step's point entries follow its latent-table ones, in the layout's order
+    points, cap = state.layout.points, np.log(np.finfo(float).max)
+    logs = np.repeat([key.startswith("log_") for key, _ in points],
+                     [1 if per_user else state.params[key].size for key, per_user in points])
     value_sum = 0.0
 
     for bi in order:
         chunk, idx, local, is_var = steps[bi]
         p = pflat[idx]
-        ok = (low <= p[-n_check:]) & (p[-n_check:] <= high)
+        ok = np.where(logs, p[is_var.size :] <= cap, np.isfinite(p[is_var.size :]))
         if not ok.all():
-            raise _non_finite("value", state, idx[idx.size - n_check + np.argmin(ok)], chunk.rows.user)
+            raise _non_finite("value", state, idx[is_var.size + np.argmin(ok)], chunk.rows.user)
         shared = shared_factors(state, config.jitter)
         terms = _user_terms(chunk, state, shared, want_gradients=True)
         value_sum += terms.value[0]

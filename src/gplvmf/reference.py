@@ -77,8 +77,14 @@ class PsiStats:
     psi2: np.ndarray
 
 
+# Rows of ``a`` per block of kernel_matrix: a block's (rows, m, Q)
+# differences stay small while the rows are many.
+_KERNEL_ROWS = 64
+
+
 def kernel_matrix(kernel: ArdKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain kernel matrix between row sets ``a`` (n x Q) and ``b`` (m x Q)."""
+    """Plain kernel matrix between row sets ``a`` (n x Q) and ``b`` (m x Q),
+    taken over blocks of ``_KERNEL_ROWS`` rows of ``a``."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != kernel.dim or b.shape[1] != kernel.dim:
@@ -86,8 +92,10 @@ def kernel_matrix(kernel: ArdKernel, a: np.ndarray, b: np.ndarray) -> np.ndarray
             f"input dimension mismatch: kernel expects Q={kernel.dim}, "
             f"got {a.shape[1]} and {b.shape[1]}"
         )
-    diff = a[:, None, :] - b[None, :, :]
-    expo = -0.5 * np.einsum("q,nmq->nm", kernel.inv_length_scales, diff**2)
+    expo = np.empty((a.shape[0], b.shape[0]))
+    for start in range(0, a.shape[0], _KERNEL_ROWS):
+        diff = a[start : start + _KERNEL_ROWS, None, :] - b[None, :, :]
+        expo[start : start + _KERNEL_ROWS] = -0.5 * np.einsum("q,nmq->nm", kernel.inv_length_scales, diff**2)
     return kernel.signal_variance * np.exp(expo)
 
 
@@ -250,7 +258,7 @@ def optimal_qu(block: UserBlock, state: VariationalState, jitter: float = DEFAUL
     """
     chunk, shared = Chunk([block], state), shared_factors(state, jitter)
     post = user_posterior(chunk, state, shared)
-    sigma2, beta = np.exp(state.flat[chunk.scales[:, 0]])
+    sigma2, beta = np.exp(state.log_sigma2[block.user]), np.exp(state.log_beta[block.user])
     c = shared.side.gram + shared.jitter * np.eye(len(shared.linv))
     mu_u = beta * ((sigma2 * c) @ post.v[0])
     shalf = solve_triangular(post.chol_b[0], (np.sqrt(sigma2) * shared.chol_c).T, lower=True)

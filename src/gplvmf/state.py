@@ -24,34 +24,31 @@ the model file all walk that description; none of them re-derives it from
 the schema.
 
 The state keeps every parameter in one float64 vector, ``flat``, in the
-order of :attr:`KernelLayout.keys`.  ``params`` maps each key to a reshaped
-view of its slice (``offsets`` holds the bounds), and the familiar attributes
-(``item_mean``, ``z``, ...) read it; assigning one (``state.z =
-...``, maybe with a new shape) re-packs the vector.  All positive parameters
-(variances, inverse length-scales, signal variance, noise precision) are
-stored as logs, making the flat optimization vector unconstrained.
+order of :attr:`KernelLayout.keys`: the latent tables, then the *point
+block*.  :attr:`KernelLayout.points` lists the point block once, as (key,
+per user) pairs in flat order: the mean function's ``real_weights`` and
+per-user ``user_bias`` (with ``use_mean``), the inducing inputs ``z``, the
+inverse length-scales ``log_alpha`` and the per-user ``log_sigma2`` and
+``log_beta``.  ``params`` maps each key to a reshaped view of its slice
+(``offsets`` holds the bounds), and the familiar attributes (``item_mean``,
+``z``, ...) read it; assigning one (``state.z = ...``, maybe with a new
+shape) re-packs the vector.  This module alone reads ``offsets``: the bound's
+gather and scatter, SGD's steps and its value check ask the state for flat
+positions (:meth:`KernelLayout.positions`,
+:meth:`VariationalState.point_positions`) and for the key at a position
+(:meth:`VariationalState.key_at`).  All positive parameters (variances,
+inverse length-scales, signal variance, noise precision) are stored as logs,
+making the flat optimization vector unconstrained.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ContextSchema, UserBlock
-
-
-def check_field(name: str, value, integer: bool, bound, strict: bool = False, note: str = "") -> None:
-    """A ``ValueError`` naming config field ``name`` unless ``value`` is an
-    integer (``integer``; not a bool) or a finite real number, at least
-    ``bound`` (above it if ``strict``)."""
-    number = isinstance(value, (int, np.integer) if integer else (int, float, np.integer, np.floating))
-    if not number or isinstance(value, (bool, np.bool_)) or not math.isfinite(value):
-        raise ValueError(f"{name} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
-    if value < bound or (strict and value == bound):
-        raise ValueError(f"{name} must be {'>' if strict else '>='} {bound}{note}, got {value!r}")
+from .data import ContextSchema, UserBlock, check_field
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,9 @@ class LatentTable:
 
 class KernelLayout:
     """Mapping between schema entities, kernel latent coordinates and the
-    latent tables; ``keys`` is the canonical flat-vector order.
+    latent tables; ``keys`` is the canonical flat-vector order: every table's
+    two keys, then the point block, which ``points`` lists once as (key, per
+    user) pairs.
 
     ``slices`` lists (name, kernel slice) for the item block and then each
     context in schema order; it is a list because a context may be named
@@ -123,15 +122,16 @@ class KernelLayout:
         self.dim = len(fixed)
         self.fixed_mask = np.array(fixed, dtype=bool)
 
-        point = ["z", "log_alpha", "log_sigma2", "log_beta"]
+        # a step reads a per-user key at its user alone, any other key whole
+        self.points = [("z", False), ("log_alpha", False), ("log_sigma2", True), ("log_beta", True)]
         if dims.use_mean:
             self.tables += [
                 LatentTable(f"bias_{t.mean}", f"bias_{t.log_var}", t.column, slice(0, 0),
                             (t.shape[0], dims.item_bias_dim if t.column is None else dims.context_bias_dim))
                 for t in self.tables
             ]
-            point = ["real_weights", "user_bias"] + point
-        self.keys = [key for t in self.tables for key in (t.mean, t.log_var)] + point
+            self.points = [("real_weights", False), ("user_bias", True)] + self.points
+        self.keys = [key for t in self.tables for key in (t.mean, t.log_var)] + [key for key, _ in self.points]
 
         # A row reads K entries of the tables: the means, kernel tables first
         # (``kernel_width`` of them, the bias tables at ``bias_columns``), then
@@ -153,10 +153,11 @@ class KernelLayout:
         bounds = np.cumsum([self.kernel_width] + [t.shape[1] for t in self.tables if not t.in_kernel])
         self.bias_columns = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
-    def positions(self, rows: UserBlock) -> np.ndarray:
-        """Flat positions of the (N, K) table entries ``rows`` read."""
+    def positions(self, rows: UserBlock, out=None) -> np.ndarray:
+        """Flat positions of the (N, K) table entries ``rows`` read, written
+        into ``out`` when it is given."""
         column, width, base = self.entries
-        return np.column_stack([rows.cat_values, rows.items])[:, column] * width + base
+        return np.add(np.column_stack([rows.cat_values, rows.items])[:, column] * width, base, out=out)
 
 
 class _Param:
@@ -213,6 +214,18 @@ class VariationalState:
 
     def copy(self) -> "VariationalState":
         return self.from_vector(self.flat)
+
+    def point_positions(self, users: np.ndarray) -> list:
+        """Flat positions of the point block for ``users``, one array per
+        ``layout.points`` key in flat order: a per-user key's at the users,
+        any other key's whole."""
+        starts = self.offsets[len(self.layout.keys) - len(self.layout.points) :]
+        return [start + (users if per_user else np.arange(self.params[key].size))
+                for (key, per_user), start in zip(self.layout.points, starts)]
+
+    def key_at(self, index: int) -> str:
+        """The key whose block holds flat entry ``index``."""
+        return self.layout.keys[np.searchsorted(self.offsets, index, side="right") - 1]
 
     def row_entries(self, rows: UserBlock, gather=None) -> np.ndarray:
         """The (N, K) table entries ``rows`` read, in the order of

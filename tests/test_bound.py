@@ -639,7 +639,7 @@ class TestPlan:
         table_end = state.offsets[2 * len(state.layout.tables)]
         for block, (one, idx, local, var) in zip(blocks, bound.plan(blocks, state).steps(state)):
             alone = bound.Chunk([block], state)
-            ref_idx, ref_local = np.unique(alone.positions(state), return_inverse=True)
+            ref_idx, ref_local = np.unique(alone.pos, return_inverse=True)
             assert np.array_equal(idx, ref_idx) and np.array_equal(one.gather, alone.gather)
             assert local.dtype == np.min_scalar_type(ref_idx.size) and np.array_equal(local, ref_local)
             assert np.array_equal(var, is_var[ref_idx[: np.searchsorted(ref_idx, table_end)]])

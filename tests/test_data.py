@@ -1,5 +1,7 @@
 """Schema validation, file ingestion, user grouping, and fold plans."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,15 @@ from gplvmf import (
     ContextSchema,
     ContextVariable,
     DataError,
+    RatingTable,
+    RealStandardization,
     group_by_user,
     load_table,
     make_folds,
     raw_context_rows,
     save_table,
 )
-from gplvmf.data import context_columns
+from gplvmf.data import CATEGORICAL, context_columns
 from conftest import build_table, codec_schema, codec_table
 
 
@@ -44,6 +48,81 @@ class TestSchema:
     def test_real_takes_no_cardinality(self):
         with pytest.raises(ValueError, match="no cardinality"):
             ContextVariable("a", "real", cardinality=3)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ContextSchema(2.5, 3), "user_count must be an integer, got 2.5"),
+            (lambda: ContextSchema(2, True), "item_count must be an integer, got True"),
+            (lambda: ContextSchema(0, 3), "user_count must be >= 1, got 0"),
+            (lambda: ContextSchema("2", 3), "user_count must be an integer, got '2'"),
+            (lambda: ContextVariable("a", CATEGORICAL, 2.0), "context 'a': cardinality must be an integer, got 2.0"),
+            (lambda: ContextVariable("a", CATEGORICAL, True), "context 'a': cardinality must be an integer, got True"),
+            (lambda: ContextVariable("a", CATEGORICAL, 0), "context 'a': cardinality must be >= 1, got 0"),
+        ],
+        ids=["fractional_users", "bool_items", "no_users", "string_users", "float_cardinality",
+             "bool_cardinality", "zero_cardinality"],
+    )
+    def test_counts_are_checked_by_name(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_numpy_integer_counts_stay_allowed(self):
+        schema = ContextSchema(np.int64(2), np.int32(3), (ContextVariable("a", "categorical", np.int64(4)),))
+        assert (schema.user_count, schema.item_count, schema.contexts[0].cardinality) == (2, 3, 4)
+
+
+def table_columns(n=4):
+    """Valid columns of an n-row table over :func:`two_context_schema`."""
+    return dict(
+        schema=two_context_schema(), users=np.arange(n) % 5, items=np.arange(n) % 10,
+        cat_values=(np.arange(n) % 2).reshape(n, 1), real_raw=np.linspace(0.0, 1.0, n).reshape(n, 1),
+        ratings=np.full(n, 3.0), standardization=RealStandardization(np.zeros(1), np.ones(1)),
+    )
+
+
+def replaced(column, row, value):
+    out = np.array(table_columns()[column])
+    out[row] = value
+    return out
+
+
+class TestRatingTableChecks:
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("users", replaced("users", 2, -1), "row 2: user index -1 out of range [0, 5)"),
+            ("users", replaced("users", 1, 5), "row 1: user index 5 out of range [0, 5)"),
+            ("items", replaced("items", 3, 10), "row 3: item index 10 out of range [0, 10)"),
+            ("cat_values", replaced("cat_values", 1, 5), "row 1: context 'mood' code 5 out of range [0, 2)"),
+            ("ratings", replaced("ratings", 1, np.nan), "row 1: rating nan is not finite"),
+            ("real_raw", replaced("real_raw", 2, -np.inf), "row 2: context 'price' value -inf is not finite"),
+            ("items", np.arange(4.0), "column items holds float64 values, not integer codes"),
+            ("users", np.zeros(4, dtype=bool), "column users holds bool values, not integer codes"),
+            ("ratings", np.full(3, 3.0), "column ratings has shape (3,), expected (4,)"),
+            ("cat_values", np.zeros((4, 2), dtype=np.int64), "column cat_values has shape (4, 2), expected (4, 1)"),
+            ("real_raw", np.zeros(4), "column real_raw has shape (4,), expected (4, 1)"),
+        ],
+        ids=["negative_user", "user_count", "item_count", "category", "nan_rating", "inf_real", "float_items",
+             "bool_users", "short_ratings", "wide_codes", "flat_reals"],
+    )
+    def test_direct_construction_names_the_column_and_row(self, column, value, message):
+        columns = table_columns()
+        RatingTable(**columns)
+        columns[column] = value
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            RatingTable(**columns)
+
+    def test_empty_table_stays_legal(self):
+        table = RatingTable(**table_columns(0))
+        assert len(table) == 0 and table.real_values.shape == (0, 1)
+
+    def test_subset_of_a_changed_table_is_rejected(self):
+        table = RatingTable(**table_columns())
+        table.items[1] = 10       # the columns are plain arrays, so a caller can still write them
+        assert len(table.subset([0, 2])) == 2
+        with pytest.raises(DataError, match=re.escape("row 1: item index 10 out of range [0, 10)")):
+            table.subset([0, 1, 2])
 
 
 class TestLoadTable:

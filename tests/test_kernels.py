@@ -49,6 +49,16 @@ class TestKernelMatrix:
         kba = kernel_matrix(kern, z, pts.mean)
         assert np.allclose(kab, kba.T)
 
+    def test_row_blocks_equal_the_broadcast_form_bit_for_bit(self):
+        from gplvmf.reference import _KERNEL_ROWS
+
+        rng = np.random.default_rng(3)
+        kern = ArdKernel(1.3, rng.uniform(0.1, 2.0, size=6))
+        a, b = rng.normal(size=(2 * _KERNEL_ROWS + 17, 6)), rng.normal(size=(90, 6))
+        diff = a[:, None, :] - b[None, :, :]
+        broadcast = kern.signal_variance * np.exp(-0.5 * np.einsum("q,nmq->nm", kern.inv_length_scales, diff**2))
+        assert np.array_equal(kernel_matrix(kern, a, b), broadcast)
+
     def test_dimension_mismatch(self):
         kern = ArdKernel(1.0, np.ones(2))
         with pytest.raises(ValueError, match="dimension"):

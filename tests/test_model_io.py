@@ -66,6 +66,33 @@ class TestSerialization:
             assert cli_main(["predict", "--model", str(bad), "--queries", str(queries)]) == 2
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, row, value, message",
+        [
+            ("table_items", 4, 6, "row 4: item index 6 out of range [0, 6)"),
+            ("table_users", 0, -1, "row 0: user index -1 out of range [0, 8)"),
+            ("table_cat", 7, 3, "row 7: context 'mood' code 3 out of range [0, 3)"),
+            ("table_ratings", 2, np.inf, "row 2: rating inf is not finite"),
+        ],
+        ids=["item", "user", "category", "rating"],
+    )
+    def test_tampered_table_arrays_are_rejected(self, tmp_path, capsys, name, row, value, message):
+        # a file's table is checked as any other table: an out-of-range code
+        # would otherwise train the trailing prior row or another user's entries
+        model = small_model(tmp_path)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = dict(data.items())
+        arrays[name][row] = value
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_model(bad)
+        queries = tmp_path / "q.csv"
+        queries.write_text("user,item,mood,price\n0,1,2,0.4\n", encoding="utf-8")
+        assert cli_main(["predict", "--model", str(bad), "--queries", str(queries)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_files_with_the_old_meta_keys_still_load(self, tmp_path):
         model = small_model(tmp_path)
@@ -346,6 +373,16 @@ class TestCli:
         assert code == 2
         assert "error: epochs must be an integer, got '10'" in capsys.readouterr().err
         assert not (tmp_path / "m.npz").exists()
+
+    def test_config_file_with_a_fractional_user_count_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        raw = json.loads(path.read_text())
+        raw["schema"]["user_count"] = 2.5
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        code = cli_main(["synthesize", "--config", str(path), "--out", str(tmp_path / "data.csv")])
+        assert code == 2
+        assert "error: user_count must be an integer, got 2.5" in capsys.readouterr().err
+        assert not (tmp_path / "data.csv").exists()
 
     @pytest.mark.parametrize(
         "body, message",

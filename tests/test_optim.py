@@ -26,6 +26,11 @@ from gplvmf import (
 from conftest import add_at_scatter, random_instance
 
 
+# a value of each always-present point key that a step must refuse: z not
+# finite, the log-parameters not finite under exp
+POINT_VALUES = [("z", np.nan), ("log_alpha", 800.0), ("log_sigma2", 800.0), ("log_beta", 800.0)]
+
+
 def toy_problem(data_seed=1, init_seed=2):
     """The 2-user toy used for optimizer cross-checks."""
     ctxs = (ContextVariable("c", "categorical", 2),)
@@ -270,10 +275,21 @@ class TestSgd:
         with pytest.raises(OptimizationError, match="parameter block"):
             sgd_epoch(blocks, state, cfg, 0)
 
-    @pytest.mark.parametrize("key, value", [("z", np.nan), ("log_alpha", 800.0), ("log_sigma2", 800.0)])
-    def test_non_finite_parameter_names_its_block(self, key, value):
-        table, blocks, cfg = toy_problem()
-        state = init_state(table.schema, blocks, cfg)
+    @pytest.mark.parametrize(
+        "key, value, shape",
+        [pytest.param(key, value, None, id=f"{key}-{value}") for key, value in POINT_VALUES]
+        + [pytest.param("user_bias", np.inf, {}, id="user_bias-inf-real_context"),
+           pytest.param("real_weights", np.nan, {}, id="real_weights-nan-real_context")]
+        + [pytest.param(key, value, dict(use_mean=False), id=f"{key}-{value}-no_mean") for key, value in POINT_VALUES],
+    )
+    def test_non_finite_parameter_names_its_block(self, key, value, shape):
+        # every point entry a step reads is checked, a per-user key's at the
+        # last user; ``shape`` None is the toy, else a random_instance
+        if shape is None:
+            table, blocks, cfg = toy_problem()
+            state = init_state(table.schema, blocks, cfg)
+        else:
+            _, blocks, state, cfg = random_instance(9, n_users=3, **shape)
         state.params[key].flat[-1] = value
         with pytest.raises(OptimizationError, match=f"non-finite value in parameter block '{key}'"):
             sgd_epoch(blocks, state, cfg, 0)

@@ -70,6 +70,21 @@ def test_rebinding_a_table_repacks_the_vector():
     assert state.to_vector()[state.offsets[state.layout.keys.index("z")]] == 9.0
 
 
+@pytest.mark.parametrize("use_mean", [True, False], ids=["mean", "no_mean"])
+def test_point_positions_are_the_point_keys_offset_ranges(use_mean):
+    _, _, state, _ = random_instance(8, n_users=4, use_mean=use_mean)
+    layout, users = state.layout, np.array([3, 0, 2])
+    per_user = {"user_bias", "log_sigma2", "log_beta"} if use_mean else {"log_sigma2", "log_beta"}
+    assert {key for key, each in layout.points if each} == per_user
+    assert [key for key, _ in layout.points] == layout.keys[len(layout.keys) - len(layout.points) :]
+    assert state.offsets[len(layout.keys) - len(layout.points)] == layout.table_end
+    for (key, each), pos in zip(layout.points, state.point_positions(users)):
+        k = layout.keys.index(key)
+        start, stop = state.offsets[k], state.offsets[k + 1]
+        assert np.array_equal(pos, start + users if each else np.arange(start, stop)), key
+        assert [state.key_at(i) for i in pos] == [key] * pos.size
+
+
 def test_model_file_round_trip_is_identical(tmp_path):
     table, _, state, cfg = random_instance(7)
     path = tmp_path / "model.npz"

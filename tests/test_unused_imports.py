@@ -12,7 +12,9 @@ it as a name or an attribute, or spells it as a string (a ``setattr`` or
 
 The trained modules, which training and queries run, import neither the
 validation oracles (``reference``) nor the harness, nor the package root,
-which imports both; the package still exports every oracle.
+which imports both; the package still exports every oracle.  Of them only
+``state`` reads ``offsets``, the key bounds of the flat vector: the others
+ask the state for the positions they need.
 """
 
 import ast
@@ -176,3 +178,31 @@ def test_check_finds_imports_of_the_oracles_and_the_harness():
     )
     assert gplvmf_imports(source) == {"bound", "reference", "harness", "gplvmf"}
     assert gplvmf_imports("from . import data\nfrom .kernels import psi1_rows\n") == {"gplvmf", "kernels"}
+
+
+def offsets_reads(source: str) -> list:
+    """Lines that read an ``offsets`` attribute or spell it as a string (a
+    ``getattr`` lookup)."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == "offsets" and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Constant) and node.value == "offsets")
+    )
+
+
+@pytest.mark.parametrize("name", [name for name in TRAINED if name != "state"])
+def test_only_the_state_reads_the_flat_offsets(name):
+    assert offsets_reads((SRC / f"{name}.py").read_text(encoding="utf-8")) == []
+
+
+def test_check_finds_reads_of_the_offsets():
+    source = (
+        "def first(state):\n"
+        "    return state.offsets[0]\n"
+        "def bounds(state, offsets):\n"
+        "    return offsets, getattr(state, 'offsets')\n"
+        "def layout(state):\n"
+        "    '''``offsets`` stay in the state.'''\n"
+        "    return state.point_positions([0])\n"
+    )
+    assert offsets_reads(source) == [2, 4]
