@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .data import DataError, load_table, read_records, save_table
+from .data import DataError, load_table, read_columns, save_table
 from .harness import const_baseline_cv, evaluate_cv, synthesize, train_model
 from .model import load_model, save_model
 from .predict import context_relevance
@@ -70,8 +70,9 @@ def cmd_evaluate(args) -> int:
 
 def _read_queries(path, schema, delimiter):
     """(user, item, schema-order context tuple) per query line of ``path``."""
-    _, records = read_records(path, schema, delimiter, rating=False)
-    return [(user, item, tuple(ctx)) for user, item, *ctx in records]
+    _, (users, items, *contexts) = read_columns(path, schema, delimiter, rating=False)
+    rows = zip(*(column.tolist() for column in contexts)) if contexts else [()] * len(users)
+    return list(zip(users.tolist(), items.tolist(), rows))
 
 
 def cmd_predict(args) -> int:

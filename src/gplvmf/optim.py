@@ -142,8 +142,13 @@ def init_state(schema: ContextSchema, blocks: list, config: TrainConfig) -> Vari
     if dims.use_mean:
         all_mean = np.mean(np.concatenate([b.ratings for b in blocks])) if blocks else 0.0
         user_bias = np.full(schema.user_count, all_mean)
+        # one row mean per user, over a stack of every block of the same
+        # count: each row sums as the block's own mean would, bit for bit
+        by_count = {}
         for b in blocks:
-            user_bias[b.user] = float(b.ratings.mean())
+            by_count.setdefault(b.count, []).append(b)
+        for same in by_count.values():
+            user_bias[[b.user for b in same]] = np.stack([b.ratings for b in same]).mean(axis=1)
         tables["real_weights"] = np.zeros(len(schema.real_indices))
         tables["user_bias"] = user_bias
     q = layout.dim

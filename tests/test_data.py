@@ -17,7 +17,8 @@ from gplvmf import (
     raw_context_rows,
     save_table,
 )
-from gplvmf.data import CATEGORICAL, context_columns
+from gplvmf import data
+from gplvmf.data import CATEGORICAL, context_columns, fit_standardization, out_of_range, parse_field
 from conftest import build_table, codec_schema, codec_table
 
 
@@ -118,8 +119,12 @@ class TestRatingTableChecks:
         assert len(table) == 0 and table.real_values.shape == (0, 1)
 
     def test_subset_of_a_changed_table_is_rejected(self):
-        table = RatingTable(**table_columns())
-        table.items[1] = 10       # the columns are plain arrays, so a caller can still write them
+        columns = table_columns()
+        table = RatingTable(**columns)
+        with pytest.raises(ValueError, match="read-only"):
+            table.items[1] = 10
+        assert columns["items"].flags.writeable
+        columns["items"][1] = 10  # the table's column is a view of the caller's array
         assert len(table.subset([0, 2])) == 2
         with pytest.raises(DataError, match=re.escape("row 1: item index 10 out of range [0, 10)")):
             table.subset([0, 1, 2])
@@ -256,6 +261,172 @@ class TestLoadTable:
         assert np.allclose(table.real_values, 7.0)
 
 
+def reference_load(path, schema, delimiter=","):
+    """The per-field reader: one ``parse_field`` call per field in file
+    order, then the records as one float array, range-checked column by
+    column."""
+    names = ["user", "item"] + [c.name for c in schema.contexts] + ["rating"]
+    kinds = [(True, "user index"), (True, "item index")]
+    kinds += [(c.is_categorical, f"context {c.name!r} value") for c in schema.contexts] + [(False, "rating")]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise DataError(f"{path}: no records")
+    header = lines[0].split(delimiter)
+    if len(header) != len(names):
+        raise DataError(f"{path}, line 1: header has {len(header)} fields, expected {len(names)} ({', '.join(names)})")
+    linenos, records = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(delimiter)
+        if len(parts) != len(names):
+            raise DataError(f"{path}, line {lineno}: malformed row ({len(parts)} fields, expected {len(names)})")
+        linenos.append(lineno)
+        records.append([parse_field(text, integer, path, lineno, what) for text, (integer, what) in zip(parts, kinds)])
+    if not records:
+        raise DataError(f"{path}: no records")
+    values = np.array(records, dtype=float)
+    found = out_of_range(schema, values[:, 0], values[:, 1], values[:, [2 + d for d in schema.categorical_indices]])
+    if found:
+        what, row, code, count = found
+        raise DataError(f"{path}, line {linenos[row]}: {what} {code} out of range [0, {count})")
+    cats, raw = context_columns(schema, values[:, 2:-1])
+    return RatingTable(schema, values[:, 0].astype(np.int64), values[:, 1].astype(np.int64), cats, raw,
+                       values[:, -1].copy(), fit_standardization(raw))
+
+
+def loads_alike(path, schema, delimiter=","):
+    """``load_table`` gives the per-field reader's columns, dtypes included,
+    or its error text; returns the error text, or None."""
+    try:
+        expected = reference_load(path, schema, delimiter)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            load_table(path, schema, delimiter)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    table = load_table(path, schema, delimiter)
+    for name in ("users", "items", "cat_values", "real_raw", "ratings", "real_values"):
+        column, want = getattr(table, name), getattr(expected, name)
+        assert column.dtype == want.dtype and np.array_equal(column, want), name
+    return None
+
+
+HEADER = "user,item,mood,price,rating"
+BAD_PAIRS = {
+    # an earlier line's later column and a later line's earlier column
+    "non_integer": ("0,3,1,0.5,4.0", "0,3,x,0.5,4.0", "0,y,1,0.5,4.0", "line 3: non-integer context 'mood' value 'x'"),
+    "non_numeric": ("0,3,1,0.5,4.0", "0,3,1,0.5,high", "0,3,1,low,4.0", "line 3: non-numeric rating 'high'"),
+    "non_finite": ("0,3,1,0.5,4.0", "0,3,1,0.5,inf", "0,3,1,nan,4.0", "line 3: non-finite rating 'inf'"),
+    "malformed": ("0,3,1,0.5,4.0", "0,3,1,0.5,4.0,9", "0,3,1", "line 3: malformed row (6 fields, expected 5)"),
+    "field_before_malformed": ("0,3,1,0.5,4.0", "0,3,1,0.5,?", "0,3,1", "line 3: non-numeric rating '?'"),
+    "malformed_before_field": ("0,3,1,0.5,4.0", "0,3,1", "0,3,1,0.5,?", "line 3: malformed row (3 fields, expected 5)"),
+    # ranges are checked column by column after parsing, so the user column
+    # of the later line comes first
+    "out_of_range": ("0,3,1,0.5,4.0", "0,3,1,0.5,4.0", "0,99,1,0.5,4.0", "line 4: item index 99 out of range [0, 40)"),
+    "range_by_column": ("0,3,1,0.5,4.0", "0,99,1,0.5,4.0", "9,3,1,0.5,4.0", "line 4: user index 9 out of range [0, 5)"),
+}
+
+
+class TestColumnReader:
+    @pytest.fixture(autouse=True, params=[1024, 2], ids=["one_block", "blocks_of_2"])
+    def block_lines(self, request, monkeypatch):
+        monkeypatch.setattr(data, "BLOCK_LINES", request.param)
+
+    @pytest.mark.parametrize(
+        "text, delimiter",
+        [
+            (f"{HEADER}\n0,3,1,0.5,4.0\n\n   \n\t\n1,2,0,1.5,2.0\n", ","),
+            (f"{HEADER}\r\n0,3,1,0.5,4.0\r\n\r\n1,2,0,1.5,2.0\r\n", ","),
+            (f"{HEADER}\n 3,+3,1,0.5, 4.0\n1,3_0,0 ,+1.5e0,1_0.5\n٣,1,1,.5,-0.0\n", ","),
+            (HEADER.replace(",", "\t") + "\n0\t3\t1\t0.5\t4.0\n1\t2\t0\t1.5\t2.0\n", "\t"),
+            (HEADER.replace(",", ";;") + "\n0;;3;;1;;0.5;;4.0\n1;;2;;0;;1.5;;2.0\n", ";;"),
+        ],
+        ids=["blank_lines", "crlf", "spellings", "tab", "double_semicolon"],
+    )
+    def test_clean_files_load_as_the_per_field_reader_loads_them(self, tmp_path, text, delimiter):
+        path = tmp_path / "r.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert loads_alike(path, two_context_schema(items=40), delimiter) is None
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,3,1,0.5,4.0", "", "  ", "0,99,1,0.5,4.0"], "line 5: item index 99 out of range [0, 40)"),
+            (["", "0,3,1,0.5,4.0", "\t", "0,3,1"], "line 5: malformed row (3 fields, expected 5)"),
+            (["0,3,1,0.5,4.0", " ", "0,1e0,1,0.5,4.0"], "line 4: non-integer item index '1e0'"),
+            (["0,3,1,0.5,4.0", "0,3,1,0.5,4.0", "0,3,1,0.5,nan"], "line 4: non-finite rating 'nan'"),
+            ([""], "no records"),
+            (["   "], "no records"),
+        ],
+        ids=["range_after_blanks", "malformed_after_blanks", "index_after_blank", "nan_rating", "blank_record",
+             "whitespace_record"],
+    )
+    def test_errors_name_the_per_field_readers_line(self, tmp_path, rows, message):
+        path = tmp_path / "r.csv"
+        write_rows(path, rows)
+        assert message in loads_alike(path, two_context_schema(items=40))
+
+    @pytest.mark.parametrize(
+        "delimiter_rows, message",
+        [
+            (["0;;3;;1;;0.5;;;4.0"], "line 2: non-numeric rating ';4.0'"),
+            (["0;;;3;;1;;0.5;;4.0"], "line 2: non-integer item index ';3'"),
+            (["0;;3;;1;;0.5;;4.0;"], "line 2: non-numeric rating '4.0;'"),
+            (["0;;3;;1;;0.5;;4.0", "1;;3;;1;;0.5;;4.0;;;"], "line 3: malformed row (6 fields, expected 5)"),
+        ],
+        ids=["rating_starts_with_half", "item_starts_with_half", "rating_ends_with_half", "trailing_delimiter"],
+    )
+    def test_multi_character_delimiter_keeps_fields_on_their_line(self, tmp_path, delimiter_rows, message):
+        path = tmp_path / "r.csv"
+        write_rows(path, delimiter_rows, header=HEADER.replace(",", ";;"))
+        assert message in loads_alike(path, two_context_schema(items=40), ";;")
+
+    @pytest.mark.parametrize("kind", list(BAD_PAIRS))
+    def test_two_bad_fields_report_the_per_field_readers_choice(self, tmp_path, kind):
+        *rows, message = BAD_PAIRS[kind]
+        path = tmp_path / "r.csv"
+        write_rows(path, rows)
+        assert message in loads_alike(path, two_context_schema(items=40))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("99999999999999999999,3,1,0.5,4.0", "user index 99999999999999999999 out of range [0, 5)"),
+            ("0,-99999999999999999999,1,0.5,4.0", "item index -99999999999999999999 out of range [0, 40)"),
+            ("0,3,18446744073709551616,0.5,4.0", "context 'mood' code 18446744073709551616 out of range [0, 2)"),
+            ("9007199254740993,3,1,0.5,4.0", "user index 9007199254740993 out of range [0, 5)"),
+        ],
+        ids=["user_above_int64", "item_below_int64", "category_above_int64", "user_above_float_precision"],
+    )
+    def test_codes_beyond_int64_are_out_of_range_on_their_line(self, tmp_path, row, message):
+        path = tmp_path / "r.csv"
+        write_rows(path, ["0,3,1,0.5,4.0", row])
+        with pytest.raises(DataError, match=f"line 3: {re.escape(message)}$"):
+            load_table(path, two_context_schema(items=40))
+        # the per-field reader named the same line, with the code rounded to a float
+        with pytest.raises(DataError, match="line 3: .* out of range"):
+            reference_load(path, two_context_schema(items=40))
+
+    def test_clean_file_never_parses_field_by_field(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("parse_field called on a clean file")
+
+        path = tmp_path / "r.csv"
+        write_rows(path, ["0,3,1,0.5,4.0", "", "1,2,0,1.5,2.0"])
+        monkeypatch.setattr(data, "parse_field", refuse)
+        table = load_table(path, two_context_schema())
+        assert table.users.tolist() == [0, 1] and table.ratings.tolist() == [4.0, 2.0]
+
+    def test_query_columns_match_the_records(self, tmp_path):
+        path = tmp_path / "q.csv"
+        write_rows(path, ["0,3,1,0.5", "", "2,+4, 0,-1e3"], header="user,item,mood,price")
+        linenos, columns = data.read_columns(path, two_context_schema(), ",", rating=False)
+        assert list(linenos) == [2, 4]
+        assert [c.tolist() for c in columns] == [[0, 2], [3, 4], [1, 0], [0.5, -1000.0]]
+        assert [c.dtype for c in columns] == [np.int64, np.int64, np.int64, np.float64]
+
+
 def reference_context_rows(table, reals):
     """Schema-order context tuples, one schema walk per record: the categorical
     codes and the matching columns of ``reals``."""
@@ -382,8 +553,8 @@ class TestGroupByUser:
                 block.ratings[0] = 0.0
         with pytest.raises(TypeError):
             blocks[0] = blocks[1]
-        # the table keeps its own writable columns
-        table.ratings[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            table.ratings[0] = 5.0
 
 
 class TestMakeFolds:

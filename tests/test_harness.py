@@ -167,6 +167,26 @@ class TestEvaluateCv:
             mae = np.mean(np.abs(pred - table.ratings[te]))
             assert result.fold_mae[fold] == pytest.approx(mae)
 
+    def test_const_baseline_equals_a_masked_loop_on_a_random_table(self):
+        # counts from 1 to 300 (pairwise sums past a block of 128) and users
+        # with no ratings; every fold's errors must match the per-user masks
+        rng = np.random.default_rng(21)
+        counts = rng.integers(0, 301, size=40)
+        users = rng.permutation(np.repeat(np.arange(40), counts))
+        n = users.size
+        schema = ContextSchema(40, 7, ())
+        table = build_table(schema, users=users, items=rng.integers(0, 7, size=n),
+                            ratings=rng.normal(3.0, 1.5, size=n) * 10.0 ** rng.uniform(-3, 3, size=n))
+        plan = make_folds(table, 5, seed=3)
+        result = const_baseline_cv(table, k=5, seed=3)
+        for fold in range(5):
+            tr, te = plan.train_indices(fold), plan.test_indices(fold)
+            user_means = np.full(40, float(table.ratings[tr].mean()))
+            for u in np.unique(table.users[tr]):
+                user_means[u] = float(table.ratings[tr][table.users[tr] == u].mean())
+            mae, rmse = metrics(table.ratings[te], user_means[table.users[te]])
+            assert (result.fold_mae[fold], result.fold_rmse[fold]) == (mae, rmse)
+
     def test_rmse_at_least_mae_per_fold(self):
         table = small_context_dataset()
         result = const_baseline_cv(table, k=4, seed=2)

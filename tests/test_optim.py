@@ -12,6 +12,7 @@ from gplvmf import (
     Predictor,
     SyntheticSpec,
     TrainConfig,
+    UserBlock,
     group_by_user,
     init_state,
     make_folds,
@@ -23,7 +24,7 @@ from gplvmf import (
     total_bound,
     train,
 )
-from conftest import add_at_scatter, random_instance
+from conftest import add_at_scatter, build_table, random_instance
 
 
 # a value of each always-present point key that a step must refuse: z not
@@ -104,6 +105,29 @@ class TestInitState:
         state = init_state(schema, blocks, cfg)
         assert state.params["user_bias"][0] == pytest.approx(4.0)
         assert state.params["user_bias"][1] == pytest.approx(2.0)
+
+    def test_user_bias_equals_each_block_mean_bit_for_bit(self):
+        # the means are taken over stacks of equal-count blocks; each must
+        # equal the block's own mean, whether the blocks share one sorted
+        # column (group_by_user) or are separate arrays (a plain list)
+        rng = np.random.default_rng(8)
+        counts = rng.integers(1, 201, size=90)
+        counts[::9] = 0
+        users = rng.permutation(np.repeat(np.arange(90), counts))
+        n = users.size
+        schema = ContextSchema(90, 5, ())
+        table = build_table(schema, users=users, items=rng.integers(0, 5, size=n),
+                            ratings=rng.normal(3.0, 1.5, size=n) * 10.0 ** rng.uniform(-3, 3, size=n))
+        grouped = group_by_user(table)
+        plain = [UserBlock(b.user, b.items.copy(), b.cat_values.copy(), b.real_values.copy(), b.ratings.copy())
+                 for b in grouped]
+        cfg = TrainConfig(inducing_count=3, item_dim=1, context_dim=1, seed=0)
+        for blocks in (grouped, plain):
+            bias = init_state(schema, blocks, cfg).params["user_bias"]
+            expected = np.full(90, np.mean(table.ratings[np.argsort(users, kind="stable")]))
+            for b in blocks:
+                expected[b.user] = float(b.ratings.mean())
+            assert np.array_equal(bias, expected)
 
     def test_alpha_uniform_one_over_q(self):
         table, blocks, cfg = toy_problem()
