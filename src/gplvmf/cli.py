@@ -69,16 +69,16 @@ def cmd_evaluate(args) -> int:
 
 
 def _read_queries(path, schema, delimiter):
-    """(user, item, schema-order context tuple) per query line of ``path``."""
+    """The users, the items and the schema-order context tuples of the query
+    lines of ``path``, as lists in file order."""
     _, (users, items, *contexts) = read_columns(path, schema, delimiter, rating=False)
     rows = zip(*(column.tolist() for column in contexts)) if contexts else [()] * len(users)
-    return list(zip(users.tolist(), items.tolist(), rows))
+    return users.tolist(), items.tolist(), list(rows)
 
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    queries = _read_queries(args.queries, model.schema, args.delimiter)
-    users, items, contexts = zip(*queries) if queries else ((), (), ())
+    users, items, contexts = _read_queries(args.queries, model.schema, args.delimiter)
     means, variances, clamped = model.predictor().predict_rows(
         users,
         items,

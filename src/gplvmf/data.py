@@ -7,11 +7,11 @@ statistics).  Training operates user-centrically, so the table is regrouped
 into one block per user.
 
 Data files and query files share one reader, :func:`read_columns`.  It
-converts whole columns with Python's own ``int`` and ``float``, a block of
-records at a time, so it accepts exactly the fields :func:`parse_field`
-accepts; only a block with a bad field or a malformed row is read again
-field by field, so that the error names the same first bad line as a
-field-by-field reader would.  Tables hold read-only columns.
+converts whole columns with Python's own ``int`` and ``float``, so it
+accepts exactly the fields :func:`parse_field` accepts; only a file with a
+bad field or a malformed row is read again field by field, so that the error
+names the same first bad line as a field-by-field reader would.  Tables hold
+read-only columns.
 """
 
 from __future__ import annotations
@@ -346,13 +346,6 @@ def parse_field(text: str, integer: bool, path, lineno: int, what: str):
     return value
 
 
-# Records :func:`read_columns` splits and converts at a time.  All field
-# strings of a block are alive at once, so the block size bounds the
-# loader's own peak of small objects (1.3 MB for 5,400 records, against
-# 2.9 MB for one block of them all); the load time does not depend on it.
-BLOCK_LINES = 1024
-
-
 def _header_names(schema: ContextSchema) -> list[str]:
     return ["user", "item"] + [c.name for c in schema.contexts] + ["rating"]
 
@@ -368,12 +361,11 @@ def read_columns(
     order: int64 codes for the user, the item and categorical contexts (an
     object array of Python ints if a code lies beyond the int64 range), and
     finite floats for real values and the rating.  Each column is converted
-    with Python's ``int`` or ``float``, one pass per block of
-    :data:`BLOCK_LINES` records, so a field is accepted exactly when
-    :func:`parse_field` accepts it.  A malformed row or a field that does not
-    convert is the :class:`DataError` of the first bad line, found by reading
-    its block again field by field with :func:`parse_field`.  Ranges are not
-    checked.
+    with Python's ``int`` or ``float`` in one pass, so a field is accepted
+    exactly when :func:`parse_field` accepts it.  A malformed row or a field
+    that does not convert is the :class:`DataError` of the first bad line,
+    found by reading the records again field by field with
+    :func:`parse_field`.  Ranges are not checked.
     """
     names = _header_names(schema)[: None if rating else -1]
     kinds = [(True, "user index"), (True, "item index")]
@@ -392,18 +384,15 @@ def read_columns(
     if not all(map(str.strip, body)):
         linenos = [lineno for lineno, line in zip(linenos, body) if line.strip()]
         body = [lines[lineno - 1] for lineno in linenos]
-    columns = [[_column((), integer)] for integer, _ in kinds]  # typed, and empty without records
-    for start in range(0, len(body), BLOCK_LINES):
-        rows = list(map(str.split, body[start : start + BLOCK_LINES], repeat(delimiter)))
-        try:
-            if list(map(len, rows)).count(len(kinds)) != len(rows):
-                raise ValueError("malformed row")
-            for blocks, texts, (integer, _) in zip(columns, zip(*rows), kinds):
-                blocks.append(_column(texts, integer))
-        except ValueError:
-            _raise_first_error(path, linenos[start : start + BLOCK_LINES], rows, kinds)
-            raise
-    return linenos, [np.concatenate(blocks) for blocks in columns]
+    rows = list(map(str.split, body, repeat(delimiter)))
+    try:
+        if list(map(len, rows)).count(len(kinds)) != len(rows):
+            raise ValueError("malformed row")
+        texts = zip(*rows) if rows else repeat(())  # typed, and empty without records
+        return linenos, [_column(column, integer) for column, (integer, _) in zip(texts, kinds)]
+    except ValueError:
+        _raise_first_error(path, linenos, rows, kinds)
+        raise
 
 
 def _column(texts, integer: bool) -> np.ndarray:

@@ -351,13 +351,8 @@ def const_baseline_cv(table: RatingTable, k: int = 5, seed: int = 0) -> EvalResu
         tr, te = plan.train_indices(fold), plan.test_indices(fold)
         global_mean = float(table.ratings[tr].mean())
         user_means = np.full(table.schema.user_count, global_mean)
-        # a stable sort keeps each user's ratings in table order, so every
-        # mean sums the same values in the same order as a per-user mask
-        order = tr[np.argsort(table.users[tr], kind="stable")]
-        users, ratings = table.users[order], table.ratings[order]
-        bounds = np.flatnonzero(np.r_[True, users[1:] != users[:-1], True]).tolist()
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            user_means[users[a]] = float(ratings[a:b].mean())
+        for b in group_by_user(table.subset(tr, table.standardization)):
+            user_means[b.user] = float(b.ratings.mean())
         pred = user_means[table.users[te]]
         mae, rmse = metrics(table.ratings[te], pred)
         fold_mae.append(mae)

@@ -329,10 +329,6 @@ BAD_PAIRS = {
 
 
 class TestColumnReader:
-    @pytest.fixture(autouse=True, params=[1024, 2], ids=["one_block", "blocks_of_2"])
-    def block_lines(self, request, monkeypatch):
-        monkeypatch.setattr(data, "BLOCK_LINES", request.param)
-
     @pytest.mark.parametrize(
         "text, delimiter",
         [
