@@ -51,9 +51,8 @@ def cmd_evaluate(args) -> int:
         seed=cfg.get("seed", 0),
         rating_scale=cfgmod.rating_scale_from_config(cfg),
     )
-    kept = [fold for fold in range(args.folds) if fold not in result.failed_folds]
     lines = ["fold,mae,rmse"]
-    for fold, mae, rmse in zip(kept, result.fold_mae, result.fold_rmse):
+    for fold, mae, rmse in zip(result.folds, result.fold_mae, result.fold_rmse):
         lines.append(f"{fold},{float(mae)!r},{float(rmse)!r}")
     lines += [f"failed,{fold}" for fold in result.failed_folds]
     lines.append(f"mean,{result.mae!r},{result.rmse!r}")

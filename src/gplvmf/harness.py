@@ -257,28 +257,26 @@ def train_model(
         val_rows = raw_context_rows(validation_table)
 
         def validation(st):
-            pred = Predictor(
-                st,
-                blocks,
-                standardization=table.standardization,
-                rating_scale=scale,
-                jitter=config.jitter,
-            )
+            pred = Predictor(st, blocks, standardization=table.standardization, rating_scale=scale,
+                             jitter=config.jitter)
             _, _, clamped = pred.predict_rows(
                 validation_table.users, validation_table.items, val_rows, unknown_user="global_mean"
             )
             return metrics(validation_table.ratings, clamped)
 
     state, trace = train(blocks, state, config, validation=validation)
-    return TrainedModel(
-        state=state, table=table, config=config, rating_scale=scale, trace=trace
-    )
+    return TrainedModel(state=state, table=table, config=config, rating_scale=scale, trace=trace)
 
 
 @dataclass
 class EvalResult:
-    """Per-fold and aggregate MAE/RMSE of a cross-validation run."""
+    """Per-fold and aggregate MAE/RMSE of a cross-validation run.
 
+    ``folds`` holds the fold index of each ``fold_mae``/``fold_rmse`` entry;
+    ``failed_folds`` lists the folds dropped from the aggregate.
+    """
+
+    folds: np.ndarray
     fold_mae: np.ndarray
     fold_rmse: np.ndarray
     failed_folds: list
@@ -300,6 +298,25 @@ class EvalResult:
         return float(np.std(self.fold_rmse))
 
 
+def _cross_validate(table: RatingTable, k: int, seed: int, predict_fold) -> EvalResult:
+    """k-fold cross-validation of ``predict_fold(train indices, test
+    indices)``, which returns the test rows' predictions.  A fold whose
+    prediction fails is dropped from the aggregate with a warning."""
+    plan = make_folds(table, k, seed)
+    kept, failed = [], []
+    for fold in range(k):
+        test = plan.test_indices(fold)
+        try:
+            kept.append((fold, *metrics(table.ratings[test], predict_fold(plan.train_indices(fold), test))))
+        except (ArithmeticError, RuntimeError) as exc:  # pragma: no cover - defensive
+            warnings.warn(f"fold {fold} failed: {exc}; aggregate excludes it", stacklevel=3)
+            failed.append(fold)
+    if not kept:
+        raise RuntimeError("every fold failed")
+    folds, fold_mae, fold_rmse = map(np.asarray, zip(*kept))
+    return EvalResult(folds=folds, fold_mae=fold_mae, fold_rmse=fold_rmse, failed_folds=failed)
+
+
 def evaluate_cv(
     table: RatingTable,
     config: TrainConfig,
@@ -314,29 +331,17 @@ def evaluate_cv(
     training ratings fall back to the training global mean.  A fold whose
     training run fails is dropped from the aggregate with a warning.
     """
-    plan = make_folds(table, k, seed)
-    fold_mae, fold_rmse, failed = [], [], []
-    for fold in range(k):
-        train = table.subset(plan.train_indices(fold), standardization="refit")
-        test = table.subset(plan.test_indices(fold), standardization=train.standardization)
-        try:
-            model = train_model(train, config, rating_scale=rating_scale)
-            predictor = model.predictor()
-            rows = raw_context_rows(test)
-            _, _, clamped = predictor.predict_rows(
-                test.users, test.items, rows, unknown_user="global_mean"
-            )
-            mae, rmse = metrics(test.ratings, clamped)
-            fold_mae.append(mae)
-            fold_rmse.append(rmse)
-        except (ArithmeticError, RuntimeError) as exc:  # pragma: no cover - defensive
-            warnings.warn(f"fold {fold} failed: {exc}; aggregate excludes it", stacklevel=2)
-            failed.append(fold)
-    if not fold_mae:
-        raise RuntimeError("every fold failed")
-    return EvalResult(
-        fold_mae=np.asarray(fold_mae), fold_rmse=np.asarray(fold_rmse), failed_folds=failed
-    )
+
+    def predict_fold(train_indices, test_indices):
+        train = table.subset(train_indices, standardization="refit")
+        test = table.subset(test_indices, standardization=train.standardization)
+        predictor = train_model(train, config, rating_scale=rating_scale).predictor()
+        _, _, clamped = predictor.predict_rows(
+            test.users, test.items, raw_context_rows(test), unknown_user="global_mean"
+        )
+        return clamped
+
+    return _cross_validate(table, k, seed, predict_fold)
 
 
 def const_baseline_cv(table: RatingTable, k: int = 5, seed: int = 0) -> EvalResult:
@@ -345,16 +350,11 @@ def const_baseline_cv(table: RatingTable, k: int = 5, seed: int = 0) -> EvalResu
     Users absent from a training split get the global training mean.  This is
     the sanity floor any trained model should beat.
     """
-    plan = make_folds(table, k, seed)
-    fold_mae, fold_rmse = [], []
-    for fold in range(k):
-        tr, te = plan.train_indices(fold), plan.test_indices(fold)
-        global_mean = float(table.ratings[tr].mean())
-        user_means = np.full(table.schema.user_count, global_mean)
-        for b in group_by_user(table.subset(tr, table.standardization)):
+
+    def predict_fold(train_indices, test_indices):
+        user_means = np.full(table.schema.user_count, float(table.ratings[train_indices].mean()))
+        for b in group_by_user(table.subset(train_indices, table.standardization)):
             user_means[b.user] = float(b.ratings.mean())
-        pred = user_means[table.users[te]]
-        mae, rmse = metrics(table.ratings[te], pred)
-        fold_mae.append(mae)
-        fold_rmse.append(rmse)
-    return EvalResult(fold_mae=np.asarray(fold_mae), fold_rmse=np.asarray(fold_rmse), failed_folds=[])
+        return user_means[table.users[test_indices]]
+
+    return _cross_validate(table, k, seed, predict_fold)

@@ -1,11 +1,12 @@
 """Trained model container and its on-disk format.
 
 A model is the variational state plus everything prediction needs: the
-schema, the training table (per-user blocks are rebuilt on load), the
-real-context standardization statistics, and the rating scale used for
-clamping.  Files are NumPy ``.npz`` archives with a JSON metadata entry;
-the format is versioned (``gplvmf.model/1``) and stable within a major
-version.
+schema, the training table, the real-context standardization statistics,
+and the rating scale used for clamping.  The table's per-user blocks are
+built when a predictor is made (:meth:`TrainedModel.predictor`), not when a
+model is trained or loaded.  Files are NumPy ``.npz`` archives with a JSON
+metadata entry; the format is versioned (``gplvmf.model/1``) and stable
+within a major version.
 """
 
 from __future__ import annotations
@@ -42,17 +43,15 @@ class TrainedModel:
     rating_scale: tuple[float, float]
     trace: TrainTrace | None = None
 
-    def __post_init__(self):
-        self.blocks = group_by_user(self.table)
-
     @property
     def schema(self) -> ContextSchema:
         return self.table.schema
 
     def predictor(self) -> Predictor:
+        """A predictor over the state and the table's user blocks, grouped now."""
         return Predictor(
             self.state,
-            self.blocks,
+            group_by_user(self.table),
             standardization=self.table.standardization,
             rating_scale=self.rating_scale,
             jitter=self.config.jitter,

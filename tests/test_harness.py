@@ -11,9 +11,12 @@ from gplvmf import (
     const_baseline_cv,
     evaluate_cv,
     group_by_user,
+    load_model,
     make_folds,
     metrics,
+    raw_context_rows,
     sample_ratings,
+    save_model,
     synthesize,
     train_model,
 )
@@ -230,6 +233,86 @@ class TestEvaluateCv:
             result = harness.evaluate_cv(table, cfg, k=3, seed=4)
         assert result.failed_folds == [1]
         assert result.fold_mae.size == 2
+        assert result.folds.tolist() == [0, 2]
+
+    def test_failed_fold_warning_points_at_the_caller(self, monkeypatch):
+        import gplvmf.harness as harness
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("synthetic training failure")
+
+        monkeypatch.setattr(harness, "train_model", fail)
+        with pytest.warns(UserWarning, match="fold . failed") as record, \
+                pytest.raises(RuntimeError, match="every fold failed"):
+            harness.evaluate_cv(small_context_dataset(), TrainConfig(inducing_count=3), k=2, seed=4)
+        assert {w.filename for w in record} == {__file__}
+
+
+def mixed_context_table():
+    """A fixed table with one categorical and one real context."""
+    ctxs = (ContextVariable("mood", "categorical", 3), ContextVariable("price", "real"))
+    spec = SyntheticSpec(user_count=12, item_count=15, contexts=ctxs, ratings_per_user=15,
+                         context_alphas=(1.0, 0.5), real_weights=(0.4,), seed=11)
+    return synthesize(spec)[0]
+
+
+class TestCvEqualsAFoldLoop:
+    """Each fold's metrics are those of the fold written out by hand, bit for bit."""
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_evaluate_cv(self, k):
+        table = mixed_context_table()
+        cfg = TrainConfig(inducing_count=4, item_dim=1, context_dim=1, seed=0, epochs=5, learning_rate=0.02)
+        result = evaluate_cv(table, cfg, k=k, seed=2)
+        plan = make_folds(table, k, seed=2)
+        for fold in range(k):
+            train = table.subset(plan.train_indices(fold), standardization="refit")
+            test = table.subset(plan.test_indices(fold), standardization=train.standardization)
+            _, _, clamped = train_model(train, cfg).predictor().predict_rows(
+                test.users, test.items, raw_context_rows(test), unknown_user="global_mean")
+            assert (result.fold_mae[fold], result.fold_rmse[fold]) == metrics(test.ratings, clamped)
+        assert result.folds.tolist() == list(range(k)) and result.failed_folds == []
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_const_baseline_cv(self, k):
+        table = mixed_context_table()
+        result = const_baseline_cv(table, k=k, seed=2)
+        plan = make_folds(table, k, seed=2)
+        for fold in range(k):
+            tr, te = plan.train_indices(fold), plan.test_indices(fold)
+            user_means = np.full(table.schema.user_count, table.ratings[tr].mean())
+            for block in group_by_user(table.subset(tr, table.standardization)):
+                user_means[block.user] = block.ratings.mean()
+            assert (result.fold_mae[fold], result.fold_rmse[fold]) == metrics(table.ratings[te],
+                                                                              user_means[table.users[te]])
+        assert result.folds.tolist() == list(range(k)) and result.failed_folds == []
+
+
+class TestGroupingOnDemand:
+    def test_a_model_groups_its_table_only_for_a_predictor(self, tmp_path, monkeypatch):
+        import gplvmf.harness as harness
+        import gplvmf.model as model_module
+
+        calls = {"harness": 0, "model": 0}
+
+        def counting(module, key):
+            real = module.group_by_user
+
+            def group(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, "group_by_user", group)
+
+        counting(harness, "harness")
+        counting(model_module, "model")
+        cfg = TrainConfig(inducing_count=3, item_dim=1, context_dim=1, seed=0, epochs=2, learning_rate=0.02)
+        model = train_model(mixed_context_table(), cfg)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        again = load_model(path)
+        assert calls == {"harness": 1, "model": 0}
+        again.predictor()
+        assert calls == {"harness": 1, "model": 1}
 
 
 class TestTrainModel:

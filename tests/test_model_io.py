@@ -199,6 +199,31 @@ class TestCli:
         assert [line.split(",")[0] for line in lines] == ["fold", "0", "2", "failed", "mean", "std"]
         assert lines[3] == "failed,1"
 
+    def test_evaluate_prints_the_kept_folds_then_the_failed_one(self, tmp_path, monkeypatch, capsys):
+        import gplvmf.harness as harness
+
+        cfg = write_config(tmp_path)
+        data = tmp_path / "data.csv"
+        assert cli_main(["synthesize", "--config", str(cfg), "--out", str(data)]) == 0
+        capsys.readouterr()
+        real_train, calls = harness.train_model, []
+
+        def fail_fold_one(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("synthetic training failure")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_model", fail_fold_one)
+        with pytest.warns(UserWarning, match="fold 1 failed"):
+            assert cli_main(["evaluate", "--config", str(cfg), "--data", str(data), "--folds", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines] == ["fold", "0", "2", "failed", "mean", "std"]
+        assert lines[3] == "failed,1"
+        folds = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:3]])
+        assert [float(v) for v in lines[4].split(",")[1:]] == folds.mean(axis=0).tolist()
+        assert [float(v) for v in lines[5].split(",")[1:]] == folds.std(axis=0).tolist()
+
     def test_bad_data_reports_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         data = tmp_path / "broken.csv"
