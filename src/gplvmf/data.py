@@ -179,9 +179,10 @@ class RatingTable:
     its columns when it is made: a :class:`DataError` names the first column
     whose shape does not fit the schema, whose codes are not integers, or
     whose first bad row holds a code out of range or a non-finite rating or
-    raw real value.  It then holds read-only views of them, so no write
-    through the table reaches training unchecked; the caller's own arrays
-    keep their flags.
+    raw real value.  It holds read-only copies of them, so no later write,
+    through the table or through the caller's arrays, reaches training
+    unchecked.  A pickle or a copy (``copy.copy``, ``copy.deepcopy``) is
+    rebuilt through the constructor, so it is checked and read-only too.
     """
 
     schema: ContextSchema
@@ -193,11 +194,15 @@ class RatingTable:
     standardization: RealStandardization
     real_values: np.ndarray = field(init=False)
 
+    _COLUMNS = ("users", "items", "cat_values", "real_raw", "ratings")
+
     def __post_init__(self):
+        for name in self._COLUMNS:
+            object.__setattr__(self, name, np.array(getattr(self, name)))
         schema, n = self.schema, (len(self.users),)
         widths = {"cat_values": (len(schema.categorical_indices),), "real_raw": (len(schema.real_indices),)}
-        for name in ("users", "items", "cat_values", "real_raw", "ratings"):
-            shape, expected = np.shape(getattr(self, name)), n + widths.get(name, ())
+        for name in self._COLUMNS:
+            shape, expected = getattr(self, name).shape, n + widths.get(name, ())
             if shape != expected:
                 raise DataError(f"column {name} has shape {shape}, expected {expected}")
         for name in ("users", "items", "cat_values"):
@@ -216,10 +221,11 @@ class RatingTable:
         if bad.size:
             raise DataError(f"row {bad[0]}: rating {float(self.ratings[bad[0]])!r} is not finite")
         object.__setattr__(self, "real_values", self.standardization.apply(self.real_raw))
-        for name in ("users", "items", "cat_values", "real_raw", "ratings", "real_values"):
-            column = np.asarray(getattr(self, name)).view()
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        for name in (*self._COLUMNS, "real_values"):
+            getattr(self, name).flags.writeable = False
+
+    def __reduce__(self):
+        return type(self), (self.schema, *(getattr(self, name) for name in self._COLUMNS), self.standardization)
 
     def __len__(self) -> int:
         return self.users.shape[0]

@@ -1,5 +1,7 @@
 """Schema validation, file ingestion, user grouping, and fold plans."""
 
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -124,10 +126,22 @@ class TestRatingTableChecks:
         with pytest.raises(ValueError, match="read-only"):
             table.items[1] = 10
         assert columns["items"].flags.writeable
-        columns["items"][1] = 10  # the table's column is a view of the caller's array
-        assert len(table.subset([0, 2])) == 2
-        with pytest.raises(DataError, match=re.escape("row 1: item index 10 out of range [0, 10)")):
-            table.subset([0, 1, 2])
+        columns["items"][1] = 10  # the table holds its own copy of the caller's array
+        assert np.array_equal(table.items, table_columns()["items"])
+        assert np.array_equal(table.subset([0, 1, 2]).items, table_columns()["items"][:3])
+
+    @pytest.mark.parametrize("duplicate", [lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy],
+                             ids=["pickle", "copy", "deepcopy"])
+    def test_copies_hold_equal_read_only_columns(self, duplicate):
+        table = RatingTable(**table_columns())
+        other = duplicate(table)
+        for name in ("users", "items", "cat_values", "real_raw", "ratings", "real_values"):
+            column = getattr(other, name)
+            assert not column.flags.writeable
+            assert column.dtype == getattr(table, name).dtype
+            assert np.array_equal(column, getattr(table, name))
+        assert other.schema == table.schema
+        assert np.array_equal(other.standardization.mean, table.standardization.mean)
 
 
 class TestLoadTable:
