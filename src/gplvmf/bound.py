@@ -310,7 +310,7 @@ def _forward(chunk: Chunk, state: VariationalState, shared: SharedFactors) -> _F
     return _Forward(
         sigma2=sigma2, beta=beta, cache=cache, phi1=phi.phi1, resid=resid, quad=quad, t_mat=t_mat,
         chol_b=chol_b, b_inv=b_inv, extra=extra, c_hat=c_hat, b_vec=b_vec,
-        bias_var=entries[:, entries.shape[1] // 2 + state.layout.kernel_width :],
+        bias_var=entries[:, state.layout.bias_vars],
     )
 
 
@@ -465,18 +465,18 @@ def _scatter(state: VariationalState, chunk: Chunk, terms: UserTerms) -> np.ndar
     gradients of :func:`phi_backward`.  Real columns are data, not
     parameters, so their kernel gradient is dropped.
     """
-    free, split = state.layout.free, state.layout.kernel_width
+    layout, free = state.layout, state.layout.free
     rows = np.empty(chunk.gather.shape)
-    half = rows.shape[1] // 2
-    rows[:, :split], rows[:, half : half + split] = terms.gmu_rows[:, free], terms.glog_var_rows[:, free]
+    rows[:, layout.kernel_means], rows[:, layout.kernel_vars] = terms.gmu_rows[:, free], terms.glog_var_rows[:, free]
     points = {"z": terms.gz, "log_alpha": terms.glog_alpha, "log_sigma2": terms.glog_sigma2,
               "log_beta": terms.glog_beta}
     if state.dims.use_mean:
         pg = phi_backward(chunk.rows, terms.dphi1, terms.dphi0, terms.phi1)
-        rows[:, split:half], rows[:, half + split :] = pg.mean_rows[:, None], terms.dphi0[:, None] * terms.bias_var
+        rows[:, layout.bias_means] = pg.mean_rows[:, None]
+        rows[:, layout.bias_vars] = terms.dphi0[:, None] * terms.bias_var
         points.update(real_weights=pg.real_weights,
                       user_bias=pg.mean_rows.reshape(len(chunk.users), -1).sum(axis=1))
-    return np.concatenate([rows.ravel()] + [points[key].ravel() for key, _ in state.layout.points])
+    return np.concatenate([rows.ravel()] + [points[key].ravel() for key, _ in layout.points])
 
 
 def total_bound(

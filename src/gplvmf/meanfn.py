@@ -52,11 +52,12 @@ def phi_statistics(state: VariationalState, rows: UserBlock, entries=None) -> Ph
         return PhiStats(phi1=np.zeros(rows.count), row_var=np.zeros(rows.count))
     p = state.params
     entries = state.row_entries(rows) if entries is None else entries
-    variances = entries[:, entries.shape[1] // 2 :]
+    layout = state.layout
+    means, variances = entries[:, layout.bias_means], entries[:, layout.bias_vars]
     phi1 = np.full(rows.count, p["user_bias"][rows.user], dtype=float)
     row_var = np.zeros(rows.count)
-    for sl in state.layout.bias_columns:
-        for acc, part in ((phi1, entries[:, sl]), (row_var, variances[:, sl])):
+    for sl in layout.bias_columns:
+        for acc, part in ((phi1, means[:, sl]), (row_var, variances[:, sl])):
             acc += part[:, 0] if part.shape[1] == 1 else part.sum(axis=1)
     if rows.real_values.shape[1]:
         phi1 += np.einsum("qd,d->q", rows.real_values, p["real_weights"])

@@ -102,7 +102,10 @@ class KernelLayout:
     ``slices`` lists (name, kernel slice) for the item block and then each
     context in schema order; it is a list because a context may be named
     ``item``.  ``fixed_mask`` marks the pinned real-context coordinates, in
-    schema order of the real contexts.
+    schema order of the real contexts.  ``kernel_means``, ``bias_means``,
+    ``kernel_vars``, ``bias_vars`` and ``variances`` name the ranges of the
+    K entries a row reads (:meth:`VariationalState.row_entries`); every
+    reader of those entries indexes them through these names.
     """
 
     def __init__(self, schema: ContextSchema, dims: ModelDims):
@@ -133,11 +136,11 @@ class KernelLayout:
             self.points = [("real_weights", False), ("user_bias", True)] + self.points
         self.keys = [key for t in self.tables for key in (t.mean, t.log_var)] + [key for key, _ in self.points]
 
-        # A row reads K entries of the tables: the means, kernel tables first
-        # (``kernel_width`` of them, the bias tables at ``bias_columns``), then
-        # the log-variances in the same order.  Per entry, ``entries`` holds
-        # the block column it reads (-1: items), its table's width and its
-        # flat position at code 0, which the tables fix as they lead ``flat``.
+        # A row reads K entries of the tables: the means, then the
+        # log-variances in the same order, kernel tables before bias tables in
+        # each half.  Per entry, ``entries`` holds the block column it reads
+        # (-1: items), its table's width and its flat position at code 0,
+        # which the tables fix as they lead ``flat``.
         sizes = [t.shape[0] * t.shape[1] for t in self.tables]
         starts = np.cumsum([0] + [2 * size for size in sizes])
         # the tables' prefix of ``flat`` ends at ``table_end``; ``is_var``
@@ -147,10 +150,14 @@ class KernelLayout:
         self.entries = np.array([(-1 if t.column is None else t.column, t.shape[1], start + half * size + c)
                                  for half in (0, 1) for t, start, size in zip(self.tables, starts, sizes)
                                  for c in range(t.shape[1])]).T.copy()
-        self.kernel_width = int(np.count_nonzero(~self.fixed_mask))
         # the free kernel coordinates, as an index of a row's Q
         self.free = ~self.fixed_mask if self.fixed_mask.any() else slice(None)
-        bounds = np.cumsum([self.kernel_width] + [t.shape[1] for t in self.tables if not t.in_kernel])
+        # ``bias_columns`` holds each bias table's columns within a bias range
+        width, half = int(np.count_nonzero(~self.fixed_mask)), sum(t.shape[1] for t in self.tables)
+        self.kernel_means, self.bias_means = slice(0, width), slice(width, half)
+        self.kernel_vars, self.bias_vars = slice(half, half + width), slice(half + width, 2 * half)
+        self.variances = slice(half, 2 * half)
+        bounds = np.cumsum([0] + [t.shape[1] for t in self.tables if not t.in_kernel])
         self.bias_columns = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
     def positions(self, rows: UserBlock, out=None) -> np.ndarray:
@@ -232,8 +239,8 @@ class VariationalState:
         ``layout.entries``: their means, then their variances.  ``gather``
         holds their flat positions when planned ahead (``layout.positions``)."""
         entries = self.flat[self.layout.positions(rows) if gather is None else gather]
-        half = entries.shape[1] // 2
-        np.exp(entries[:, half:], out=entries[:, half:])
+        variances = entries[:, self.layout.variances]
+        np.exp(variances, out=variances)
         return entries
 
     def assemble_rows(self, block: UserBlock, entries=None):
@@ -244,12 +251,13 @@ class VariationalState:
         exactly zero variance.
         """
         entries = self.row_entries(block) if entries is None else entries
-        width, free = self.layout.kernel_width, ~self.layout.fixed_mask
-        if width == self.kernel_dim:    # nothing pinned: C-ordered copies of the rows' kernel entries
-            half = entries.shape[1] // 2
-            return np.array(entries[:, :width], order="C"), np.array(entries[:, half : half + width], order="C")
+        layout = self.layout
+        means, variances = entries[:, layout.kernel_means], entries[:, layout.kernel_vars]
+        if layout.kernel_means.stop == layout.dim:    # nothing pinned: C-ordered copies
+            return np.array(means, order="C"), np.array(variances, order="C")
+        free = ~layout.fixed_mask
         mu, var = np.empty((block.count, self.kernel_dim)), np.zeros((block.count, self.kernel_dim))
-        mu[:, free], var[:, free] = entries[:, :width], entries[:, entries.shape[1] // 2 :][:, :width]
+        mu[:, free], var[:, free] = means, variances
         mu[:, ~free] = block.real_values
         return mu, var
 
