@@ -59,8 +59,8 @@ depends on (Z, alpha) alone, the psi statistics' side and the inducing
 gram's factors (:class:`SharedFactors`), is built once per call.  A chunk's
 sigma2-weighted dF/dK goes through its :func:`psi_backward` call with its
 Psi2 cotangent, since the gram is ``exp(2 c)`` of the pair constant.
-SGD's :func:`_user_terms` takes the plan's one-user chunks
-(:meth:`Plan.steps`) and prediction's :func:`user_posterior` takes
+SGD's :func:`_user_terms` takes one-user chunks of their own, built like
+any other (:meth:`Plan.steps`), and prediction's :func:`user_posterior` takes
 :func:`_chunks` chunks.  Per-user values and gradients are combined from a
 few per-user traces (:func:`_terms`), so a step makes few calls.  Kernel and
 bias latents share the standard-normal prior: :func:`kl_to_prior` walks the
@@ -156,10 +156,11 @@ def _chunks(blocks: list, state: VariationalState) -> list:
 
 
 class Chunk:
-    """The users of one :func:`_chunks` entry (all of ``blocks`` when ``idx``
-    is None), planned for a state layout.  ``rows`` holds their rows end to
-    end (a lone block's own rows), whose ``user`` then holds every row's
-    user.  ``pos`` holds the flat positions the chunk reads: first those of
+    """The users of one :func:`_chunks` entry or of one SGD step
+    (:meth:`Plan.steps`), or all of ``blocks`` when ``idx`` is None, planned
+    for a state layout.  ``rows`` holds their rows end to end (a lone
+    block's own rows), whose ``user`` then holds every row's user.  ``pos``
+    holds the flat positions the chunk reads: first those of
     the (N, K) table entries of its rows, in the order of
     :attr:`gplvmf.state.KernelLayout.entries`, whose (N, K) view ``gather``
     the forward pass reads as ``state.flat[gather]``; then those of its
@@ -181,19 +182,11 @@ class Chunk:
         self.gather = state.layout.positions(self.rows, out=self.pos[: n * k].reshape(n, k))
         np.concatenate(points, out=self.pos[n * k :])
 
-    def one(self, s: int, block) -> "Chunk":
-        """User ``s``, whose block is ``block``, as a one-user chunk over
-        views; its step (:meth:`Plan.steps`) holds its positions, so it has
-        no ``pos``."""
-        one, n = Chunk.__new__(Chunk), block.count
-        one.idx, one.users, one.rows, one.pos = self.idx[s : s + 1], self.users[s : s + 1], block, None
-        one.gather = self.gather[s * n : (s + 1) * n]
-        return one
-
 
 class Plan:
     """The chunks of a block sequence at one state layout and, once SGD asks
-    (:meth:`steps`), one step per block."""
+    (:meth:`steps`), one step per block: a one-user :class:`Chunk` of its
+    own, whatever the chunking, and the sorted flat entries it reads."""
 
     def __init__(self, blocks, state: VariationalState):
         self.blocks = blocks
@@ -201,31 +194,17 @@ class Plan:
         self._steps = None
 
     def steps(self, state: VariationalState) -> list:
-        """Per block: its one-user chunk, the sorted flat entries ``idx`` it
-        reads, each :func:`_scatter` entry's index into ``idx``, and which
-        leading latent-table entries of ``idx`` are log-variances.  A chunk's
-        steps come from one ``np.unique`` over (block, flat position) keys of
-        every block's entries, each block's laid out as its one-user chunk's
-        ``pos`` would be: its rows' table entries, then the layout's point
-        block, a per-user key's at the block's user."""
+        """Per block: its one-user chunk, the sorted flat entries ``idx`` of
+        the chunk's ``pos``, each :func:`_scatter` entry's index into ``idx``,
+        and which leading latent-table entries of ``idx`` are log-variances."""
         if self._steps is None:
-            layout = state.layout
-            table_end, size = layout.table_end, state.flat.size
-            self._steps = [None] * len(self.blocks)
-            for chunk in self.chunks:
-                u = len(chunk.idx)
-                each = np.concatenate([chunk.gather.reshape(u, -1)] + [
-                    pos[:, None] if per_user else np.broadcast_to(pos, (u, pos.size))
-                    for (_, per_user), pos in zip(layout.points, state.point_positions(chunk.users))
-                ], axis=1)
-                keys, inverse = np.unique(each + size * np.arange(u)[:, None], return_inverse=True)
-                starts = np.searchsorted(keys, size * np.arange(u + 1))
-                inverse = inverse.reshape(u, -1) - starts[:-1, None]
-                for s, i in enumerate(chunk.idx):
-                    idx = keys[starts[s] : starts[s + 1]] - size * s
-                    local = inverse[s].astype(np.min_scalar_type(idx.size))   # one is kept per block
-                    self._steps[i] = (chunk.one(s, self.blocks[i]), idx, local,
-                                      layout.is_var[idx[: np.searchsorted(idx, table_end)]])
+            layout, steps = state.layout, []
+            for i in range(len(self.blocks)):
+                one = Chunk(self.blocks, state, [i])
+                idx, local = np.unique(one.pos, return_inverse=True)
+                local = local.astype(np.min_scalar_type(idx.size))   # one is kept per block
+                steps.append((one, idx, local, layout.is_var[idx[: np.searchsorted(idx, layout.table_end)]]))
+            self._steps = steps
         return self._steps
 
 

@@ -115,14 +115,15 @@ def cmd_synthesize(args) -> int:
     table, truth = synthesize(spec)
     save_table(table, args.out, delimiter=cfg.get("delimiter", ","))
     if args.truth:
-        np.savez(
-            args.truth,
-            alphas=truth.alphas,
-            sigma2=spec.signal_variance,
-            beta=spec.noise_precision,
-            item_latents=truth.item_latents,
-            user_bias=truth.user_bias,
-        )
+        with open(args.truth, "wb") as f:   # np.savez would add ".npz" to a bare path
+            np.savez(
+                f,
+                alphas=truth.alphas,
+                sigma2=spec.signal_variance,
+                beta=spec.noise_precision,
+                item_latents=truth.item_latents,
+                user_bias=truth.user_bias,
+            )
     print(f"wrote {len(table)} synthetic ratings to {args.out}")
     return 0
 

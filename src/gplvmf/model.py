@@ -76,7 +76,8 @@ def save_model(model: TrainedModel, path) -> None:
         std_mean=model.table.standardization.mean,
         std_std=model.table.standardization.std,
     )
-    np.savez(path, meta=json.dumps(meta), **arrays)
+    with open(path, "wb") as f:   # np.savez would add ".npz" to a bare path
+        np.savez(f, meta=json.dumps(meta), **arrays)
 
 
 def load_model(path) -> TrainedModel:

@@ -6,7 +6,7 @@ shuffled order and each step ascends the gradient of ``F_n - KL/N`` over the
 entries touched by that user plus the shared slice (inducing inputs and
 inverse length-scales); the KL gradient is shared out at weight 1/N per step.
 Its per-user gradient comes from the same forward pass and scatter as the
-full batch, on the user's one-user chunk of the blocks' plan
+full batch, on a one-user chunk built like the full batch's chunks
 (:meth:`gplvmf.bound.Plan.steps`, which also holds the entries it steps).
 SCG is full-batch on the negated total bound, following Moller's algorithm
 with the scalar lambda regulator.  :func:`train` runs either method with one

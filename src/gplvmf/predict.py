@@ -47,7 +47,8 @@ is ``np.einsum`` or a row sum, and everything else is elementwise.
 
 Unknown users are a hard error by default: the model is user-centric and has
 no latent representation to fall back on.  A global-mean fallback exists for
-evaluation harness convenience.
+evaluation harness convenience; any other ``unknown_user`` value is a
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ from .state import VariationalState
 # Doubles of the projections one row step of predict_rows gathers (256 kB).
 # Steps of 2^16..2^18 measured no faster on the benchmark shapes.
 _STEP_BUDGET = 2**15
+# The accepted ``unknown_user`` values of predict and predict_rows.
+_UNKNOWN_USER_POLICIES = ("error", "global_mean")
 
 
 class UnknownUserError(KeyError):
@@ -110,6 +113,10 @@ class ContextRelevance:
 
 def _unknown(user) -> UnknownUserError:
     return UnknownUserError(f"user {user} has no training ratings; no cold-start model is defined")
+
+
+def _bad_policy(unknown_user) -> ValueError:
+    return ValueError(f"unknown_user must be one of {_UNKNOWN_USER_POLICIES}, got {unknown_user!r}")
 
 
 def _clamp_codes(codes: np.ndarray, last) -> np.ndarray:
@@ -198,6 +205,8 @@ class Predictor:
         include_noise: bool = False,
         unknown_user: str = "error",
     ) -> Prediction:
+        if unknown_user not in _UNKNOWN_USER_POLICIES:
+            raise _bad_policy(unknown_user)
         if not is_code(user):
             raise code_error("user", float(user))
         user = int(user)
@@ -267,6 +276,8 @@ class Predictor:
         """Means, variances and clamped means of a batch of queries;
         ``context_rows[i]`` is raw schema order.  Each row equals
         :meth:`predict` on the same query, bit for bit."""
+        if unknown_user not in _UNKNOWN_USER_POLICIES:
+            raise _bad_policy(unknown_user)
         n = len(users)
         if n == 0:
             return np.empty(0), np.empty(0), np.empty(0)

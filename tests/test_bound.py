@@ -624,11 +624,31 @@ class TestPlan:
             sgd_epoch(blocks, state, cfg, epoch)
             total_bound(blocks, state)
 
+    @pytest.mark.parametrize("with_real", [False, True], ids=["categorical_only", "real_context"])
+    def test_seeded_sgd_does_not_depend_on_the_chunking(self, with_real, monkeypatch):
+        # users of 2, 3 and 5 ratings: the default budget puts users of equal
+        # counts in one chunk, a budget of 1 gives every user a chunk
+        import gplvmf.bound as bound
+
+        table, _, state, cfg = random_instance(45, n_users=9, ratings_per_user=5, with_real=with_real)
+        keep = np.arange(len(table)) % 5 < np.repeat(np.tile([2, 3, 5], 3), 5)
+        blocks = group_by_user(table.subset(np.flatnonzero(keep), table.standardization))
+        assert sorted({b.count for b in blocks}) == [2, 3, 5]
+        ends = []
+        for budget in (bound._ROW_BUDGET, 1):
+            monkeypatch.setattr(bound, "_ROW_BUDGET", budget)
+            assert len(bound.plan(blocks, state).chunks) == (3 if budget > 1 else len(blocks))
+            trained = state.copy()
+            for epoch in range(3):
+                sgd_epoch(blocks, trained, cfg, epoch)
+            ends.append(trained.flat)
+        assert np.array_equal(ends[0], ends[1]) and not np.array_equal(ends[0], state.flat)
+
     @pytest.mark.parametrize("shape", [dict(with_real=False), dict(with_real=False, use_mean=False), dict()],
                              ids=["bias_tables", "no_bias_tables", "real_context"])
     def test_steps_equal_a_unique_of_each_block(self, shape, monkeypatch):
-        # a chunk's steps come from one sort over (block, position) keys;
-        # each block's must be what np.unique of its own entries gives
+        # each block's step is a one-user chunk of its own, whatever the
+        # chunking; its entries must be what np.unique of its positions gives
         import gplvmf.bound as bound
 
         _, blocks, state, _ = random_instance(44, n_users=7, ratings_per_user=3, **shape)

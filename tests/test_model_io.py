@@ -42,6 +42,15 @@ class TestSerialization:
         assert again.rating_scale == (1.0, 5.0)
         assert again.config.inducing_count == 4
 
+    def test_a_path_without_suffix_is_the_file_written(self, tmp_path):
+        # np.savez given a bare path would write "model.npz" instead
+        model = small_model(tmp_path)
+        path = tmp_path / "model"
+        save_model(model, path)
+        assert sorted(tmp_path.iterdir()) == [path]
+        again = load_model(path)
+        assert again.predictor().predict(2, 3, (1, 0.7)) == model.predictor().predict(2, 3, (1, 0.7))
+
     def test_format_versioned(self, tmp_path, capsys):
         model = small_model(tmp_path)
         path = tmp_path / "model.npz"
@@ -175,6 +184,19 @@ class TestCli:
         body = results.read_text()
         assert body.startswith("fold,mae,rmse")
         assert "const_mean" in body
+
+    def test_paths_without_suffix_are_the_files_written_and_read(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        data, truth, model = tmp_path / "data.csv", tmp_path / "truth", tmp_path / "model"
+        assert cli_main(["synthesize", "--config", str(cfg), "--out", str(data), "--truth", str(truth)]) == 0
+        with np.load(truth, allow_pickle=False) as arrays:
+            assert "alphas" in arrays.files
+        assert cli_main(["train", "--config", str(cfg), "--data", str(data), "--out", str(model)]) == 0
+        assert f"model written to {model}\n" in capsys.readouterr().out
+        queries = tmp_path / "q.csv"
+        queries.write_text("user,item,mood,price\n0,1,2,0.4\n", encoding="utf-8")
+        assert cli_main(["predict", "--model", str(model), "--queries", str(queries)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data.csv", "model", "q.csv", "truth"]
 
     def test_evaluate_reports_a_dropped_fold_under_its_index(self, tmp_path, monkeypatch):
         import gplvmf.harness as harness

@@ -206,6 +206,19 @@ class TestPredict:
         p = pred.predict(1, 0, (0, 0.0), unknown_user="global_mean")
         assert p.mean == pytest.approx(pred.global_mean)
 
+    @pytest.mark.parametrize("policy", ["global-mean", "Error", None])
+    def test_an_unknown_policy_is_rejected(self, policy):
+        # a known user: the policy is checked before any lookup
+        _, blocks, state, _ = random_instance(7, n_users=2)
+        pred = Predictor(state, blocks)
+        message = re.escape("unknown_user must be one of ('error', 'global_mean'), got " + repr(policy))
+        with pytest.raises(ValueError, match=message):
+            pred.predict(0, 0, (0, 0.0), unknown_user=policy)
+        with pytest.raises(ValueError, match=message):
+            pred.predict_rows([0], [0], [(0, 0.0)], unknown_user=policy)
+        with pytest.raises(ValueError, match=message):
+            pred.predict_rows([], [], [], unknown_user=policy)
+
     def test_variance_nonnegative_over_random_queries(self):
         table, blocks, state, _ = random_instance(8, n_users=3, ratings_per_user=6)
         pred = Predictor(state, blocks)
