@@ -9,12 +9,15 @@ lower-bounding the marginal likelihood, and becoming exact when sparsity
 stops binding.
 """
 
+import dataclasses
+
 import numpy as np
 
 from gplvmf import (
     ArdKernel,
     LatentPoints,
     TrainConfig,
+    VariationalState,
     group_by_user,
     init_state,
     kernel_matrix,
@@ -82,13 +85,16 @@ print(f"gradient coordinate {i}: analytic {report.gradients[i]:+.8f}, "
 
 # ----------------------------------------------------------------------
 # 3. The sparse bound is exact when inducing points sit at the latent
-#    means, one per rating, and the posterior variances vanish.
+#    means, one per rating, and the posterior variances vanish.  The
+#    layout fixes M, so a state with one inducing point per rating is a
+#    new state, over the same parameters and the new z.
 # ----------------------------------------------------------------------
 state.item_mean[:n_items] = rng.normal(0, 1.2, size=(n_items, 2))
 state.item_log_var[:] = -45.0
 state.params["bias_item_log_var"][:] = -45.0
 mu_rows, _ = state.assemble_rows(blocks[0])
-state.z = mu_rows.copy()
+full_dims = dataclasses.replace(config.dims(), inducing_count=blocks[0].count)
+state = VariationalState.from_tables(schema, full_dims, {**state.params, "z": mu_rows})
 state.log_beta[:] = np.log(2.0)
 
 from scipy.linalg import cho_factor, cho_solve

@@ -211,12 +211,11 @@ class Plan:
 def plan(blocks, state: VariationalState) -> Plan:
     """The plan of ``blocks`` at ``state``'s layout, kept in the ``plans`` memo
     of :func:`gplvmf.data.group_by_user`'s result, whose blocks cannot
-    change; any other sequence gets a fresh one.  ``state.z`` may be given a
-    shape that ``state.dims`` does not record, so the key holds M too."""
+    change; any other sequence gets a fresh one."""
     memo = getattr(blocks, "plans", None)
     if memo is None:
         return Plan(blocks, state)
-    key = (state.schema, state.dims, state.inducing_count, _ROW_BUDGET)
+    key = (state.schema, state.dims, _ROW_BUDGET)
     if key not in memo:
         memo[key] = Plan(blocks, state)
     return memo[key]

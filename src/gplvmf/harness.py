@@ -4,10 +4,10 @@ Synthetic tables are drawn from the model's own generative story: latents
 and bias latents from the standard-normal prior, then each user's ratings
 from the Gaussian likelihood with the bias mean and the ARD kernel.  The
 ground truth (latents, inverse length-scales, noise precision, and the
-per-user mean/covariance of the rating vector) is kept so tests can check
-recovery and noise floors.  :func:`train_model` groups a table by user and
-wraps what :func:`gplvmf.optim.train` returns in a :class:`TrainedModel`,
-validating on a held-out table when one is given.
+per-user mean and lower Cholesky factor of the rating vector's covariance)
+is kept so tests can check recovery and noise floors.  :func:`train_model`
+groups a table by user and wraps what :func:`gplvmf.optim.train` returns in
+a :class:`TrainedModel`, validating on a held-out table when one is given.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class SyntheticTruth:
     design_cat: np.ndarray
     design_real: np.ndarray
     means: list = field(default_factory=list)       # per user block
-    covariances: list = field(default_factory=list)
+    factors: list = field(default_factory=list)     # lower Cholesky factors
     user_rows: list = field(default_factory=list)   # row indices per user
 
 
@@ -197,10 +197,12 @@ def synthesize(spec: SyntheticSpec) -> tuple[RatingTable, SyntheticTruth]:
             cov = kernel_matrix(kern, x, x)
         else:
             cov = np.zeros((rows.size, rows.size))
-        cov = cov + np.eye(rows.size) / spec.noise_precision
+        diag = np.diag_indices(rows.size)
+        cov[diag] += 1 / spec.noise_precision
+        cov[diag] += 1e-12
         truth.user_rows.append(rows)
         truth.means.append(mean)
-        truth.covariances.append(cov)
+        truth.factors.append(np.linalg.cholesky(cov))
 
     ratings = sample_ratings(truth, rng)
     table = RatingTable(
@@ -220,9 +222,8 @@ def sample_ratings(truth: SyntheticTruth, rng) -> np.ndarray:
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     out = np.empty(truth.design_users.shape[0])
-    for rows, mean, cov in zip(truth.user_rows, truth.means, truth.covariances):
-        chol = np.linalg.cholesky(cov + 1e-12 * np.eye(rows.size))
-        out[rows] = mean + chol @ rng.standard_normal(rows.size)
+    for rows, mean, factor in zip(truth.user_rows, truth.means, truth.factors):
+        out[rows] = mean + factor @ rng.standard_normal(rows.size)
     return out
 
 

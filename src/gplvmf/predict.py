@@ -207,14 +207,6 @@ class Predictor:
     ) -> Prediction:
         if unknown_user not in _UNKNOWN_USER_POLICIES:
             raise _bad_policy(unknown_user)
-        if not is_code(user):
-            raise code_error("user", float(user))
-        user = int(user)
-        if not (0 <= user < self._known.size and self._known[user]):
-            if unknown_user == "global_mean" and self.global_mean is not None:
-                mean = self.global_mean
-                return Prediction(mean, float("nan"), self._clamp(mean))
-            raise _unknown(user)
         count = self.state.schema.context_count
         if len(context_values) != count:
             raise ValueError(f"expected {count} context values, got {len(context_values)}")
@@ -222,10 +214,13 @@ class Predictor:
         # The split, its checks and the gather are scalar here: for one row,
         # the array split of :func:`gplvmf.data.context_columns` (several times
         # this loop), array clamps and fancy indexing would cost more than the
-        # arithmetic (see :meth:`_rows`).  The values and errors are the same.
+        # arithmetic (see :meth:`_rows`).  The values, errors and their order
+        # are those of :meth:`predict_rows`, which looks the user up last.
+        if not is_code(user):
+            raise code_error("user", float(user))
         if not is_code(item):
             raise code_error("item", float(item))
-        item = int(item)
+        user, item = int(user), int(item)
         contexts = self.state.schema.contexts
         cats, raw = [], []
         for d in self._cat_cols:
@@ -238,6 +233,11 @@ class Predictor:
             if not math.isfinite(value):
                 raise context_value_error(contexts[d], value)
             raw.append(value)
+        if not (0 <= user < self._known.size and self._known[user]):
+            if unknown_user == "global_mean" and self.global_mean is not None:
+                mean = self.global_mean
+                return Prediction(mean, float("nan"), self._clamp(mean))
+            raise _unknown(user)
         reals = self._standardize(np.array([raw]))
         mu = np.empty((1, self.state.kernel_dim))
         var = np.zeros((1, self.state.kernel_dim))

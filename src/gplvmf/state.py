@@ -29,21 +29,24 @@ block*.  :attr:`KernelLayout.points` lists the point block once, as (key,
 per user) pairs in flat order: the mean function's ``real_weights`` and
 per-user ``user_bias`` (with ``use_mean``), the inducing inputs ``z``, the
 inverse length-scales ``log_alpha`` and the per-user ``log_sigma2`` and
-``log_beta``.  ``params`` maps each key to a reshaped view of its slice
-(``offsets`` holds the bounds), and the familiar attributes (``item_mean``,
-``z``, ...) read it; assigning one (``state.z = ...``, maybe with a new
-shape) re-packs the vector.  This module alone reads ``offsets``: the bound's
-gather and scatter, SGD's steps and its value check ask the state for flat
-positions (:meth:`KernelLayout.positions`,
-:meth:`VariationalState.point_positions`) and for the key at a position
-(:meth:`VariationalState.key_at`).  All positive parameters (variances,
-inverse length-scales, signal variance, noise precision) are stored as logs,
-making the flat optimization vector unconstrained.
+``log_beta``.  The layout's ``shapes`` and ``offsets`` fix each key's
+shape and slice; ``params`` maps each key to a view of its slice, and the
+familiar attributes (``item_mean``, ``z``, ...) read it.  Assigning one
+(``state.z = ...``) writes into ``flat`` in place; an array of another
+shape, assigned or given to the constructor, is a ``ValueError``.  This
+module alone reads ``offsets``: the bound's gather and scatter, SGD's steps
+and its value check ask the state for flat positions
+(:meth:`KernelLayout.positions`, :meth:`VariationalState.point_positions`)
+and for the key at a position (:meth:`VariationalState.key_at`).  All
+positive parameters (variances, inverse length-scales, signal variance,
+noise precision) are stored as logs, making the flat optimization vector
+unconstrained.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +100,8 @@ class KernelLayout:
     """Mapping between schema entities, kernel latent coordinates and the
     latent tables; ``keys`` is the canonical flat-vector order: every table's
     two keys, then the point block, which ``points`` lists once as (key, per
-    user) pairs.
+    user) pairs.  ``shapes`` holds each key's shape in that order, and
+    ``offsets`` the bounds of its block of ``flat``.
 
     ``slices`` lists (name, kernel slice) for the item block and then each
     context in schema order; it is a list because a context may be named
@@ -127,6 +131,7 @@ class KernelLayout:
 
         # a step reads a per-user key at its user alone, any other key whole
         self.points = [("z", False), ("log_alpha", False), ("log_sigma2", True), ("log_beta", True)]
+        point_shapes = [(dims.inducing_count, self.dim), (self.dim,)] + [(schema.user_count,)] * 2
         if dims.use_mean:
             self.tables += [
                 LatentTable(f"bias_{t.mean}", f"bias_{t.log_var}", t.column, slice(0, 0),
@@ -134,21 +139,22 @@ class KernelLayout:
                 for t in self.tables
             ]
             self.points = [("real_weights", False), ("user_bias", True)] + self.points
+            point_shapes = [(len(schema.real_indices),), (schema.user_count,)] + point_shapes
         self.keys = [key for t in self.tables for key in (t.mean, t.log_var)] + [key for key, _ in self.points]
+        self.shapes = [t.shape for t in self.tables for _ in (t.mean, t.log_var)] + point_shapes
+        self.offsets = np.cumsum([0] + [math.prod(shape) for shape in self.shapes])
 
         # A row reads K entries of the tables: the means, then the
         # log-variances in the same order, kernel tables before bias tables in
         # each half.  Per entry, ``entries`` holds the block column it reads
-        # (-1: items), its table's width and its flat position at code 0,
-        # which the tables fix as they lead ``flat``.
-        sizes = [t.shape[0] * t.shape[1] for t in self.tables]
-        starts = np.cumsum([0] + [2 * size for size in sizes])
-        # the tables' prefix of ``flat`` ends at ``table_end``; ``is_var``
-        # marks its log-variance entries
-        self.table_end = int(starts[-1])
-        self.is_var = np.repeat(np.tile([False, True], len(sizes)), np.repeat(sizes, 2))
-        self.entries = np.array([(-1 if t.column is None else t.column, t.shape[1], start + half * size + c)
-                                 for half in (0, 1) for t, start, size in zip(self.tables, starts, sizes)
+        # (-1: items), its table's width and its flat position at code 0.
+        # The tables' prefix of ``flat`` ends at ``table_end``; ``is_var``
+        # marks its log-variance entries.
+        n = 2 * len(self.tables)
+        self.table_end = int(self.offsets[n])
+        self.is_var = np.repeat(np.tile([False, True], len(self.tables)), np.diff(self.offsets[: n + 1]))
+        self.entries = np.array([(-1 if t.column is None else t.column, t.shape[1], self.offsets[2 * i + half] + c)
+                                 for half in (0, 1) for i, t in enumerate(self.tables)
                                  for c in range(t.shape[1])]).T.copy()
         # the free kernel coordinates, as an index of a row's Q
         self.free = ~self.fixed_mask if self.fixed_mask.any() else slice(None)
@@ -167,8 +173,16 @@ class KernelLayout:
         return np.add(np.column_stack([rows.cat_values, rows.items])[:, column] * width, base, out=out)
 
 
+def _fill(key: str, view: np.ndarray, value) -> None:
+    """Copy ``value`` into ``view``, ``key``'s block of ``flat``, in its shape alone."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != view.shape:
+        raise ValueError(f"{key} has shape {value.shape}, expected {view.shape}")
+    view[...] = value
+
+
 class _Param:
-    """Attribute access to one entry of ``VariationalState.params``; assigning re-packs ``flat``."""
+    """Attribute access to one entry of ``VariationalState.params``; assigning writes ``flat`` in place."""
 
     def __set_name__(self, owner, name):
         self.key = name
@@ -177,7 +191,7 @@ class _Param:
         return self if state is None else state.params[self.key]
 
     def __set__(self, state, value):
-        state._pack({**state.params, self.key: value})
+        _fill(self.key, state.params[self.key], value)
 
 
 class VariationalState:
@@ -191,18 +205,14 @@ class VariationalState:
     log_beta = _Param()
 
     def __init__(self, schema: ContextSchema, dims: ModelDims, layout: KernelLayout, params):
-        """Copies ``params[key]`` for every ``layout.keys`` key into a new flat vector."""
+        """Copies every ``layout.keys`` array of ``params``, in its ``layout.shapes`` shape, into a new vector."""
         self.schema = schema
         self.dims = dims
         self.layout = layout
-        self._pack(params)
-
-    def _pack(self, params) -> None:
-        arrays = [np.asarray(params[key], dtype=float) for key in self.layout.keys]
-        self.offsets = np.cumsum([0] + [a.size for a in arrays])
-        self._shapes = [a.shape for a in arrays]
-        self.flat = np.concatenate([a.ravel() for a in arrays])
+        self.flat = np.empty(layout.offsets[-1])
         self.params = self.views(self.flat)
+        for key, view in self.params.items():
+            _fill(key, view, params[key])
 
     @classmethod
     def from_tables(cls, schema: ContextSchema, dims: ModelDims, tables) -> "VariationalState":
@@ -217,7 +227,7 @@ class VariationalState:
 
     @property
     def inducing_count(self) -> int:
-        return self.z.shape[0]
+        return self.dims.inducing_count
 
     def copy(self) -> "VariationalState":
         return self.from_vector(self.flat)
@@ -226,13 +236,13 @@ class VariationalState:
         """Flat positions of the point block for ``users``, one array per
         ``layout.points`` key in flat order: a per-user key's at the users,
         any other key's whole."""
-        starts = self.offsets[len(self.layout.keys) - len(self.layout.points) :]
+        starts = self.layout.offsets[len(self.layout.keys) - len(self.layout.points) :]
         return [start + (users if per_user else np.arange(self.params[key].size))
                 for (key, per_user), start in zip(self.layout.points, starts)]
 
     def key_at(self, index: int) -> str:
         """The key whose block holds flat entry ``index``."""
-        return self.layout.keys[np.searchsorted(self.offsets, index, side="right") - 1]
+        return self.layout.keys[np.searchsorted(self.layout.offsets, index, side="right") - 1]
 
     def row_entries(self, rows: UserBlock, gather=None) -> np.ndarray:
         """The (N, K) table entries ``rows`` read, in the order of
@@ -270,10 +280,9 @@ class VariationalState:
     def views(self, vec: np.ndarray) -> dict:
         """Every key mapped to the reshaped slice of ``vec`` (a vector laid out
         like ``flat``) that holds it; no copy."""
-        return {
-            key: vec[start:stop].reshape(shape)
-            for key, start, stop, shape in zip(self.layout.keys, self.offsets, self.offsets[1:], self._shapes)
-        }
+        keys, offsets, shapes = self.layout.keys, self.layout.offsets, self.layout.shapes
+        return {key: vec[start:stop].reshape(shape)
+                for key, start, stop, shape in zip(keys, offsets, offsets[1:], shapes)}
 
     def to_vector(self) -> np.ndarray:
         return self.flat.copy()

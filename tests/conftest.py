@@ -1,5 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 
+import dataclasses
+
 import numpy as np
 
 from gplvmf import (
@@ -8,6 +10,7 @@ from gplvmf import (
     RatingTable,
     RealStandardization,
     TrainConfig,
+    VariationalState,
     group_by_user,
     init_state,
 )
@@ -106,6 +109,13 @@ def random_instance(seed, n_users=2, n_items=4, cat_card=3, with_real=True,
         vec = vec + rng.normal(0.0, state_noise, size=vec.size)
         state = state.from_vector(vec)
     return table, blocks, state, cfg
+
+
+def with_inducing(state, z):
+    """A new state with ``state``'s parameters and the inducing inputs ``z``,
+    whose row count is its inducing count."""
+    dims = dataclasses.replace(state.dims, inducing_count=len(z))
+    return VariationalState.from_tables(state.schema, dims, {**state.params, "z": z})
 
 
 def mc_log_marginal(block, state, samples, seed, chunk=20_000):

@@ -70,7 +70,8 @@ class TestSynthesize:
                              ratings_per_user=3, item_dim=1, context_dim=1,
                              context_alphas=(0.8,), noise_precision=4.0, seed=5)
         _, truth = synthesize(spec)
-        expected = truth.covariances[0]
+        f = truth.factors[0]
+        expected = f @ f.T
         draws = np.stack([sample_ratings(truth, seed) for seed in range(20000)])
         emp = np.cov(draws.T)
         # Monte-Carlo error on covariance entries is O(1/sqrt(S))

@@ -103,6 +103,29 @@ class TestSerialization:
         assert cli_main(["predict", "--model", str(bad), "--queries", str(queries)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["item_mean", "z", "log_alpha", "log_sigma2"])
+    @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+    def test_state_arrays_of_another_shape_are_rejected(self, tmp_path, capsys, name, change):
+        # the schema and config give every state array's shape: a table a row
+        # short would otherwise shift every gather, and an extra z row add an
+        # inducing point that the config does not count
+        model = small_model(tmp_path)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = dict(data.items())
+        expected = arrays[name].shape
+        arrays[name] = np.resize(arrays[name], (expected[0] + change, *expected[1:]))
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        message = f"{name} has shape {arrays[name].shape}, expected {expected}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_model(bad)
+        queries = tmp_path / "q.csv"
+        queries.write_text("user,item,mood,price\n0,1,2,0.4\n", encoding="utf-8")
+        assert cli_main(["predict", "--model", str(bad), "--queries", str(queries)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_files_with_the_old_meta_keys_still_load(self, tmp_path):
         model = small_model(tmp_path)
         path = tmp_path / "model.npz"

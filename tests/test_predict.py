@@ -76,6 +76,11 @@ def batch_queries(seed, n, n_items=5):
     return users, items, rows
 
 
+# a query's user: a known user under the default policy, then an unknown
+# user under each policy, whose query is checked before the user is looked up
+QUERY_USERS = [(0, "error"), (10**6, "error"), (10**6, "global_mean")]
+
+
 class TestPredict:
     def test_interpolation_limit(self):
         table, blocks, state = collapsed_predict_setup(0, beta=1e6)
@@ -319,6 +324,7 @@ class TestPredict:
             ((1, float("nan"), 0.0), "context 'r0' value nan is not finite"),
             ((1, 0.0, float("inf")), "context 'r1' value inf is not finite"),
             ((1, 0.0, -float("inf")), "context 'r1' value -inf is not finite"),
+            ((1, 0.0), "expected 3 context values, got 2"),
         ],
     )
     def test_bad_context_values_are_rejected(self, row, message):
@@ -326,10 +332,11 @@ class TestPredict:
         # non-finite real value must not reach the mean
         state, blocks, standardization = batch_instance(18)
         pred = Predictor(state, blocks, standardization=standardization)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            pred.predict(0, 1, row)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            pred.predict_rows([0, 1], [1, 1], [(1, 0.5, 0.5), row])
+        for user, policy in QUERY_USERS:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                pred.predict(user, 1, row, unknown_user=policy)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                pred.predict_rows([0, user], [1, 1], [(1, 0.5, 0.5), row], unknown_user=policy)
         # integral codes in float form are codes
         good = pred.predict(0, 1, (1.0, 0.5, 0.5))
         assert good == pred.predict(0, 1, (1, 0.5, 0.5))
@@ -351,12 +358,14 @@ class TestPredict:
         # code beyond int64 must not be cast
         state, blocks, standardization = batch_instance(18)
         pred = Predictor(state, blocks, standardization=standardization)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            pred.predict(user, item, row)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        for query_user, policy in QUERY_USERS:
+            query_user = query_user if user == 0 else user
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                pred.predict_rows([0, user], [1, item], [(1, 0.5, 0.5), row])
+                pred.predict(query_user, item, row, unknown_user=policy)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    pred.predict_rows([0, query_user], [1, item], [(1, 0.5, 0.5), row], unknown_user=policy)
 
     def test_integral_float_indices_are_indices(self):
         state, blocks, standardization = batch_instance(18)

@@ -1,6 +1,8 @@
 """Storage of the variational state: one flat vector and its per-key views,
 and the kernel layout that rows and the relevance report read."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from gplvmf import (
     ContextSchema,
     ContextVariable,
     TrainConfig,
+    VariationalState,
     context_relevance,
     group_by_user,
     init_state,
@@ -20,13 +23,14 @@ from conftest import build_table, codec_schema, codec_table, random_instance
 
 def test_every_table_is_a_view_of_the_flat_vector():
     _, _, state, _ = random_instance(3)
-    for key, start, stop in zip(state.layout.keys, state.offsets, state.offsets[1:]):
+    offsets = state.layout.offsets
+    for key, start, stop in zip(state.layout.keys, offsets, offsets[1:]):
         arr = state.params[key]
         assert np.shares_memory(arr, state.flat), key
         assert np.array_equal(arr.ravel(), state.flat[start:stop]), key
         arr[...] = np.arange(arr.size).reshape(arr.shape) + start
     assert np.array_equal(state.flat, np.arange(state.flat.size))
-    assert state.offsets[-1] == state.flat.size
+    assert offsets[-1] == state.flat.size
     assert [key for key, _ in state.param_entries()] == state.layout.keys
 
 
@@ -54,20 +58,35 @@ def test_copy_shares_no_memory():
         assert np.shares_memory(arr, twin.flat), key
 
 
-def test_rebinding_a_table_repacks_the_vector():
+def test_assigning_a_table_writes_in_place():
     _, _, state, _ = random_instance(6, m=3)
+    flat, z = state.flat, state.z
     before = {key: arr.copy() for key, arr in state.param_entries()}
-    bigger = np.vstack([state.z, np.full((1, state.kernel_dim), 0.25)])
-    state.z = bigger
-    assert state.inducing_count == 4
-    assert state.flat.size == sum(arr.size for arr in before.values()) + state.kernel_dim
-    assert np.shares_memory(state.z, state.flat)
-    vec = state.to_vector()
-    for key, start, stop in zip(state.layout.keys, state.offsets, state.offsets[1:]):
-        expected = bigger if key == "z" else before[key]
+    new_z = np.full(z.shape, 0.25)
+    state.z = new_z
+    assert state.flat is flat and state.z is z and np.shares_memory(state.z, state.flat)
+    vec, offsets = state.to_vector(), state.layout.offsets
+    for key, start, stop in zip(state.layout.keys, offsets, offsets[1:]):
+        expected = new_z if key == "z" else before[key]
         assert np.array_equal(vec[start:stop], expected.ravel()), key
-    state.z[0, 0] = 9.0
-    assert state.to_vector()[state.offsets[state.layout.keys.index("z")]] == 9.0
+    state.log_sigma2 = [1.0, 2.0]
+    assert state.to_vector()[offsets[state.layout.keys.index("log_sigma2")] + 1] == 2.0
+
+
+@pytest.mark.parametrize("key, shape", [("z", (4, 5)), ("z", (15,)), ("log_alpha", (6,)), ("log_sigma2", (1,)),
+                                        ("item_mean", (4, 2))])
+def test_a_table_of_another_shape_is_rejected(key, shape):
+    # the layout fixes every shape: neither assignment nor a new state
+    # re-packs the vector
+    _, _, state, _ = random_instance(6, m=3)
+    expected = state.params[key].shape
+    vec = state.to_vector()
+    message = re.escape(f"{key} has shape {shape}, expected {expected}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        setattr(state, key, np.zeros(shape))
+    assert np.array_equal(state.flat, vec)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        VariationalState(state.schema, state.dims, state.layout, {**state.params, key: np.zeros(shape)})
 
 
 @pytest.mark.parametrize("use_mean", [True, False], ids=["mean", "no_mean"])
@@ -77,10 +96,10 @@ def test_point_positions_are_the_point_keys_offset_ranges(use_mean):
     per_user = {"user_bias", "log_sigma2", "log_beta"} if use_mean else {"log_sigma2", "log_beta"}
     assert {key for key, each in layout.points if each} == per_user
     assert [key for key, _ in layout.points] == layout.keys[len(layout.keys) - len(layout.points) :]
-    assert state.offsets[len(layout.keys) - len(layout.points)] == layout.table_end
+    assert layout.offsets[len(layout.keys) - len(layout.points)] == layout.table_end
     for (key, each), pos in zip(layout.points, state.point_positions(users)):
         k = layout.keys.index(key)
-        start, stop = state.offsets[k], state.offsets[k + 1]
+        start, stop = layout.offsets[k], layout.offsets[k + 1]
         assert np.array_equal(pos, start + users if each else np.arange(start, stop)), key
         assert [state.key_at(i) for i in pos] == [key] * pos.size
 
