@@ -15,7 +15,6 @@ from .data import (
     ContextVariable,
     DataError,
     FoldPlan,
-    RatingRecord,
     RatingTable,
     RealStandardization,
     UserBlock,
@@ -84,7 +83,6 @@ __all__ = [
     "Predictor",
     "PsiStats",
     "REAL",
-    "RatingRecord",
     "RatingTable",
     "RealStandardization",
     "SyntheticSpec",

@@ -127,16 +127,6 @@ def check_keys(given, known, where: str) -> None:
 
 
 @dataclass(frozen=True)
-class RatingRecord:
-    """A single observation; ``context_values`` follows schema order."""
-
-    user: int
-    item: int
-    context_values: tuple
-    rating: float
-
-
-@dataclass(frozen=True)
 class RealStandardization:
     """Per-column z-scoring statistics for the real-valued contexts.
 
@@ -233,10 +223,6 @@ class RatingTable:
     @property
     def rating_range(self) -> tuple[float, float]:
         return float(self.ratings.min()), float(self.ratings.max())
-
-    def record(self, i: int) -> RatingRecord:
-        (values,) = context_rows(self.schema, self.cat_values[i : i + 1], self.real_values[i : i + 1])
-        return RatingRecord(int(self.users[i]), int(self.items[i]), values, float(self.ratings[i]))
 
     def subset(self, indices, standardization: RealStandardization | str = "refit") -> "RatingTable":
         """Select rows; ``standardization`` is ``"refit"`` (fit on the subset,

@@ -15,7 +15,7 @@ integrals.
 
 The signal variance enters only as a factor: psi0 = N sigma2, and Psi1 and
 Psi2 are sigma2 and sigma2^2 times their unit-signal values.  So the psi
-code below (:class:`_PsiCache`, :func:`psi_backward`, :func:`psi1_rows`)
+code below (:class:`_PsiCache`, :func:`psi_backward`, :func:`psi1_factor`)
 computes unit-signal statistics from plain arrays (means, variances) and
 the :class:`_InducingSide` of the inducing inputs and inverse length-scales;
 the bound brings each user's sigma2 in through its whitening
@@ -39,9 +39,10 @@ either.  Psi1 is the same form at c = 1 where Psi2 is at c = 2: with
 right factor's rows at the pairs (a, a), ``[z | z^2 | 0 | 1]``.  Every
 per-pair quantity is built from ``z_a + z_b`` and ``(z_a - z_b)^2``, which
 round the same for (a, b) and (b, a): a duplicated inducing input gives rows
-and columns of Psi2, and columns of Psi1, equal bit for bit.  Query rows
-(:func:`psi1_rows`) take Psi1's product with ``np.einsum``, whose rows do
-not depend on the batch.
+and columns of Psi2, and columns of Psi1, equal bit for bit.
+
+The predictor's per-entity tables take Psi1 over one latent block each in
+the plain difference form ``mu - z`` (:func:`psi1_factor`).
 
 The right factors, the pair tables and the unit-signal inducing gram,
 ``exp(2 c)`` over the pairs, depend on (Z, alpha) alone and are built once
@@ -98,20 +99,20 @@ def _left_factor(c: float, alpha_c: np.ndarray, alpha: np.ndarray, mu: np.ndarra
     return d, v, lhs
 
 
-def psi1_rows(side: _InducingSide, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """Unit-signal Psi1 rows of means ``mu`` and variances ``var`` against
-    the inducing inputs of ``side`` at its inverse length-scales: the query
-    path's Psi1 (:class:`gplvmf.predict.Predictor`).
-
-    Each call builds the left factor of its rows, C-ordered whatever the
-    inputs' layout, and takes the product with the side's ``rhs1`` by
-    ``np.einsum``, not ``@``: a BLAS product's rounding depends on the
-    number of rows, einsum's loop order on the operands' layout, and a
-    query's Psi1 row must not depend on the batch it arrives in.  Inputs are
-    not validated.
+def psi1_factor(alpha: np.ndarray, mu: np.ndarray, s: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Unit-signal Psi1 (E, M) over a subset of the coordinates, of rows with
+    means ``mu`` and variances ``s`` (E, q) against inducing inputs ``z`` (M, q):
+    prod_q (1 + alpha s)^-1/2 exp(-alpha (mu - z)^2 / (2 (1 + alpha s))).
+    Over any split of the coordinates, Psi1 is the product of its factors.
+    Every array is C-ordered and the sum over q is an ``np.einsum``, so a row
+    does not depend on the batch or on the inputs' layout.  Inputs are not
+    validated.
     """
-    lhs = _left_factor(1.0, side.alpha, side.alpha, mu - side.centre, var)[2]
-    expo = np.einsum("nk,mk->nm", lhs, side.rhs1)
+    mu, s = np.ascontiguousarray(mu), np.ascontiguousarray(s)
+    d = 1.0 + alpha * s
+    diff = np.subtract(mu[:, None, :], z, order="C")                # (E, M, q)
+    expo = np.einsum("emq,eq->em", np.square(diff, out=diff), -0.5 * alpha / d)
+    expo -= 0.5 * np.log(d).sum(axis=1, keepdims=True)
     return np.exp(expo, out=expo)
 
 

@@ -13,7 +13,8 @@ as the kernel latents, listed in :attr:`gplvmf.state.KernelLayout.tables`
 with an empty kernel slice.  :func:`phi_statistics` reads those tables from
 the rows' :meth:`~gplvmf.state.VariationalState.row_entries`, as
 :meth:`~gplvmf.state.VariationalState.assemble_rows` reads the kernel
-tables, and serves the bound's chunks and the predictor's query rows alike.
+tables, for the bound's chunks.  The predictor takes the same phi1 from
+each bias table's row sums (:class:`gplvmf.predict.Predictor`).
 
 Because the mean is linear in the latents, its first moment phi1 is the mean
 evaluated at the variational means, and the second moment phi0 adds the

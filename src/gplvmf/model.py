@@ -27,12 +27,13 @@ from .data import (
 )
 from .optim import TrainConfig, TrainTrace
 from .predict import Predictor
-from .state import VariationalState
+from .state import KernelLayout, VariationalState
 
 FORMAT_VERSION = "gplvmf.model/1"
 # The file stores each state array under its ``param_entries`` key, except these.
 _FILE_NAMES = {"user_bias": "bias_user"}
-_STATE_KEYS = {name: key for key, name in _FILE_NAMES.items()}
+# The file's other arrays, beside ``meta``: the training table and its standardization.
+_TABLE_ARRAYS = ("table_users", "table_items", "table_cat", "table_real_raw", "table_ratings", "std_mean", "std_std")
 
 
 @dataclass
@@ -80,15 +81,33 @@ def save_model(model: TrainedModel, path) -> None:
         np.savez(f, meta=json.dumps(meta), **arrays)
 
 
+def _check_arrays(path, names, expected) -> None:
+    """A ``ValueError`` naming each array of ``expected`` not in ``names``, and each of ``names`` not expected."""
+    missing, extra = [n for n in expected if n not in names], [n for n in names if n not in expected]
+    found = [f"{what} {', '.join(map(repr, which))}" for what, which in (("lacks", missing),
+                                                                          ("has unexpected arrays", extra)) if which]
+    if found:
+        raise ValueError(f"model file {path} {' and '.join(found)}")
+
+
 def load_model(path) -> TrainedModel:
+    """The model in the file at ``path``; a file whose arrays are not those
+    its schema and config call for, or whose arrays do not fit them, is a
+    ``ValueError`` naming the arrays."""
     with np.load(path, allow_pickle=False) as data:
         arrays = {name: data[name] for name in data.files}
+    if "meta" not in arrays:
+        raise ValueError(f"model file {path} lacks 'meta'")
     meta = json.loads(str(arrays.pop("meta")))
     if meta.get("format") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format {meta.get('format')!r}")
     check_keys(meta["config"], [f.name for f in fields(TrainConfig)], f"the config stored in {path}")
     config = TrainConfig(**meta["config"])
     schema = schema_from_dict(meta["schema"], f"the schema stored in {path}")
+    dims = config.dims()
+    layout = KernelLayout(schema, dims)
+    state_names = {_FILE_NAMES.get(key, key): key for key in layout.keys}
+    _check_arrays(path, arrays, [*state_names, *_TABLE_ARRAYS])
     table = RatingTable(
         schema=schema,
         users=arrays["table_users"],
@@ -98,9 +117,7 @@ def load_model(path) -> TrainedModel:
         ratings=arrays["table_ratings"],
         standardization=RealStandardization(mean=arrays["std_mean"], std=arrays["std_std"]),
     )
-    state = VariationalState.from_tables(
-        schema, config.dims(), {_STATE_KEYS.get(name, name): arr for name, arr in arrays.items()}
-    )
+    state = VariationalState(schema, dims, layout, {key: arrays[name] for name, key in state_names.items()})
     return TrainedModel(
         state=state,
         table=table,

@@ -23,21 +23,30 @@ sigma2,
     mean = psi* . w + phi1*,                    w = beta sigma2 A^-1 c
     var  = sigma2 (1 - |L_C^-1 psi*|^2 + |L_B^-1 L_C^-1 psi*|^2)
 
-where L_B is the Cholesky factor of B.  So each user is reduced once to a
-(2M + 1, M) projection, the rows [w; L_C^-1; L_B^-1 L_C^-1], and a query
-costs one Psi1 row and one product with its user's projection; no
-triangular solve is left per query.  The projections live in one store,
-an array indexed by user id that the predictor fills when it is made, for
-every user with a block: one stacked posterior pass
+where L_B is the Cholesky factor of B.  So each user is reduced once to an
+(M + 1, M) projection, the rows [w; L_B^-1 L_C^-1]; L_C^-1 is shared by
+every user (:class:`gplvmf.bound.SharedFactors`).  The projections live in
+one store, an array indexed by user id that the predictor fills when it is
+made, for every user with a block: one stacked posterior pass
 (:func:`gplvmf.bound.user_posterior`) per chunk of the blocks'
 :func:`gplvmf.bound.plan`; a boolean mask marks those users.  The users'
 q(u) depend on their training ratings alone, so a query only reads the
-store.  :meth:`Predictor.predict_rows` reads its
-rows as the bound does (one :meth:`~gplvmf.state.VariationalState.row_entries`
-gather over a row view of the queries),
-makes one Psi1 pass over all rows and the products in row chunks of bounded
-size (no O(rows * M^2) temporary); :meth:`Predictor.predict` is the one-row
-case of the same arithmetic, with a scalar lookup of the same tables.
+store.
+
+Nor does a query take a Psi1 pass.  Under the diagonal q, psi* is a product
+of one factor per latent block, and each block is fixed by one entity: an
+item, or one category of a context.  So the predictor also builds, once,
+each kernel table's (E + 1, M) factor table (:func:`gplvmf.kernels.psi1_factor`,
+prior row included) and each bias table's row sums; a real context, at zero
+variance, gives the factor exp(-alpha (x - z)^2 / 2).  A query row
+(:meth:`Predictor._rows`) multiplies its rows of the factor tables and its
+real factors, adds its bias row sums into phi1*, and takes one product with
+the shared L_C^-1 and one with its user's projection.
+
+:meth:`Predictor.predict_rows` and :meth:`Predictor.predict` both run that
+walk on clamped codes and differ only in their checks: on one row,
+``predict_rows``' array checks would cost more than the whole query, so
+``predict`` makes the same checks with scalar tests, in the same order.
 
 Each query's result must not depend on the batch it arrives in: a batch
 agrees bit for bit with one-query calls on the same predictor.  Matrix
@@ -59,9 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bound import DEFAULT_JITTER, SharedFactors, plan, shared_factors, user_posterior
-from .data import UserBlock, code_error, context_columns, context_value_error, integer_codes, is_code
-from .kernels import psi1_rows
-from .meanfn import phi_statistics
+from .data import code_error, context_columns, context_value_error, integer_codes, is_code
+from .kernels import psi1_factor
 from .state import VariationalState
 
 
@@ -125,30 +133,16 @@ def _clamp_codes(codes: np.ndarray, last) -> np.ndarray:
     return np.where((codes >= 0) & (codes < last), codes, last)
 
 
-def _project(proj: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Rows of the users' projections (n, 2M+1, M) times unit-signal Psi1 rows (n, M)."""
-    return np.einsum("qam,qm->qa", proj, psi)
-
-
-def _moments(out, phi1, sigma2, beta, include_noise: bool):
-    """Mean and variance per row from :func:`_project`'s output."""
-    m = (out.shape[1] - 1) // 2
-    g, h = out[:, 1 : m + 1], out[:, m + 1 :]
-    mean = out[:, 0] + phi1
-    variance = np.maximum(sigma2 * (1.0 - np.einsum("qa,qa->q", g, g) + np.einsum("qa,qa->q", h, h)), 0.0)
-    if include_noise:
-        variance = variance + 1.0 / beta
-    return mean, variance
-
-
 class Predictor:
     """Prediction context over a trained state and its training blocks.
 
-    Latent variances, bias row sums, each user's sigma2 and beta and the
-    per-user projections are derived from the state, so the state must not
-    change while the predictor is in use.  The projection of every user with
-    a block is built here, a chunk of users at a time, into the user's row
-    of the store; queries only read it.
+    Everything a query reads is derived here from the state, so the state
+    must not change while the predictor is in use: the per-entity Psi1
+    factor tables and bias row sums, the real contexts' inverse
+    length-scales and inducing inputs, each user's bias, sigma2 and beta,
+    and the store of projections.  The projection of every user with a
+    block is built a chunk of users at a time, into the user's row of the
+    store.
     """
 
     def __init__(
@@ -165,33 +159,34 @@ class Predictor:
         self.shared: SharedFactors = shared_factors(state, jitter)
         self.global_mean = float(np.mean(np.concatenate([b.ratings for b in blocks]))) if blocks else None
 
-        # the store, one row per user id, rows [w; L_C^-1; L_B^-1 L_C^-1]
+        # the store, one row per user id, rows [w; L_B^-1 L_C^-1]
         schema, p, m = state.schema, state.params, state.inducing_count
-        self._proj = np.empty((schema.user_count, 2 * m + 1, m))
+        self._proj = np.empty((schema.user_count, m + 1, m))
         self._known = np.zeros(schema.user_count, dtype=bool)
         self._sigma2, self._beta = np.exp(state.log_sigma2), np.exp(state.log_beta)
-        linv = self.shared.linv
         for chunk in plan(blocks, state).chunks:
             post = user_posterior(chunk, state, self.shared)
             users = chunk.users
             self._proj[users, 0] = (self._beta[users] * self._sigma2[users])[:, None] * post.v
-            self._proj[users, 1 : m + 1] = linv
-            self._proj[users, m + 1 :] = np.linalg.solve(post.chol_b, linv)
+            self._proj[users, 1:] = np.linalg.solve(post.chol_b, self.shared.linv)
             self._known[users] = True
 
-        self._cat_cols = schema.categorical_indices
+        self._cat_cols, self._real_cols = schema.categorical_indices, schema.real_indices
         self._cards = np.array([schema.contexts[d].cardinality for d in self._cat_cols], dtype=np.int64)
-        self._real_cols = schema.real_indices
-        # the scalar lookup of predict; kernel tables: (column, kernel slice,
-        # means, variances); bias tables: (column, row sums)
-        self._kernel_tables = [
-            (t.column, t.sl, p[t.mean], np.exp(p[t.log_var])) for t in state.layout.tables if t.in_kernel
+        # per-entity tables, each as (block column, table): the unit-signal
+        # Psi1 factor of each kernel table, the item table's first, and the
+        # row sums of each bias table
+        alpha, layout = self.shared.side.alpha, state.layout
+        self._psi_tables = [
+            (t.column, psi1_factor(alpha[t.sl], p[t.mean], np.exp(p[t.log_var]), state.z[:, t.sl]))
+            for t in layout.tables if t.in_kernel
         ]
-        self._bias_tables = [
-            (t.column, p[t.mean].sum(axis=1)) for t in state.layout.tables if not t.in_kernel
-        ]
+        self._bias_tables = [(t.column, p[t.mean].sum(axis=1)) for t in layout.tables if not t.in_kernel]
+        # the real contexts' -alpha / 2 and inducing inputs, (R,) and (R, M)
+        fixed = layout.fixed_mask
+        self._real_alpha, self._real_z = -0.5 * alpha[fixed], np.ascontiguousarray(state.z[:, fixed].T)
         use_mean = state.dims.use_mean
-        self._user_bias = p["user_bias"] if use_mean else np.zeros(state.log_sigma2.shape)
+        self._user_bias = p["user_bias"] if use_mean else np.zeros(schema.user_count)
         self._real_weights = p["real_weights"] if use_mean else np.zeros(len(self._real_cols))
 
     def _standardize(self, reals: np.ndarray) -> np.ndarray:
@@ -207,55 +202,39 @@ class Predictor:
     ) -> Prediction:
         if unknown_user not in _UNKNOWN_USER_POLICIES:
             raise _bad_policy(unknown_user)
-        count = self.state.schema.context_count
-        if len(context_values) != count:
-            raise ValueError(f"expected {count} context values, got {len(context_values)}")
+        schema = self.state.schema
+        if len(context_values) != schema.context_count:
+            raise ValueError(f"expected {schema.context_count} context values, got {len(context_values)}")
 
-        # The split, its checks and the gather are scalar here: for one row,
-        # the array split of :func:`gplvmf.data.context_columns` (several times
-        # this loop), array clamps and fancy indexing would cost more than the
-        # arithmetic (see :meth:`_rows`).  The values, errors and their order
-        # are those of :meth:`predict_rows`, which looks the user up last.
+        # The checks and clamps are scalar here: on one row, the array checks
+        # of :meth:`predict_rows` cost more than the whole query.  The values,
+        # errors and their order are those of :meth:`predict_rows`, which
+        # looks the user up last.
         if not is_code(user):
             raise code_error("user", float(user))
         if not is_code(item):
             raise code_error("item", float(item))
         user, item = int(user), int(item)
-        contexts = self.state.schema.contexts
         cats, raw = [], []
         for d in self._cat_cols:
-            value = context_values[d]
+            ctx, value = schema.contexts[d], context_values[d]
             if not is_code(value):
-                raise context_value_error(contexts[d], float(value))
-            cats.append(int(value))
+                raise context_value_error(ctx, float(value))
+            value = int(value)
+            cats.append(value if 0 <= value < ctx.cardinality else ctx.cardinality)
         for d in self._real_cols:
             value = float(context_values[d])
             if not math.isfinite(value):
-                raise context_value_error(contexts[d], value)
+                raise context_value_error(schema.contexts[d], value)
             raw.append(value)
         if not (0 <= user < self._known.size and self._known[user]):
             if unknown_user == "global_mean" and self.global_mean is not None:
                 mean = self.global_mean
                 return Prediction(mean, float("nan"), self._clamp(mean))
             raise _unknown(user)
-        reals = self._standardize(np.array([raw]))
-        mu = np.empty((1, self.state.kernel_dim))
-        var = np.zeros((1, self.state.kernel_dim))
-        for column, sl, mean, variance in self._kernel_tables:
-            code, last = item if column is None else cats[column], len(mean) - 1
-            row = code if 0 <= code < last else last
-            mu[0, sl] = mean[row]
-            var[0, sl] = variance[row]
-        mu[:, self.state.layout.fixed_mask] = reals
-        phi1 = self._user_bias[user]
-        for column, sums in self._bias_tables:
-            code, last = item if column is None else cats[column], len(sums) - 1
-            phi1 = phi1 + sums[code if 0 <= code < last else last]
-        phi1 = phi1 + np.einsum("qd,d->q", reals, self._real_weights)
-
-        psi = psi1_rows(self.shared.side, mu, var)
-        out = _project(self._proj[user][None], psi)
-        mean, variance = _moments(out, phi1, self._sigma2[user], self._beta[user], include_noise)
+        item = item if 0 <= item < schema.item_count else schema.item_count
+        mean, variance = self._rows(np.array([user]), np.array([item]), np.array([cats], dtype=np.int64),
+                                    self._standardize(np.array([raw])), include_noise)
         mean = float(mean[0])
         return Prediction(mean=mean, variance=float(variance[0]), clamped_mean=self._clamp(mean))
 
@@ -300,30 +279,40 @@ class Predictor:
             means[~known], variances[~known] = self.global_mean, np.nan
         rows = np.flatnonzero(known)
         if rows.size:
-            means[rows], variances[rows] = self._rows(
-                users[rows], items[rows], cats[rows], reals[rows], include_noise
-            )
+            items, cats = _clamp_codes(items[rows], self.state.schema.item_count), _clamp_codes(cats[rows], self._cards)
+            means[rows], variances[rows] = self._rows(users[rows], items, cats, reals[rows], include_noise)
         clamped = means.copy() if self.rating_scale is None else np.clip(means, *self.rating_scale)
         return means, variances, clamped
 
     def _rows(self, users, items, cats, reals, include_noise):
-        """Mean and variance of query rows of known users."""
-        # the bound's row walks over a row view of the queries: no ratings,
-        # and every unknown code clamped to its table's trailing prior row
-        n = len(users)
-        items = _clamp_codes(items, self.state.schema.item_count)
-        rows = UserBlock(users, items, _clamp_codes(cats, self._cards), reals, ratings=np.full(n, np.nan))
-        entries = self.state.row_entries(rows)
-        mu, var = self.state.assemble_rows(rows, entries)
-        phi1 = phi_statistics(self.state, rows, entries).phi1
+        """Mean and variance of query rows of known users, whose item and
+        category codes are clamped to their tables' rows: per-entity Psi1
+        factors and bias row sums, then the projections (module docstring)."""
+        (_, first), *rest = self._psi_tables
+        psi = first[items]
+        for column, table in rest:
+            psi *= table[cats[:, column]]
+        phi1 = self._user_bias[users]
+        for column, sums in self._bias_tables:
+            phi1 += sums[items if column is None else cats[:, column]]
+        if reals.shape[1]:
+            diff = np.subtract(reals[:, :, None], self._real_z, order="C")       # (n, R, M)
+            psi *= np.exp(np.einsum("nrm,r->nm", np.square(diff, out=diff), self._real_alpha))
+            phi1 += np.einsum("nr,r->n", reals, self._real_weights)
 
-        psi = psi1_rows(self.shared.side, mu, var)
-        out = np.empty((n, self._proj.shape[1]))
-        step = max(1, _STEP_BUDGET // self._proj[0].size)
+        n, (m1, m) = len(users), self._proj.shape[1:]
+        g = np.einsum("am,nm->na", self.shared.linv, psi)                        # L_C^-1 psi
+        out = np.empty((n, m1))                                                  # [w . psi | L_B^-1 L_C^-1 psi]
+        step = max(1, _STEP_BUDGET // (m1 * m))
         for start in range(0, n, step):
             sl = slice(start, start + step)
-            out[sl] = _project(self._proj[users[sl]], psi[sl])
-        return _moments(out, phi1, self._sigma2[users], self._beta[users], include_noise)
+            out[sl] = np.einsum("nam,nm->na", self._proj[users[sl]], psi[sl])
+        h = out[:, 1:]
+        sigma2 = self._sigma2[users]
+        variance = np.maximum(sigma2 * (1.0 - np.einsum("na,na->n", g, g) + np.einsum("na,na->n", h, h)), 0.0)
+        if include_noise:
+            variance = variance + 1.0 / self._beta[users]
+        return out[:, 0] + phi1, variance
 
 
 def context_relevance(state: VariationalState) -> ContextRelevance:

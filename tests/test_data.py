@@ -20,7 +20,7 @@ from gplvmf import (
     save_table,
 )
 from gplvmf import data
-from gplvmf.data import CATEGORICAL, context_columns, fit_standardization, out_of_range, parse_field
+from gplvmf.data import CATEGORICAL, context_columns, context_rows, fit_standardization, out_of_range, parse_field
 from conftest import build_table, codec_schema, codec_table
 
 
@@ -150,11 +150,10 @@ class TestLoadTable:
         path = tmp_path / "r.csv"
         write_rows(path, ["0,3,1,0.5,4.0", "1,2,0,1.5,2.0"])
         table = load_table(path, two_context_schema())
-        rec = table.record(0)
-        assert rec.user == 0 and rec.item == 3 and rec.rating == 4.0
-        assert rec.context_values[0] == 1
+        assert table.users[0] == 0 and table.items[0] == 3 and table.ratings[0] == 4.0
+        assert table.cat_values[0, 0] == 1
         # z-scored: column (0.5, 1.5) -> (-1, 1)
-        assert rec.context_values[1] == pytest.approx(-1.0)
+        assert table.real_values[0, 0] == pytest.approx(-1.0)
 
     def test_empty_file_errors(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -463,13 +462,12 @@ class TestContextCodec:
         assert rows == reference_context_rows(table, table.real_raw)
         kinds = [int if c.is_categorical else float for c in schema.contexts]
         assert all(type(row) is tuple and [type(v) for v in row] == kinds for row in rows)
+        # the standardized values, one row at a time
         standardized = reference_context_rows(table, table.real_values)
         for i in range(len(table)):
-            record = table.record(i)
-            assert record.context_values == standardized[i]
-            assert type(record.context_values) is tuple
-            assert [type(v) for v in record.context_values] == kinds
-            assert (type(record.user), type(record.item), type(record.rating)) == (int, int, float)
+            (row,) = context_rows(schema, table.cat_values[i : i + 1], table.real_values[i : i + 1])
+            assert row == standardized[i]
+            assert type(row) is tuple and [type(v) for v in row] == kinds
 
     def test_columns_invert_rows(self, kind):
         schema = codec_schema(kind)

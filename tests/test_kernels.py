@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gplvmf import ArdKernel, LatentPoints, kernel_matrix, mc_psi_oracle, psi_statistics
-from gplvmf.kernels import _InducingSide, _PsiCache, psi1_rows, psi_backward
+from gplvmf.kernels import _InducingSide, _PsiCache, psi1_factor, psi_backward
 from conftest import max_rel_error
 
 
@@ -417,33 +417,38 @@ class TestPsiGradients:
 
     @pytest.mark.parametrize("shift", [0.0, 100.0])
     def test_psi1_rows_match_the_cache(self, shift):
+        # a row of Psi1 is the product of psi1_factor over any split of the coordinates
         kern, pts, z = random_setup(92, n=20, m=8, q=6)
-        got = psi1_rows(_InducingSide(kern.inv_length_scales, z + shift), pts.mean + shift, pts.var)
-        assert error_to_largest(got, unit_cache(kern, pts, z).psi1) < 1e-12
+        expected = unit_cache(kern, pts, z).psi1
+        alpha, mu, s, z = kern.inv_length_scales, pts.mean + shift, pts.var, z + shift
+        for bounds in ((0, 6), (0, 2, 3, 6), (0, 1, 2, 3, 4, 5, 6)):
+            got = np.ones_like(expected)
+            for sl in (slice(a, b) for a, b in zip(bounds, bounds[1:])):
+                got *= psi1_factor(alpha[sl], mu[:, sl], s[:, sl], z[:, sl])
+            assert error_to_largest(got, expected) < 1e-12
 
     @pytest.mark.parametrize("n, m, q", [(7, 6, 3), (40, 30, 12), (3, 9, 25)])
     def test_psi1_rows_do_not_depend_on_the_batch(self, n, m, q):
         kern, pts, z = random_setup(93, n=n, m=m, q=q)
-        side = _InducingSide(kern.inv_length_scales, z)
-        batch = psi1_rows(side, pts.mean, pts.var)
+        alpha = kern.inv_length_scales
+        batch = psi1_factor(alpha, pts.mean, pts.var, z)
         for i in range(n):
-            assert np.array_equal(batch[i], psi1_rows(side, pts.mean[i:i + 1], pts.var[i:i + 1])[0])
+            assert np.array_equal(batch[i], psi1_factor(alpha, pts.mean[i:i + 1], pts.var[i:i + 1], z)[0])
 
-    @pytest.mark.parametrize("n, m, q", [(7, 6, 3), (600, 8, 6)])
+    @pytest.mark.parametrize("n, m, q", [(7, 6, 3), (600, 8, 6), (40, 30, 12)])
     def test_psi1_rows_do_not_depend_on_the_layout(self, n, m, q):
-        # row gathers can hand over Fortran-ordered means and variances
+        # column slices of a table, and transposed copies, are not C-ordered
         kern, pts, z = random_setup(95, n=n, m=m, q=q)
-        side = _InducingSide(kern.inv_length_scales, z)
-        batch = psi1_rows(side, np.asfortranarray(pts.mean), np.asfortranarray(pts.var))
-        assert np.array_equal(batch, psi1_rows(side, pts.mean, pts.var))
+        alpha = kern.inv_length_scales
+        batch = psi1_factor(alpha, np.asfortranarray(pts.mean), np.asfortranarray(pts.var), np.asfortranarray(z))
+        assert np.array_equal(batch, psi1_factor(alpha, pts.mean, pts.var, z))
 
     @pytest.mark.parametrize("first, second", [(1, 4), (0, 5), (2, 3)])
     @pytest.mark.parametrize("n", [7, 500])
     def test_duplicate_inducing_input_gives_equal_psi1_columns(self, first, second, n):
         kern, pts, z = random_setup(94, n=n, m=6, q=3)
         z[second] = z[first]
-        side = _InducingSide(kern.inv_length_scales, z)
-        for psi1 in (psi_statistics(kern, pts, z).psi1, psi1_rows(side, pts.mean, pts.var)):
+        for psi1 in (psi_statistics(kern, pts, z).psi1, psi1_factor(kern.inv_length_scales, pts.mean, pts.var, z)):
             assert np.array_equal(psi1[:, first], psi1[:, second])
 
     @pytest.mark.parametrize("first, second", [(1, 4), (0, 5), (2, 3)])

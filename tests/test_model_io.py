@@ -126,6 +126,38 @@ class TestSerialization:
         assert cli_main(["predict", "--model", str(bad), "--queries", str(queries)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "drop, add, message",
+        [
+            (["z"], [], "lacks 'z'"),
+            (["bias_user", "table_ratings"], [], "lacks 'bias_user', 'table_ratings'"),
+            ([], ["z_typo"], "has unexpected arrays 'z_typo'"),
+            (["z"], ["z_typo"], "lacks 'z' and has unexpected arrays 'z_typo'"),
+            (["meta"], [], "lacks 'meta'"),
+        ],
+        ids=["missing", "two_missing", "extra", "renamed", "no_meta"],
+    )
+    def test_missing_or_extra_arrays_are_rejected(self, tmp_path, capsys, drop, add, message):
+        # a file without z would fail with a bare KeyError, and one with an
+        # extra array (a misspelt z) would load without a word
+        model = small_model(tmp_path)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = dict(data.items())
+        arrays.update({name: arrays["z"] for name in add})
+        for name in drop:
+            del arrays[name]
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **arrays)
+        message = f"model file {bad} {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_model(bad)
+        queries = tmp_path / "q.csv"
+        queries.write_text("user,item,mood,price\n0,1,2,0.4\n", encoding="utf-8")
+        assert cli_main(["predict", "--model", str(bad), "--queries", str(queries)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_files_with_the_old_meta_keys_still_load(self, tmp_path):
         model = small_model(tmp_path)
         path = tmp_path / "model.npz"

@@ -177,7 +177,7 @@ def test_check_finds_imports_of_the_oracles_and_the_harness():
         "from gplvmf import total_bound\n"
     )
     assert gplvmf_imports(source) == {"bound", "reference", "harness", "gplvmf"}
-    assert gplvmf_imports("from . import data\nfrom .kernels import psi1_rows\n") == {"gplvmf", "kernels"}
+    assert gplvmf_imports("from . import data\nfrom .kernels import psi1_factor\n") == {"gplvmf", "kernels"}
 
 
 def offsets_reads(source: str) -> list:
