@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import config as cfgmod
+from .config import read_config
 from .data import DataError, load_table, read_columns, save_table
 from .harness import const_baseline_cv, evaluate_cv, synthesize, train_model
 from .model import load_model, save_model
@@ -21,36 +21,26 @@ def _add_config_data(p):
 
 
 def _load(args):
-    cfg = cfgmod.load_config(args.config)
-    schema = cfgmod.schema_from_config(cfg)
-    table = load_table(args.data, schema, delimiter=cfg.get("delimiter", ","))
-    return cfg, table
+    cfg = read_config(args.config)
+    return cfg, load_table(args.data, cfg.schema, delimiter=cfg.delimiter)
 
 
 def cmd_train(args) -> int:
     cfg, table = _load(args)
-    train_cfg = cfgmod.train_config_from_config(cfg)
-    model = train_model(table, train_cfg, rating_scale=cfgmod.rating_scale_from_config(cfg))
+    model = train_model(table, cfg.train, rating_scale=cfg.rating_scale)
     save_model(model, args.out)
     trace = model.trace
     if args.trace:
         trace.write_csv(args.trace)
     final = trace.rows[-1].bound if trace.rows else float("nan")
-    print(f"trained {train_cfg.method} on {len(table)} ratings; final {trace.bound_column} {final:.4f}")
+    print(f"trained {cfg.train.method} on {len(table)} ratings; final {trace.bound_column} {final:.4f}")
     print(f"model written to {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     cfg, table = _load(args)
-    train_cfg = cfgmod.train_config_from_config(cfg)
-    result = evaluate_cv(
-        table,
-        train_cfg,
-        k=args.folds,
-        seed=cfg.get("seed", 0),
-        rating_scale=cfgmod.rating_scale_from_config(cfg),
-    )
+    result = evaluate_cv(table, cfg.train, k=args.folds, seed=cfg.seed, rating_scale=cfg.rating_scale)
     lines = ["fold,mae,rmse"]
     for fold, mae, rmse in zip(result.folds, result.fold_mae, result.fold_rmse):
         lines.append(f"{fold},{float(mae)!r},{float(rmse)!r}")
@@ -58,7 +48,7 @@ def cmd_evaluate(args) -> int:
     lines.append(f"mean,{result.mae!r},{result.rmse!r}")
     lines.append(f"std,{result.mae_std!r},{result.rmse_std!r}")
     if args.baseline:
-        base = const_baseline_cv(table, k=args.folds, seed=cfg.get("seed", 0))
+        base = const_baseline_cv(table, k=args.folds, seed=cfg.seed)
         lines.append(f"const_mean,{base.mae!r},{base.rmse!r}")
     report = "\n".join(lines)
     if args.out:
@@ -110,20 +100,16 @@ def cmd_analyze_contexts(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    cfg = cfgmod.load_config(args.config)
-    spec = cfgmod.synthetic_spec_from_config(cfg)
+    cfg = read_config(args.config)
+    spec = cfg.synthetic
+    if spec is None:
+        raise KeyError("config is missing the 'synthetic' section")
     table, truth = synthesize(spec)
-    save_table(table, args.out, delimiter=cfg.get("delimiter", ","))
+    save_table(table, args.out, delimiter=cfg.delimiter)
     if args.truth:
         with open(args.truth, "wb") as f:   # np.savez would add ".npz" to a bare path
-            np.savez(
-                f,
-                alphas=truth.alphas,
-                sigma2=spec.signal_variance,
-                beta=spec.noise_precision,
-                item_latents=truth.item_latents,
-                user_bias=truth.user_bias,
-            )
+            np.savez(f, alphas=truth.alphas, sigma2=spec.signal_variance, beta=spec.noise_precision,
+                     item_latents=truth.item_latents, user_bias=truth.user_bias)
     print(f"wrote {len(table)} synthetic ratings to {args.out}")
     return 0
 

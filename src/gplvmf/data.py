@@ -118,9 +118,24 @@ def check_field(name: str, value, integer: bool, bound, strict: bool = False, no
         raise ValueError(f"{name} must be {'>' if strict else '>='} {bound}{note}, got {value!r}")
 
 
+def check_rating_scale(scale, name: str = "rating_scale") -> tuple[float, float]:
+    """``scale`` as a (lo, hi) pair of floats; a ``ValueError`` naming ``name``
+    unless it is two finite numbers, lo <= hi (the range of equal ratings has
+    lo == hi).  Configs, training and model files check their scales here."""
+    try:
+        lo, hi = scale
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be two numbers [lo, hi], got {scale!r}") from None
+    check_field(f"{name} lo", lo, False, -math.inf)
+    check_field(f"{name} hi", hi, False, lo)
+    return float(lo), float(hi)
+
+
 def check_keys(given, known, where: str) -> None:
     """A ``ValueError`` naming the first key of ``given`` not in ``known`` and
     ``where`` it was found; every config decoder checks its keys here."""
+    if not isinstance(given, dict):
+        raise ValueError(f"{where} must be a JSON object, got {given!r}")
     for key in given:
         if key not in known:
             raise ValueError(f"unknown key {key!r} in {where}; known keys: {', '.join(known)}")
@@ -517,6 +532,8 @@ class FoldPlan:
 
 def make_folds(table: RatingTable, k: int, seed: int) -> FoldPlan:
     n = len(table)
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"fold count must be an integer, got {k!r}")
     if k < 2:
         raise ValueError("fold count must be at least 2")
     if k > n:

@@ -12,14 +12,17 @@ a :class:`TrainedModel`, validating on a held-out table when one is given.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import (
     ContextSchema,
     RatingTable,
+    check_field,
+    check_rating_scale,
     context_rows,
     fit_standardization,
     group_by_user,
@@ -57,7 +60,8 @@ class SyntheticSpec:
     one scalar per block (broadcast over that block's coordinates); an
     irrelevant context is encoded as 0.  Real-valued contexts always occupy
     one coordinate.  ``real_weights`` is empty (all zero) or has one weight
-    per real context, in schema order.
+    per real context, in schema order.  A field that would break the draw is
+    a ``ValueError`` naming it (:func:`gplvmf.data.check_field`).
     """
 
     user_count: int
@@ -80,8 +84,18 @@ class SyntheticSpec:
     def __post_init__(self):
         for name in ("context_alphas", "real_weights"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if min(self.user_count, self.item_count, self.ratings_per_user) < 1:
-            raise ValueError("all counts must be positive")
+        # A fractional count failed only in np.repeat, a zero or negative noise
+        # precision in a division or a Cholesky factor, and a NaN signal
+        # variance drew a table with no signal.
+        for names, integer, bound, strict in (
+            (("user_count", "item_count", "ratings_per_user", "item_dim", "context_dim"), True, 1, False),
+            (("seed",), True, 0, False),
+            (("item_alpha", "signal_variance", "user_bias_std"), False, 0, False),
+            (("noise_precision",), False, 0, True),
+            (("user_bias_mean", "bias_scale"), False, -math.inf, False),
+        ):
+            for name in names:
+                check_field(name, getattr(self, name), integer, bound, strict)
         if len(self.context_alphas) != len(self.contexts):
             raise ValueError(f"context_alphas: need one per context ({len(self.contexts)}), "
                              f"got {len(self.context_alphas)}")
@@ -89,6 +103,9 @@ class SyntheticSpec:
         if len(self.real_weights) not in (0, n_real):
             raise ValueError(f"real_weights: need none or one per real context ({n_real}), "
                              f"got {len(self.real_weights)}")
+        for name, bound in (("context_alphas", 0), ("real_weights", -math.inf)):
+            for i, value in enumerate(getattr(self, name)):
+                check_field(f"{name}[{i}]", value, False, bound)
 
 
 @dataclass
@@ -106,34 +123,27 @@ class SyntheticTruth:
     design_items: np.ndarray
     design_cat: np.ndarray
     design_real: np.ndarray
-    means: list = field(default_factory=list)       # per user block
-    factors: list = field(default_factory=list)     # lower Cholesky factors
-    user_rows: list = field(default_factory=list)   # row indices per user
+    means: list        # per user block
+    factors: list      # lower Cholesky factors
+    user_rows: list    # row indices per user
 
 
 def synthesize(spec: SyntheticSpec) -> tuple[RatingTable, SyntheticTruth]:
     """Draw a dataset from the generative model; deterministic in ``spec.seed``.
-    The latent coordinates are laid out as in the model (:class:`KernelLayout`)."""
-    rng = np.random.default_rng(spec.seed)
-    schema = ContextSchema(
-        user_count=spec.user_count, item_count=spec.item_count, contexts=tuple(spec.contexts)
-    )
-    layout = KernelLayout(schema, ModelDims(inducing_count=1, item_dim=spec.item_dim, context_dim=spec.context_dim))
-    item_sl, *ctx_sls = (sl for _, sl in layout.slices)
-    q = layout.dim
 
-    alphas = np.zeros(q)
-    alphas[item_sl] = spec.item_alpha
-    for sl, a in zip(ctx_sls, spec.context_alphas):
-        alphas[sl] = a
+    The latent coordinates are laid out as in the model (:class:`KernelLayout`).
+    Every row's latent inputs and bias mean are built at once, walking the
+    layout's blocks in schema order; each user's rows are contiguous, and the
+    per-user loop only forms and factors that user's rating covariance.
+    """
+    rng = np.random.default_rng(spec.seed)
+    schema = ContextSchema(user_count=spec.user_count, item_count=spec.item_count, contexts=tuple(spec.contexts))
+    layout = KernelLayout(schema, ModelDims(inducing_count=1, item_dim=spec.item_dim, context_dim=spec.context_dim))
 
     item_latents = rng.standard_normal((spec.item_count, spec.item_dim))
-    ctx_latents = []
-    for ctx in spec.contexts:
-        if ctx.is_categorical:
-            ctx_latents.append(rng.standard_normal((ctx.cardinality, spec.context_dim)))
-        else:
-            ctx_latents.append(None)
+    ctx_latents = [
+        rng.standard_normal((c.cardinality, spec.context_dim)) if c.is_categorical else None for c in spec.contexts
+    ]
 
     if spec.include_bias:
         user_bias = rng.normal(spec.user_bias_mean, spec.user_bias_std, size=spec.user_count)
@@ -147,80 +157,57 @@ def synthesize(spec: SyntheticSpec) -> tuple[RatingTable, SyntheticTruth]:
         item_bias = np.zeros(spec.item_count)
         ctx_bias = [np.zeros(c.cardinality) if c.is_categorical else None for c in spec.contexts]
 
-    real_w = np.asarray(spec.real_weights, dtype=float)
-    n_real = sum(1 for c in spec.contexts if not c.is_categorical)
-    if real_w.size == 0:
-        real_w = np.zeros(n_real)
-
+    n_real = len(schema.real_indices)
     total = spec.user_count * spec.ratings_per_user
     users = np.repeat(np.arange(spec.user_count), spec.ratings_per_user)
     items = rng.integers(0, spec.item_count, size=total)
-    cat_cols = [d for d, c in enumerate(spec.contexts) if c.is_categorical]
-    cat = np.column_stack(
-        [rng.integers(0, spec.contexts[d].cardinality, size=total) for d in cat_cols]
-    ) if cat_cols else np.zeros((total, 0), dtype=np.int64)
+    cards = [c.cardinality for c in spec.contexts if c.is_categorical]
+    cat = np.column_stack([rng.integers(0, k, size=total) for k in cards]) if cards else np.zeros((total, 0), np.int64)
     real = rng.standard_normal((total, n_real)) if n_real else np.zeros((total, 0))
 
-    truth = SyntheticTruth(
-        spec=spec,
-        alphas=alphas,
-        item_latents=item_latents,
-        ctx_latents=ctx_latents,
-        user_bias=user_bias,
-        item_bias=item_bias,
-        ctx_bias=ctx_bias,
-        design_users=users,
-        design_items=items,
-        design_cat=cat,
-        design_real=real,
-    )
-
-    kern = ArdKernel(spec.signal_variance, alphas)
-    for u in range(spec.user_count):
-        rows = np.flatnonzero(users == u)
-        x = np.zeros((rows.size, q))
-        x[:, item_sl] = item_latents[items[rows]]
-        ci = ri = 0
-        mean = np.full(rows.size, user_bias[u]) + item_bias[items[rows]]
-        for d, ctx in enumerate(spec.contexts):
-            if ctx.is_categorical:
-                codes = cat[rows, ci]
-                x[:, ctx_sls[d]] = ctx_latents[d][codes]
-                mean += ctx_bias[d][codes]
-                ci += 1
-            else:
-                vals = real[rows, ri]
-                x[:, ctx_sls[d]] = vals[:, None]
-                mean += real_w[ri] * vals
-                ri += 1
-        if spec.signal_variance > 0:
-            cov = kernel_matrix(kern, x, x)
+    (_, item_sl), *ctx_slices = layout.slices
+    alphas = np.zeros(layout.dim)
+    alphas[item_sl] = spec.item_alpha
+    x = np.zeros((total, layout.dim))
+    x[:, item_sl] = item_latents[items]
+    mean = user_bias[users] + item_bias[items]
+    codes, reals = iter(cat.T), iter(zip(real.T, spec.real_weights or (0.0,) * n_real))
+    for (_, sl), ctx, alpha, latents, bias in zip(ctx_slices, spec.contexts, spec.context_alphas,
+                                                  ctx_latents, ctx_bias):
+        alphas[sl] = alpha
+        if ctx.is_categorical:
+            c = next(codes)
+            x[:, sl] = latents[c]
+            mean += bias[c]
         else:
-            cov = np.zeros((rows.size, rows.size))
+            vals, weight = next(reals)
+            x[:, sl] = vals[:, None]
+            mean += weight * vals
+
+    # kernel_matrix is exactly +0.0 at zero signal variance
+    kern = ArdKernel(spec.signal_variance, alphas)
+    user_rows = np.split(np.arange(total), spec.user_count)
+    factors = []
+    for rows in user_rows:
+        cov = kernel_matrix(kern, x[rows], x[rows])
         diag = np.diag_indices(rows.size)
         cov[diag] += 1 / spec.noise_precision
         cov[diag] += 1e-12
-        truth.user_rows.append(rows)
-        truth.means.append(mean)
-        truth.factors.append(np.linalg.cholesky(cov))
+        factors.append(np.linalg.cholesky(cov))
 
-    ratings = sample_ratings(truth, rng)
-    table = RatingTable(
-        schema=schema,
-        users=users,
-        items=items,
-        cat_values=cat,
-        real_raw=real,
-        ratings=ratings,
-        standardization=fit_standardization(real),
+    truth = SyntheticTruth(
+        spec=spec, alphas=alphas, item_latents=item_latents, ctx_latents=ctx_latents, user_bias=user_bias,
+        item_bias=item_bias, ctx_bias=ctx_bias, design_users=users, design_items=items, design_cat=cat,
+        design_real=real, means=np.split(mean, spec.user_count), factors=factors, user_rows=user_rows,
     )
+    table = RatingTable(schema=schema, users=users, items=items, cat_values=cat, real_raw=real,
+                        ratings=sample_ratings(truth, rng), standardization=fit_standardization(real))
     return table, truth
 
 
 def sample_ratings(truth: SyntheticTruth, rng) -> np.ndarray:
     """Fresh rating draw for the fixed design stored in ``truth``."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)   # a Generator is returned as it is
     out = np.empty(truth.design_users.shape[0])
     for rows, mean, factor in zip(truth.user_rows, truth.means, truth.factors):
         out[rows] = mean + factor @ rng.standard_normal(rows.size)
@@ -247,11 +234,12 @@ def train_model(
     """Fit on a table with :func:`gplvmf.optim.train` and wrap the result.
 
     ``validation_table`` (standardized consistently with ``table``) enables
-    MAE early stopping with the configured patience.
+    MAE early stopping with the configured patience.  ``rating_scale``
+    defaults to the table's rating range.
     """
+    scale = table.rating_range if rating_scale is None else check_rating_scale(rating_scale)
     blocks = group_by_user(table)
     state = init_state(table.schema, blocks, config)
-    scale = rating_scale if rating_scale is not None else table.rating_range
 
     validation = None
     if validation_table is not None:
@@ -309,7 +297,7 @@ def _cross_validate(table: RatingTable, k: int, seed: int, predict_fold) -> Eval
         test = plan.test_indices(fold)
         try:
             kept.append((fold, *metrics(table.ratings[test], predict_fold(plan.train_indices(fold), test))))
-        except (ArithmeticError, RuntimeError) as exc:  # pragma: no cover - defensive
+        except (ArithmeticError, RuntimeError) as exc:
             warnings.warn(f"fold {fold} failed: {exc}; aggregate excludes it", stacklevel=3)
             failed.append(fold)
     if not kept:

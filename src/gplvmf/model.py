@@ -21,6 +21,7 @@ from .data import (
     RatingTable,
     RealStandardization,
     check_keys,
+    check_rating_scale,
     group_by_user,
     schema_from_dict,
     schema_to_dict,
@@ -93,7 +94,8 @@ def _check_arrays(path, names, expected) -> None:
 def load_model(path) -> TrainedModel:
     """The model in the file at ``path``; a file whose arrays are not those
     its schema and config call for, or whose arrays do not fit them, is a
-    ``ValueError`` naming the arrays."""
+    ``ValueError`` naming the arrays, and so is one whose rating scale is
+    not two finite numbers lo <= hi."""
     with np.load(path, allow_pickle=False) as data:
         arrays = {name: data[name] for name in data.files}
     if "meta" not in arrays:
@@ -118,9 +120,5 @@ def load_model(path) -> TrainedModel:
         standardization=RealStandardization(mean=arrays["std_mean"], std=arrays["std_std"]),
     )
     state = VariationalState(schema, dims, layout, {key: arrays[name] for name, key in state_names.items()})
-    return TrainedModel(
-        state=state,
-        table=table,
-        config=config,
-        rating_scale=tuple(meta["rating_scale"]),
-    )
+    scale = check_rating_scale(meta["rating_scale"], f"the rating_scale stored in {path}")
+    return TrainedModel(state=state, table=table, config=config, rating_scale=scale)

@@ -168,8 +168,11 @@ class KernelLayout:
 
     def positions(self, rows: UserBlock, out=None) -> np.ndarray:
         """Flat positions of the (N, K) table entries ``rows`` read, written
-        into ``out`` when it is given."""
+        into ``out``, a new C-ordered array when it is not given (indexing
+        the stacked codes by column is Fortran-ordered)."""
         column, width, base = self.entries
+        if out is None:
+            out = np.empty((rows.items.shape[0], column.size), dtype=np.int64)
         return np.add(np.column_stack([rows.cat_values, rows.items])[:, column] * width, base, out=out)
 
 

@@ -306,7 +306,7 @@ def test_criterion_10_real_data_reproduction():
     JSON schema configs under $GPLVMF_DATA_DIR (or ./data):
     food.csv + food.json, comoda.csv + comoda.json.
     """
-    from gplvmf.config import load_config, schema_from_config, train_config_from_config, rating_scale_from_config
+    from gplvmf.config import read_config
     from gplvmf import evaluate_cv
 
     data_dir = Path(os.environ.get("GPLVMF_DATA_DIR", "data"))
@@ -323,12 +323,8 @@ def test_criterion_10_real_data_reproduction():
         )
         pytest.skip("real datasets unavailable; replaced by criteria 7 and 8")
     for name, mae_t, rmse_t in available:
-        cfg = load_config(data_dir / f"{name}.json")
-        schema = schema_from_config(cfg)
-        table = load_table(data_dir / f"{name}.csv", schema, cfg.get("delimiter", ","))
-        result = evaluate_cv(
-            table, train_config_from_config(cfg), k=5, seed=cfg.get("seed", 0),
-            rating_scale=rating_scale_from_config(cfg),
-        )
+        cfg = read_config(data_dir / f"{name}.json")
+        table = load_table(data_dir / f"{name}.csv", cfg.schema, cfg.delimiter)
+        result = evaluate_cv(table, cfg.train, k=5, seed=cfg.seed, rating_scale=cfg.rating_scale)
         ok = result.mae <= mae_t and (rmse_t is None or result.rmse <= rmse_t)
         report(10, ok, f"{name}: MAE {result.mae:.4f} (limit {mae_t}), RMSE {result.rmse:.4f}")

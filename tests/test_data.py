@@ -611,3 +611,10 @@ class TestMakeFolds:
     def test_k_too_small(self):
         with pytest.raises(ValueError, match="at least 2"):
             make_folds(self._table(10), k=1, seed=0)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "3", None])
+    def test_k_must_be_an_integer(self, k):
+        # a fractional count gave fold labels past k - 1
+        with pytest.raises(ValueError, match="fold count must be an integer"):
+            make_folds(self._table(10), k=k, seed=0)
+        assert make_folds(self._table(10), k=np.int64(2), seed=0).k == 2

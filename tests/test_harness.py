@@ -1,5 +1,7 @@
 """Metrics, synthetic generation, and cross-validation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,7 @@ class TestSynthesize:
                              ratings_per_user=3, item_alpha=0.0, signal_variance=0.0,
                              noise_precision=2.0, seed=3)
         _, truth = synthesize(spec)
+        assert np.array_equal(truth.factors[0], np.sqrt(0.5 + 1e-12) * np.eye(3))
         draws = np.stack([sample_ratings(truth, seed) for seed in range(4000)])
         emp = np.cov(draws.T)
         assert np.allclose(np.diag(emp), 0.5, atol=0.05)
@@ -120,6 +123,36 @@ class TestSynthesize:
         with pytest.raises(ValueError, match=f"^{field}: "):
             SyntheticSpec(user_count=2, item_count=3, contexts=contexts, ratings_per_user=2,
                           context_alphas=alphas, real_weights=weights)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("noise_precision", 0.0, "noise_precision must be > 0"),
+            ("noise_precision", -1.0, "noise_precision must be > 0"),
+            ("signal_variance", float("nan"), "signal_variance must be a finite number"),
+            ("signal_variance", -0.5, "signal_variance must be >= 0"),
+            ("ratings_per_user", 2.5, "ratings_per_user must be an integer"),
+            ("user_count", 0, "user_count must be >= 1"),
+            ("item_dim", 0, "item_dim must be >= 1"),
+            ("context_dim", True, "context_dim must be an integer"),
+            ("seed", -1, "seed must be >= 0"),
+            ("item_alpha", float("inf"), "item_alpha must be a finite number"),
+            ("user_bias_mean", float("nan"), "user_bias_mean must be a finite number"),
+            ("user_bias_std", -1.0, "user_bias_std must be >= 0"),
+            ("bias_scale", float("inf"), "bias_scale must be a finite number"),
+            ("context_alphas", (1.0, -0.5), "context_alphas[1] must be >= 0"),
+            ("context_alphas", (float("nan"), 1.0), "context_alphas[0] must be a finite number"),
+            ("real_weights", (float("inf"),), "real_weights[0] must be a finite number"),
+        ],
+    )
+    def test_spec_rejects_values_that_break_the_draw(self, name, value, message):
+        # these raised ZeroDivisionError, LinAlgError or TypeError, or (a NaN
+        # signal variance) drew a table with no signal
+        contexts = (ContextVariable("c", "categorical", 2), ContextVariable("r", "real"))
+        spec = dict(user_count=2, item_count=3, contexts=contexts, ratings_per_user=2,
+                    context_alphas=(1.0, 1.0), real_weights=(0.5,))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            SyntheticSpec(**{**spec, name: value})
 
 
 def small_context_dataset(seed=5):

@@ -12,21 +12,23 @@ from gplvmf import (
     SyntheticSpec,
     TrainConfig,
     load_model,
+    load_table,
     save_model,
     synthesize,
     train_model,
 )
 from gplvmf.cli import main as cli_main
+from gplvmf.config import read_config
 
 
-def small_model(tmp_path, method="sgd"):
+def small_model(tmp_path, method="sgd", rating_scale=(1.0, 5.0)):
     ctxs = (ContextVariable("mood", "categorical", 3), ContextVariable("price", "real"))
     spec = SyntheticSpec(user_count=8, item_count=6, contexts=ctxs, ratings_per_user=10,
                          context_alphas=(1.0, 0.5), user_bias_mean=3.0, seed=2)
     table, _ = synthesize(spec)
     cfg = TrainConfig(method=method, inducing_count=4, item_dim=2, context_dim=2,
                       seed=0, epochs=8, learning_rate=0.02)
-    return train_model(table, cfg, rating_scale=(1.0, 5.0))
+    return train_model(table, cfg, rating_scale=rating_scale)
 
 
 class TestSerialization:
@@ -65,6 +67,9 @@ class TestSerialization:
         tampered = [
             ({"format": "gplvmf.model/999"}, "unsupported model format"),
             ({"config": {**meta["config"], "epoch": 3}}, "unknown key 'epoch'"),
+            ({"rating_scale": [5.0, 1.0]}, "rating_scale stored in .* hi must be >= 5.0, got 1.0"),
+            ({"rating_scale": [1.0]}, "rating_scale stored in .* must be two numbers"),
+            ({"rating_scale": [1.0, float("nan")]}, "rating_scale stored in .* hi must be a finite number"),
         ]
         for change, message in tampered:
             arrays["meta"] = json.dumps({**meta, **change})
@@ -73,7 +78,7 @@ class TestSerialization:
             with pytest.raises(ValueError, match=message):
                 load_model(bad)
             assert cli_main(["predict", "--model", str(bad), "--queries", str(queries)]) == 2
-            assert message in capsys.readouterr().err
+            assert re.search(message, capsys.readouterr().err)
 
     @pytest.mark.parametrize(
         "name, row, value, message",
@@ -310,21 +315,24 @@ class TestCli:
         assert "mood" in capsys.readouterr().err
 
     def test_config_typo_is_rejected(self, tmp_path, capsys):
-        from gplvmf.config import train_config_from_config
-
-        with pytest.raises(ValueError, match="'learning_rat' in config section 'train'"):
-            train_config_from_config({"train": {"epochs": 3, "learning_rat": 0.5}})
-        with pytest.raises(ValueError, match="'inducing' in config section 'model'"):
-            train_config_from_config({"model": {"inducing": 4}})
-        cfg = train_config_from_config({"seed": 5, "model": {"use_mean": False}, "train": {"epochs": 3}})
-        assert (cfg.seed, cfg.use_mean, cfg.epochs) == (5, False, 3)
-
         path = write_config(tmp_path)
-        raw = json.loads(path.read_text())
-        raw["train"] = {"epoch": 3, "learning_rat": 0.5}
-        path.write_text(json.dumps(raw), encoding="utf-8")
         data = tmp_path / "data.csv"
         assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 0
+        raw = json.loads(path.read_text())
+        typos = (({"train": {"epochs": 3, "learning_rat": 0.5}}, "'learning_rat' in config section 'train'"),
+                 ({"model": {"inducing": 4}}, "'inducing' in config section 'model'"))
+        for change, message in typos:
+            path.write_text(json.dumps({**raw, **change}), encoding="utf-8")
+            with pytest.raises(ValueError, match=message):
+                read_config(path)
+        given = {**raw, "seed": 5, "model": {"use_mean": False}, "train": {"epochs": 3}}
+        path.write_text(json.dumps(given), encoding="utf-8")
+        cfg = read_config(path)
+        assert (cfg.seed, cfg.train.seed, cfg.train.use_mean, cfg.train.epochs) == (5, 5, False, 3)
+
+        raw["train"] = {"epoch": 3, "learning_rat": 0.5}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        capsys.readouterr()
         code = cli_main(["train", "--config", str(path), "--data", str(data), "--out", str(tmp_path / "m.npz")])
         assert code == 2
         assert "'epoch'" in capsys.readouterr().err
@@ -339,8 +347,6 @@ class TestCli:
         ids=["top_level", "schema", "context"],
     )
     def test_unknown_top_level_schema_and_context_keys_are_rejected(self, tmp_path, capsys, section, key, where):
-        from gplvmf.config import rating_scale_from_config, schema_from_config
-
         path = write_config(tmp_path)
         data = tmp_path / "data.csv"
         assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 0
@@ -351,9 +357,8 @@ class TestCli:
         target[key] = 3
         path.write_text(json.dumps(raw), encoding="utf-8")
         message = f"unknown key {key!r} in {where}"
-        for read in (schema_from_config, rating_scale_from_config) if not section else (schema_from_config,):
-            with pytest.raises(ValueError, match=re.escape(message)):
-                read(raw)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_config(path)
         capsys.readouterr()
         for command in (["train", "--data", str(data), "--out", str(tmp_path / "m.npz")],
                         ["synthesize", "--out", str(tmp_path / "again.csv")]):
@@ -361,19 +366,88 @@ class TestCli:
             assert message in capsys.readouterr().err
         assert not (tmp_path / "m.npz").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: {**raw, "train": 5}, "config section 'train' must be a JSON object"),
+            (lambda raw: {**raw, "model": [4]}, "config section 'model' must be a JSON object"),
+            (lambda raw: {**raw, "schema": {**raw["schema"], "contexts": [3]}},
+             "context 0 of config section 'schema' must be a JSON object"),
+            (lambda raw: [raw], "config must be a JSON object"),
+            (lambda raw: {**raw, "delimiter": 5}, "delimiter must be a non-empty string, got 5"),
+            (lambda raw: {**raw, "delimiter": ""}, "delimiter must be a non-empty string, got ''"),
+        ],
+        ids=["train", "model", "context", "top_level", "number_delimiter", "empty_delimiter"],
+    )
+    def test_a_malformed_section_or_delimiter_exits_2(self, tmp_path, capsys, edit, message):
+        # these raised a TypeError from iterating a number or from str.split
+        path = write_config(tmp_path)
+        data, model = tmp_path / "data.csv", tmp_path / "m.npz"
+        assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 0
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))), encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(path), "--data", str(data), "--out", str(model)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_synthetic_section_keys_are_checked(self, tmp_path, capsys):
+        # one reader: train and evaluate check the synthetic section as synthesize does
+        path = write_config(tmp_path)
+        data, again, model = tmp_path / "data.csv", tmp_path / "again.csv", tmp_path / "m.npz"
+        assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 0
+        raw = json.loads(path.read_text())
+        commands = (["synthesize", "--out", str(again)], ["train", "--data", str(data), "--out", str(model)],
+                    ["evaluate", "--data", str(data), "--folds", "2"])
+        rates = {k: v for k, v in raw["synthetic"].items() if k != "ratings_per_user"}
+        for synthetic, message in (({**raw["synthetic"], "noise_precison": 100.0},
+                                    "'noise_precison' in config section 'synthetic'"),
+                                   (rates, "config section 'synthetic' is missing 'ratings_per_user'"),
+                                   ({**raw["synthetic"], "noise_precision": 0}, "noise_precision must be > 0")):
+            path.write_text(json.dumps({**raw, "synthetic": synthetic}), encoding="utf-8")
+            for command in commands:
+                capsys.readouterr()
+                assert cli_main([command[0], "--config", str(path), *command[1:]]) == 2
+                assert message in capsys.readouterr().err
+        assert not again.exists() and not model.exists()
+
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            ([1], "rating_scale must be two numbers [lo, hi], got [1]"),
+            ([1, 5, 9], "rating_scale must be two numbers [lo, hi], got [1, 5, 9]"),
+            ([1, float("nan")], "rating_scale hi must be a finite number, got nan"),
+            ([5, 1], "rating_scale hi must be >= 5, got 1"),
+            (["1", 5], "rating_scale lo must be a finite number, got '1'"),
+            (3, "rating_scale must be two numbers [lo, hi], got 3"),
+        ],
+        ids=["one", "three", "nan", "reversed", "text", "scalar"],
+    )
+    def test_a_bad_rating_scale_exits_2_and_writes_no_model(self, tmp_path, capsys, scale, message):
+        # [1] or [1, 5, 9] trained and wrote a model that predict then failed
+        # on; NaN made every clamped mean NaN; [5, 1] clamped every query to 1
+        path = write_config(tmp_path)
+        data, model = tmp_path / "data.csv", tmp_path / "m.npz"
+        assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 0
+        raw = json.loads(path.read_text())
+        path.write_text(json.dumps({**raw, "rating_scale": scale}), encoding="utf-8")
+        for command in (["train", "--out", str(model)], ["evaluate", "--folds", "2"]):
+            capsys.readouterr()
+            assert cli_main([command[0], "--config", str(path), "--data", str(data), *command[1:]]) == 2
+            assert f"error: {message}" in capsys.readouterr().err
+        assert not model.exists()
+        table = load_table(data, read_config(write_config(tmp_path)).schema)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train_model(table, TrainConfig(inducing_count=2, epochs=1), rating_scale=scale)
+
+    def test_an_equal_ends_rating_scale_is_kept(self, tmp_path):
+        # a table of equal ratings has lo == hi as its rating range
         path = write_config(tmp_path)
         raw = json.loads(path.read_text())
-        data = tmp_path / "data.csv"
-        raw["synthetic"]["noise_precison"] = 100.0
-        path.write_text(json.dumps(raw), encoding="utf-8")
-        assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 2
-        assert "'noise_precison' in config section 'synthetic'" in capsys.readouterr().err
-        assert not data.exists()
-        del raw["synthetic"]["noise_precison"], raw["synthetic"]["ratings_per_user"]
-        path.write_text(json.dumps(raw), encoding="utf-8")
-        assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 2
-        assert "ratings_per_user" in capsys.readouterr().err
+        path.write_text(json.dumps({**raw, "rating_scale": [3, 3]}), encoding="utf-8")
+        assert read_config(path).rating_scale == (3.0, 3.0)
+        model = small_model(tmp_path, rating_scale=(3.0, 3.0))
+        save_model(model, tmp_path / "m.npz")
+        assert load_model(tmp_path / "m.npz").predictor().predict(2, 3, (1, 0.7)).clamped_mean == 3.0
 
     @pytest.mark.parametrize("weights", [[0.3, 0.2], [0.1, 0.2, 0.3]])
     def test_synthetic_real_weights_must_fit_the_real_contexts(self, tmp_path, capsys, weights):
@@ -387,17 +461,16 @@ class TestCli:
         assert not data.exists()
 
     def test_synthetic_defaults_come_from_the_spec(self, tmp_path):
-        from gplvmf.config import load_config, synthetic_spec_from_config
-
-        cfg = load_config(write_config(tmp_path))
-        cfg["seed"] = 11
-        cfg["synthetic"] = {"ratings_per_user": 4}
-        spec = synthetic_spec_from_config(cfg)
+        path = write_config(tmp_path)
+        raw = json.loads(path.read_text())
+        path.write_text(json.dumps({**raw, "seed": 11, "synthetic": {"ratings_per_user": 4}}), encoding="utf-8")
+        spec = read_config(path).synthetic
         default = SyntheticSpec(user_count=8, item_count=6, contexts=spec.contexts, ratings_per_user=4,
                                 context_alphas=(1.0, 1.0), seed=11)
         assert spec == default
-        cfg["synthetic"] = {"ratings_per_user": 4, "context_alphas": [0.5, 0.0], "real_weights": [0.3], "seed": 2}
-        spec = synthetic_spec_from_config(cfg)
+        synthetic = {"ratings_per_user": 4, "context_alphas": [0.5, 0.0], "real_weights": [0.3], "seed": 2}
+        path.write_text(json.dumps({**raw, "seed": 11, "synthetic": synthetic}), encoding="utf-8")
+        spec = read_config(path).synthetic
         assert (spec.context_alphas, spec.real_weights, spec.seed) == ((0.5, 0.0), (0.3,), 2)
 
     @pytest.mark.parametrize(
@@ -511,10 +584,9 @@ class TestCli:
 
     def test_non_finite_query_context_is_rejected(self, tmp_path):
         from gplvmf.cli import _read_queries
-        from gplvmf.config import load_config, schema_from_config
         from gplvmf.data import DataError
 
-        schema = schema_from_config(load_config(write_config(tmp_path)))
+        schema = read_config(write_config(tmp_path)).schema
         queries = tmp_path / "q.csv"
         queries.write_text("user,item,mood,price\n0,1,2,0.4\n3,5,0,inf\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 3: non-finite context 'price' value 'inf'"):

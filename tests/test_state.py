@@ -145,6 +145,21 @@ def test_assemble_rows_matches_per_entity_loop(kind):
             assert np.array_equal(var[t], np.concatenate(row_var))
 
 
+@pytest.mark.parametrize("kind", ["interleaved", "no_contexts"])
+def test_positions_are_c_ordered_and_those_the_chunks_gather(kind):
+    # indexing the stacked codes by column is Fortran-ordered, so positions
+    # allocates its own C-ordered result; chunks pass theirs as ``out``
+    from gplvmf.bound import plan
+
+    schema = codec_schema(kind)
+    blocks = group_by_user(codec_table(schema))
+    state = init_state(schema, blocks, TrainConfig(inducing_count=3, item_dim=2, context_dim=3, seed=1))
+    for chunk in plan(blocks, state).chunks:
+        pos = state.layout.positions(chunk.rows)
+        assert pos.flags.c_contiguous and pos.dtype == np.int64
+        assert np.array_equal(pos, chunk.gather)
+
+
 def test_context_named_item_keeps_its_own_relevance_entry():
     schema = ContextSchema(
         user_count=2, item_count=3,
