@@ -52,9 +52,11 @@ system, makes one :func:`psi_backward` call and adds its gradients with one
 (:func:`_scatter`).  Every matrix product over rows or over users is a
 stacked product with one user per slice (:func:`gplvmf.kernels._by_group`
 and :func:`gplvmf.kernels._cross_by_group`), so a chunk's products have one
-user's shapes: the chunk size changes neither how many BLAS
-threads a product runs on nor any bit of a user's terms or q(u), only the
-rounding of sums over users, and the budget bounds memory alone.  What
+user's shapes: the chunk size changes no bit of a user's terms or q(u),
+only the rounding of sums over users, and the budget bounds memory alone.
+A user's product over rows at OpenBLAS's threading size, 2^19
+multiply-adds, is taken in row blocks below it, so every product runs on
+one BLAS thread and no result depends on the BLAS thread count.  What
 depends on (Z, alpha) alone, the psi statistics' side and the inducing
 gram's factors (:class:`SharedFactors`), is built once per call.  A chunk's
 sigma2-weighted dF/dK goes through its :func:`psi_backward` call with its
@@ -87,9 +89,10 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _ESCALATION = (1.0, 10.0, 100.0)
 # Doubles of one chunk of users, counted as in _chunks: a proxy that bounds
 # the memory a chunk holds, not BLAS threading (every product over rows or
-# users is taken per user).  Swept over 2^15..2^20 on the benchmark shapes:
-# 2^17 takes most of the time saved by larger chunks while the tracemalloc
-# peak of many small users grows by about 2 MB (CHANGES.md).
+# users is taken per user, in row blocks below the threading size).  Swept
+# over 2^15..2^20 on the benchmark shapes: 2^17 takes most of the time saved
+# by larger chunks while the tracemalloc peak of many small users grows by
+# about 2 MB (CHANGES.md).
 _ROW_BUDGET = 2**17
 
 

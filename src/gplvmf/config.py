@@ -73,9 +73,7 @@ def read_config(path) -> RunConfig:
     (1.0 per context) and ``seed`` (the top-level seed)."""
     with Path(path).open("r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    check_keys(raw, _TOP_KEYS, "config")
-    if "schema" not in raw:
-        raise KeyError("config is missing the 'schema' section")
+    check_keys(raw, _TOP_KEYS, "config", required=("schema",))
     schema = schema_from_dict(raw["schema"], "config section 'schema'")
 
     kwargs = {"seed": raw["seed"]} if "seed" in raw else {}
@@ -92,9 +90,7 @@ def read_config(path) -> RunConfig:
 
     synthetic = raw.get("synthetic")
     if synthetic is not None:
-        check_keys(synthetic, _SYNTHETIC_KEYS, "config section 'synthetic'")
-        if "ratings_per_user" not in synthetic:
-            raise KeyError("config section 'synthetic' is missing 'ratings_per_user'")
+        check_keys(synthetic, _SYNTHETIC_KEYS, "config section 'synthetic'", required=("ratings_per_user",))
         defaults = {"context_alphas": [1.0] * schema.context_count, "seed": train.seed}
         synthetic = SyntheticSpec(user_count=schema.user_count, item_count=schema.item_count,
                                   contexts=schema.contexts, **{**defaults, **synthetic})

@@ -96,12 +96,16 @@ def schema_to_dict(schema: ContextSchema) -> dict:
 
 
 def schema_from_dict(d: dict, where: str = "the schema") -> ContextSchema:
-    """Inverse of :func:`schema_to_dict`; an unknown key of the schema or of
-    a context, found ``where``, is a ``ValueError``."""
-    check_keys(d, ("user_count", "item_count", "contexts"), where)
+    """Inverse of :func:`schema_to_dict`; an unknown or missing key of the
+    schema or of a context, found ``where``, is a ``ValueError``, and so are
+    ``contexts`` that are not a list and a context that is not an object."""
+    check_keys(d, ("user_count", "item_count", "contexts"), where, required=("user_count", "item_count"))
+    given = d.get("contexts", [])
+    if not isinstance(given, list):
+        raise ValueError(f"'contexts' of {where} must be a list, got {given!r}")
     contexts = []
-    for i, c in enumerate(d.get("contexts", [])):
-        check_keys(c, ("name", "kind", "cardinality"), f"context {i} of {where}")
+    for i, c in enumerate(given):
+        check_keys(c, ("name", "kind", "cardinality"), f"context {i} of {where}", required=("name", "kind"))
         contexts.append(ContextVariable(name=c["name"], kind=c["kind"], cardinality=c.get("cardinality")))
     return ContextSchema(user_count=d["user_count"], item_count=d["item_count"], contexts=tuple(contexts))
 
@@ -131,14 +135,18 @@ def check_rating_scale(scale, name: str = "rating_scale") -> tuple[float, float]
     return float(lo), float(hi)
 
 
-def check_keys(given, known, where: str) -> None:
-    """A ``ValueError`` naming the first key of ``given`` not in ``known`` and
-    ``where`` it was found; every config decoder checks its keys here."""
+def check_keys(given, known, where: str, required=()) -> None:
+    """A ``ValueError`` naming the first key of ``given`` not in ``known``, or
+    the first key of ``required`` missing from it, and ``where`` it was
+    found; every config decoder checks its keys here."""
     if not isinstance(given, dict):
         raise ValueError(f"{where} must be a JSON object, got {given!r}")
     for key in given:
         if key not in known:
             raise ValueError(f"unknown key {key!r} in {where}; known keys: {', '.join(known)}")
+    for key in required:
+        if key not in given:
+            raise ValueError(f"missing key {key!r} in {where}")
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,11 @@ def synthesize(spec: SyntheticSpec) -> tuple[RatingTable, SyntheticTruth]:
     Every row's latent inputs and bias mean are built at once, walking the
     layout's blocks in schema order; each user's rows are contiguous, and the
     per-user loop only forms and factors that user's rating covariance.
+
+    With a few hundred ratings per user, ``np.linalg.cholesky`` of that
+    covariance threads inside LAPACK, so the truth's factors, and the
+    ratings drawn with them, are the same only at a fixed BLAS thread count.
+    Training and prediction on a given table do not depend on it.
     """
     rng = np.random.default_rng(spec.seed)
     schema = ContextSchema(user_count=spec.user_count, item_count=spec.item_count, contexts=tuple(spec.contexts))

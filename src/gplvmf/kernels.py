@@ -56,10 +56,12 @@ The rows of a chunk of users fall into G equal consecutive groups, one per
 user, and every product over rows, forward and backward, is a stacked
 product with one group per slice (:func:`_by_group`,
 :func:`_cross_by_group`).  Each slice has one user's shapes, whatever G
-is: a user's rows round as in a cache of its own, and a product runs on
-more than one OpenBLAS thread only where one user's product already does
-(the library threads a product by its size).  The chunk size bounds memory
-alone.
+is, so a user's rows round as in a cache of its own.  OpenBLAS threads a
+product by its size, from 2^19 multiply-adds (``_ONE_THREAD``); a user's
+product of that size or more (500 ratings at M = 30) is taken in row blocks
+below it, and a sum over rows adds the blocks' products in row order.  So
+every product runs on one thread, and every result is the same at any BLAS
+thread count.  The chunk size bounds memory alone.
 
 The backward pass folds the cotangent into the small factors instead of
 weighting the (N, P) rows.  Per channel, the sums over inducing inputs or
@@ -79,6 +81,16 @@ import functools
 from typing import NamedTuple
 
 import numpy as np
+
+# OpenBLAS runs a dgemm of m*n*k multiply-adds on floor(m*n*k / 2^18)
+# threads, capped by the core count: one thread below 2^19.
+_ONE_THREAD = 2**19
+
+
+def _block_rows(k: int, width: int) -> int:
+    """Rows of the largest row block whose product with a (k, width) factor
+    stays below ``_ONE_THREAD`` multiply-adds; at least one."""
+    return max(1, (_ONE_THREAD - 1) // (k * width))
 
 
 def _left_factor(c: float, alpha_c: np.ndarray, alpha: np.ndarray, mu: np.ndarray, s: np.ndarray):
@@ -150,21 +162,41 @@ def _pair_tables(m: int) -> _PairTables:
 def _by_group(a: np.ndarray, b: np.ndarray, groups: int) -> np.ndarray:
     """``a @ b`` with the rows of ``a`` in ``groups`` equal consecutive
     groups, one product per group; ``b`` may be one matrix or a stack of
-    ``groups``.  Each group's rows round, and run on as many BLAS threads, as
-    in a product of their own, whatever the number of groups."""
+    ``groups``.  A group's product of ``_ONE_THREAD`` multiply-adds or more
+    is taken in blocks of ``_block_rows`` rows, so every product runs on one
+    BLAS thread and each group's rows round as in a product of their own,
+    whatever the number of groups or BLAS threads."""
     n = a.shape[0]
-    if groups == 1:     # the same product; a 2-D operand skips the stacked set-up
-        return (a @ b).reshape(n, -1)
-    return np.matmul(a.reshape(groups, n // groups, -1), b).reshape(n, -1)
+    if a.size * b.shape[-1] < _ONE_THREAD * groups:     # one group's multiply-adds
+        if groups == 1:     # the same product; a 2-D operand skips the stacked set-up
+            return (a @ b).reshape(n, -1)
+        return np.matmul(a.reshape(groups, n // groups, -1), b).reshape(n, -1)
+    rows, k, width = n // groups, a.shape[1], b.shape[-1]
+    block, stack = _block_rows(k, width), a.reshape(groups, rows, k)
+    out = np.empty((groups, rows, width))
+    for lo in range(0, rows, block):
+        np.matmul(stack[:, lo:lo + block], b, out=out[:, lo:lo + block])
+    return out.reshape(n, width)
 
 
 def _cross_by_group(a: np.ndarray, b: np.ndarray, groups: int) -> np.ndarray:
     """``a_g^T @ b_g`` for each of ``groups`` equal consecutive row groups of
-    ``a`` and ``b``, (G, ., .): the sums over rows, one product per group."""
-    if groups == 1:
-        return (a.T @ b)[None]
-    a, b = (x.reshape(groups, x.shape[0] // groups, -1) for x in (a, b))
-    return np.matmul(a.transpose(0, 2, 1), b)
+    ``a`` and ``b``, (G, ., .): the sums over rows, one product per group.
+    A group's product of ``_ONE_THREAD`` multiply-adds or more is summed over
+    blocks of ``_block_rows`` rows, in row order into one accumulator."""
+    if a.size * b.shape[1] < _ONE_THREAD * groups:      # one group's multiply-adds
+        if groups == 1:
+            return (a.T @ b)[None]
+        a, b = (x.reshape(groups, x.shape[0] // groups, -1) for x in (a, b))
+        return np.matmul(a.transpose(0, 2, 1), b)
+    (n, ka), kb = a.shape, b.shape[1]
+    rows, block = n // groups, _block_rows(ka, kb)
+    a_t, b = a.reshape(groups, rows, ka).transpose(0, 2, 1), b.reshape(groups, rows, kb)
+    out = np.matmul(a_t[:, :, :block], b[:, :block])
+    part = np.empty_like(out)
+    for lo in range(block, rows, block):
+        out += np.matmul(a_t[:, :, lo:lo + block], b[:, lo:lo + block], out=part)
+    return out
 
 
 class _InducingSide:

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 from gplvmf import ArdKernel, LatentPoints, kernel_matrix, mc_psi_oracle, psi_statistics
-from gplvmf.kernels import _InducingSide, _PsiCache, psi1_factor, psi_backward
+from gplvmf.kernels import (
+    _ONE_THREAD,
+    _block_rows,
+    _by_group,
+    _cross_by_group,
+    _InducingSide,
+    _PsiCache,
+    psi1_factor,
+    psi_backward,
+)
 from conftest import max_rel_error
 
 
@@ -22,6 +31,43 @@ def random_setup(seed, n=3, m=4, q=2):
 def unit_cache(kern, pts, z, groups=1):
     """The unit-signal cache of the setup's inverse length-scales and points."""
     return _PsiCache(_InducingSide(kern.inv_length_scales, z), pts.mean, pts.var, groups=groups)
+
+
+# the heavy-user shape: a (., 14) left factor against Psi2's 465 pairs at M=30
+_K, _WIDTH = 14, 465
+_BLOCK = _block_rows(_K, _WIDTH)
+
+
+class TestRowBlocks:
+    """Products over rows at or above OpenBLAS's threading size are taken in
+    row blocks below it, which changes their rounding only."""
+
+    def test_block_is_the_largest_below_the_threading_size(self):
+        assert _BLOCK * _K * _WIDTH < _ONE_THREAD <= (_BLOCK + 1) * _K * _WIDTH
+
+    @pytest.mark.parametrize("rows", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_by_group_matches_the_plain_product(self, rows, groups, stacked):
+        rng = np.random.default_rng(rows * groups)
+        a = rng.normal(size=(groups * rows, _K))
+        b = rng.normal(size=(groups, _K, _WIDTH) if stacked else (_K, _WIDTH))
+        expected = np.concatenate([a[g * rows:(g + 1) * rows] @ (b[g] if stacked else b) for g in range(groups)])
+        assert np.allclose(_by_group(a, b, groups), expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_cross_by_group_matches_the_plain_product(self, rows, groups):
+        rng = np.random.default_rng(rows * groups + 1)
+        a, b = rng.normal(size=(groups * rows, _WIDTH)), rng.normal(size=(groups * rows, _K))
+        expected = np.stack([a[g * rows:(g + 1) * rows].T @ b[g * rows:(g + 1) * rows] for g in range(groups)])
+        assert np.allclose(_cross_by_group(a, b, groups), expected, rtol=1e-12, atol=1e-12)
+
+    def test_products_below_the_size_are_the_plain_products(self):
+        rng = np.random.default_rng(5)
+        a, b, c = rng.normal(size=(_BLOCK, _K)), rng.normal(size=(_K, _WIDTH)), rng.normal(size=(_BLOCK, _WIDTH))
+        assert np.array_equal(_by_group(a, b, 1), a @ b)
+        assert np.array_equal(_cross_by_group(c, a, 1)[0], c.T @ a)
 
 
 class TestKernelMatrix:

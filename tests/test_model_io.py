@@ -390,6 +390,40 @@ class TestCli:
         assert f"error: {message}" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda schema: {**schema, "contexts": 5}, "'contexts' of config section 'schema' must be a list, got 5"),
+            (lambda schema: {**schema, "contexts": {"name": "mood"}},
+             "'contexts' of config section 'schema' must be a list"),
+            (lambda schema: {**schema, "contexts": ["mood"]},
+             "context 0 of config section 'schema' must be a JSON object, got 'mood'"),
+            (lambda schema: {**schema, "contexts": [schema["contexts"][0], {"name": "price"}]},
+             "missing key 'kind' in context 1 of config section 'schema'"),
+            (lambda schema: {**schema, "contexts": [{"kind": "real"}]},
+             "missing key 'name' in context 0 of config section 'schema'"),
+            (lambda schema: {"item_count": 6, "contexts": schema["contexts"]},
+             "missing key 'user_count' in config section 'schema'"),
+            (lambda schema: {"user_count": 8}, "missing key 'item_count' in config section 'schema'"),
+            (lambda schema: None, "missing key 'schema' in config"),
+        ],
+        ids=["number_contexts", "object_contexts", "text_context", "no_kind", "no_name", "no_user_count",
+             "no_item_count", "no_schema"],
+    )
+    def test_a_malformed_schema_exits_2_naming_the_key(self, tmp_path, capsys, edit, message):
+        # these ended in a TypeError traceback or the bare text of a KeyError;
+        # an edit to None drops the section
+        path = write_config(tmp_path)
+        raw = json.loads(path.read_text())
+        given = {**raw, "schema": edit(raw["schema"])}
+        path.write_text(json.dumps({k: v for k, v in given.items() if v is not None}), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_config(path)
+        data = tmp_path / "data.csv"
+        assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not data.exists()
+
     def test_synthetic_section_keys_are_checked(self, tmp_path, capsys):
         # one reader: train and evaluate check the synthetic section as synthesize does
         path = write_config(tmp_path)
@@ -401,7 +435,7 @@ class TestCli:
         rates = {k: v for k, v in raw["synthetic"].items() if k != "ratings_per_user"}
         for synthetic, message in (({**raw["synthetic"], "noise_precison": 100.0},
                                     "'noise_precison' in config section 'synthetic'"),
-                                   (rates, "config section 'synthetic' is missing 'ratings_per_user'"),
+                                   (rates, "missing key 'ratings_per_user' in config section 'synthetic'"),
                                    ({**raw["synthetic"], "noise_precision": 0}, "noise_precision must be > 0")):
             path.write_text(json.dumps({**raw, "synthetic": synthetic}), encoding="utf-8")
             for command in commands:
