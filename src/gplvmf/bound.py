@@ -63,12 +63,24 @@ sigma2-weighted dF/dK goes through its :func:`psi_backward` call with its
 Psi2 cotangent, since the gram is ``exp(2 c)`` of the pair constant.
 SGD's :func:`_user_terms` takes one-user chunks of their own, built like
 any other (:meth:`Plan.steps`), and prediction's :func:`user_posterior` takes
-:func:`_chunks` chunks.  Per-user values and gradients are combined from a
-few per-user traces (:func:`_terms`), so a step makes few calls.  Kernel and
-bias latents share the standard-normal prior: :func:`kl_to_prior` walks the
-state's table description, and :func:`kl_gradient` takes the tables' prefix
-of the flat vector, whole for :func:`total_bound` or a step's entries of it
-for SGD.
+:func:`_chunks` chunks.
+
+A plan also keeps float64 work buffers for its chunks' psi passes
+(:class:`gplvmf.kernels.WorkBuffers`, one per role, each as large as the
+largest chunk asks).  :func:`total_bound` takes them for every chunk and
+every call, so a steady call allocates none of its largest per-chunk
+arrays.  SGD steps, one-off chunks and the predictor's :func:`user_posterior`
+calls, made once per predictor, take none.  A chunk's views of them are
+valid until the plan's next chunk: :func:`_terms` and :func:`_scatter` use
+them up before the loop moves on, nothing handed back (:class:`BoundReport`,
+:class:`UserTerms`) is such a view, and calls on one plan must not overlap
+in time.
+
+Per-user values and gradients are combined from a few per-user traces
+(:func:`_terms`), so a step makes few calls.  Kernel and bias latents share
+the standard-normal prior: :func:`kl_to_prior` walks the state's table
+description, and :func:`kl_gradient` takes the tables' prefix of the flat
+vector, whole for :func:`total_bound` or a step's entries of it for SGD.
 """
 
 from __future__ import annotations
@@ -80,7 +92,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .data import UserBlock
-from .kernels import _by_group, _InducingSide, _PsiCache, psi_backward
+from .kernels import WorkBuffers, _by_group, _InducingSide, _PsiCache, psi_backward
 from .meanfn import phi_backward, phi_statistics
 from .state import VariationalState
 
@@ -89,10 +101,12 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _ESCALATION = (1.0, 10.0, 100.0)
 # Doubles of one chunk of users, counted as in _chunks: a proxy that bounds
 # the memory a chunk holds, not BLAS threading (every product over rows or
-# users is taken per user, in row blocks below the threading size).  Swept
-# over 2^15..2^20 on the benchmark shapes: 2^17 takes most of the time saved
-# by larger chunks while the tracemalloc peak of many small users grows by
-# about 2 MB (CHANGES.md).
+# users is taken per user, in row blocks below the threading size).  It now
+# also bounds the bytes a plan keeps between calls, since its work buffers
+# are as large as its largest chunk asks (about 1.5 MB of many small
+# users).  Swept over 2^15..2^20 on the benchmark shapes: 2^17 takes most of
+# the time saved by larger chunks while the tracemalloc peak of many small
+# users grows by about 2 MB (CHANGES.md).
 _ROW_BUDGET = 2**17
 
 
@@ -189,11 +203,15 @@ class Chunk:
 class Plan:
     """The chunks of a block sequence at one state layout and, once SGD asks
     (:meth:`steps`), one step per block: a one-user :class:`Chunk` of its
-    own, whatever the chunking, and the sorted flat entries it reads."""
+    own, whatever the chunking, and the sorted flat entries it reads.
+    ``work`` holds the chunks' psi work buffers, kept from call to call
+    (module docstring): a chunk's views of them are valid until the plan's
+    next chunk."""
 
     def __init__(self, blocks, state: VariationalState):
         self.blocks = blocks
         self.chunks = [Chunk(blocks, state, idx) for idx in _chunks(blocks, state)]
+        self.work = WorkBuffers()
         self._steps = None
 
     def steps(self, state: VariationalState) -> list:
@@ -261,9 +279,10 @@ class _Forward(NamedTuple):
     b_vec: np.ndarray        # (U, M) B^-1 c_hat
 
 
-def _forward(chunk: Chunk, state: VariationalState, shared: SharedFactors) -> _Forward:
+def _forward(chunk: Chunk, state: VariationalState, shared: SharedFactors, work=None) -> _Forward:
     """Psi cache, phi statistics and whitened B with per-user jitter escalation
-    of a chunk; shared by the bound and q(u)."""
+    of a chunk; shared by the bound and q(u).  The cache's Psi1 and Psi2 rows
+    are views of ``work``'s buffers when a holder is given."""
     rows, users, linv, side = chunk.rows, chunk.users, shared.linv, shared.side
     u, m = len(users), len(linv)
     n = rows.count // u
@@ -271,7 +290,7 @@ def _forward(chunk: Chunk, state: VariationalState, shared: SharedFactors) -> _F
 
     entries = state.row_entries(rows, chunk.gather)
     mu_rows, var_rows = state.assemble_rows(rows, entries)
-    cache = _PsiCache(side, mu_rows, var_rows, groups=u)
+    cache = _PsiCache(side, mu_rows, var_rows, groups=u, work=work)
 
     phi = phi_statistics(state, rows, entries)
     resid = rows.ratings - phi.phi1
@@ -324,9 +343,12 @@ def _terms(
     state: VariationalState,
     shared: SharedFactors,
     want_gradients: bool,
+    work=None,
 ) -> UserTerms:
-    """Bound terms of a chunk of users with equal rating counts (module docstring)."""
-    fw = _forward(chunk, state, shared)
+    """Bound terms of a chunk of users with equal rating counts (module
+    docstring); the psi passes take their work arrays from ``work`` when a
+    holder is given.  No returned array is a view of them."""
+    fw = _forward(chunk, state, shared, work)
     u, m, linv = len(chunk.users), len(shared.linv), shared.linv
     n = chunk.rows.count // u
     sigma2, beta, extra, t_mat, b_vec = fw.sigma2, fw.beta, fw.extra, fw.t_mat, fw.b_vec
@@ -335,14 +357,14 @@ def _terms(
     # per user, the traces of a stack of T, c_hat b^T and (gradients) B^-1 T,
     # b b^T and B^-1 T^2: Tr(K^-1 Psi2), c_hat^T b = W2 / beta^2, Tr(B^-1 T),
     # |b|^2 and Tr(B^-1 T^2)
-    work = np.empty((u, 5 if want_gradients else 2, m, m))
-    work[:, 0] = t_mat
-    np.multiply(fw.c_hat[:, :, None], b_vec[:, None, :], out=work[:, 1])
+    mats = np.empty((u, 5 if want_gradients else 2, m, m))
+    mats[:, 0] = t_mat
+    np.multiply(fw.c_hat[:, :, None], b_vec[:, None, :], out=mats[:, 1])
     if want_gradients:
-        bt = np.matmul(fw.b_inv, t_mat, out=work[:, 2])
-        np.multiply(b_vec[:, :, None], b_vec[:, None, :], out=work[:, 3])
-        np.matmul(bt, t_mat, out=work[:, 4])
-    traces = work.reshape(u, work.shape[1], m * m)[:, :, :: m + 1].sum(axis=2)
+        bt = np.matmul(fw.b_inv, t_mat, out=mats[:, 2])
+        np.multiply(b_vec[:, :, None], b_vec[:, None, :], out=mats[:, 3])
+        np.matmul(bt, t_mat, out=mats[:, 4])
+    traces = mats.reshape(u, mats.shape[1], m * m)[:, :, :: m + 1].sum(axis=2)
     tr_t, cb = traces[:, 0], traces[:, 1]
     logdet_b = 2.0 * np.log(fw.chol_b.reshape(u, m * m)[:, :: m + 1]).sum(axis=1)
     fit = tr_t - fw.quad - psi0
@@ -358,11 +380,11 @@ def _terms(
     # The unit-signal cache takes sigma2 * dF/dPsi2 = L_C^-T sigma2 x_psi2 L_C^-1
     # and the unit gram sigma2 * dF/dK = L_C^-T x_k L_C^-1.
     half = 0.5 * beta
-    hb, bb = half * beta, work[:, 3]
+    hb, bb = half * beta, mats[:, 3]
     x_mats = np.empty((u, 2, m, m))
     x_psi2, x_k = np.multiply(beta[:, None, None], bb, out=x_mats[:, 0]), x_mats[:, 1]
     np.subtract(bt, x_psi2, out=x_psi2)
-    np.add(bb, work[:, 4], out=x_k)
+    np.add(bb, mats[:, 4], out=x_k)
     if extra.any():     # the e terms are exact zeros otherwise
         ratio = (extra / beta)[:, None, None]
         x_psi2 += ratio * fw.b_inv
@@ -383,7 +405,7 @@ def _terms(
     root_b2 = np.sqrt(sigma2) * beta**2
     lw = _by_group(b_vec, linv, u)                                      # rows (L_C^-T b)^T
     d_psi1 = (root_b2[:, None] * fw.resid.reshape(u, n))[:, :, None] * lw[:, None, :]
-    psi_grads = psi_backward(fw.cache, d_psi1.reshape(u * n, m), d_mats[:, 0], d_mats[:, 1])
+    psi_grads = psi_backward(fw.cache, d_psi1.reshape(u * n, m), d_mats[:, 0], d_mats[:, 1], work=work)
     psi1_w = np.matmul(fw.cache.psi1.reshape(u, n, m), lw[:, :, None])[:, :, 0]
     d_phi1 = beta[:, None] * chunk.rows.ratings.reshape(u, n) - root_b2[:, None] * psi1_w
 
@@ -475,8 +497,9 @@ def total_bound(
     shared = shared_factors(state, jitter)
     per_user = np.empty(len(blocks))
     vec, grads = state.zero_grads() if want_gradients else (None, None)
-    for chunk in plan(blocks, state).chunks:
-        terms = _terms(chunk, state, shared, want_gradients)
+    blocks_plan = plan(blocks, state)
+    for chunk in blocks_plan.chunks:
+        terms = _terms(chunk, state, shared, want_gradients, blocks_plan.work)
         per_user[chunk.idx] = terms.value
         if want_gradients:
             vec += np.bincount(chunk.pos, _scatter(state, chunk, terms), minlength=vec.size)

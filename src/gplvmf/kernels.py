@@ -71,13 +71,21 @@ sums over rows, ``t^T @ left factor``, that of the right factor's rows, with
 both orders off the diagonal; one vector per group, folded into the right
 factor).  Psi1's column sums join the pairs (a, a).  A gram cotangent joins
 the pair constant's, since d gram / d c = 2 gram.  No (N, M, M, Q) or
-(N, M, Q) array is built, and memory is one (N, P) array for the rows of
-Psi2.
+(N, M, Q) array is built.  The largest arrays are the (N, P) rows of Psi2,
+the (N, M) rows of Psi1, the backward pass's two (N, 2Q+2) row products and
+its two (G, P, 2Q+2) stacks: dpair times the right factor and the pair
+product.  Given a :class:`WorkBuffers` holder, the cache and the backward
+pass take these six from it instead of allocating them, so a caller that
+runs many chunks in turn (:func:`gplvmf.bound.total_bound`, through its
+plan) allocates none of them after its largest chunk.  The cache's Psi1 and
+Psi2 rows are then views of the holder's buffers, valid until the holder's
+next cache; nothing the backward pass returns is such a view.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -159,44 +167,77 @@ def _pair_tables(m: int) -> _PairTables:
     return tables
 
 
-def _by_group(a: np.ndarray, b: np.ndarray, groups: int) -> np.ndarray:
+def _by_group(a: np.ndarray, b: np.ndarray, groups: int, out=None) -> np.ndarray:
     """``a @ b`` with the rows of ``a`` in ``groups`` equal consecutive
     groups, one product per group; ``b`` may be one matrix or a stack of
     ``groups``.  A group's product of ``_ONE_THREAD`` multiply-adds or more
     is taken in blocks of ``_block_rows`` rows, so every product runs on one
     BLAS thread and each group's rows round as in a product of their own,
-    whatever the number of groups or BLAS threads."""
-    n = a.shape[0]
-    if a.size * b.shape[-1] < _ONE_THREAD * groups:     # one group's multiply-adds
-        if groups == 1:     # the same product; a 2-D operand skips the stacked set-up
-            return (a @ b).reshape(n, -1)
-        return np.matmul(a.reshape(groups, n // groups, -1), b).reshape(n, -1)
-    rows, k, width = n // groups, a.shape[1], b.shape[-1]
-    block, stack = _block_rows(k, width), a.reshape(groups, rows, k)
-    out = np.empty((groups, rows, width))
+    whatever the number of groups or BLAS threads.  The (N, width) result
+    goes to ``out`` (C-ordered) when given."""
+    (n, k), width = a.shape, b.shape[-1]
+    rows = n // groups
+    out = np.empty((n, width)) if out is None else out
+    if a.size * width < _ONE_THREAD * groups:           # one group's multiply-adds
+        if groups == 1 and b.ndim == 2:     # the same product; a 2-D operand skips the stacked set-up
+            np.matmul(a, b, out=out)
+        else:
+            np.matmul(a.reshape(groups, rows, k), b, out=out.reshape(groups, rows, width))
+        return out
+    block, stack, target = _block_rows(k, width), a.reshape(groups, rows, k), out.reshape(groups, rows, width)
     for lo in range(0, rows, block):
-        np.matmul(stack[:, lo:lo + block], b, out=out[:, lo:lo + block])
-    return out.reshape(n, width)
+        np.matmul(stack[:, lo:lo + block], b, out=target[:, lo:lo + block])
+    return out
 
 
-def _cross_by_group(a: np.ndarray, b: np.ndarray, groups: int) -> np.ndarray:
+def _cross_by_group(a: np.ndarray, b: np.ndarray, groups: int, out=None) -> np.ndarray:
     """``a_g^T @ b_g`` for each of ``groups`` equal consecutive row groups of
     ``a`` and ``b``, (G, ., .): the sums over rows, one product per group.
     A group's product of ``_ONE_THREAD`` multiply-adds or more is summed over
-    blocks of ``_block_rows`` rows, in row order into one accumulator."""
-    if a.size * b.shape[1] < _ONE_THREAD * groups:      # one group's multiply-adds
-        if groups == 1:
-            return (a.T @ b)[None]
-        a, b = (x.reshape(groups, x.shape[0] // groups, -1) for x in (a, b))
-        return np.matmul(a.transpose(0, 2, 1), b)
+    blocks of ``_block_rows`` rows, in row order into one accumulator.  The
+    result goes to ``out`` (C-ordered) when given."""
     (n, ka), kb = a.shape, b.shape[1]
-    rows, block = n // groups, _block_rows(ka, kb)
+    rows = n // groups
+    out = np.empty((groups, ka, kb)) if out is None else out
+    if a.size * kb < _ONE_THREAD * groups:              # one group's multiply-adds
+        if groups == 1:
+            np.matmul(a.T, b, out=out[0])
+        else:
+            np.matmul(a.reshape(groups, rows, ka).transpose(0, 2, 1), b.reshape(groups, rows, kb), out=out)
+        return out
+    block = _block_rows(ka, kb)
     a_t, b = a.reshape(groups, rows, ka).transpose(0, 2, 1), b.reshape(groups, rows, kb)
-    out = np.matmul(a_t[:, :, :block], b[:, :block])
+    np.matmul(a_t[:, :, :block], b[:, :block], out=out)
     part = np.empty_like(out)
     for lo in range(block, rows, block):
         out += np.matmul(a_t[:, :, lo:lo + block], b[:, lo:lo + block], out=part)
     return out
+
+
+class WorkBuffers:
+    """Float64 work buffers kept between calls, one per role (a
+    :class:`gplvmf.bound.Plan` keeps one holder for its chunks).  A request
+    takes a C-ordered view of the leading elements of its role's buffer,
+    which grows to the largest request; the view is valid until the role's
+    next request.  Nothing a holder's user hands back may be such a view."""
+
+    __slots__ = ("buffers",)
+
+    def __init__(self):
+        self.buffers = {}
+
+    def take(self, role: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.buffers.get(role)
+        if buf is None or buf.size < size:
+            buf = self.buffers[role] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def _take(work: WorkBuffers | None, role: str, shape: tuple) -> np.ndarray:
+    """A float64 array of ``shape``: ``work``'s view for ``role``, or a new
+    array without a holder."""
+    return np.empty(shape) if work is None else work.take(role, shape)
 
 
 class _InducingSide:
@@ -244,19 +285,21 @@ class _PsiCache:
     for Psi2) and the left factor of the exponent, (N, 2Q+2).  ``psi2_rows``
     holds row n's Psi2 over the pairs a <= b, (N, P).  The rows fall into
     ``groups`` equal consecutive groups (the users of a chunk), and every
-    product over rows is taken per group.
+    product over rows is taken per group.  With a :class:`WorkBuffers`
+    holder ``work``, ``psi1`` and ``psi2_rows`` are views of its buffers.
     """
 
     __slots__ = ("side", "mu", "s", "groups", "channels", "psi1", "psi2_rows")
 
-    def __init__(self, side: _InducingSide, mu: np.ndarray, s: np.ndarray, groups: int = 1):
+    def __init__(self, side: _InducingSide, mu: np.ndarray, s: np.ndarray, groups: int = 1, work=None):
         self.side = side
         self.mu = mu = mu - side.centre
         self.s, self.groups = s, groups
         self.channels, exps = [], []
-        for c, alpha_c, rhs_t in ((1.0, side.alpha, side.rhs1_t), (2.0, side.alpha2, side.rhs_t)):
+        for c, alpha_c, rhs_t, role in ((1.0, side.alpha, side.rhs1_t, "psi1"),
+                                        (2.0, side.alpha2, side.rhs_t, "psi2_rows")):
             self.channels.append(_left_factor(c, alpha_c, side.alpha, mu, s))
-            expo = _by_group(self.channels[-1][2], rhs_t, groups)
+            expo = _by_group(self.channels[-1][2], rhs_t, groups, out=_take(work, role, (len(mu), rhs_t.shape[1])))
             exps.append(np.exp(expo, out=expo))
         self.psi1, self.psi2_rows = exps                            # (N, M), (N, P)
 
@@ -279,7 +322,7 @@ class PsiGradients(NamedTuple):
     dalpha: np.ndarray
 
 
-def psi_backward(cache: _PsiCache, dpsi1: np.ndarray, dpsi2: np.ndarray, dgram=None) -> PsiGradients:
+def psi_backward(cache: _PsiCache, dpsi1: np.ndarray, dpsi2: np.ndarray, dgram=None, work=None) -> PsiGradients:
     """Chain ``d objective / d (Psi1, Psi2)`` of the cache's unit-signal
     statistics back to its inputs; a caller with signal variance sigma2
     passes sigma2 * dPsi1 and sigma2^2 * dPsi2.
@@ -297,6 +340,10 @@ def psi_backward(cache: _PsiCache, dpsi1: np.ndarray, dpsi2: np.ndarray, dgram=N
     unit-signal inducing gram (or a (G, M, M) stack, summed), whose (z,
     alpha) part is added: the gram is ``exp(2 c)`` over the pairs, so its
     cotangent joins the pair constant's.
+
+    With a :class:`WorkBuffers` holder ``work``, the two row products and
+    the two (G, P, 2Q+2) stacks are taken from its buffers; no returned
+    array is a view of them.
     """
     side, mu, s = cache.side, cache.mu, cache.s
     pairs, (n, q), m = side.pairs, mu.shape, len(side.gram)
@@ -311,8 +358,10 @@ def psi_backward(cache: _PsiCache, dpsi1: np.ndarray, dpsi2: np.ndarray, dgram=N
     # small factor), [sum t z | sum t z^2 | . | sum t] (zbar_ab for z in
     # Psi2) is the cotangent of the left factor [c v mu | -c v / 2 | . | -r]
     t1 = dpsi1 * cache.psi1                                         # (N, M)
-    by_rows = (_by_group(t1, side.rhs1, groups),
-               _by_group(cache.psi2_rows, dpair[:groups, :, None] * side.rhs, groups))
+    stack = np.multiply(dpair[:groups, :, None], side.rhs, out=_take(work, "stack", (groups,) + side.rhs.shape))
+    by_rows = (_by_group(t1, side.rhs1, groups, out=_take(work, "by_row1", (n, 2 * q + 2))),
+               _by_group(cache.psi2_rows, stack, groups, out=_take(work, "by_row2", (n, 2 * q + 2))))
+    del stack       # (G, P, 2Q+2): without a holder, freed as soon as it is used up
     parts = []
     for c, (d, v, _), by_row in zip((1.0, 2.0), cache.channels, by_rows):
         t_z, t_sum = by_row[:, :q], by_row[:, 2 * q + 1:]
@@ -324,7 +373,8 @@ def psi_backward(cache: _PsiCache, dpsi1: np.ndarray, dpsi2: np.ndarray, dgram=N
     (gmu1, gs1, sum1), (gmu2, gs2, sum2) = parts
     # per pair, sum_n t2 [2 w mu | -w | 1 | .]; Psi1's columns are the pairs
     # (a, a), with sum_n t1 [v mu | -v/2 | 0 | .]
-    by_pair = _cross_by_group(cache.psi2_rows, cache.channels[1][2], groups)
+    by_pair = _cross_by_group(cache.psi2_rows, cache.channels[1][2], groups,
+                              out=_take(work, "by_pair", (groups,) + side.rhs.shape))
     if groups == 1:     # the same products; the einsum below sums one term
         by_pair = dpair[0][:, None] * by_pair[0]
     else:

@@ -1,5 +1,7 @@
 """Collapsed bound: closed-form value, KL, gradients, and q(u)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
@@ -659,6 +661,109 @@ class TestPlan:
             assert np.array_equal(idx, ref_idx) and np.array_equal(one.gather, alone.gather)
             assert local.dtype == np.min_scalar_type(ref_idx.size) and np.array_equal(local, ref_local)
             assert np.array_equal(var, is_var[ref_idx[: np.searchsorted(ref_idx, table_end)]])
+
+
+def unequal_chunks_instance(seed):
+    """Users of 2, 3 and 5 ratings, three of each: a plan of three chunks of
+    unequal row counts."""
+    table, _, state, _ = random_instance(seed, n_users=9, ratings_per_user=5)
+    keep = np.arange(len(table)) % 5 < np.repeat(np.tile([2, 3, 5], 3), 5)
+    blocks = group_by_user(table.subset(np.flatnonzero(keep), table.standardization))
+    assert sorted({b.count for b in blocks}) == [2, 3, 5]
+    return blocks, state
+
+
+HOLDER_SHAPES = ("one_rating_users", "m_above_n", "no_contexts", "only_real_contexts")
+REUSED_ROLES = ["by_pair", "by_row1", "by_row2", "psi1", "psi2_rows", "stack"]
+
+
+class TestWorkBuffers:
+    """A plan keeps float64 work buffers, one per role, that total_bound's
+    chunks reuse from call to call (gplvmf.kernels.WorkBuffers).  They change
+    no bit of any result, and nothing handed back is a view of them."""
+
+    def test_a_second_call_adds_no_buffer(self):
+        import gplvmf.bound as bound
+
+        blocks, state = unequal_chunks_instance(51)
+        chunks = bound.plan(blocks, state).chunks
+        assert len({chunk.rows.count for chunk in chunks}) == 3
+        total_bound(blocks, state)
+        first = dict(bound.plan(blocks, state).work.buffers)
+        assert sorted(first) == REUSED_ROLES
+        for moved in (state.from_vector(state.to_vector() + 0.01), state):
+            total_bound(blocks, moved)
+            total_bound(blocks, moved, want_gradients=False)
+        later = bound.plan(blocks, state).work.buffers
+        assert sorted(later) == REUSED_ROLES and all(later[role] is first[role] for role in first)
+
+    def test_no_returned_array_is_a_view_of_a_buffer(self):
+        import gplvmf.bound as bound
+
+        blocks, state = unequal_chunks_instance(52)
+        the_plan = bound.plan(blocks, state)
+        reports = [total_bound(blocks, state) for _ in range(2)]
+        shared = bound.shared_factors(state)
+        returned = [a for rep in reports for a in (rep.gradients, rep.per_user, *rep.grad_dict.values())]
+        for chunk in the_plan.chunks:
+            terms = bound._terms(chunk, state, shared, True, the_plan.work)
+            returned += [a for a in terms if a is not None]
+        buffers = list(the_plan.work.buffers.values())
+        assert sorted(the_plan.work.buffers) == REUSED_ROLES
+        assert not any(np.shares_memory(a, buffer) for a in returned for buffer in buffers)
+
+    @pytest.mark.parametrize("shape", HOLDER_SHAPES + ("unequal_chunks",))
+    def test_a_holder_changes_no_bit(self, shape):
+        # one holder for every chunk, taken in plan order and back, so its
+        # buffers both grow and hand out views shorter than themselves
+        from gplvmf.bound import Chunk, _chunks, _forward, _terms, shared_factors
+        from gplvmf.kernels import WorkBuffers
+
+        if shape == "unequal_chunks":
+            blocks, state = unequal_chunks_instance(53)
+        else:
+            _, blocks, state, _ = random_instance(53, **STACKED_SHAPES[shape])
+        shared, work = shared_factors(state), WorkBuffers()
+        chunks = [Chunk(blocks, state, idx) for idx in _chunks(blocks, state)]
+        for chunk in chunks + chunks[::-1]:
+            plain, held = _forward(chunk, state, shared), _forward(chunk, state, shared, work)
+            for name, a, b in zip(plain._fields, plain, held):
+                if name == "cache":
+                    assert np.array_equal(a.psi1, b.psi1) and np.array_equal(a.psi2_rows, b.psi2_rows)
+                    assert np.shares_memory(b.psi2_rows, work.buffers["psi2_rows"])
+                else:
+                    assert np.array_equal(a, b), name
+            for want_gradients in (False, True):
+                plain, held = _terms(chunk, state, shared, want_gradients), _terms(chunk, state, shared,
+                                                                                  want_gradients, work)
+                for name, a, b in zip(plain._fields, plain, held):
+                    assert (a is None and b is None) or np.array_equal(a, b), name
+        assert sorted(work.buffers) == REUSED_ROLES
+
+    def test_a_steady_call_allocates_none_of_the_reused_arrays(self):
+        # many_small's shape: 300 users of 18 ratings at M = 8.  The first
+        # call on a plan makes its buffers; every later call's traced peak is
+        # lower by at least their bytes: the Psi1 and Psi2 rows, the backward
+        # pass's two row products and its two (G, P, 2Q + 2) stacks, at the
+        # largest chunk of G users
+        import gplvmf.bound as bound
+
+        _, blocks, state, _ = random_instance(54, n_users=300, n_items=40, ratings_per_user=18, m=8)
+        chunks = bound.plan(blocks, state).chunks
+        g = max(len(chunk.idx) for chunk in chunks)
+        n, m, p, k = 18 * g, 8, 36, 2 * state.kernel_dim + 2
+        assert len(chunks) > 1 and len(chunks[0].idx) == g
+        reused = 8 * (n * (m + p + 2 * k) + 2 * g * p * k)
+        peaks = []
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                total_bound(blocks, state)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] == peaks[2]
+        assert peaks[0] - peaks[1] >= reused
 
 
 class TestIllConditionedGradient:

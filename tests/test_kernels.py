@@ -63,6 +63,23 @@ class TestRowBlocks:
         expected = np.stack([a[g * rows:(g + 1) * rows].T @ b[g * rows:(g + 1) * rows] for g in range(groups)])
         assert np.allclose(_cross_by_group(a, b, groups), expected, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("rows", [_BLOCK - 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_out_gets_the_bits_of_a_new_result(self, rows, groups, stacked):
+        # ``out`` is a view of the leading elements of a larger buffer, as a
+        # WorkBuffers request hands out; below and above the block size
+        rng = np.random.default_rng(rows * groups + 2)
+        a, c = rng.normal(size=(groups * rows, _K)), rng.normal(size=(groups * rows, _WIDTH))
+        b = rng.normal(size=(groups, _K, _WIDTH) if stacked else (_K, _WIDTH))
+        buffer = np.full(2 * groups * rows * _WIDTH, np.nan)
+        out = buffer[: groups * rows * _WIDTH].reshape(groups * rows, _WIDTH)
+        assert _by_group(a, b, groups, out=out) is out
+        assert np.array_equal(out, _by_group(a, b, groups))
+        out = buffer[: groups * _WIDTH * _K].reshape(groups, _WIDTH, _K)
+        assert _cross_by_group(c, a, groups, out=out) is out
+        assert np.array_equal(out, _cross_by_group(c, a, groups))
+
     def test_products_below_the_size_are_the_plain_products(self):
         rng = np.random.default_rng(5)
         a, b, c = rng.normal(size=(_BLOCK, _K)), rng.normal(size=(_K, _WIDTH)), rng.normal(size=(_BLOCK, _WIDTH))
