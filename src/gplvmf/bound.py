@@ -61,20 +61,21 @@ depends on (Z, alpha) alone, the psi statistics' side and the inducing
 gram's factors (:class:`SharedFactors`), is built once per call.  A chunk's
 sigma2-weighted dF/dK goes through its :func:`psi_backward` call with its
 Psi2 cotangent, since the gram is ``exp(2 c)`` of the pair constant.
-SGD's :func:`_user_terms` takes one-user chunks of their own, built like
-any other (:meth:`Plan.steps`), and prediction's :func:`user_posterior` takes
+SGD's steps take one-user chunks of their own, built like any other
+(:meth:`Plan.steps`), and prediction's :func:`user_posterior` takes
 :func:`_chunks` chunks.
 
-A plan also keeps float64 work buffers for its chunks' psi passes
+A chunk carries float64 work buffers for its psi passes
 (:class:`gplvmf.kernels.WorkBuffers`, one per role, each as large as the
-largest chunk asks).  :func:`total_bound` takes them for every chunk and
-every call, so a steady call allocates none of its largest per-chunk
-arrays.  SGD steps, one-off chunks and the predictor's :func:`user_posterior`
-calls, made once per predictor, take none.  A chunk's views of them are
-valid until the plan's next chunk: :func:`_terms` and :func:`_scatter` use
-them up before the loop moves on, nothing handed back (:class:`BoundReport`,
-:class:`UserTerms`) is such a view, and calls on one plan must not overlap
-in time.
+largest request), and a plan hands its one holder to every chunk and SGD
+step it builds.  So :func:`total_bound`, SCG, SGD steps and a predictor
+built on a planned sequence share one set of buffers, and a steady call
+allocates none of its largest per-chunk arrays; a chunk built on its own
+gets a holder of its own.  A chunk's views of the buffers are valid until
+the holder's next chunk: :func:`_terms` and :func:`_scatter` use them up
+before the loop moves on, nothing handed back (:class:`BoundReport`,
+:class:`UserTerms`, :class:`UserPosterior`) is such a view, and calls on one
+plan must not overlap in time.
 
 Per-user values and gradients are combined from a few per-user traces
 (:func:`_terms`), so a step makes few calls.  Kernel and bias latents share
@@ -183,11 +184,14 @@ class Chunk:
     the forward pass reads as ``state.flat[gather]``; then those of its
     users' point block (:meth:`gplvmf.state.VariationalState.point_positions`).
     :func:`_scatter` lays the gradients out along ``pos`` for one
-    ``np.bincount``.
+    ``np.bincount``.  ``work`` holds the psi work buffers of the chunk's
+    passes (a fresh :class:`gplvmf.kernels.WorkBuffers` when none is given),
+    which its plan shares among its chunks and steps.
     """
 
-    def __init__(self, blocks, state: VariationalState, idx=None):
+    def __init__(self, blocks, state: VariationalState, idx=None, work=None):
         self.idx = np.arange(len(blocks)) if idx is None else np.asarray(idx)
+        self.work = WorkBuffers() if work is None else work
         chosen = [blocks[i] for i in self.idx]
         self.users = np.array([b.user for b in chosen])
         self.rows = chosen[0] if len(chosen) == 1 else UserBlock(
@@ -204,24 +208,26 @@ class Plan:
     """The chunks of a block sequence at one state layout and, once SGD asks
     (:meth:`steps`), one step per block: a one-user :class:`Chunk` of its
     own, whatever the chunking, and the sorted flat entries it reads.
-    ``work`` holds the chunks' psi work buffers, kept from call to call
-    (module docstring): a chunk's views of them are valid until the plan's
-    next chunk."""
+    ``work`` holds the psi work buffers of every chunk and step, kept from
+    call to call (module docstring): a chunk's views of them are valid until
+    the plan's next chunk.  A plan keeps no reference to its blocks, whose
+    memo holds it, so that it and its buffers go as soon as the blocks do
+    and not when the cycle collector runs."""
 
     def __init__(self, blocks, state: VariationalState):
-        self.blocks = blocks
-        self.chunks = [Chunk(blocks, state, idx) for idx in _chunks(blocks, state)]
         self.work = WorkBuffers()
+        self.chunks = [Chunk(blocks, state, idx, self.work) for idx in _chunks(blocks, state)]
         self._steps = None
 
-    def steps(self, state: VariationalState) -> list:
-        """Per block: its one-user chunk, the sorted flat entries ``idx`` of
-        the chunk's ``pos``, each :func:`_scatter` entry's index into ``idx``,
-        and which leading latent-table entries of ``idx`` are log-variances."""
+    def steps(self, blocks, state: VariationalState) -> list:
+        """Per block of the plan's ``blocks``: its one-user chunk, the sorted
+        flat entries ``idx`` of the chunk's ``pos``, each :func:`_scatter`
+        entry's index into ``idx``, and which leading latent-table entries of
+        ``idx`` are log-variances."""
         if self._steps is None:
             layout, steps = state.layout, []
-            for i in range(len(self.blocks)):
-                one = Chunk(self.blocks, state, [i])
+            for i in range(len(blocks)):
+                one = Chunk(blocks, state, [i], self.work)
                 idx, local = np.unique(one.pos, return_inverse=True)
                 local = local.astype(np.min_scalar_type(idx.size))   # one is kept per block
                 steps.append((one, idx, local, layout.is_var[idx[: np.searchsorted(idx, layout.table_end)]]))
@@ -279,10 +285,10 @@ class _Forward(NamedTuple):
     b_vec: np.ndarray        # (U, M) B^-1 c_hat
 
 
-def _forward(chunk: Chunk, state: VariationalState, shared: SharedFactors, work=None) -> _Forward:
+def _forward(chunk: Chunk, state: VariationalState, shared: SharedFactors) -> _Forward:
     """Psi cache, phi statistics and whitened B with per-user jitter escalation
     of a chunk; shared by the bound and q(u).  The cache's Psi1 and Psi2 rows
-    are views of ``work``'s buffers when a holder is given."""
+    are views of the chunk's work buffers."""
     rows, users, linv, side = chunk.rows, chunk.users, shared.linv, shared.side
     u, m = len(users), len(linv)
     n = rows.count // u
@@ -290,7 +296,7 @@ def _forward(chunk: Chunk, state: VariationalState, shared: SharedFactors, work=
 
     entries = state.row_entries(rows, chunk.gather)
     mu_rows, var_rows = state.assemble_rows(rows, entries)
-    cache = _PsiCache(side, mu_rows, var_rows, groups=u, work=work)
+    cache = _PsiCache(side, mu_rows, var_rows, groups=u, work=chunk.work)
 
     phi = phi_statistics(state, rows, entries)
     resid = rows.ratings - phi.phi1
@@ -338,17 +344,10 @@ class UserTerms(NamedTuple):
     bias_var: np.ndarray | None = None      # (N, B) the bias-table variances the rows read
 
 
-def _terms(
-    chunk: Chunk,
-    state: VariationalState,
-    shared: SharedFactors,
-    want_gradients: bool,
-    work=None,
-) -> UserTerms:
+def _terms(chunk: Chunk, state: VariationalState, shared: SharedFactors, want_gradients: bool) -> UserTerms:
     """Bound terms of a chunk of users with equal rating counts (module
-    docstring); the psi passes take their work arrays from ``work`` when a
-    holder is given.  No returned array is a view of them."""
-    fw = _forward(chunk, state, shared, work)
+    docstring).  No returned array is a view of the chunk's work buffers."""
+    fw = _forward(chunk, state, shared)
     u, m, linv = len(chunk.users), len(shared.linv), shared.linv
     n = chunk.rows.count // u
     sigma2, beta, extra, t_mat, b_vec = fw.sigma2, fw.beta, fw.extra, fw.t_mat, fw.b_vec
@@ -405,7 +404,7 @@ def _terms(
     root_b2 = np.sqrt(sigma2) * beta**2
     lw = _by_group(b_vec, linv, u)                                      # rows (L_C^-T b)^T
     d_psi1 = (root_b2[:, None] * fw.resid.reshape(u, n))[:, :, None] * lw[:, None, :]
-    psi_grads = psi_backward(fw.cache, d_psi1.reshape(u * n, m), d_mats[:, 0], d_mats[:, 1], work=work)
+    psi_grads = psi_backward(fw.cache, d_psi1.reshape(u * n, m), d_mats[:, 0], d_mats[:, 1])
     psi1_w = np.matmul(fw.cache.psi1.reshape(u, n, m), lw[:, :, None])[:, :, 0]
     d_phi1 = beta[:, None] * chunk.rows.ratings.reshape(u, n) - root_b2[:, None] * psi1_w
 
@@ -423,10 +422,6 @@ def _terms(
         phi1=fw.phi1,
         bias_var=fw.bias_var,
     )
-
-
-# SGD's step and the one-user callers use this name for the terms of a one-user chunk.
-_user_terms = _terms
 
 
 def kl_to_prior(state: VariationalState) -> float:
@@ -497,9 +492,8 @@ def total_bound(
     shared = shared_factors(state, jitter)
     per_user = np.empty(len(blocks))
     vec, grads = state.zero_grads() if want_gradients else (None, None)
-    blocks_plan = plan(blocks, state)
-    for chunk in blocks_plan.chunks:
-        terms = _terms(chunk, state, shared, want_gradients, blocks_plan.work)
+    for chunk in plan(blocks, state).chunks:
+        terms = _terms(chunk, state, shared, want_gradients)
         per_user[chunk.idx] = terms.value
         if want_gradients:
             vec += np.bincount(chunk.pos, _scatter(state, chunk, terms), minlength=vec.size)

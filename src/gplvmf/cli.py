@@ -103,7 +103,7 @@ def cmd_synthesize(args) -> int:
     cfg = read_config(args.config)
     spec = cfg.synthetic
     if spec is None:
-        raise KeyError("config is missing the 'synthetic' section")
+        raise ValueError("config is missing the 'synthetic' section")
     table, truth = synthesize(spec)
     save_table(table, args.out, delimiter=cfg.delimiter)
     if args.truth:

@@ -74,12 +74,12 @@ the pair constant's, since d gram / d c = 2 gram.  No (N, M, M, Q) or
 (N, M, Q) array is built.  The largest arrays are the (N, P) rows of Psi2,
 the (N, M) rows of Psi1, the backward pass's two (N, 2Q+2) row products and
 its two (G, P, 2Q+2) stacks: dpair times the right factor and the pair
-product.  Given a :class:`WorkBuffers` holder, the cache and the backward
-pass take these six from it instead of allocating them, so a caller that
-runs many chunks in turn (:func:`gplvmf.bound.total_bound`, through its
-plan) allocates none of them after its largest chunk.  The cache's Psi1 and
-Psi2 rows are then views of the holder's buffers, valid until the holder's
-next cache; nothing the backward pass returns is such a view.
+product.  The cache and its backward pass take these six from the cache's
+:class:`WorkBuffers` holder, so caches that share one holder (the chunks of
+a :class:`gplvmf.bound.Plan`) allocate none of them after their largest.
+The cache's Psi1 and Psi2 rows are views of the holder's buffers, valid
+until the holder's next cache; nothing the backward pass returns is such a
+view.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def _cross_by_group(a: np.ndarray, b: np.ndarray, groups: int, out=None) -> np.n
 
 class WorkBuffers:
     """Float64 work buffers kept between calls, one per role (a
-    :class:`gplvmf.bound.Plan` keeps one holder for its chunks).  A request
+    :class:`gplvmf.bound.Plan` keeps one for its chunks and steps).  A request
     takes a C-ordered view of the leading elements of its role's buffer,
     which grows to the largest request; the view is valid until the role's
     next request.  Nothing a holder's user hands back may be such a view."""
@@ -232,12 +232,6 @@ class WorkBuffers:
         if buf is None or buf.size < size:
             buf = self.buffers[role] = np.empty(size)
         return buf[:size].reshape(shape)
-
-
-def _take(work: WorkBuffers | None, role: str, shape: tuple) -> np.ndarray:
-    """A float64 array of ``shape``: ``work``'s view for ``role``, or a new
-    array without a holder."""
-    return np.empty(shape) if work is None else work.take(role, shape)
 
 
 class _InducingSide:
@@ -285,21 +279,23 @@ class _PsiCache:
     for Psi2) and the left factor of the exponent, (N, 2Q+2).  ``psi2_rows``
     holds row n's Psi2 over the pairs a <= b, (N, P).  The rows fall into
     ``groups`` equal consecutive groups (the users of a chunk), and every
-    product over rows is taken per group.  With a :class:`WorkBuffers`
-    holder ``work``, ``psi1`` and ``psi2_rows`` are views of its buffers.
+    product over rows is taken per group.  ``psi1`` and ``psi2_rows`` are
+    views of the buffers of ``work``, a :class:`WorkBuffers` holder (a fresh
+    one when none is given), whose buffers :func:`psi_backward` takes too.
     """
 
-    __slots__ = ("side", "mu", "s", "groups", "channels", "psi1", "psi2_rows")
+    __slots__ = ("side", "mu", "s", "groups", "work", "channels", "psi1", "psi2_rows")
 
     def __init__(self, side: _InducingSide, mu: np.ndarray, s: np.ndarray, groups: int = 1, work=None):
         self.side = side
         self.mu = mu = mu - side.centre
         self.s, self.groups = s, groups
+        self.work = work = WorkBuffers() if work is None else work
         self.channels, exps = [], []
         for c, alpha_c, rhs_t, role in ((1.0, side.alpha, side.rhs1_t, "psi1"),
                                         (2.0, side.alpha2, side.rhs_t, "psi2_rows")):
             self.channels.append(_left_factor(c, alpha_c, side.alpha, mu, s))
-            expo = _by_group(self.channels[-1][2], rhs_t, groups, out=_take(work, role, (len(mu), rhs_t.shape[1])))
+            expo = _by_group(self.channels[-1][2], rhs_t, groups, out=work.take(role, (len(mu), rhs_t.shape[1])))
             exps.append(np.exp(expo, out=expo))
         self.psi1, self.psi2_rows = exps                            # (N, M), (N, P)
 
@@ -322,7 +318,7 @@ class PsiGradients(NamedTuple):
     dalpha: np.ndarray
 
 
-def psi_backward(cache: _PsiCache, dpsi1: np.ndarray, dpsi2: np.ndarray, dgram=None, work=None) -> PsiGradients:
+def psi_backward(cache: _PsiCache, dpsi1: np.ndarray, dpsi2: np.ndarray, dgram=None) -> PsiGradients:
     """Chain ``d objective / d (Psi1, Psi2)`` of the cache's unit-signal
     statistics back to its inputs; a caller with signal variance sigma2
     passes sigma2 * dPsi1 and sigma2^2 * dPsi2.
@@ -341,11 +337,11 @@ def psi_backward(cache: _PsiCache, dpsi1: np.ndarray, dpsi2: np.ndarray, dgram=N
     alpha) part is added: the gram is ``exp(2 c)`` over the pairs, so its
     cotangent joins the pair constant's.
 
-    With a :class:`WorkBuffers` holder ``work``, the two row products and
-    the two (G, P, 2Q+2) stacks are taken from its buffers; no returned
-    array is a view of them.
+    The two row products and the two (G, P, 2Q+2) stacks are taken from the
+    cache's :class:`WorkBuffers` holder; no returned array is a view of its
+    buffers.
     """
-    side, mu, s = cache.side, cache.mu, cache.s
+    side, mu, s, work = cache.side, cache.mu, cache.s, cache.work
     pairs, (n, q), m = side.pairs, mu.shape, len(side.gram)
     flat = np.reshape(dpsi2, (-1, m * m))
     groups = flat.shape[0]
@@ -358,10 +354,9 @@ def psi_backward(cache: _PsiCache, dpsi1: np.ndarray, dpsi2: np.ndarray, dgram=N
     # small factor), [sum t z | sum t z^2 | . | sum t] (zbar_ab for z in
     # Psi2) is the cotangent of the left factor [c v mu | -c v / 2 | . | -r]
     t1 = dpsi1 * cache.psi1                                         # (N, M)
-    stack = np.multiply(dpair[:groups, :, None], side.rhs, out=_take(work, "stack", (groups,) + side.rhs.shape))
-    by_rows = (_by_group(t1, side.rhs1, groups, out=_take(work, "by_row1", (n, 2 * q + 2))),
-               _by_group(cache.psi2_rows, stack, groups, out=_take(work, "by_row2", (n, 2 * q + 2))))
-    del stack       # (G, P, 2Q+2): without a holder, freed as soon as it is used up
+    stack = np.multiply(dpair[:groups, :, None], side.rhs, out=work.take("stack", (groups,) + side.rhs.shape))
+    by_rows = (_by_group(t1, side.rhs1, groups, out=work.take("by_row1", (n, 2 * q + 2))),
+               _by_group(cache.psi2_rows, stack, groups, out=work.take("by_row2", (n, 2 * q + 2))))
     parts = []
     for c, (d, v, _), by_row in zip((1.0, 2.0), cache.channels, by_rows):
         t_z, t_sum = by_row[:, :q], by_row[:, 2 * q + 1:]
@@ -374,7 +369,7 @@ def psi_backward(cache: _PsiCache, dpsi1: np.ndarray, dpsi2: np.ndarray, dgram=N
     # per pair, sum_n t2 [2 w mu | -w | 1 | .]; Psi1's columns are the pairs
     # (a, a), with sum_n t1 [v mu | -v/2 | 0 | .]
     by_pair = _cross_by_group(cache.psi2_rows, cache.channels[1][2], groups,
-                              out=_take(work, "by_pair", (groups,) + side.rhs.shape))
+                              out=work.take("by_pair", (groups,) + side.rhs.shape))
     if groups == 1:     # the same products; the einsum below sums one term
         by_pair = dpair[0][:, None] * by_pair[0]
     else:

@@ -94,15 +94,18 @@ def _check_arrays(path, names, expected) -> None:
 def load_model(path) -> TrainedModel:
     """The model in the file at ``path``; a file whose arrays are not those
     its schema and config call for, or whose arrays do not fit them, is a
-    ``ValueError`` naming the arrays, and so is one whose rating scale is
-    not two finite numbers lo <= hi."""
+    ``ValueError`` naming the arrays, one whose metadata is not a JSON object
+    with a format, schema, config and rating scale is one naming the key,
+    and so is one whose rating scale is not two finite numbers lo <= hi."""
     with np.load(path, allow_pickle=False) as data:
         arrays = {name: data[name] for name in data.files}
     if "meta" not in arrays:
         raise ValueError(f"model file {path} lacks 'meta'")
     meta = json.loads(str(arrays.pop("meta")))
-    if meta.get("format") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format {meta.get('format')!r}")
+    # keys beyond these are accepted, so that a later writer may add some
+    check_keys(meta, meta, f"the meta stored in {path}", required=("format", "schema", "config", "rating_scale"))
+    if meta["format"] != FORMAT_VERSION:
+        raise ValueError(f"unsupported model format {meta['format']!r}")
     check_keys(meta["config"], [f.name for f in fields(TrainConfig)], f"the config stored in {path}")
     config = TrainConfig(**meta["config"])
     schema = schema_from_dict(meta["schema"], f"the schema stored in {path}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .bound import DEFAULT_JITTER, Chunk, _user_terms, shared_factors, user_posterior
+from .bound import DEFAULT_JITTER, Chunk, _terms, shared_factors, user_posterior
 from .data import UserBlock
 from .kernels import _InducingSide, _PsiCache
 from .state import VariationalState
@@ -243,7 +243,7 @@ def mc_phi_oracle(state: VariationalState, block: UserBlock, samples: int, seed:
 def user_bound(block: UserBlock, state: VariationalState, jitter: float = DEFAULT_JITTER) -> float:
     """The collapsed bound term of a single user."""
     shared = shared_factors(state, jitter)
-    return float(_user_terms(Chunk([block], state), state, shared, want_gradients=False).value[0])
+    return float(_terms(Chunk([block], state), state, shared, want_gradients=False).value[0])
 
 
 def optimal_qu(block: UserBlock, state: VariationalState, jitter: float = DEFAULT_JITTER):

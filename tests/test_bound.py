@@ -326,14 +326,14 @@ class TestOptimalQu:
 def one_user_reference(blocks, state, jitter=1e-6):
     """Per-user values, total and flat gradient from one-user calls alone,
     scattered by the ``np.add.at`` oracle."""
-    from gplvmf.bound import Chunk, _user_terms, shared_factors
+    from gplvmf.bound import Chunk, _terms, shared_factors
 
     shared = shared_factors(state, jitter)
     grad, grads = state.zero_grads()
     values = []
     for block in blocks:
         chunk = Chunk([block], state)
-        terms = _user_terms(chunk, state, shared, want_gradients=True)
+        terms = _terms(chunk, state, shared, want_gradients=True)
         values.append(terms.value[0])
         add_at_scatter(state, chunk, terms, grads)
     kl = kl_to_prior(state)
@@ -655,7 +655,7 @@ class TestPlan:
         var_keys = {t.log_var for t in state.layout.tables}
         is_var = np.repeat([key in var_keys for key in state.layout.keys], np.diff(state.layout.offsets))
         table_end = state.layout.offsets[2 * len(state.layout.tables)]
-        for block, (one, idx, local, var) in zip(blocks, bound.plan(blocks, state).steps(state)):
+        for block, (one, idx, local, var) in zip(blocks, bound.plan(blocks, state).steps(blocks, state)):
             alone = bound.Chunk([block], state)
             ref_idx, ref_local = np.unique(alone.pos, return_inverse=True)
             assert np.array_equal(idx, ref_idx) and np.array_equal(one.gather, alone.gather)
@@ -678,9 +678,11 @@ REUSED_ROLES = ["by_pair", "by_row1", "by_row2", "psi1", "psi2_rows", "stack"]
 
 
 class TestWorkBuffers:
-    """A plan keeps float64 work buffers, one per role, that total_bound's
-    chunks reuse from call to call (gplvmf.kernels.WorkBuffers).  They change
-    no bit of any result, and nothing handed back is a view of them."""
+    """A chunk carries float64 work buffers, one per role, for its psi passes
+    (gplvmf.kernels.WorkBuffers), and a plan hands its one holder to every
+    chunk and SGD step it builds, so every pass over a planned sequence
+    reuses them.  They change no bit of any result, and nothing handed back
+    is a view of them."""
 
     def test_a_second_call_adds_no_buffer(self):
         import gplvmf.bound as bound
@@ -702,20 +704,23 @@ class TestWorkBuffers:
 
         blocks, state = unequal_chunks_instance(52)
         the_plan = bound.plan(blocks, state)
+        assert all(chunk.work is the_plan.work for chunk in the_plan.chunks)
         reports = [total_bound(blocks, state) for _ in range(2)]
         shared = bound.shared_factors(state)
         returned = [a for rep in reports for a in (rep.gradients, rep.per_user, *rep.grad_dict.values())]
         for chunk in the_plan.chunks:
-            terms = bound._terms(chunk, state, shared, True, the_plan.work)
+            terms = bound._terms(chunk, state, shared, True)
             returned += [a for a in terms if a is not None]
+            returned += list(bound.user_posterior(chunk, state, shared))
         buffers = list(the_plan.work.buffers.values())
         assert sorted(the_plan.work.buffers) == REUSED_ROLES
         assert not any(np.shares_memory(a, buffer) for a in returned for buffer in buffers)
 
     @pytest.mark.parametrize("shape", HOLDER_SHAPES + ("unequal_chunks",))
     def test_a_holder_changes_no_bit(self, shape):
-        # one holder for every chunk, taken in plan order and back, so its
-        # buffers both grow and hand out views shorter than themselves
+        # chunks that share one holder, taken in plan order and back so that
+        # its buffers both grow and hand out views shorter than themselves,
+        # against the same chunks with a holder each
         from gplvmf.bound import Chunk, _chunks, _forward, _terms, shared_factors
         from gplvmf.kernels import WorkBuffers
 
@@ -724,21 +729,81 @@ class TestWorkBuffers:
         else:
             _, blocks, state, _ = random_instance(53, **STACKED_SHAPES[shape])
         shared, work = shared_factors(state), WorkBuffers()
-        chunks = [Chunk(blocks, state, idx) for idx in _chunks(blocks, state)]
-        for chunk in chunks + chunks[::-1]:
-            plain, held = _forward(chunk, state, shared), _forward(chunk, state, shared, work)
-            for name, a, b in zip(plain._fields, plain, held):
+        indices = _chunks(blocks, state)
+        for idx in indices + indices[::-1]:
+            own, held = Chunk(blocks, state, idx), Chunk(blocks, state, idx, work)
+            assert own.work is not work and held.work is work
+            plain, with_held = _forward(own, state, shared), _forward(held, state, shared)
+            for name, a, b in zip(plain._fields, plain, with_held):
                 if name == "cache":
                     assert np.array_equal(a.psi1, b.psi1) and np.array_equal(a.psi2_rows, b.psi2_rows)
                     assert np.shares_memory(b.psi2_rows, work.buffers["psi2_rows"])
                 else:
                     assert np.array_equal(a, b), name
             for want_gradients in (False, True):
-                plain, held = _terms(chunk, state, shared, want_gradients), _terms(chunk, state, shared,
-                                                                                  want_gradients, work)
-                for name, a, b in zip(plain._fields, plain, held):
+                plain, with_held = _terms(own, state, shared, want_gradients), _terms(held, state, shared,
+                                                                                     want_gradients)
+                for name, a, b in zip(plain._fields, plain, with_held):
                     assert (a is None and b is None) or np.array_equal(a, b), name
         assert sorted(work.buffers) == REUSED_ROLES
+
+    def test_bound_steps_and_predictor_share_the_plan_buffers(self, monkeypatch):
+        # one group_by_user result through total_bound, an SGD epoch and a
+        # Predictor: the plan's six buffers stay the same arrays, nothing
+        # handed back is a view of them, and every result equals, bit for
+        # bit, that of a plain tuple of the blocks, planned afresh per call
+        import gplvmf.bound as bound
+        import gplvmf.optim as optim
+        import gplvmf.predict as predict
+        from gplvmf import Predictor
+
+        blocks, state = unequal_chunks_instance(55)
+        the_plan = bound.plan(blocks, state)
+        total_bound(blocks, state)
+        buffers = dict(the_plan.work.buffers)
+        assert sorted(buffers) == REUSED_ROLES
+
+        returned = []
+
+        def keeping(real):
+            def call(*args, **kwargs):
+                out = real(*args, **kwargs)
+                returned.extend(a for a in out if a is not None)
+                return out
+            return call
+
+        monkeypatch.setattr(optim, "_user_terms", keeping(optim._user_terms))
+        monkeypatch.setattr(predict, "user_posterior", keeping(predict.user_posterior))
+        cfg = TrainConfig(seed=55)
+        planned, plain = (sgd_epoch(seq, state.from_vector(state.flat), cfg, 0)[0] for seq in (blocks, tuple(blocks)))
+        assert np.array_equal(planned.flat, plain.flat) and not np.array_equal(planned.flat, state.flat)
+        assert all(step[0].work is the_plan.work for step in the_plan.steps(blocks, state))
+        users = np.repeat([b.user for b in blocks], [b.count for b in blocks])
+        items = np.concatenate([b.items for b in blocks])
+        contexts = np.zeros((users.size, state.schema.context_count))
+        predictions = [Predictor(planned, seq).predict_rows(users, items, contexts) for seq in (blocks, tuple(blocks))]
+        for a, b in zip(*predictions):
+            assert np.array_equal(a, b)
+        assert returned and all(the_plan.work.buffers[role] is buffers[role] for role in buffers)
+        assert sorted(the_plan.work.buffers) == REUSED_ROLES
+        assert not any(np.shares_memory(a, buffer) for a in returned for buffer in buffers.values())
+
+    def test_a_plan_and_its_buffers_go_with_their_blocks(self):
+        # the blocks' memo holds the plan and the plan holds no reference to
+        # the blocks, so dropping the blocks frees both at once, without
+        # waiting for the cycle collector
+        import weakref
+
+        import gplvmf.bound as bound
+
+        blocks, state = unequal_chunks_instance(56)
+        total_bound(blocks, state)
+        sgd_epoch(blocks, state, TrainConfig(seed=56), 0)
+        the_plan = bound.plan(blocks, state)
+        gone = [weakref.ref(the_plan), weakref.ref(the_plan.steps(blocks, state)[0][0])]
+        gone += [weakref.ref(buffer) for buffer in the_plan.work.buffers.values()]
+        del the_plan, blocks
+        assert all(ref() is None for ref in gone)
 
     def test_a_steady_call_allocates_none_of_the_reused_arrays(self):
         # many_small's shape: 300 users of 18 ratings at M = 8.  The first

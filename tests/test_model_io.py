@@ -80,6 +80,32 @@ class TestSerialization:
             assert cli_main(["predict", "--model", str(bad), "--queries", str(queries)]) == 2
             assert re.search(message, capsys.readouterr().err)
 
+    def test_bad_meta_is_rejected_naming_the_file_and_the_key(self, tmp_path, capsys):
+        # a meta that is not a JSON object, or lacks a key that load_model
+        # reads, is a ValueError naming the file and the key, and predict
+        # exits 2 on it; unknown keys stay accepted
+        model = small_model(tmp_path)
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = dict(data.items())
+        meta = json.loads(str(arrays["meta"]))
+        queries = tmp_path / "q.csv"
+        queries.write_text("user,item,mood,price\n0,1,2,0.4\n", encoding="utf-8")
+        bad = tmp_path / "bad.npz"
+        cases = [(list(meta), "must be a JSON object")]
+        cases += [({k: v for k, v in meta.items() if k != key}, f"missing key {key!r}")
+                  for key in ("format", "schema", "config", "rating_scale")]
+        for changed, message in cases:
+            arrays["meta"] = json.dumps(changed)
+            np.savez(bad, **arrays)
+            where = re.escape(f"the meta stored in {bad}")
+            with pytest.raises(ValueError, match=f"{re.escape(message)}.*{where}|{where}.*{re.escape(message)}"):
+                load_model(bad)
+            assert cli_main(["predict", "--model", str(bad), "--queries", str(queries)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err and str(bad) in err
+
     @pytest.mark.parametrize(
         "name, row, value, message",
         [
@@ -422,6 +448,16 @@ class TestCli:
         data = tmp_path / "data.csv"
         assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not data.exists()
+
+    def test_synthesize_without_a_synthetic_section_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        raw = json.loads(path.read_text())
+        del raw["synthetic"]
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        data = tmp_path / "data.csv"
+        assert cli_main(["synthesize", "--config", str(path), "--out", str(data)]) == 2
+        assert capsys.readouterr().err == "error: config is missing the 'synthetic' section\n"
         assert not data.exists()
 
     def test_synthetic_section_keys_are_checked(self, tmp_path, capsys):

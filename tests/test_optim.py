@@ -54,7 +54,7 @@ def per_table_sgd_epoch(blocks, state, config, epoch_index):
     table by table, and the step is concatenated for its norm.  Returns the
     state, the running bound estimate and the number of clipped steps.  The
     gradient is scattered by the ``np.add.at`` oracle."""
-    from gplvmf.bound import Chunk, _user_terms, kl_to_prior, shared_factors
+    from gplvmf.bound import Chunk, _terms, kl_to_prior, shared_factors
 
     n_users = len(blocks)
     order = np.random.default_rng([config.seed, 7919, epoch_index]).permutation(n_users)
@@ -64,7 +64,7 @@ def per_table_sgd_epoch(blocks, state, config, epoch_index):
     for bi in order:
         block = blocks[bi]
         chunk = Chunk([block], state)
-        terms = _user_terms(chunk, state, shared_factors(state, config.jitter), want_gradients=True)
+        terms = _terms(chunk, state, shared_factors(state, config.jitter), want_gradients=True)
         value_sum += terms.value[0]
         add_at_scatter(state, chunk, terms, grads)
         rows = {"log_sigma2": block.user, "log_beta": block.user, "user_bias": block.user}
