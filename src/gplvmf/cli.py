@@ -25,6 +25,16 @@ def _load(args):
     return cfg, load_table(args.data, cfg.schema, delimiter=cfg.delimiter)
 
 
+def _write(lines, out) -> int:
+    """The report ``lines`` to the file ``out``, or to stdout without one; exit status 0."""
+    report = "\n".join(lines) + "\n"
+    if out:
+        Path(out).write_text(report, encoding="utf-8")
+    else:
+        sys.stdout.write(report)
+    return 0
+
+
 def cmd_train(args) -> int:
     cfg, table = _load(args)
     model = train_model(table, cfg.train, rating_scale=cfg.rating_scale)
@@ -50,11 +60,7 @@ def cmd_evaluate(args) -> int:
     if args.baseline:
         base = const_baseline_cv(table, k=args.folds, seed=cfg.seed)
         lines.append(f"const_mean,{base.mae!r},{base.rmse!r}")
-    report = "\n".join(lines)
-    if args.out:
-        Path(args.out).write_text(report + "\n", encoding="utf-8")
-    print(report)
-    return 0
+    return _write(lines, args.out)
 
 
 def _read_queries(path, schema, delimiter):
@@ -78,12 +84,7 @@ def cmd_predict(args) -> int:
     lines = ["user,item,mean,variance,clamped_mean"]
     for user, item, mean, variance, clamp in zip(users, items, means, variances, clamped):
         lines.append(f"{user},{item},{float(mean)!r},{float(variance)!r},{float(clamp)!r}")
-    out = "\n".join(lines)
-    if args.out:
-        Path(args.out).write_text(out + "\n", encoding="utf-8")
-    else:
-        print(out)
-    return 0
+    return _write(lines, args.out)
 
 
 def cmd_analyze_contexts(args) -> int:
@@ -92,11 +93,7 @@ def cmd_analyze_contexts(args) -> int:
     lines = ["context,score,share"]
     for name, score, share in relevance.entries:
         lines.append(f"{name},{score!r},{share!r}")
-    out = "\n".join(lines)
-    if args.out:
-        Path(args.out).write_text(out + "\n", encoding="utf-8")
-    print(out)
-    return 0
+    return _write(lines, args.out)
 
 
 def cmd_synthesize(args) -> int:
@@ -131,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_data(p)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--baseline", action="store_true", help="also report the constant predictor")
-    p.add_argument("--out", help="optional results CSV")
+    p.add_argument("--out", help="output CSV (stdout if omitted)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="batch predictions for query rows")
@@ -145,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze-contexts", help="inverse length-scale relevance report")
     p.add_argument("--model", required=True)
-    p.add_argument("--out", help="optional CSV output")
+    p.add_argument("--out", help="output CSV (stdout if omitted)")
     p.set_defaults(func=cmd_analyze_contexts)
 
     p = sub.add_parser("synthesize", help="draw a dataset from the generative model")

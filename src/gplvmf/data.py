@@ -122,6 +122,13 @@ def check_field(name: str, value, integer: bool, bound, strict: bool = False, no
         raise ValueError(f"{name} must be {'>' if strict else '>='} {bound}{note}, got {value!r}")
 
 
+def check_flag(name: str, value) -> None:
+    """A ``ValueError`` naming field ``name`` unless ``value`` is a bool
+    (``np.bool_`` too): a string such as ``"false"`` would read as true."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
 def check_rating_scale(scale, name: str = "rating_scale") -> tuple[float, float]:
     """``scale`` as a (lo, hi) pair of floats; a ``ValueError`` naming ``name``
     unless it is two finite numbers, lo <= hi (the range of equal ratings has
@@ -252,19 +259,11 @@ class RatingTable:
         the training-side behaviour) or an existing statistics object to reuse
         (the test-side behaviour)."""
         indices = np.asarray(indices)
-        raw = self.real_raw[indices]
+        columns = {name: getattr(self, name)[indices] for name in self._COLUMNS}
         if standardization == "refit":
             names = [self.schema.contexts[d].name for d in self.schema.real_indices]
-            standardization = fit_standardization(raw, names)
-        return RatingTable(
-            schema=self.schema,
-            users=self.users[indices],
-            items=self.items[indices],
-            cat_values=self.cat_values[indices],
-            real_raw=raw,
-            ratings=self.ratings[indices],
-            standardization=standardization,
-        )
+            standardization = fit_standardization(columns["real_raw"], names)
+        return RatingTable(schema=self.schema, standardization=standardization, **columns)
 
 
 def out_of_range(schema: ContextSchema, users, items, cats):

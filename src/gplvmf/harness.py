@@ -22,6 +22,7 @@ from .data import (
     ContextSchema,
     RatingTable,
     check_field,
+    check_flag,
     check_rating_scale,
     context_rows,
     fit_standardization,
@@ -60,8 +61,9 @@ class SyntheticSpec:
     one scalar per block (broadcast over that block's coordinates); an
     irrelevant context is encoded as 0.  Real-valued contexts always occupy
     one coordinate.  ``real_weights`` is empty (all zero) or has one weight
-    per real context, in schema order.  A field that would break the draw is
-    a ``ValueError`` naming it (:func:`gplvmf.data.check_field`).
+    per real context, in schema order.  A field that would break the draw, or
+    an ``include_bias`` that is not a bool, is a ``ValueError`` naming it
+    (:func:`gplvmf.data.check_field`, :func:`gplvmf.data.check_flag`).
     """
 
     user_count: int
@@ -96,6 +98,7 @@ class SyntheticSpec:
         ):
             for name in names:
                 check_field(name, getattr(self, name), integer, bound, strict)
+        check_flag("include_bias", self.include_bias)
         if len(self.context_alphas) != len(self.contexts):
             raise ValueError(f"context_alphas: need one per context ({len(self.contexts)}), "
                              f"got {len(self.context_alphas)}")

@@ -33,8 +33,11 @@ from .state import KernelLayout, VariationalState
 FORMAT_VERSION = "gplvmf.model/1"
 # The file stores each state array under its ``param_entries`` key, except these.
 _FILE_NAMES = {"user_bias": "bias_user"}
-# The file's other arrays, beside ``meta``: the training table and its standardization.
-_TABLE_ARRAYS = ("table_users", "table_items", "table_cat", "table_real_raw", "table_ratings", "std_mean", "std_std")
+# The file's other arrays, beside ``meta``: each column of the training table,
+# then its standardization's statistics, under these names.
+_TABLE_FILES = dict(zip(("table_users", "table_items", "table_cat", "table_real_raw", "table_ratings"),
+                        RatingTable._COLUMNS))
+_STANDARDIZATION_FILES = {"std_mean": "mean", "std_std": "std"}
 
 
 @dataclass
@@ -69,15 +72,8 @@ def save_model(model: TrainedModel, path) -> None:
         "rating_scale": list(model.rating_scale),
     }
     arrays = {_FILE_NAMES.get(key, key): arr for key, arr in state.param_entries()}
-    arrays.update(
-        table_users=model.table.users,
-        table_items=model.table.items,
-        table_cat=model.table.cat_values,
-        table_real_raw=model.table.real_raw,
-        table_ratings=model.table.ratings,
-        std_mean=model.table.standardization.mean,
-        std_std=model.table.standardization.std,
-    )
+    arrays.update({name: getattr(model.table, column) for name, column in _TABLE_FILES.items()})
+    arrays.update({name: getattr(model.table.standardization, f) for name, f in _STANDARDIZATION_FILES.items()})
     with open(path, "wb") as f:   # np.savez would add ".npz" to a bare path
         np.savez(f, meta=json.dumps(meta), **arrays)
 
@@ -112,16 +108,10 @@ def load_model(path) -> TrainedModel:
     dims = config.dims()
     layout = KernelLayout(schema, dims)
     state_names = {_FILE_NAMES.get(key, key): key for key in layout.keys}
-    _check_arrays(path, arrays, [*state_names, *_TABLE_ARRAYS])
-    table = RatingTable(
-        schema=schema,
-        users=arrays["table_users"],
-        items=arrays["table_items"],
-        cat_values=arrays["table_cat"],
-        real_raw=arrays["table_real_raw"],
-        ratings=arrays["table_ratings"],
-        standardization=RealStandardization(mean=arrays["std_mean"], std=arrays["std_std"]),
-    )
+    _check_arrays(path, arrays, [*state_names, *_TABLE_FILES, *_STANDARDIZATION_FILES])
+    standardization = RealStandardization(**{f: arrays[name] for name, f in _STANDARDIZATION_FILES.items()})
+    table = RatingTable(schema=schema, standardization=standardization,
+                        **{column: arrays[name] for name, column in _TABLE_FILES.items()})
     state = VariationalState(schema, dims, layout, {key: arrays[name] for name, key in state_names.items()})
     scale = check_rating_scale(meta["rating_scale"], f"the rating_scale stored in {path}")
     return TrainedModel(state=state, table=table, config=config, rating_scale=scale)

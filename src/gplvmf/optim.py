@@ -31,21 +31,17 @@ class OptimizationError(RuntimeError):
     """Non-finite gradients or an unrecoverable optimizer breakdown."""
 
 
-@dataclass
-class TrainConfig:
-    """Everything that shapes a training run; all randomness flows from ``seed``."""
+@dataclass(frozen=True)
+class TrainConfig(ModelDims):
+    """Everything that shapes a training run: the model's settings
+    (:class:`ModelDims`, whose fields and checks it inherits) plus the
+    optimizer's; all randomness flows from ``seed``."""
 
     method: str = "sgd"                  # "sgd" or "scg"
     epochs: int = 150
     learning_rate: float = 0.02
     lr_decay: float = 0.998
     seed: int = 0
-    inducing_count: int = 10
-    item_dim: int = 2
-    context_dim: int = 2
-    item_bias_dim: int = 1
-    context_bias_dim: int = 1
-    use_mean: bool = True
     init_mean_scale: float = 0.1
     init_variance: float = 0.5
     tolerance: float = 1e-6
@@ -54,6 +50,7 @@ class TrainConfig:
     jitter: float = DEFAULT_JITTER
 
     def __post_init__(self):
+        super().__post_init__()
         if self.method not in ("sgd", "scg"):
             raise ValueError(f"unknown optimization method {self.method!r}")
         # A fractional count or a string fails only later, in range() or
@@ -73,9 +70,9 @@ class TrainConfig:
             ("jitter", False, 0, True, ""),
         ):
             check_field(name, getattr(self, name), integer, bound, strict, note)
-        self.dims()  # checks the model dimensions
 
     def dims(self) -> ModelDims:
+        """The model's settings alone, as the layout and the plan memo key read them."""
         return ModelDims(**{f.name: getattr(self, f.name) for f in fields(ModelDims)})
 
     def to_dict(self) -> dict:

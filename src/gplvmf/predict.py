@@ -83,6 +83,8 @@ _UNKNOWN_USER_POLICIES = ("error", "global_mean")
 class UnknownUserError(KeyError):
     """Raised for users with no training block (no cold-start model)."""
 
+    __str__ = Exception.__str__   # the message itself, where a KeyError's is quoted
+
 
 @dataclass(frozen=True)
 class Prediction:

@@ -51,16 +51,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ContextSchema, UserBlock, check_field
+from .data import ContextSchema, UserBlock, check_field, check_flag
 
 
 @dataclass(frozen=True)
 class ModelDims:
-    """Dimension/size choices that shape the state."""
+    """The model's settings, which shape the state: the declaration, the
+    defaults and the checks of the fields of a config's ``model`` section.
+    :class:`gplvmf.optim.TrainConfig` is these plus the optimizer's
+    settings."""
 
-    inducing_count: int
-    item_dim: int
-    context_dim: int
+    inducing_count: int = 10
+    item_dim: int = 2
+    context_dim: int = 2
     item_bias_dim: int = 1
     context_bias_dim: int = 1
     use_mean: bool = True
@@ -69,6 +72,7 @@ class ModelDims:
         for name, least in (("inducing_count", 1), ("item_dim", 1), ("context_dim", 1),
                             ("item_bias_dim", 0), ("context_bias_dim", 0)):
             check_field(name, getattr(self, name), True, least)
+        check_flag("use_mean", self.use_mean)
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,16 @@ class TestSynthesize:
         assert np.array_equal(t1.ratings, t2.ratings)
         assert np.array_equal(t1.items, t2.items)
 
+    def test_without_bias_every_truth_bias_is_zero(self):
+        ctxs = (ContextVariable("c", "categorical", 3), ContextVariable("r", "real"))
+        spec = SyntheticSpec(user_count=4, item_count=5, contexts=ctxs, ratings_per_user=6,
+                             context_alphas=(1.0, 0.5), user_bias_mean=3.0, include_bias=False, seed=9)
+        _, truth = synthesize(spec)
+        assert not truth.user_bias.any() and not truth.item_bias.any()
+        assert not truth.ctx_bias[0].any() and truth.ctx_bias[1] is None
+        # no real weights either: the rating mean is zero everywhere
+        assert not any(mean.any() for mean in truth.means)
+
     def test_no_signal_gives_bias_plus_white_noise(self):
         # alpha = 0 and sigma2 = 0: rating covariance is diagonal 1/beta
         spec = SyntheticSpec(user_count=1, item_count=4, contexts=(),
@@ -143,6 +153,8 @@ class TestSynthesize:
             ("context_alphas", (1.0, -0.5), "context_alphas[1] must be >= 0"),
             ("context_alphas", (float("nan"), 1.0), "context_alphas[0] must be a finite number"),
             ("real_weights", (float("inf"),), "real_weights[0] must be a finite number"),
+            ("include_bias", "no", "include_bias must be true or false, got 'no'"),
+            ("include_bias", 0, "include_bias must be true or false, got 0"),
         ],
     )
     def test_spec_rejects_values_that_break_the_draw(self, name, value, message):

@@ -67,6 +67,7 @@ class TestSerialization:
         tampered = [
             ({"format": "gplvmf.model/999"}, "unsupported model format"),
             ({"config": {**meta["config"], "epoch": 3}}, "unknown key 'epoch'"),
+            ({"config": {**meta["config"], "use_mean": "false"}}, "use_mean must be true or false, got 'false'"),
             ({"rating_scale": [5.0, 1.0]}, "rating_scale stored in .* hi must be >= 5.0, got 1.0"),
             ({"rating_scale": [1.0]}, "rating_scale stored in .* must be two numbers"),
             ({"rating_scale": [1.0, float("nan")]}, "rating_scale stored in .* hi must be a finite number"),
@@ -271,6 +272,26 @@ class TestCli:
         assert body.startswith("fold,mae,rmse")
         assert "const_mean" in body
 
+    def test_reports_go_to_the_out_file_alone_or_to_stdout(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        data, model, queries = tmp_path / "data.csv", tmp_path / "model.npz", tmp_path / "q.csv"
+        assert cli_main(["synthesize", "--config", str(cfg), "--out", str(data)]) == 0
+        assert cli_main(["train", "--config", str(cfg), "--data", str(data), "--out", str(model)]) == 0
+        queries.write_text("user,item,mood,price\n0,1,2,0.4\n3,5,0,-1.2\n", encoding="utf-8")
+        commands = {
+            "predict": ["--model", str(model), "--queries", str(queries)],
+            "analyze-contexts": ["--model", str(model)],
+            "evaluate": ["--config", str(cfg), "--data", str(data), "--folds", "2"],
+        }
+        for command, args in commands.items():
+            out = tmp_path / f"{command}.csv"
+            capsys.readouterr()
+            assert cli_main([command, *args]) == 0
+            printed = capsys.readouterr().out
+            assert cli_main([command, *args, "--out", str(out)]) == 0
+            assert capsys.readouterr().out == ""
+            assert out.read_text(encoding="utf-8") == printed and printed.count("\n") >= 3
+
     def test_paths_without_suffix_are_the_files_written_and_read(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         data, truth, model = tmp_path / "data.csv", tmp_path / "truth", tmp_path / "model"
@@ -472,7 +493,9 @@ class TestCli:
         for synthetic, message in (({**raw["synthetic"], "noise_precison": 100.0},
                                     "'noise_precison' in config section 'synthetic'"),
                                    (rates, "missing key 'ratings_per_user' in config section 'synthetic'"),
-                                   ({**raw["synthetic"], "noise_precision": 0}, "noise_precision must be > 0")):
+                                   ({**raw["synthetic"], "noise_precision": 0}, "noise_precision must be > 0"),
+                                   ({**raw["synthetic"], "include_bias": "no"},
+                                    "include_bias must be true or false, got 'no'")):
             path.write_text(json.dumps({**raw, "synthetic": synthetic}), encoding="utf-8")
             for command in commands:
                 capsys.readouterr()
@@ -556,6 +579,10 @@ class TestCli:
             ("train", "patience", 0),
             ("model", "item_bias_dim", -1),
             ("model", "context_bias_dim", -1),
+            # a non-empty string is truthy: "false" trained with the mean function
+            ("model", "use_mean", "false"),
+            ("model", "use_mean", 0),
+            ("model", "use_mean", None),
         ],
     )
     def test_training_values_that_poison_training_are_rejected(self, tmp_path, capsys, section, name, value):
@@ -594,7 +621,8 @@ class TestCli:
             TrainConfig(**{name: value})
 
     @pytest.mark.parametrize("name, value", [("inducing_count", 2.5), ("item_dim", np.float64(2.0)),
-                                             ("item_bias_dim", -1), ("context_dim", "1")])
+                                             ("item_bias_dim", -1), ("context_dim", "1"),
+                                             ("use_mean", "true"), ("use_mean", 1)])
     def test_model_dims_of_the_wrong_kind_are_named(self, name, value):
         from gplvmf.state import ModelDims
 
@@ -603,8 +631,9 @@ class TestCli:
             ModelDims(**kwargs)
 
     def test_numpy_integers_and_floats_stay_allowed(self):
-        cfg = TrainConfig(epochs=np.int64(3), inducing_count=np.int32(2), learning_rate=np.float32(0.5))
-        assert (cfg.epochs, cfg.dims().inducing_count) == (3, 2)
+        cfg = TrainConfig(epochs=np.int64(3), inducing_count=np.int32(2), learning_rate=np.float32(0.5),
+                          use_mean=np.bool_(False))
+        assert (cfg.epochs, cfg.dims().inducing_count, cfg.dims().use_mean) == (3, 2, False)
 
     def test_config_file_with_a_string_count_exits_2_naming_the_key(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -674,9 +703,11 @@ class TestCli:
         cli_main(["train", "--config", str(cfg), "--data", str(data), "--out", str(model)])
         queries = tmp_path / "q.csv"
         queries.write_text("user,item,mood,price\n7,1,0,0.0\n", encoding="utf-8")
+        capsys.readouterr()
         code = cli_main(["predict", "--model", str(model), "--queries", str(queries)])
         assert code == 2
-        assert "user 7" in capsys.readouterr().err
+        # one line, unquoted, although the error is a KeyError
+        assert capsys.readouterr().err == "error: user 7 has no training ratings; no cold-start model is defined\n"
         assert cli_main([
             "predict", "--model", str(model), "--queries", str(queries), "--allow-unknown-users",
         ]) == 0

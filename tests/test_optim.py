@@ -411,6 +411,39 @@ class TestScg:
             assert res.reason == "early stop"
             assert res.iterations == stop_at and calls == list(range(1, stop_at + 1))
 
+    def test_a_small_gradient_ends_the_run_converged(self):
+        scales = np.arange(1.0, 6.0)
+        res = scg_minimize(lambda x: (0.5 * x @ (scales * x) - x.sum(), scales * x - 1.0), np.zeros(5))
+        assert (res.converged, res.reason) == (True, "gradient tolerance reached")
+        assert 1 <= res.iterations < 50
+        assert np.max(np.abs(scales * res.x - 1.0)) < 1e-6
+
+    def test_a_start_at_the_minimizer_ends_the_run_with_no_iteration(self):
+        calls = []
+        res = scg_minimize(lambda x: (0.5 * x @ x, x), np.zeros(4), callback=lambda *args: calls.append(args))
+        assert (res.converged, res.reason, res.iterations) == (True, "search direction vanished", 0)
+        assert res.f == 0.0 and np.array_equal(res.x, np.zeros(4)) and calls == []
+
+    def test_negative_curvature_still_steps_down(self):
+        # near 0 the Hessian diag(3 x^2 - 1) is negative definite, so the
+        # first curvature probe along steepest descent is negative
+        def double_well(x):
+            return float(np.sum(x**4 / 4 - x**2 / 2)), x**3 - x
+
+        x0 = np.array([0.1, -0.05, 0.2])
+        p = x0 - x0**3
+        assert p @ ((3 * x0**2 - 1) * p) < 0
+        accepted = []
+
+        def record(k, x, f, ok):
+            if ok:
+                accepted.append(f)
+
+        res = scg_minimize(double_well, x0, max_iters=200, callback=record)
+        assert accepted and np.all(np.diff([double_well(x0)[0], *accepted]) <= 0)
+        assert res.converged and np.allclose(np.abs(res.x), 1.0, atol=1e-6)
+        assert res.f == pytest.approx(-0.75)
+
 
 def validation_split():
     """Training blocks and a ``state -> (mae, rmse)`` validation on a held-out fold."""

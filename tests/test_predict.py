@@ -314,6 +314,8 @@ class TestPredict:
         pred = Predictor(state, blocks)
         with pytest.raises(ValueError, match="expected 3 context values, got 2"):
             pred.predict_rows([0, 1], [0, 0], [(0, 0.0, 0.0), (1, 0.0)])
+        with pytest.raises(ValueError, match="^3 queries but 2 context rows$"):
+            pred.predict_rows([0, 1, 2], [0, 0, 0], [(0, 0.0, 0.0)] * 2)
 
     @pytest.mark.parametrize(
         "row, message",
